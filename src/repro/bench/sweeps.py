@@ -286,9 +286,12 @@ def ladder_sweep(
         ]
 
     def metric_score(order: Order) -> float:
+        sigs = [(c, signature(hierarchy, order, c)) for c in comm_sizes]
         return sum(
-            analytic_order_score(topology, hierarchy, order, comm_size, total)
-            for comm_size in comm_sizes
+            analytic_order_score(
+                topology, hierarchy, order, comm_size, total, sig=sig
+            )
+            for comm_size, sig in sigs
             for total in sizes
         )
 

@@ -294,10 +294,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             for rung in result.rungs:
                 tau = "-" if rung.tau is None else f"{rung.tau:.3f}"
                 widened = " (widened)" if rung.widened else ""
+                tied = " (all tied)" if rung.n_distinct == 1 else ""
                 print(
                     f"# ladder {rung.rung}: {rung.n_candidates} -> "
                     f"{rung.n_promoted} promoted, tau={tau}{widened}, "
-                    f"{rung.n_requests} request(s), {rung.wall_s:.2f}s",
+                    f"{rung.n_requests} request(s), {rung.wall_s:.2f}s{tied}",
                     file=sys.stderr,
                 )
             if result.audit:

@@ -37,7 +37,7 @@ from typing import Sequence
 from repro.bench.microbench import run_microbench, run_program
 from repro.core.equivalence import equivalence_classes
 from repro.core.hierarchy import Hierarchy
-from repro.core.metrics import OrderSignature
+from repro.core.metrics import OrderSignature, signature
 from repro.core.orders import Order, format_order
 from repro.launcher.slurm import order_to_distribution
 from repro.netsim.fabric import Fabric
@@ -404,9 +404,10 @@ def ladder_advise(
 
     def metric_score(ci: int) -> float:
         rep = tuple(plan.classes[ci][0].order)
+        sig = signature(plan.hierarchy, rep, plan.comm_size)
         return sum(
             analytic_order_score(
-                plan.topology, plan.hierarchy, rep, plan.comm_size, nbytes
+                plan.topology, plan.hierarchy, rep, plan.comm_size, nbytes, sig=sig
             )
             for nbytes in plan.total_bytes
         )

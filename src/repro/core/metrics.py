@@ -25,8 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.hierarchy import Hierarchy
-from repro.core.mixed_radix import decompose_many, recompose_many
+from repro.core.hierarchy import Hierarchy, _check_order
 
 
 def hop_cost(coords_a: Sequence[int], coords_b: Sequence[int]) -> int:
@@ -52,17 +51,22 @@ def _first_comm_coords(
 
     Row ``k`` holds the coordinates of the core whose *reordered* rank is
     ``k`` (for ``k < comm_size``); subcommunicators are blocks of contiguous
-    reordered ranks, per Section 3.2.
+    reordered ranks, per Section 3.2.  Algorithm 2 inverted: new rank ``k``
+    is peeled into digits fastest level (``order[0]``) first, so the cost
+    is O(comm_size * depth), independent of the machine size.
     """
     if comm_size < 1 or hierarchy.size % comm_size != 0:
         raise ValueError(
             f"communicator size {comm_size} must divide {hierarchy.size}"
         )
-    ranks = np.arange(hierarchy.size, dtype=np.int64)
-    coords = decompose_many(hierarchy, ranks)
-    new_ranks = recompose_many(hierarchy, coords, order)
-    members = np.argsort(new_ranks)[:comm_size]  # canonical rank per new rank
-    return coords[members]
+    radices = hierarchy.radices
+    _check_order(order, len(radices))
+    coords = np.zeros((comm_size, len(radices)), dtype=np.int64)
+    rest = np.arange(comm_size, dtype=np.int64)
+    for level in order:
+        coords[:, level] = rest % radices[level]
+        rest //= radices[level]
+    return coords
 
 
 def ring_cost_of_coords(coords: np.ndarray) -> int:
@@ -96,28 +100,35 @@ def pair_level_counts_of_coords(coords: np.ndarray) -> tuple[tuple[int, ...], in
     :func:`pair_level_percentages_of_coords` are ``100 * counts / total``;
     equivalence keys use the integer pairs directly so near-boundary
     ratios never collide (or split) through float rounding.
+
+    Closed form instead of an O(n^2 * depth) pairwise comparison: with
+    ``S_j`` the number of pairs sharing their first ``j`` coordinates
+    (``S_0 = total``), the pairs whose first difference is level ``j``
+    number ``S_j - S_{j+1}``.  One lexicographic sort (O(depth * n log n))
+    makes every prefix group a contiguous run of rows, and each ``S_j`` is
+    then an O(n) pass over the group sizes.  Identical rows share every
+    prefix, so they land in no bucket.  Coordinates may be any integers;
+    nothing assumes they are bounded by a hierarchy's radices.
     """
     n, depth = coords.shape
-    if n < 2:
-        return tuple(0 for _ in range(depth)), 0
-    counts = np.zeros(depth, dtype=np.int64)
-    # Pairwise comparison; communicators in the paper are <= a few hundred
-    # ranks, so the O(n^2 * depth) broadcast is fine.
-    for j in range(depth):
-        same_above = (
-            np.ones((n, n), dtype=bool)
-            if j == 0
-            else np.all(
-                coords[:, None, :j] == coords[None, :, :j], axis=2
-            )
-        )
-        differ_here = coords[:, None, j] != coords[None, :, j]
-        sel = same_above & differ_here
-        counts[j] = np.triu(sel, k=1).sum()
     total = n * (n - 1) // 2
-    # counts[j] = pairs whose first difference is level j (cost depth-j);
+    if n < 2 or depth == 0:
+        return tuple(0 for _ in range(depth)), total
+    rows = coords[np.lexsort(coords.T[::-1])]
+    # starts[i]: row i + 1 opens a new group of the current prefix length.
+    starts = np.zeros(n - 1, dtype=bool)
+    shared = [total]  # shared[j] = S_j
+    for j in range(depth):
+        starts |= rows[1:, j] != rows[:-1, j]
+        bounds = np.flatnonzero(starts) + 1
+        sizes = np.diff(bounds, prepend=0, append=n)
+        shared.append(int((sizes * (sizes - 1)).sum()) // 2)
+    # Level j (outermost first, cost depth - j) holds S_j - S_{j+1} pairs;
     # report innermost (cost 1) first.
-    return tuple(int(counts[depth - 1 - k]) for k in range(depth)), total
+    return (
+        tuple(shared[j] - shared[j + 1] for j in range(depth - 1, -1, -1)),
+        total,
+    )
 
 
 def pair_level_percentages_of_coords(coords: np.ndarray) -> tuple[float, ...]:

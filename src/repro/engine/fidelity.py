@@ -45,10 +45,13 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from repro.engine.keys import EvalRequest
 from repro.engine.supervisor import is_failure
+
+if TYPE_CHECKING:
+    from repro.core.metrics import OrderSignature
 
 #: The free analytic rung (never touches the engine).
 RUNG_METRIC = "metric"
@@ -153,6 +156,10 @@ class RungOutcome:
     probe_size: int  # candidates in the calibration probe
     widened: bool  # tau fell below the floor
     wall_s: float
+    #: Distinct finite scores at this rung.  1 means the rung tied every
+    #: candidate: its tau (1.0 by convention) and its promotion (decided
+    #: by the deterministic tie-break alone) carry no information.
+    n_distinct: int
 
     def to_jsonable(self) -> dict:
         return {
@@ -166,6 +173,7 @@ class RungOutcome:
             "probe_size": self.probe_size,
             "widened": self.widened,
             "wall_s": self.wall_s,
+            "n_distinct": self.n_distinct,
         }
 
 
@@ -224,6 +232,11 @@ def _probe_rank(seed: int, candidate: Any) -> str:
 def _tie(candidate: Any) -> str:
     """Total deterministic order over candidates of any hashable type."""
     return repr(candidate)
+
+
+def _n_distinct(scores: dict, candidates: Sequence[Any]) -> int:
+    """Number of distinct finite scores among ``candidates``."""
+    return len({scores[c] for c in candidates if math.isfinite(scores[c])})
 
 
 class FidelityLadder:
@@ -313,6 +326,7 @@ class FidelityLadder:
                         probe_size=0,
                         widened=False,
                         wall_s=time.perf_counter() - t0,
+                        n_distinct=_n_distinct(scores, survivors),
                     )
                 )
                 break
@@ -354,6 +368,7 @@ class FidelityLadder:
                     probe_size=len(probe),
                     widened=widened,
                     wall_s=time.perf_counter() - t0,
+                    n_distinct=_n_distinct(scores, survivors),
                 )
             )
             survivors = promoted
@@ -472,6 +487,7 @@ def analytic_order_score(
     order: tuple[int, ...],
     comm_size: int,
     total_bytes: float,
+    sig: OrderSignature | None = None,
 ) -> float:
     """Machine-aware analytic proxy for an order's collective duration.
 
@@ -482,10 +498,15 @@ def analytic_order_score(
     simulation runs -- this is the ladder's free ``metric`` rung for
     order searches, good enough to discard the clearly hopeless bulk of
     an order space before ``logp`` sees it.
-    """
-    from repro.core.metrics import signature
 
-    sig = signature(hierarchy, order, comm_size)
+    ``sig`` is ``signature(hierarchy, order, comm_size)`` when the caller
+    already holds it: it does not depend on ``total_bytes``, so a caller
+    scoring one order at several payload sizes computes it once.
+    """
+    if sig is None:
+        from repro.core.metrics import signature
+
+        sig = signature(hierarchy, order, comm_size)
     depth = len(sig.pair_counts)
     per_pair_bytes = float(total_bytes) / max(comm_size, 1)
     score = 0.0

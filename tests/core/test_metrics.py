@@ -4,17 +4,27 @@ All expected values below are stated verbatim in the paper (Figure 2
 discussion and the legends of Figures 3 and 5).
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.equivalence import equivalence_classes
 from repro.core.hierarchy import Hierarchy
 from repro.core.metrics import (
+    _first_comm_coords,
     hop_cost,
+    pair_level_counts_of_coords,
     pair_level_percentages,
     ring_cost,
     ring_cost_of_coords,
     signature,
+    signature_of_coords,
 )
+from repro.core.mixed_radix import decompose_many, recompose_many
+from repro.core.orders import all_orders
 
 LUMI16 = Hierarchy((16, 2, 4, 2, 8))
 
@@ -141,3 +151,129 @@ class TestSignature:
         b = signature(hydra_hierarchy, (3, 1, 0, 2), 16)
         assert a.pair_percentages == b.pair_percentages
         assert a.ring_cost != b.ring_cost
+
+
+# -- closed forms vs the direct definitions ----------------------------------
+
+
+def oracle_pair_level_counts(coords: np.ndarray) -> tuple[tuple[int, ...], int]:
+    """Pair counts by comparing every pair of rows, O(n^2 * depth)."""
+    n, depth = coords.shape
+    if n < 2:
+        return tuple(0 for _ in range(depth)), 0
+    counts = np.zeros(depth, dtype=np.int64)
+    for j in range(depth):
+        same_above = (
+            np.ones((n, n), dtype=bool)
+            if j == 0
+            else np.all(coords[:, None, :j] == coords[None, :, :j], axis=2)
+        )
+        differ_here = coords[:, None, j] != coords[None, :, j]
+        counts[j] = np.triu(same_above & differ_here, k=1).sum()
+    return tuple(int(counts[depth - 1 - k]) for k in range(depth)), n * (n - 1) // 2
+
+
+def oracle_first_comm_coords(
+    hierarchy: Hierarchy, order, comm_size: int
+) -> np.ndarray:
+    """Reorder the whole machine (Algorithms 1 and 2), then argsort."""
+    coords = decompose_many(hierarchy, np.arange(hierarchy.size, dtype=np.int64))
+    new_ranks = recompose_many(hierarchy, coords, order)
+    return coords[np.argsort(new_ranks)[:comm_size]]
+
+
+def oracle_signature_key(hierarchy: Hierarchy, order, comm_size: int) -> tuple:
+    coords = oracle_first_comm_coords(hierarchy, order, comm_size)
+    counts, total = oracle_pair_level_counts(coords)
+    return (ring_cost_of_coords(coords), counts, total)
+
+
+def divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+hierarchies = (
+    st.lists(st.integers(2, 5), min_size=1, max_size=6)
+    .filter(lambda radices: math.prod(radices) <= 96)
+    .map(lambda radices: Hierarchy(tuple(radices)))
+)
+
+
+class TestClosedForms:
+    @settings(max_examples=25, deadline=None)
+    @given(hierarchies)
+    @example(Hierarchy((2, 2, 2, 2, 2, 2)))
+    def test_first_comm_and_pair_counts_match_oracles(self, h):
+        for order in all_orders(h.depth):
+            # Every first communicator is a prefix of the whole reordering.
+            world = oracle_first_comm_coords(h, order, h.size)
+            for comm_size in divisors(h.size):
+                coords = _first_comm_coords(h, order, comm_size)
+                expect = world[:comm_size]
+                assert coords.dtype == expect.dtype
+                assert np.array_equal(coords, expect)
+                assert pair_level_counts_of_coords(
+                    coords
+                ) == oracle_pair_level_counts(expect)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: st.integers(0, 5).flatmap(
+                lambda depth: st.lists(
+                    st.lists(
+                        st.integers(-(2**40), 2**40) | st.integers(0, 2),
+                        min_size=depth,
+                        max_size=depth,
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ).map(lambda rows: np.array(rows, dtype=np.int64).reshape(n, depth))
+            )
+        )
+    )
+    @example(np.zeros((0, 3), dtype=np.int64))
+    @example(np.zeros((1, 3), dtype=np.int64))
+    def test_pair_counts_match_oracle_on_arbitrary_coords(self, coords):
+        # Small digit range makes duplicate rows and shared prefixes
+        # common; the wide range exercises digits beyond any radix.
+        got = pair_level_counts_of_coords(coords)
+        assert got == oracle_pair_level_counts(coords)
+        assert all(type(c) is int for c in got[0]) and type(got[1]) is int
+
+    def test_duplicate_rows_fall_in_no_bucket(self):
+        coords = np.array([[0, 7, 1], [0, 7, 1], [0, 7, 2], [9, 0, 0]])
+        # 1 innermost pair per duplicate with the (0, 7, 2) row, none for the
+        # duplicate itself; 3 outermost pairs with (9, 0, 0).
+        assert pair_level_counts_of_coords(coords) == ((2, 0, 3), 6)
+        assert oracle_pair_level_counts(coords) == ((2, 0, 3), 6)
+
+    def test_signature_of_coords_matches_signature(self, hydra_hierarchy):
+        for order in all_orders(hydra_hierarchy.depth):
+            coords = oracle_first_comm_coords(hydra_hierarchy, order, 16)
+            assert signature(hydra_hierarchy, order, 16) == signature_of_coords(
+                order, coords
+            )
+
+    def test_first_comm_rejects_bad_order(self, fig1_hierarchy):
+        with pytest.raises(ValueError, match="not a permutation"):
+            _first_comm_coords(fig1_hierarchy, (0, 0, 1), 4)
+
+    @pytest.mark.parametrize(
+        "hierarchy,comm_size",
+        [
+            (Hierarchy((16, 2, 2, 8)), 16),
+            (Hierarchy((16, 2, 2, 8)), 64),
+            (LUMI16, 16),
+            (LUMI16, 128),
+        ],
+        ids=["fig3-16", "fig3-64", "fig5-16", "fig5-128"],
+    )
+    def test_equivalence_partition_unchanged(self, hierarchy, comm_size):
+        expect: dict[tuple, list] = {}
+        for order in all_orders(hierarchy.depth):
+            key = oracle_signature_key(hierarchy, order, comm_size)
+            expect.setdefault(key, []).append(order)
+        classes = equivalence_classes(hierarchy, comm_size)
+        got = {key: [s.order for s in sigs] for key, sigs in classes.items()}
+        assert got == expect

@@ -348,3 +348,60 @@ class TestLadderSweepPlumbing:
         assert bad in result.failed
         assert bad not in result.ranking
         assert len(result.ranking) == len(orders) - 1
+
+
+class TestTiedMetricRung:
+    """A metric rung that scores every candidate alike is reported as such.
+
+    At ``comm_size == hierarchy.size`` the first communicator is the whole
+    machine, so its pair histogram -- and the analytic score -- is the same
+    for every order.
+    """
+
+    def _ladder(self, comm_size):
+        topo, h = _machine()
+        _, result = ladder_sweep(
+            topo, h, [comm_size], collectives=("alltoall",), sizes=(1e5, 1e6),
+            backend="logp", top_k=2,
+        )
+        return result
+
+    def test_whole_machine_communicator_ties_every_order(self):
+        metric = self._ladder(16).rungs[0]
+        assert metric.rung == "metric"
+        assert metric.n_candidates == 6
+        assert metric.n_distinct == 1
+        assert metric.to_jsonable()["n_distinct"] == 1
+
+    def test_sub_communicator_separates_orders(self):
+        result = self._ladder(4)
+        metric, final = result.rungs
+        assert metric.n_distinct > 1
+        assert final.n_distinct == len({result.scores[c] for c in result.ranking})
+
+    def test_cli_marks_the_tied_rung(self, capsys):
+        from repro.cli import main
+
+        argv = [
+            "sweep", "-H", "node:2 socket:2 core:4", "--comm-sizes", "{}",
+            "--sizes", "1e5", "--ladder", "--backend", "logp", "--top-k", "2",
+        ]
+        def metric_line(comm_size):
+            assert main([a.format(comm_size) for a in argv]) == 0
+            lines = capsys.readouterr().err.splitlines()
+            [line] = [ln for ln in lines if ln.startswith("# ladder metric:")]
+            return line
+
+        assert metric_line(16).endswith("s (all tied)")
+        assert "all tied" not in metric_line(4)
+
+    def test_precomputed_signature_scores_bitwise_equal(self):
+        from repro.core.metrics import signature
+
+        topo, h = _machine()
+        for order in all_orders(h.depth):
+            sig = signature(h, order, 4)
+            for nbytes in (1e3, 1e6, 3.7e7):
+                assert analytic_order_score(
+                    topo, h, order, 4, nbytes, sig=sig
+                ) == analytic_order_score(topo, h, order, 4, nbytes)
