@@ -40,6 +40,7 @@ from typing import (
     Callable,
     Dict,
     Iterator,
+    NamedTuple,
     Protocol,
     Sequence,
     runtime_checkable,
@@ -137,60 +138,119 @@ def _as_placements(placements: Placements | np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _alignment_key(program: CommProgram) -> tuple:
-    """Hashable round-structure signature used to align batched programs.
+class _PatternTable(NamedTuple):
+    """A program's rounds grouped by flow pattern (see :func:`_pattern_table`)."""
 
-    Two programs are *payload-aligned* when they span the same rank count
-    and, round for round, share src/dst patterns and repeat counts --
-    only payloads and per-round compute may differ.  The batch kernels
-    vectorize the payload axis within an alignment group, so a batch
-    whose auto-selected algorithm switches across the size sweep (bruck
-    below the threshold, pairwise above) simply splits into one stacked
-    pass per group instead of falling back to scalar evaluation.
+    #: Payload-alignment key: programs sharing it have, round for round,
+    #: the same src/dst patterns and repeat counts over the same ranks.
+    alignment: tuple
+    keys: tuple[tuple[bytes, bytes], ...]  # structure key of each pattern
+    patterns: tuple[CommRound, ...]  # first round of each distinct pattern
+    ids: np.ndarray  # (R,) pattern index of each round
+    by_pattern: np.ndarray  # (R,) round indices, grouped by pattern
+    bounds: tuple[int, ...]  # pattern p's rounds: by_pattern[bounds[p]:bounds[p + 1]]
+    nbytes: np.ndarray  # (R,) scalar payloads, NaN where per_flow
+    per_flow: np.ndarray  # (R,) round carries a per-flow payload array
+    compute: np.ndarray  # (R,)
+    repeat: np.ndarray  # (R,) int64
+    compute_total: float  # ``sum(compute * repeat)``, in round order
+    rank_range: tuple[int, int]  # smallest and largest rank any flow names
 
-    Memoized on the (frozen) program, so repeated batches over a cached
-    program pay one signature construction total.
+    def cols(self) -> Iterator[np.ndarray]:
+        """The round indices of each pattern, in pattern order."""
+        b = self.bounds
+        return (self.by_pattern[b[p] : b[p + 1]] for p in range(len(self.patterns)))
+
+
+def _pattern_table(program: CommProgram) -> _PatternTable:
+    """The program's round patterns and per-round scalar vectors.
+
+    Rounds mostly repeat a few src/dst patterns (a 256-rank dnn step has
+    390 rounds over 73 patterns), so the analytic kernels analyse and
+    price each distinct :meth:`~repro.ir.program.CommRound.structure_key`
+    once per placement.  Memoized on the (frozen) program, so repeated
+    batches over a cached program build the table once.
     """
-    cached = program.__dict__.get("_alignment_key")
-    if cached is None:
-        cached = (
-            program.n_ranks,
-            tuple((r.structure_key(), r.repeat) for r in program.rounds),
-        )
-        object.__setattr__(program, "_alignment_key", cached)
-    return cached
+    cached: _PatternTable | None = program.__dict__.get("_pattern_table")
+    if cached is not None:
+        return cached
+    rounds = program.rounds
+    index: Dict[tuple, int] = {}
+    patterns: list[CommRound] = []
+    pattern_ids = []
+    for rnd in rounds:
+        key = rnd.structure_key()
+        p = index.get(key)
+        if p is None:
+            p = index[key] = len(patterns)
+            patterns.append(rnd)
+        pattern_ids.append(p)
+    ids = np.array(pattern_ids, dtype=np.int64)
+    per_flow = np.array([isinstance(r.nbytes, np.ndarray) for r in rounds], dtype=bool)
+    repeat = np.array([r.repeat for r in rounds], dtype=np.int64)
+    ranks = np.concatenate(
+        [np.empty(0, np.int64), *(r.src for r in patterns), *(r.dst for r in patterns)]
+    )
+    keys = tuple(index)
+    table = _PatternTable(
+        alignment=(program.n_ranks, keys, ids.tobytes(), repeat.tobytes()),
+        keys=keys,
+        patterns=tuple(patterns),
+        ids=ids,
+        by_pattern=np.argsort(ids, kind="stable"),
+        bounds=(0, *np.cumsum(np.bincount(ids, minlength=len(keys))).tolist()),
+        nbytes=np.array(
+            [np.nan if f else float(r.nbytes) for r, f in zip(rounds, per_flow)]
+        ),
+        per_flow=per_flow,
+        compute=np.array([float(r.compute) for r in rounds]),
+        repeat=repeat,
+        compute_total=sum(r.compute * r.repeat for r in rounds),
+        rank_range=(int(ranks.min()), int(ranks.max())) if ranks.size else (0, -1),
+    )
+    for value in table:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    object.__setattr__(program, "_pattern_table", table)
+    return table
 
 
 def _aligned_groups(programs: Sequence[CommProgram]) -> list[list[int]]:
-    """Indices of ``programs`` grouped by :func:`_alignment_key`."""
+    """Indices of ``programs`` grouped by payload alignment.
+
+    The batch kernels vectorize the payload axis within an alignment
+    group, so a batch whose auto-selected algorithm switches across the
+    size sweep (bruck below the threshold, pairwise above) simply splits
+    into one stacked pass per group instead of falling back to scalar
+    evaluation.
+    """
     groups: Dict[tuple, list[int]] = {}
     for i, program in enumerate(programs):
-        groups.setdefault(_alignment_key(program), []).append(i)
+        groups.setdefault(_pattern_table(program).alignment, []).append(i)
     return list(groups.values())
 
 
-_NO_PAYLOAD_ROW = object()
+def _placed_patterns(
+    table: _PatternTable, cores_list: list[np.ndarray], which: Sequence[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Core-space ``(src, dst)`` of patterns ``which``, instance-major.
 
-
-def _uniform_payload_row(program: CommProgram) -> np.ndarray | None:
-    """Per-round payload vector of a uniform, compute-free program.
-
-    ``None`` when any round carries a per-flow payload array or local
-    compute -- those need the general per-round pricing path.  Memoized
-    on the (frozen) program: one extraction serves every scenario and
-    every batch the cached program appears in.
+    One flow set per pattern covers every placement at once (instance
+    ``k``'s flows follow instance ``k - 1``'s) -- the merged round of
+    the "all subcommunicators at once" scenario.
     """
-    row = program.__dict__.get("_uniform_payload_row", _NO_PAYLOAD_ROW)
-    if row is _NO_PAYLOAD_ROW:
-        if any(
-            isinstance(r.nbytes, np.ndarray) or r.compute
-            for r in program.rounds
-        ):
-            row = None
-        else:
-            row = np.array([r.nbytes for r in program.rounds], dtype=float)
-        object.__setattr__(program, "_uniform_payload_row", row)
-    return row
+    lo, hi = table.rank_range
+    if lo < 0 or hi >= min(c.size for c in cores_list):
+        raise ValueError("round refers to ranks outside the communicator")
+    if not which:
+        return
+    # Row ``k`` of ``starts + ranks`` indexes instance ``k``'s cores in the
+    # concatenated placements; the row-major ravel is instance-major.
+    flat = np.concatenate(cores_list)
+    starts = np.cumsum([0] + [c.size for c in cores_list[:-1]])[:, None]
+    for p in which:
+        rnd = table.patterns[p]
+        yield flat[starts + rnd.src].ravel(), flat[starts + rnd.dst].ravel()
 
 
 def supports_batch(backend: ExecutionBackend) -> bool:
@@ -236,19 +296,30 @@ def describe_backends() -> list[tuple[str, BackendCapabilities]]:
     return [(name, create_backend(name).capabilities) for name in backend_names()]
 
 
-# -- round: synchronized-round bottleneck model ------------------------------
+# -- analytic kernels: shared batch driver ---------------------------------
 
 
-class RoundBackend:
-    """The paper's round model, via placed :class:`RoundSchedule` merging."""
+class _AnalyticBackend:
+    """Whole-program pricing shared by the ``round`` and ``logp`` kernels.
 
-    name = "round"
-    capabilities = BackendCapabilities(
-        faults=False, per_flow_contention=False, tolerance="exact", batch=True
-    )
+    Per alignment group and placement, each distinct round pattern gets
+    one memoized structural analysis, and the ``(n_programs, R)`` time
+    matrix fills with vector ops over whole patterns rather than one
+    round at a time.  A kernel supplies the structures (``(live, lat,
+    share, ...)`` per pattern), their pricing of scalar and per-flow
+    payloads, and the summation of the time matrix, which runs along the
+    round axis with ``np.add.accumulate``: its strictly sequential
+    additions keep the round-by-round ``total += t * repeat`` order bit
+    for bit.
+    """
+
+    name: str
+    #: Whether :class:`RoundCost` counts the flows of every placement
+    #: (the merged round) or of one instance.
+    _merged_flow_counts: bool
 
     def __init__(self) -> None:
-        self._fabrics: Dict[MachineTopology, Any] = {}
+        self._fabrics: Dict[MachineTopology, Fabric] = {}
 
     def fabric(self, topology: MachineTopology) -> Fabric:
         """The per-topology :class:`~repro.netsim.fabric.Fabric` (shared
@@ -265,106 +336,170 @@ class RoundBackend:
         program: CommProgram,
         topology: MachineTopology,
         placements: Placements,
-        fabric: Any = None,
         **options: Any,
     ) -> ExecutionResult:
-        from repro.ir.lower import placed_rounds
-        from repro.netsim.fabric import RoundSchedule
-
-        cores = _as_placements(placements)
-        fab = fabric or self.fabric(topology)
-        schedule = RoundSchedule.merge([placed_rounds(program, c) for c in cores])
-        per_round = []
-        total = 0.0
-        for index, rnd in enumerate(schedule.rounds):
-            t = fab.round_time(rnd)
-            per_round.append(RoundCost(index, rnd.repeat, rnd.n_flows, t))
-            total += t * rnd.repeat
-        total += sum(r.compute * r.repeat for r in program.rounds)
-        return ExecutionResult(self.name, total, tuple(per_round))
+        return self.run_batch([program], topology, placements, **options)[0]
 
     def run_batch(
         self,
         programs: Sequence[CommProgram],
         topology: MachineTopology,
         placements: Placements,
-        fabric: Any = None,
         **options: Any,
     ) -> list[ExecutionResult]:
-        """Score a stack of payload-aligned programs in vectorized passes.
+        """Score a stack of programs, one vectorized pass per alignment group.
 
-        Bitwise contract: ``run_batch(programs, ...)[j]`` carries exactly
-        the time and per-round costs ``run(programs[j], ...)`` would
-        produce -- the placed merge and per-flow fair-share structure are
-        resolved once per alignment group (one placed lowering instead of
-        one per payload size), and the per-round cost loop collapses to
-        one ``(payload, flow)`` matrix pass per round with the identical
-        float64 expression tree, elementwise (see
-        :meth:`~repro.netsim.fabric.Fabric.round_times_batch`).
+        ``run(program, ...)`` is ``run_batch([program], ...)[0]``, and
+        entry ``j`` does not depend on the rest of the batch: every
+        vector op is elementwise over the program axis.
 
-        ``detail=False`` skips the per-round :class:`RoundCost`
-        breakdown (``per_round`` comes back empty); total times are
-        unaffected.
+        ``detail=False`` skips the per-round :class:`RoundCost` breakdown
+        (``per_round`` comes back empty); total times are unaffected.
         """
-        from repro.ir.lower import placed_rounds
-        from repro.netsim.fabric import RoundSchedule
-
         detail = bool(options.get("detail", True))
         programs = list(programs)
-        if not programs:
-            return []
-        cores = _as_placements(placements)
-        fab = fabric or self.fabric(topology)
-        results: list[ExecutionResult | None] = [None] * len(programs)
+        cores_list = _as_placements(placements)
+        copies = len(cores_list) if self._merged_flow_counts else 1
+        results: Dict[int, ExecutionResult] = {}
         for idxs in _aligned_groups(programs):
-            ref = programs[idxs[0]]
-            # One placed lowering per group: src/dst patterns are shared,
-            # so the merged schedule's structure stands in for every
-            # program; only per-round payloads differ across the group.
-            schedule = RoundSchedule.merge([placed_rounds(ref, c) for c in cores])
-            k = len(cores)
-            n = len(idxs)
-            totals = np.zeros(n)
-            round_costs: list[list[RoundCost]] = []
-            for rindex, merged in enumerate(schedule.rounds):
-                nbytes_rows = [
-                    _merged_nbytes(programs[j].rounds[rindex], k) for j in idxs
+            group = [programs[j] for j in idxs]
+            tables = [_pattern_table(p) for p in group]
+            ref = tables[0]
+            structs = self._pattern_structures(ref, topology, cores_list, options)
+            times = self._times(group, tables, structs, len(cores_list))
+            totals = self._totals(times, tables).tolist()
+            per_round: list[tuple] = [()] * len(idxs)
+            if detail:
+                n_flows = [r.n_flows * copies for r in ref.patterns]
+                flows = [n_flows[p] for p in ref.ids.tolist()]
+                index = range(len(flows))
+                repeats = ref.repeat.tolist()
+                per_round = [
+                    tuple(map(RoundCost, index, repeats, flows, row))
+                    for row in times.tolist()
                 ]
-                t = fab.round_times_batch(merged.src, merged.dst, nbytes_rows)
-                totals += t * merged.repeat
-                if detail:
-                    rep, nf = merged.repeat, merged.n_flows
-                    round_costs.append(
-                        [RoundCost(rindex, rep, nf, tv) for tv in t.tolist()]
-                    )
-            totals += np.array(
+            for jj, j in enumerate(idxs):
+                results[j] = ExecutionResult(self.name, totals[jj], per_round[jj])
+        return [results[j] for j in range(len(programs))]
+
+    # -- kernel hooks ----------------------------------------------------
+
+    def _pattern_structures(
+        self,
+        table: _PatternTable,
+        topology: MachineTopology,
+        cores_list: list[np.ndarray],
+        options: dict[str, Any],
+    ) -> Sequence[tuple]:
+        """One ``(live, lat, share, ...)`` per pattern of ``table``."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _scalar_times(
+        structs: Sequence[tuple], table: _PatternTable, nbytes: np.ndarray
+    ) -> np.ndarray:
+        """``(n_programs, R)`` durations at scalar payloads; ``0.0`` in
+        rounds without live flows, anything in per-flow-array cells."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _flow_times(struct: tuple, payload: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    @staticmethod
+    def _totals(times: np.ndarray, tables: list[_PatternTable]) -> np.ndarray:
+        raise NotImplementedError
+
+    def _times(
+        self,
+        group: list[CommProgram],
+        tables: list[_PatternTable],
+        structs: Sequence[tuple],
+        k: int,
+    ) -> np.ndarray:
+        """The ``(len(group), R)`` matrix of per-round durations.
+
+        The kernel prices every scalar-payload cell at once
+        (:meth:`_scalar_times`).  Per pattern, the cells carrying
+        per-flow payload arrays then stack into one ``(cells, live
+        flows)`` matrix, each row the round's payload tiled once per
+        placement (the merged round's flow order) and cut to live flows.
+        """
+        ref = tables[0]
+        times = self._scalar_times(structs, ref, np.array([t.nbytes for t in tables]))
+        per_flow = np.array([t.per_flow for t in tables])
+        if not per_flow.any():
+            return times
+        for cols, struct in zip(ref.cols(), structs):
+            live, lat = struct[:2]
+            rows, at = np.nonzero(per_flow[:, cols])
+            if not (rows.size and lat.size):
+                continue
+            payload = np.stack(
                 [
-                    sum(r.compute * r.repeat for r in programs[j].rounds)
-                    for j in idxs
+                    np.tile(group[j].rounds[r].nbytes_per_flow(), k)[live]
+                    for j, r in zip(rows.tolist(), cols[at].tolist())
                 ]
             )
-            totals_list = totals.tolist()
-            for jj, j in enumerate(idxs):
-                results[j] = ExecutionResult(
-                    self.name,
-                    totals_list[jj],
-                    tuple(rc[jj] for rc in round_costs) if detail else (),
-                )
-        return [r for r in results if r is not None]
+            times[rows, cols[at]] = self._flow_times(struct, payload)
+        return times
 
 
-def _merged_nbytes(rnd: CommRound, k: int) -> np.ndarray | float:
-    """Payload of ``rnd`` merged over ``k`` concurrent instances.
+# -- round: synchronized-round bottleneck model ------------------------------
 
-    Mirrors :func:`repro.netsim.fabric._concat_nbytes` on ``k`` copies of
-    the placed round: uniform scalars stay scalar, per-flow arrays are
-    tiled once per instance.
+
+class RoundBackend(_AnalyticBackend):
+    """The paper's round model: per round, ``max(lat + nbytes / share)``.
+
+    Bit-identical to placing each round (:func:`~repro.ir.lower.placed_rounds`),
+    merging the placements' rounds (:meth:`RoundSchedule.merge`) and
+    pricing each merged round with :meth:`Fabric.round_time`.  The
+    structures live in the :class:`~repro.netsim.fabric.Fabric` memo,
+    keyed by the merged round's core-space flows; the ``fabric`` option
+    supplies the fabric to use.  Scalar payloads price all of a
+    pattern's rounds in one ``(program, round, flow)`` pass.
     """
-    if not isinstance(rnd.nbytes, np.ndarray):
-        return float(rnd.nbytes)
-    if k == 1:
-        return rnd.nbytes
-    return np.concatenate([rnd.nbytes_per_flow()] * k)
+
+    name = "round"
+    capabilities = BackendCapabilities(
+        faults=False, per_flow_contention=False, tolerance="exact", batch=True
+    )
+    _merged_flow_counts = True
+
+    def _pattern_structures(
+        self,
+        table: _PatternTable,
+        topology: MachineTopology,
+        cores_list: list[np.ndarray],
+        options: dict[str, Any],
+    ) -> Sequence[tuple]:
+        fab: Fabric = options.get("fabric") or self.fabric(topology)
+        which = range(len(table.patterns))
+        return fab.round_structures(list(_placed_patterns(table, cores_list, which)))
+
+    @staticmethod
+    def _scalar_times(
+        structs: Sequence[tuple], table: _PatternTable, nbytes: np.ndarray
+    ) -> np.ndarray:
+        times = np.zeros(nbytes.shape)
+        for cols, struct in zip(table.cols(), structs):
+            if struct[1].size:
+                times[:, cols] = RoundBackend._flow_times(struct, nbytes[:, cols, None])
+        return times
+
+    @staticmethod
+    def _flow_times(struct: tuple, payload: np.ndarray) -> np.ndarray:
+        _, lat, share = struct
+        times: np.ndarray = (lat + payload / share).max(axis=-1)
+        return times
+
+    @staticmethod
+    def _totals(times: np.ndarray, tables: list[_PatternTable]) -> np.ndarray:
+        steps = np.zeros((times.shape[0], times.shape[1] + 1))
+        steps[:, 1:] = times * tables[0].repeat
+        compute = np.array([t.compute_total for t in tables])
+        totals: np.ndarray = np.add.accumulate(steps, axis=1)[:, -1]
+        return totals + compute
 
 
 # -- des: flow-level discrete-event simulation -------------------------------
@@ -522,7 +657,7 @@ def _concat_placements(
 # -- logp: Hockney/LogGP-style analytical model ------------------------------
 
 
-class LogPBackend:
+class LogPBackend(_AnalyticBackend):
     """Per-round ``alpha + nbytes * rate_coeff`` with structural caching.
 
     For one placed round pattern the model derives, once:
@@ -538,13 +673,15 @@ class LogPBackend:
       ``rate_coeff`` is the reciprocal of the worst such share.
 
     The per-link counts are payload-independent, so one structural
-    analysis per (placement, pattern) serves every payload size: uniform
-    payloads (what round-structured collectives produce) then cost one
-    multiply per (round, size) -- the Hockney ``alpha + n * beta`` form --
-    and heterogeneous payloads one vector pass over the cached per-flow
-    shares.  Decoupling the latency and bandwidth maxima makes the model
-    an upper bound of the round model rather than a bit-identical clone;
-    its fidelity contract is order *rankings*, not absolute durations.
+    analysis per (placement, pattern) serves every payload size and
+    every round the pattern recurs in: scalar payloads then cost one
+    multiply per (program, round) -- the Hockney ``alpha + n * beta``
+    form -- and per-flow arrays one ``(cell, flow)`` pass over the
+    cached per-flow shares.  Decoupling the latency and bandwidth maxima
+    makes the model an upper bound of the round model up to float
+    rounding (the shares are built as ``count * (1 / bw)``, the round
+    model's as ``bw / count``); its fidelity contract is order
+    *rankings*, not absolute durations.
     """
 
     name = "logp"
@@ -555,280 +692,67 @@ class LogPBackend:
     #: Cached structures per backend instance; keys embed src/dst arrays.
     CACHE_LIMIT = 4096
 
+    _merged_flow_counts = False
+
     def __init__(self) -> None:
+        super().__init__()
         self._structures: OrderedDict[tuple, tuple] = OrderedDict()
 
-    def run(
+    def _pattern_structures(
         self,
-        program: CommProgram,
+        table: _PatternTable,
         topology: MachineTopology,
-        placements: Placements,
-        **options: Any,
-    ) -> ExecutionResult:
-        cores_list = _as_placements(placements)
-        placement_key = (topology, tuple(c.tobytes() for c in cores_list))
-        per_round = []
-        total = 0.0
-        for index, rnd in enumerate(program.rounds):
-            t = self._round_time(topology, placement_key, cores_list, rnd)
-            per_round.append(RoundCost(index, rnd.repeat, rnd.n_flows, t))
-            total += t * rnd.repeat
-            total += rnd.compute * rnd.repeat
-        return ExecutionResult(self.name, total, tuple(per_round))
-
-    def run_batch(
-        self,
-        programs: Sequence[CommProgram],
-        topology: MachineTopology,
-        placements: Placements,
-        **options: Any,
-    ) -> list[ExecutionResult]:
-        """Score a stack of payload-aligned programs in vectorized passes.
-
-        Bitwise contract: ``run_batch(programs, ...)[j]`` equals
-        ``run(programs[j], ...)`` exactly.  Each alignment group resolves
-        the per-round fair-share structure once through the same memo the
-        scalar path uses (one structural analysis per pattern serves
-        every *order and size* in the frontier), then prices all N
-        payload rows per round with the identical float64 expression
-        tree -- ``alpha + nbytes * rate_coeff`` for uniform rows,
-        ``max(lat + nbytes * inv_share)`` for heterogeneous rows --
-        applied elementwise, so IEEE-754 results match the scalar loop
-        bit for bit.
-
-        ``detail=False`` skips materializing the per-round
-        :class:`RoundCost` breakdown (``per_round`` comes back empty);
-        the total times are unaffected.  Consumers that only read
-        ``.time`` -- the sweep evaluators -- use it to drop the one
-        remaining per-(program, round) object loop.
-        """
-        detail = bool(options.get("detail", True))
-        programs = list(programs)
-        if not programs:
-            return []
-        cores_list = _as_placements(placements)
-        placement_key = (topology, tuple(c.tobytes() for c in cores_list))
-        k = len(cores_list)
-        results: list[ExecutionResult | None] = [None] * len(programs)
-        for idxs in _aligned_groups(programs):
-            ref = programs[idxs[0]]
-            n = len(idxs)
-            rows = (
-                None
-                if detail
-                else [_uniform_payload_row(programs[j]) for j in idxs]
-            )
-            if rows is not None and all(r is not None for r in rows):
-                # Uniform compute-free group (the collective sweep common
-                # case): one cached ``(program, round)`` payload matrix,
-                # one closed-form vector op per round, no per-program
-                # Python loop at all.  ``alpha + nb * rate_coeff`` is the
-                # scalar path's exact expression tree, applied
-                # elementwise; skipped zero terms are ``+ 0.0``
-                # identities on these non-negative accumulators.
-                nb_mat = np.stack(rows)
-                totals = np.zeros(n)
-                for rindex, ref_rnd in enumerate(ref.rounds):
-                    struct = self._structure(
-                        topology, placement_key, cores_list, ref_rnd
-                    )
-                    alpha, rate_coeff, _lat, inv_share, _live = struct
-                    if inv_share.size:
-                        totals += (
-                            alpha + nb_mat[:, rindex] * rate_coeff
-                        ) * ref_rnd.repeat
-                totals_list = totals.tolist()
-                for jj, j in enumerate(idxs):
-                    results[j] = ExecutionResult(
-                        self.name, totals_list[jj], ()
-                    )
-                continue
-            totals = np.zeros(n)
-            round_costs: list[list[RoundCost]] = []
-            for rindex, ref_rnd in enumerate(ref.rounds):
-                struct = self._structure(
-                    topology, placement_key, cores_list, ref_rnd
-                )
-                rounds_j = [programs[j].rounds[rindex] for j in idxs]
-                t = self._round_times(struct, rounds_j, k)
-                totals += t * ref_rnd.repeat
-                computes = [r.compute for r in rounds_j]
-                if any(computes):
-                    # ``+ 0.0`` is the identity on these non-negative
-                    # accumulators, so all-zero compute rounds skip the
-                    # array round-trip without perturbing a single bit.
-                    totals += np.array(computes) * ref_rnd.repeat
-                if detail:
-                    rep, nf = ref_rnd.repeat, ref_rnd.n_flows
-                    round_costs.append(
-                        [RoundCost(rindex, rep, nf, tv) for tv in t.tolist()]
-                    )
-            totals_list = totals.tolist()
-            for jj, j in enumerate(idxs):
-                results[j] = ExecutionResult(
-                    self.name,
-                    totals_list[jj],
-                    tuple(rc[jj] for rc in round_costs) if detail else (),
-                )
-        return [r for r in results if r is not None]
-
-    def _structure(
-        self,
-        topology: MachineTopology,
-        placement_key: tuple,
         cores_list: list[np.ndarray],
-        rnd: CommRound,
-    ) -> tuple:
-        """The memoized ``(alpha, rate_coeff, lat, inv_share, live)`` for
-        ``rnd``'s pattern under ``placement_key`` (LRU, shared by the
-        scalar and batch paths)."""
-        key = placement_key + rnd.structure_key()
-        struct = self._structures.get(key)
-        if struct is None:
-            struct = self._analyse(topology, cores_list, rnd)
-            self._structures[key] = struct
-            if len(self._structures) > self.CACHE_LIMIT:
-                self._structures.popitem(last=False)
-        else:
-            self._structures.move_to_end(key)
-        return struct
+        options: dict[str, Any],
+    ) -> Sequence[tuple]:
+        """The memoized ``(live, lat, inv_share, alpha, rate_coeff)`` of
+        every pattern of ``table`` under this placement (LRU); the misses
+        are analysed together in stacked passes."""
+        from repro.netsim.fabric import lru_structures
 
-    def _round_time(
-        self,
-        topology: MachineTopology,
-        placement_key: tuple,
-        cores_list: list[np.ndarray],
-        rnd: CommRound,
-    ) -> float:
-        struct = self._structure(topology, placement_key, cores_list, rnd)
-        alpha, rate_coeff, lat, inv_share, live = struct
-        if not inv_share.size:
-            return 0.0
-        if not isinstance(rnd.nbytes, np.ndarray):
-            return alpha + float(rnd.nbytes) * rate_coeff
-        # Heterogeneous payloads: per-flow latency + serialization against
-        # the cached fair shares (one vector pass, no recount).
-        k = len(cores_list)
-        nb = np.concatenate(
-            [np.asarray(rnd.nbytes_per_flow(), dtype=float)] * k
-        )[live]
-        return float((lat + nb * inv_share).max())
+        def analyse(missing: list[int]) -> Iterator[tuple]:
+            placed = _placed_patterns(table, cores_list, missing)
+            for live, lat, inv_share in self.fabric(topology).fair_shares(
+                placed, inverse=True
+            ):
+                if lat.size:
+                    yield live, lat, inv_share, float(lat.max()), float(inv_share.max())
+                else:
+                    yield live, lat, inv_share, 0.0, 0.0
 
-    def _round_times(
-        self, struct: tuple, rounds: Sequence[CommRound], k: int
+        placement_key = (topology, tuple(c.tobytes() for c in cores_list))
+        keys = [placement_key + key for key in table.keys]
+        return lru_structures(self._structures, keys, self.CACHE_LIMIT, analyse)
+
+    @staticmethod
+    def _scalar_times(
+        structs: Sequence[tuple], table: _PatternTable, nbytes: np.ndarray
     ) -> np.ndarray:
-        """Vector of :meth:`_round_time` results for aligned ``rounds``.
+        # One elementwise ``alpha + nbytes * rate_coeff`` over every
+        # (program, round) cell, each round reading its pattern's pair.
+        alpha = np.array([s[3] for s in structs])[table.ids]
+        rate_coeff = np.array([s[4] for s in structs])[table.ids]
+        times: np.ndarray = alpha + nbytes * rate_coeff
+        times[:, np.array([not s[1].size for s in structs], dtype=bool)[table.ids]] = 0.0
+        return times
 
-        Uniform payloads collapse to one ``alpha + nb * rate_coeff``
-        vector op; heterogeneous payloads stack into one
-        ``(payload, flow)`` matrix priced against the cached per-flow
-        shares.  Both reproduce the scalar expressions elementwise.
-        """
-        alpha, rate_coeff, lat, inv_share, live = struct
-        n = len(rounds)
-        if not inv_share.size:
-            return np.zeros(n)
-        nbytes = [r.nbytes for r in rounds]
-        if not any(isinstance(b, np.ndarray) for b in nbytes):
-            # Uniform payloads everywhere (the collective sweep common
-            # case): one closed-form vector op, no row partitioning.
-            return alpha + np.array(nbytes, dtype=float) * rate_coeff
-        t = np.empty(n)
-        scalar_rows = [
-            i
-            for i, r in enumerate(rounds)
-            if not isinstance(r.nbytes, np.ndarray)
-        ]
-        array_rows = [
-            i for i, r in enumerate(rounds) if isinstance(r.nbytes, np.ndarray)
-        ]
-        if scalar_rows:
-            nb = np.array([float(rounds[i].nbytes) for i in scalar_rows])
-            t[scalar_rows] = alpha + nb * rate_coeff
-        if array_rows:
-            nb_mat = np.stack(
-                [
-                    np.concatenate(
-                        [np.asarray(rounds[i].nbytes_per_flow(), dtype=float)]
-                        * k
-                    )[live]
-                    for i in array_rows
-                ]
-            )
-            t[array_rows] = (lat[None, :] + nb_mat * inv_share[None, :]).max(
-                axis=1
-            )
-        return t
+    @staticmethod
+    def _flow_times(struct: tuple, payload: np.ndarray) -> np.ndarray:
+        _, lat, inv_share = struct[:3]
+        times: np.ndarray = (lat + payload * inv_share).max(axis=1)
+        return times
 
-    def _analyse(
-        self,
-        topology: MachineTopology,
-        cores_list: list[np.ndarray],
-        rnd: CommRound,
-    ) -> tuple:
-        depth = topology.depth
-        if len(cores_list) > 1 and all(
-            c.size == cores_list[0].size for c in cores_list
-        ):
-            # Equal-sized placements (every subcommunicator scenario):
-            # one stacked fancy-index instead of k gather+concatenate
-            # passes.  Row-major ravel preserves the placement-major
-            # flow order of the concatenate form exactly.
-            cores_mat = np.stack(cores_list)
-            src = cores_mat[:, rnd.src].ravel()
-            dst = cores_mat[:, rnd.dst].ravel()
-        else:
-            src = np.concatenate([c[rnd.src] for c in cores_list])
-            dst = np.concatenate([c[rnd.dst] for c in cores_list])
-        lca = topology.lca_level(src, dst)
-        live = lca < depth
-        src, dst, lca = src[live], dst[live], lca[live]
-        if not lca.size:
-            empty = np.array([], dtype=float)
-            return (0.0, 0.0, empty, empty, live)
-        lat = topology.hop_latency(lca)
-        alpha = float(lat.max())
-        # Fair share per flow: at every crossed level, the level's link
-        # bandwidth splits over the flows sharing the flow's up-link
-        # (source component) and down-link (destination component).
-        # The level-``L`` crossing sets nest (``lca <= 0`` within
-        # ``lca <= 1`` within ...), so one stable sort by ``lca`` turns
-        # every per-level boolean mask into a prefix slice: the loop
-        # below runs on contiguous views and scatters back once.  Each
-        # flow's share is built from the same counts and products as the
-        # masked form, so the result is bit-identical.
-        strides = topology.strides
-        order = np.argsort(lca, kind="stable")
-        src_s = src[order]
-        dst_s = dst[order]
-        bounds = np.searchsorted(lca[order], np.arange(depth), side="right")
-        inv_share_s = np.zeros(lca.shape)
-        for level in range(depth):
-            m = int(bounds[level])
-            if not m:
-                continue
-            up = src_s[:m] // strides[level]
-            down = dst_s[:m] // strides[level]
-            n_up = np.bincount(up)
-            n_down = np.bincount(down)
-            inv_bw = 1.0 / topology.link_bw[level]
-            np.maximum(
-                inv_share_s[:m],
-                np.maximum(n_up[up], n_down[down]) * inv_bw,
-                out=inv_share_s[:m],
-            )
-        if topology.root_bw > 0:
-            n_root = int(bounds[0])
-            if n_root:
-                np.maximum(
-                    inv_share_s[:n_root],
-                    n_root / topology.root_bw,
-                    out=inv_share_s[:n_root],
-                )
-        inv_share = np.empty(lca.shape)
-        inv_share[order] = inv_share_s
-        rate_coeff = float(inv_share.max())
-        return (alpha, rate_coeff, lat, inv_share, live)
+    @staticmethod
+    def _totals(times: np.ndarray, tables: list[_PatternTable]) -> np.ndarray:
+        # ``[t * repeat, compute * repeat]`` per round, interleaved: the
+        # accumulation adds them in the per-round order of a scalar loop.
+        n, n_rounds = times.shape
+        repeat = tables[0].repeat
+        steps = np.zeros((n, 2 * n_rounds + 1))
+        steps[:, 1::2] = times * repeat
+        steps[:, 2::2] = np.array([t.compute for t in tables]) * repeat
+        totals: np.ndarray = np.add.accumulate(steps, axis=1)[:, -1]
+        return totals
 
 
 register_backend("round", RoundBackend)

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from repro.topology.machine import MachineTopology
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -104,10 +105,14 @@ class Round:
 
 
 #: Payload-independent part of one round pattern's fair-share pricing:
-#: ``(live, lat, share)`` with ``live`` the kept-flow mask over the input
-#: arrays and ``lat``/``share`` per live flow.  ``(None, None, None)``
-#: marks a pattern with no live flows (all self-flows).
-RoundStructure = tuple["np.ndarray | None", "np.ndarray | None", "np.ndarray | None"]
+#: ``(live, lat, share)`` with ``live`` indexing the pattern's non-self
+#: flows and ``lat``/``share`` per live flow (empty when every flow is a
+#: self-flow).
+RoundStructure = tuple["np.ndarray | slice", np.ndarray, np.ndarray]
+
+#: ``live`` of a pattern without self-flows (the common case), which
+#: spares the structure memo one mask per entry.
+ALL_FLOWS = slice(None)
 
 
 class Fabric:
@@ -118,21 +123,18 @@ class Fabric:
     #: on studies that evaluate thousands of distinct patterns.
     CACHE_LIMIT = 4096
 
+    #: Flows plus tally cells one stacked structural pass holds.  A
+    #: pattern weighs its flow count plus the machine's core count (the
+    #: most ``(pattern, component)`` tally cells it can add at one
+    #: level), which bounds the transient arrays of a large miss set; a
+    #: heavier pattern is analysed on its own.
+    STACK_FLOWS = 1 << 12
+
     def __init__(self, topology: MachineTopology):
         self.topology = topology
         self._cache: OrderedDict[tuple, float] = OrderedDict()
         self._structures: OrderedDict[tuple, RoundStructure] = OrderedDict()
         self.cache_stats = FabricCacheStats()
-
-    @cached_property
-    def _edge_offsets(self) -> np.ndarray:
-        """Start of each level's edge-ID block (one edge per component)."""
-        counts = self.topology.component_counts
-        return np.concatenate(([0], np.cumsum(counts)))[:-1].astype(np.int64)
-
-    @cached_property
-    def _n_edges(self) -> int:
-        return int(sum(self.topology.component_counts))
 
     def uncontended_time(
         self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray | float
@@ -182,98 +184,163 @@ class Fabric:
         return t
 
     def _round_time_impl(self, rnd: Round) -> float:
-        live, lat, share = self.round_structure(rnd.src, rnd.dst)
-        if live is None or lat is None or share is None:
+        live, lat, share = self.round_structures([(rnd.src, rnd.dst)])[0]
+        if not lat.size:
             return 0.0
         nb = np.broadcast_to(np.asarray(rnd.nbytes, dtype=float), rnd.src.shape)[live]
         times = lat + nb / share
         return float(times.max())
 
-    def round_structure(self, src: np.ndarray, dst: np.ndarray) -> RoundStructure:
-        """Payload-independent fair-share structure of one flow pattern.
+    def round_structures(
+        self, patterns: Sequence[tuple[np.ndarray, np.ndarray]]
+    ) -> list[RoundStructure]:
+        """Fair-share structures of placed ``(src, dst)`` flow patterns.
 
         Per live flow (self-flows dropped), the first-hop latency and the
-        bottleneck fair share of the busiest link on its path.  The link
-        counts depend only on ``src``/``dst``, so one structure serves
-        every payload size the pattern is evaluated at -- this is what
-        the batch evaluation path stacks across whole size sweeps.
-        Structures are cached per fabric with LRU eviction.
+        bottleneck fair share of the busiest link on its path
+        (:meth:`fair_shares`).  The link counts depend only on
+        ``src``/``dst``, so one structure serves every payload size the
+        pattern is evaluated at.  Structures are cached per fabric with
+        LRU eviction; the patterns missing from the cache are analysed
+        together in one stacked pass.
         """
-        key = (src.tobytes(), dst.tobytes())
-        hit = self._structures.get(key)
-        if hit is not None:
-            self._structures.move_to_end(key)
-            return hit
-        struct = self._round_structure_impl(src, dst)
-        self._structures[key] = struct
-        if len(self._structures) > self.CACHE_LIMIT:
-            self._structures.popitem(last=False)
-        return struct
-
-    def _round_structure_impl(self, src: np.ndarray, dst: np.ndarray) -> RoundStructure:
-        topo = self.topology
-        lca = topo.lca_level(src, dst)
-        live = lca < topo.depth  # drop self-flows
-        if not live.any():
-            return (None, None, None)
-        src, dst, lca = src[live], dst[live], lca[live]
-
-        counts = np.zeros(2 * self._n_edges, dtype=np.int64)
-        offsets = self._edge_offsets
-        strides = topo.strides
-        # Count flows per up-link (source side) and down-link (dest side).
-        edge_ids_per_level: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for level in range(topo.depth):
-            crossing = lca <= level
-            up = offsets[level] + src[crossing] // strides[level]
-            down = self._n_edges + offsets[level] + dst[crossing] // strides[level]
-            np.add.at(counts, up, 1)
-            np.add.at(counts, down, 1)
-            edge_ids_per_level.append((crossing, up, down))
-
-        share = np.full(src.shape, np.inf)
-        for level in range(topo.depth):
-            crossing, up, down = edge_ids_per_level[level]
-            if not crossing.any():
-                continue
-            cap = topo.link_bw[level]
-            level_share = np.minimum(cap / counts[up], cap / counts[down])
-            share[crossing] = np.minimum(share[crossing], level_share)
-
-        if topo.root_bw > 0:
-            at_root = lca == 0
-            n_root = int(at_root.sum())
-            if n_root:
-                share[at_root] = np.minimum(share[at_root], topo.root_bw / n_root)
-
-        lat = topo.hop_latency(lca)
-        return (live, lat, share)
-
-    def round_times_batch(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        nbytes_rows: Sequence[np.ndarray | float],
-    ) -> np.ndarray:
-        """One pattern priced at many payloads in a single stacked pass.
-
-        Row ``j`` of the result is bitwise equal to
-        ``round_time(Round(src, dst, nbytes_rows[j]))``: the structure is
-        resolved once and the scalar path's ``lat + nb / share`` per-flow
-        evaluation runs as one (payload, flow) matrix operation -- the
-        identical float64 expression tree, elementwise.
-        """
-        live, lat, share = self.round_structure(src, dst)
-        if live is None or lat is None or share is None:
-            return np.zeros(len(nbytes_rows))
-        rows = np.stack(
-            [
-                np.broadcast_to(np.asarray(nb, dtype=float), src.shape)[live]
-                for nb in nbytes_rows
-            ]
+        keys = [(src.tobytes(), dst.tobytes()) for src, dst in patterns]
+        return lru_structures(
+            self._structures,
+            keys,
+            self.CACHE_LIMIT,
+            lambda missing: self.fair_shares([patterns[i] for i in missing]),
         )
-        times = lat[None, :] + rows / share[None, :]
-        return times.max(axis=1)
+
+    def fair_shares(
+        self,
+        patterns: Iterable[tuple[np.ndarray, np.ndarray]],
+        inverse: bool = False,
+    ) -> Iterator[RoundStructure]:
+        """Uncached fair-share analysis of many placed patterns, stacked.
+
+        Yields ``(live, lat, share)`` per pattern, in input order:
+        ``live`` masks the pattern's non-self flows (:data:`ALL_FLOWS`
+        when it has none), and per live flow ``lat`` is the first-hop
+        latency and ``share`` the bottleneck fair share -- at every
+        crossed level, the level's link bandwidth over the larger of the
+        flow's up-link (source component) and down-link (destination
+        component) loads, and for flows meeting at the root, ``root_bw``
+        over the pattern's root-crossing flows.
+        ``inverse`` yields the reciprocal share the logp model prices
+        with, built as ``load * (1 / bw)`` so its float rounding is the
+        logp model's own.
+
+        Patterns stack in chunks of at most :attr:`STACK_FLOWS` flows and
+        tally cells, and each chunk is analysed in one numpy pass.
+        """
+        weight = self.topology.n_cores
+        chunk: list[tuple[np.ndarray, np.ndarray]] = []
+        cells = 0
+        for pattern in patterns:
+            if chunk and cells + pattern[0].size + weight > self.STACK_FLOWS:
+                yield from self._stacked_shares(chunk, inverse)
+                chunk, cells = [], 0
+            chunk.append(pattern)
+            cells += pattern[0].size + weight
+        if chunk:
+            yield from self._stacked_shares(chunk, inverse)
+
+    def _stacked_shares(
+        self, chunk: list[tuple[np.ndarray, np.ndarray]], inverse: bool
+    ) -> Iterator[RoundStructure]:
+        topo = self.topology
+        depth = topo.depth
+        sizes = [src.size for src, _ in chunk]
+        src = np.concatenate([src for src, _ in chunk])
+        dst = np.concatenate([dst for _, dst in chunk])
+        lca = topo.lca_level(src, dst)
+        live = lca < depth  # drop self-flows
+        flows = np.flatnonzero(live)
+        lca = lca[flows]
+        lat = topo.hop_latency(lca)
+        # Flows are tallied per ``(pattern, component)`` compound id, so
+        # stacked patterns never share a link.  The level-``L`` crossing
+        # sets nest (``lca <= 0`` within ``lca <= 1`` within ...), so one
+        # stable sort by ``lca`` turns every per-level selection into a
+        # prefix slice: the loop runs on contiguous views and scatters
+        # back once.  Tallies and elementwise extrema are
+        # order-insensitive over the same multiset, so each flow's share
+        # does not depend on what it is stacked with.
+        order = np.argsort(lca, kind="stable")
+        bounds = np.searchsorted(lca[order], np.arange(depth), side="right")
+        by_level = flows[order]
+        src_s, dst_s = src[by_level], dst[by_level]
+        pid_s = np.repeat(np.arange(len(chunk)), sizes)[by_level]
+        del src, dst, lca, by_level
+        acc = np.zeros(order.shape) if inverse else np.full(order.shape, np.inf)
+        for level in range(depth):
+            m = int(bounds[level])
+            if not m:
+                continue
+            base = pid_s[:m] * topo.component_counts[level]
+            up = src_s[:m] // topo.strides[level]
+            up += base
+            down = dst_s[:m] // topo.strides[level]
+            down += base
+            load = np.maximum(np.bincount(up)[up], np.bincount(down)[down])
+            cap = topo.link_bw[level]
+            if inverse:
+                np.maximum(acc[:m], load * (1.0 / cap), out=acc[:m])
+            else:
+                np.minimum(acc[:m], cap / load, out=acc[:m])
+        m = int(bounds[0])
+        if topo.root_bw > 0 and m:
+            n_root = np.bincount(pid_s[:m])[pid_s[:m]]
+            if inverse:
+                np.maximum(acc[:m], n_root / topo.root_bw, out=acc[:m])
+            else:
+                np.minimum(acc[:m], topo.root_bw / n_root, out=acc[:m])
+        share = np.empty(order.shape)
+        share[order] = acc
+        del src_s, dst_s, pid_s, acc, order
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        spans = zip(
+            starts.tolist(),
+            ends.tolist(),
+            np.searchsorted(flows, starts).tolist(),
+            np.searchsorted(flows, ends).tolist(),
+        )
+        for start, end, a, b in spans:
+            # Owned copies, made once the stack's temporaries are freed: a
+            # cached structure must not pin the stack.
+            yield (
+                ALL_FLOWS if b - a == end - start else live[start:end].copy(),
+                lat[a:b].copy(),
+                share[a:b].copy(),
+            )
+
+
+def lru_structures(
+    memo: OrderedDict[tuple, T],
+    keys: Sequence[tuple],
+    limit: int,
+    analyse: Callable[[list[int]], Iterable[T]],
+) -> list[T]:
+    """Structures of ``keys`` from an LRU ``memo`` of at most ``limit``
+    entries; ``analyse(missing)`` yields the structures of the missing
+    keys' positions, in order, so all misses share one stacked pass."""
+    out: list = []
+    missing = []
+    for i, key in enumerate(keys):
+        hit = memo.get(key)
+        if hit is None:
+            missing.append(i)
+        else:
+            memo.move_to_end(key)
+        out.append(hit)
+    if missing:
+        for i, struct in zip(missing, analyse(missing)):
+            out[i] = memo[keys[i]] = struct
+            if len(memo) > limit:
+                memo.popitem(last=False)
+    return out
 
 
 @dataclass

@@ -156,3 +156,41 @@ class TestBatchFallback:
         assert eng.stats.batched == 0
         reference = SweepEngine().evaluate_many(requests)
         assert [repr(r) for r in results] == [repr(r) for r in reference]
+
+
+@pytest.mark.parametrize("model", ["logp", "round"])
+class TestMachineSpanningCommunicator:
+    """A communicator spanning the whole machine is its only instance, so
+    the batch evaluator prices it once per placement group: the
+    all-instances duration is the single-instance one, bit for bit."""
+
+    def test_one_pass_per_group(self, model, monkeypatch):
+        from repro.engine.evaluators import BATCH_EVALUATORS
+        from repro.ir import get_backend
+
+        backend = get_backend(model)
+        calls = []
+        run_batch = backend.run_batch
+
+        def counting(programs, topology, placements, **options):
+            calls.append(len(placements))
+            return run_batch(programs, topology, placements, **options)
+
+        monkeypatch.setattr(backend, "run_batch", counting)
+        requests = [
+            EvalRequest(
+                model=model,
+                topology=TOPO,
+                hierarchy=H,
+                order=order,
+                comm_size=H.size,
+                collective="alltoall",
+                total_bytes=s,
+            )
+            for order in ORDERS
+            for s in SIZES
+        ]
+        results = BATCH_EVALUATORS[model](requests)
+        assert calls == [1] * len(ORDERS)
+        for res in results:
+            assert repr(res["duration_all"]) == repr(res["duration_single"])
