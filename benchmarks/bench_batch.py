@@ -44,6 +44,7 @@ from repro.engine.evaluators import evaluate_request, evaluate_requests_batch
 from repro.ir import LogPBackend, register_backend
 from repro.workloads.base import _lower_cached
 from repro.topology.machines import hydra
+from repro.workloads import collective_params
 
 #: Where CI picks the perf artifact up (repo root; see .github/workflows).
 BENCH_JSON = Path("BENCH_batch.json")
@@ -80,8 +81,8 @@ def _requests() -> list[EvalRequest]:
             hierarchy=HYDRA16,
             order=order,
             comm_size=16,
-            collective="alltoall",
-            total_bytes=size,
+            workload="collective",
+            workload_params=collective_params("alltoall", 16, size),
         )
         for order in FIG3_ORDERS
         for size in paper_sizes(n=N_SIZES)

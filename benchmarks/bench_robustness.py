@@ -32,6 +32,7 @@ from repro.engine.chaos import CHAOS_ENV
 from repro.engine.evaluators import evaluate_request
 from repro.topology.machines import hydra
 from repro.util.retry import RetryPolicy
+from repro.workloads import collective_params
 
 #: Where CI picks the perf artifact up (repo root; see .github/workflows).
 BENCH_JSON = Path("BENCH_robustness.json")
@@ -53,8 +54,8 @@ def _fig3_scale_requests() -> list[EvalRequest]:
             hierarchy=HYDRA4,
             order=order,
             comm_size=16,
-            collective="alltoall",
-            total_bytes=size,
+            workload="collective",
+            workload_params=collective_params("alltoall", 16, size),
         )
         for order in all_orders(4)
         for size in (1e6, 16e6)

@@ -14,13 +14,12 @@ from typing import Sequence
 
 from repro.apps.nascg.parallel import CGRun, perfect_scaling_reference, strong_scaling
 from repro.apps.splatt.parallel import CPDRun, reordering_study
-from repro.bench.microbench import MicrobenchSeries, paper_sizes, size_sweep
+from repro.bench.microbench import MicrobenchSeries, paper_sizes
 from repro.core.hierarchy import Hierarchy
 from repro.core.mixed_radix import MixedRadix
 from repro.core.orders import all_orders
 from repro.core.reorder import RankReordering
 from repro.launcher.slurm import order_to_distribution
-from repro.netsim.fabric import Fabric
 from repro.profiling.correlation import pearson
 from repro.topology.machines import hydra, lumi, lumi_node
 
@@ -104,65 +103,35 @@ def _sweep_figure(
 ) -> list[MicrobenchSeries]:
     """Evaluate one figure's (order x size) grid.
 
-    With an engine the grid runs as one :class:`~repro.engine.EvalRequest`
-    batch -- memoized, equivalence-pruned, and fanned out over the
-    engine's worker pool; without one it falls back to the serial
-    :func:`~repro.bench.microbench.size_sweep` path.  Both produce
-    identical series.  ``backend`` names the execution backend for every
+    The grid runs through the sweep layer's grid path as
+    ``collective`` workload cells -- memoized, equivalence-pruned, and
+    fanned out over ``engine``'s worker pool.  Without an engine a
+    private serial one evaluates every order (no pruning), the
+    per-order computation of :func:`~repro.bench.microbench.size_sweep`
+    bit for bit.  ``backend`` names the execution backend for every
     grid point (``round`` reproduces the paper figures bit-identically;
     ``logp`` trades absolute fidelity for speed; ``des`` replays every
     point on the flow-level simulator).  ``batch`` routes the grid
-    through the engine's vectorized evaluators (bitwise identical; a
-    private serial engine is created when none was passed).
+    through the engine's vectorized evaluators (bitwise identical).
     """
-    from repro.collectives.selector import select_algorithm
-    from repro.ir import backend_names
-
-    if backend not in backend_names():
-        raise ValueError(
-            f"unknown backend {backend!r} (available: {', '.join(backend_names())})"
-        )
-    if engine is None and batch:
-        from repro.engine import SweepEngine
-
-        engine = SweepEngine()
-    if engine is None:
-        fabric = Fabric(topology) if backend == "round" else None
-        return [
-            size_sweep(
-                topology, hierarchy, order, comm_size, collective, sizes,
-                algorithm=algorithm, fabric=fabric, backend=backend,
-            )
-            for order in orders
-        ]
     from repro.bench.microbench import MicrobenchPoint
+    from repro.bench.sweeps import _sweep_cells
+    from repro.collectives.selector import select_algorithm
     from repro.core.metrics import signature
-    from repro.engine import EvalRequest
+    from repro.engine import SweepEngine
+    from repro.workloads import collective_cells
 
     orders = [tuple(order) for order in orders]
-    sizes = list(sizes)
-    grid = [(order, s) for order in orders for s in sizes]
-    extras = (("des_all", True),) if backend == "des" else ()
-    evaluate = engine.evaluate_batch if batch else engine.evaluate_many
-    results = evaluate(
-        [
-            EvalRequest(
-                model=backend,
-                topology=topology,
-                hierarchy=hierarchy,
-                order=order,
-                comm_size=comm_size,
-                collective=collective,
-                algorithm=algorithm,
-                total_bytes=s,
-                extras=extras,
-            )
-            for order, s in grid
-        ]
+    cells = collective_cells([comm_size], [collective], sizes, algorithm)
+    rows = _sweep_cells(
+        topology, hierarchy, cells, orders, engine or SweepEngine(prune=False),
+        backend, batch,
     )
     points = {
-        (order, s): MicrobenchPoint(s, out["duration_single"], out["duration_all"])
-        for (order, s), out in zip(grid, results)
+        (order, cell.total_bytes): MicrobenchPoint(
+            cell.total_bytes, out["duration_single"], out["duration_all"]
+        )
+        for order, cell, out in rows
     }
     algo_label = algorithm or "+".join(
         sorted({select_algorithm(collective, comm_size, s) for s in sizes})

@@ -6,8 +6,12 @@ is the open-ended counterpart for downstream users: sweep any subset of
 the fast model and collect tidy records suitable for CSV export or
 further analysis.
 
-All sweeps run through :class:`repro.engine.SweepEngine`: every grid
-point becomes a content-addressed :class:`~repro.engine.EvalRequest`, so
+Collective sweeps and workload sweeps are one path: each front-end
+translates its arguments into workload cells
+(:class:`repro.workloads.Cell`), and one grid function and one ladder
+search serve them all.  Every grid point runs through
+:class:`repro.engine.SweepEngine` as a content-addressed
+:class:`~repro.engine.EvalRequest`, so
 repeated points are recalled from the cache, order-equivalent points are
 evaluated once per class, and independent points fan out over a worker
 pool (``jobs``).  Pass an existing engine to share its cache and
@@ -25,6 +29,8 @@ from repro.core.hierarchy import Hierarchy
 from repro.core.metrics import signature
 from repro.core.orders import Order, all_orders, format_order
 from repro.engine import EvalRequest, SweepEngine, is_failure
+from repro.workloads import collective_cells, lower_workload, workload_cell
+from repro.workloads.base import check_grid
 from repro.topology.machine import MachineTopology
 
 
@@ -46,6 +52,173 @@ class SweepRecord:
     bandwidth_all: float
 
 
+@dataclass(frozen=True)
+class WorkloadRecord:
+    """One (order, workload) measurement of a workload sweep."""
+
+    machine: str
+    order: str
+    ring_cost: int
+    workload: str
+    label: str
+    comm_size: int
+    n_comms: int
+    total_bytes: float
+    duration_single: float
+    duration_all: float
+
+
+# -- the one grid path -------------------------------------------------------
+#
+# Every sweep front-end reduces to a tuple of workload cells
+# (repro.workloads.Cell).  The grid is comm-major: for each communicator
+# size (first-seen), every order crosses that size's cells in cell order.
+
+
+def _sweep_cells(
+    topology, hierarchy, cells, orders, engine, backend: str, batch: bool
+) -> list[tuple[Order, object, dict]]:
+    """Evaluate the grid; returns ``(order, cell, result)`` rows in grid
+    order, without the quarantined points (they stay on
+    ``engine.failures`` and are never cached, so a re-run retries them)."""
+    check_grid(topology, hierarchy, cells, backend)
+    if orders is None:
+        orders = all_orders(hierarchy.depth)
+    orders = [tuple(order) for order in orders]
+    grid = [
+        (order, cell)
+        for comm_size in dict.fromkeys(c.comm_size for c in cells)
+        for order in orders
+        for cell in cells
+        if cell.comm_size == comm_size
+    ]
+    evaluate = engine.evaluate_batch if batch else engine.evaluate_many
+    results = evaluate(
+        [cell.request(backend, topology, hierarchy, order) for order, cell in grid]
+    )
+    return [
+        (order, cell, point)
+        for (order, cell), point in zip(grid, results)
+        if not is_failure(point)
+    ]
+
+
+def _ladder_cells(
+    topology,
+    hierarchy,
+    cells,
+    orders,
+    engine,
+    records_of,
+    backend: str = "round",
+    scenario: str = "all",
+    rungs: Sequence[str] | None = None,
+    eta: float = 4.0,
+    top_k: int = 10,
+    probe: int = 16,
+    tau_floor: float = 0.9,
+    seed: int = 0,
+    batch: bool | None = None,
+    exhaustive_audit: bool = False,
+):
+    """The multi-fidelity search over a cell grid.
+
+    Returns the ``top_k`` finalists' records (``records_of`` formats the
+    rows, which the final rung left in the cache) and the ladder's
+    audit trail."""
+    from repro.engine.fidelity import FidelityLadder, LadderConfig, default_rungs
+
+    check_grid(topology, hierarchy, cells, backend)
+    if scenario not in ("all", "single"):
+        raise ValueError("scenario must be 'all' or 'single'")
+    if orders is None:
+        orders = all_orders(hierarchy.depth)
+    config = LadderConfig(
+        rungs=tuple(rungs) if rungs is not None else default_rungs(backend),
+        eta=eta,
+        top_k=top_k,
+        probe=probe,
+        tau_floor=tau_floor,
+        seed=seed,
+        duration_key="duration_all" if scenario == "all" else "duration_single",
+    )
+    if config.rungs[-1] != backend:
+        raise ValueError(
+            f"the final rung {config.rungs[-1]!r} must match backend "
+            f"{backend!r}: the finalists' records are materialized at the "
+            "sweep backend's fidelity"
+        )
+    ladder = FidelityLadder(engine, config, batch=batch)
+    result = ladder.search_cells(
+        [tuple(order) for order in orders],
+        topology,
+        hierarchy,
+        cells,
+        exhaustive_audit=exhaustive_audit,
+    )
+    # Re-run the finalists through the plain grid (pure cache hits: the
+    # final rung already evaluated these keys) to materialize records.
+    rows = _sweep_cells(
+        topology, hierarchy, cells, list(result.ranking), engine, backend,
+        ladder.batch,
+    )
+    records = records_of(topology, hierarchy, rows)
+    return top_k_records(records, top_k, scenario), result
+
+
+def _collective_records(topology, hierarchy, rows) -> list[SweepRecord]:
+    from repro.collectives.selector import select_algorithm
+
+    sigs = {
+        key: signature(hierarchy, key[1], key[0])
+        for key in dict.fromkeys((cell.comm_size, order) for order, cell, _ in rows)
+    }
+    return [
+        SweepRecord(
+            machine=topology.name,
+            order=format_order(order),
+            ring_cost=sigs[cell.comm_size, order].ring_cost,
+            comm_size=cell.comm_size,
+            n_comms=hierarchy.size // cell.comm_size,
+            collective=cell.name,
+            algorithm=dict(cell.params)["algorithm"]
+            or select_algorithm(cell.name, cell.comm_size, cell.total_bytes),
+            total_bytes=cell.total_bytes,
+            duration_single=point["duration_single"],
+            duration_all=point["duration_all"],
+            bandwidth_single=cell.total_bytes / point["duration_single"],
+            bandwidth_all=cell.total_bytes / point["duration_all"],
+        )
+        for order, cell, point in rows
+    ]
+
+
+def _workload_records(topology, hierarchy, rows) -> list[WorkloadRecord]:
+    labels = {
+        cell: lower_workload(cell.workload, cell.params).meta.label
+        or cell.workload
+        for cell in dict.fromkeys(cell for _, cell, _ in rows)
+    }
+    return [
+        WorkloadRecord(
+            machine=topology.name,
+            order=format_order(order),
+            ring_cost=signature(hierarchy, order, cell.comm_size).ring_cost,
+            workload=cell.workload,
+            label=labels[cell],
+            comm_size=cell.comm_size,
+            n_comms=hierarchy.size // cell.comm_size,
+            total_bytes=cell.total_bytes,
+            duration_single=point["duration_single"],
+            duration_all=point["duration_all"],
+        )
+        for order, cell, point in rows
+    ]
+
+
+# -- front-ends ----------------------------------------------------------------
+
+
 def sweep(
     topology: MachineTopology,
     hierarchy: Hierarchy,
@@ -65,12 +238,13 @@ def sweep(
 
     The grid is materialized as engine requests and evaluated in one
     batch, so memoization, equivalence pruning, and the worker pool all
-    apply; record order matches the serial nested-loop order exactly.
+    apply; record order is comm-size-major, then order, collective and
+    size.
 
     ``backend`` selects the execution backend per point: ``round`` (the
-    default, bit-identical to pre-IR sweeps), ``logp`` (fast advisory
-    rankings) or ``des`` (exact flow simulation; the all-communicators
-    scenario is simulated too, so expect DES-scale runtimes).
+    default), ``logp`` (fast advisory rankings) or ``des`` (exact flow
+    simulation; the all-communicators scenario is simulated too, so
+    expect DES-scale runtimes).
 
     ``batch`` routes the grid through the vectorized batch evaluators
     (:meth:`~repro.engine.core.SweepEngine.evaluate_batch`): ``round``
@@ -78,82 +252,46 @@ def sweep(
     bitwise identical to the scalar path and hitting the same cache
     keys; other models transparently fall back to the worker pool.
     """
-    from repro.collectives.selector import select_algorithm
-    from repro.ir import backend_names
-
-    if backend not in backend_names():
-        raise ValueError(
-            f"unknown backend {backend!r} (available: {', '.join(backend_names())})"
-        )
-    hierarchy.check_process_count(topology.n_cores)
     engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir, prune=prune)
-    if orders is None:
-        orders = all_orders(hierarchy.depth)
-    grid: list[tuple[int, Order, str, float]] = []
-    for comm_size in comm_sizes:
-        if hierarchy.size % comm_size:
-            raise ValueError(
-                f"comm size {comm_size} does not divide {hierarchy.size}"
-            )
-        for order in orders:
-            for collective in collectives:
-                for total in sizes:
-                    grid.append((comm_size, tuple(order), collective, total))
-    extras = (("des_all", True),) if backend == "des" else ()
-    evaluate = engine.evaluate_batch if batch else engine.evaluate_many
-    results = evaluate(
-        [
-            EvalRequest(
-                model=backend,
-                topology=topology,
-                hierarchy=hierarchy,
-                order=order,
-                comm_size=comm_size,
-                collective=collective,
-                algorithm=algorithm,
-                total_bytes=total,
-                extras=extras,
-            )
-            for comm_size, order, collective, total in grid
-        ]
-    )
-    sigs = {
-        (comm_size, order): signature(hierarchy, order, comm_size)
-        for comm_size, order in {(c, o) for c, o, _, _ in grid}
-    }
-    records: list[SweepRecord] = []
-    for (comm_size, order, collective, total), point in zip(grid, results):
-        if is_failure(point):
-            # Quarantined grid point: the engine retried and gave up.  The
-            # point is salvaged as a structured failure on engine.failures
-            # (and never cached, so a re-run retries it); every completed
-            # record below is still returned.
-            continue
-        records.append(
-            SweepRecord(
-                machine=topology.name,
-                order=format_order(order),
-                ring_cost=sigs[comm_size, order].ring_cost,
-                comm_size=comm_size,
-                n_comms=hierarchy.size // comm_size,
-                collective=collective,
-                algorithm=algorithm
-                or select_algorithm(collective, comm_size, total),
-                total_bytes=total,
-                duration_single=point["duration_single"],
-                duration_all=point["duration_all"],
-                bandwidth_single=total / point["duration_single"],
-                bandwidth_all=total / point["duration_all"],
-            )
-        )
-    return records
+    cells = collective_cells(comm_sizes, collectives, sizes, algorithm)
+    rows = _sweep_cells(topology, hierarchy, cells, orders, engine, backend, batch)
+    return _collective_records(topology, hierarchy, rows)
+
+
+def workload_sweep(
+    topology: MachineTopology,
+    hierarchy: Hierarchy,
+    workload: str,
+    params: dict | None = None,
+    orders: Sequence[Order] | None = None,
+    engine: SweepEngine | None = None,
+    jobs: int = 1,
+    cache_dir=None,
+    prune: bool = True,
+    backend: str = "round",
+    batch: bool = False,
+) -> list[WorkloadRecord]:
+    """Score every enumeration order against one lowered workload.
+
+    The workload is lowered once through the registry (validated and
+    memoized); its rank count is the communicator size, so the protocol's
+    ``n_comms = hierarchy.size // n_ranks`` concurrent instances measure
+    the ``all`` scenario.  Unknown workload names raise
+    :class:`~repro.workloads.UnknownWorkloadError` (naming the registered
+    set) before any request is issued.  Points run through the same grid
+    path as :func:`sweep`.
+    """
+    cells = (workload_cell(workload, params),)
+    engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir, prune=prune)
+    rows = _sweep_cells(topology, hierarchy, cells, orders, engine, backend, batch)
+    return _workload_records(topology, hierarchy, rows)
 
 
 def top_k_records(
-    records: Sequence[SweepRecord],
+    records: Sequence,
     k: int,
     scenario: str = "all",
-) -> list[SweepRecord]:
+) -> list:
     """The records of the ``k`` fastest orders, rank-major.
 
     An order's rank score is its summed duration across every grid cell
@@ -164,12 +302,12 @@ def top_k_records(
     """
     key_attr = "duration_all" if scenario == "all" else "duration_single"
     totals: dict[str, float] = {}
-    groups: dict[str, list[SweepRecord]] = {}
+    groups: dict[str, list] = {}
     for rec in records:
         totals[rec.order] = totals.get(rec.order, 0.0) + getattr(rec, key_attr)
         groups.setdefault(rec.order, []).append(rec)
     ranked = sorted(totals, key=lambda o: (totals[o], o))[:k]
-    out: list[SweepRecord] = []
+    out: list = []
     for order in ranked:
         out.extend(groups[order])
     return out
@@ -186,137 +324,71 @@ def ladder_sweep(
     engine: SweepEngine | None = None,
     jobs: int = 1,
     cache_dir=None,
-    backend: str = "round",
-    scenario: str = "all",
-    rungs: Sequence[str] | None = None,
-    eta: float = 4.0,
-    top_k: int = 10,
-    probe: int = 16,
-    tau_floor: float = 0.9,
-    seed: int = 0,
-    batch: bool | None = None,
-    exhaustive_audit: bool = False,
+    **options,
 ):
     """Multi-fidelity order search over the sweep grid.
 
     Instead of evaluating every order at full fidelity like
     :func:`sweep`, runs the error-calibrated successive-halving ladder
-    (:class:`~repro.engine.fidelity.FidelityLadder`): orders are scored
-    on the free analytic metric first, survivors promoted through
-    progressively costlier models until ``backend`` ranks the finalists.
-    A candidate's score at any rung is its summed scenario duration over
-    the full ``comm_sizes x collectives x sizes`` grid -- exactly the
-    aggregation :func:`top_k_records` applies to plain sweep output, and
-    the engine requests carry the same content keys :func:`sweep`
-    issues, so ladder and sweep share every cache record.
+    (:meth:`~repro.engine.fidelity.FidelityLadder.search_cells`): orders
+    are scored on the free analytic metric first, survivors promoted
+    through progressively costlier models until ``backend`` ranks the
+    finalists.  A candidate's score at any rung is its summed scenario
+    duration over the full ``comm_sizes x collectives x sizes`` grid --
+    exactly the aggregation :func:`top_k_records` applies to plain sweep
+    output, and the engine requests carry the same content keys
+    :func:`sweep` issues, so ladder and sweep share every cache record.
+
+    ``options`` are the ladder's knobs: ``backend`` (``round``; the final
+    rung), ``scenario`` (``all``), ``rungs`` (default: the stock ladder
+    toward ``backend``), ``eta`` (4.0), ``top_k`` (10), ``probe`` (16),
+    ``tau_floor`` (0.9), ``seed`` (0), ``batch`` and
+    ``exhaustive_audit`` (False).  ``batch`` routes engine rungs through
+    the vectorized batch path; default: batch unless the engine has a
+    distributed ``dispatcher`` attached, in which case rung grids fan
+    out to the workers.  ``exhaustive_audit`` additionally evaluates
+    *every* order at the final rung and asserts the ladder's top-k
+    matches -- the opt-in correctness gate, at full-sweep cost.
 
     Returns ``(records, result)``: the finalists' sweep records trimmed
     to the ``top_k`` fastest orders (rank-major, byte-comparable to
     ``top_k_records(sweep(...), top_k, scenario)``), and the
     :class:`~repro.engine.fidelity.LadderResult` audit trail (per-rung
     promotion counts, probe Kendall taus, request totals).
-
-    ``batch`` routes engine rungs through the vectorized batch path;
-    default: batch unless the engine has a distributed ``dispatcher``
-    attached, in which case rung grids fan out to the workers.
-    ``exhaustive_audit`` additionally evaluates *every* order at the
-    final rung and asserts the ladder's top-k matches -- the opt-in
-    correctness gate, at full-sweep cost.
     """
-    from repro.engine.fidelity import (
-        FidelityLadder,
-        LadderConfig,
-        analytic_order_score,
-        default_rungs,
-    )
-    from repro.ir import backend_names
-
-    if backend not in backend_names():
-        raise ValueError(
-            f"unknown backend {backend!r} (available: {', '.join(backend_names())})"
-        )
-    if scenario not in ("all", "single"):
-        raise ValueError("scenario must be 'all' or 'single'")
-    hierarchy.check_process_count(topology.n_cores)
-    for comm_size in comm_sizes:
-        if hierarchy.size % comm_size:
-            raise ValueError(
-                f"comm size {comm_size} does not divide {hierarchy.size}"
-            )
     engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir)
-    if orders is None:
-        orders = all_orders(hierarchy.depth)
-    candidates = [tuple(order) for order in orders]
-    config = LadderConfig(
-        rungs=tuple(rungs) if rungs is not None else default_rungs(backend),
-        eta=eta,
-        top_k=top_k,
-        probe=probe,
-        tau_floor=tau_floor,
-        seed=seed,
-        duration_key="duration_all" if scenario == "all" else "duration_single",
+    cells = collective_cells(comm_sizes, collectives, sizes, algorithm)
+    return _ladder_cells(
+        topology, hierarchy, cells, orders, engine, _collective_records, **options
     )
-    if config.rungs[-1] != backend:
-        raise ValueError(
-            f"the final rung {config.rungs[-1]!r} must match backend "
-            f"{backend!r}: the finalists' records are materialized at the "
-            "sweep backend's fidelity"
-        )
 
-    def requests_for(model: str, order: Order) -> list[EvalRequest]:
-        # One candidate's grid, in sweep()'s nested-loop shape and with
-        # sweep()'s extras, so the content keys are shared with plain
-        # full-fidelity sweeps over the same space.
-        extras = (("des_all", True),) if model == "des" else ()
-        return [
-            EvalRequest(
-                model=model,
-                topology=topology,
-                hierarchy=hierarchy,
-                order=order,
-                comm_size=comm_size,
-                collective=collective,
-                algorithm=algorithm,
-                total_bytes=total,
-                extras=extras,
-            )
-            for comm_size in comm_sizes
-            for collective in collectives
-            for total in sizes
-        ]
 
-    def metric_score(order: Order) -> float:
-        sigs = [(c, signature(hierarchy, order, c)) for c in comm_sizes]
-        return sum(
-            analytic_order_score(
-                topology, hierarchy, order, comm_size, total, sig=sig
-            )
-            for comm_size, sig in sigs
-            for total in sizes
-        )
+def workload_ladder_sweep(
+    topology: MachineTopology,
+    hierarchy: Hierarchy,
+    workload: str,
+    params: dict | None = None,
+    orders: Sequence[Order] | None = None,
+    engine: SweepEngine | None = None,
+    jobs: int = 1,
+    cache_dir=None,
+    **options,
+):
+    """Multi-fidelity order search for one workload.
 
-    ladder = FidelityLadder(engine, config, batch=batch)
-    result = ladder.search(
-        candidates,
-        requests_for,
-        metric_score=metric_score if "metric" in config.rungs else None,
-        exhaustive_audit=exhaustive_audit,
+    The workload counterpart of :func:`ladder_sweep`, with the same
+    ladder ``options`` and search: the metric rung prices the workload's
+    declared traffic volume.  Returns ``(records, result)`` with the
+    finalists' :class:`WorkloadRecord` rows (rank-major, the ``top_k``
+    fastest) and the ladder's audit trail.  Requests carry the same
+    content keys :func:`workload_sweep` issues, so ladder and plain
+    sweeps share every cache record.
+    """
+    engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir)
+    cells = (workload_cell(workload, params),)
+    return _ladder_cells(
+        topology, hierarchy, cells, orders, engine, _workload_records, **options
     )
-    # Re-run the finalists through the plain sweep (pure cache hits: the
-    # final rung already evaluated these keys) to materialize records.
-    records = sweep(
-        topology,
-        hierarchy,
-        comm_sizes,
-        collectives=collectives,
-        sizes=sizes,
-        orders=list(result.ranking),
-        algorithm=algorithm,
-        engine=engine,
-        backend=backend,
-        batch=ladder.batch,
-    )
-    return top_k_records(records, top_k, scenario), result
 
 
 def to_csv(records: Sequence) -> str:
@@ -343,234 +415,6 @@ def best_per_group(
         if key not in best or getattr(rec, key_attr) < getattr(best[key], key_attr):
             best[key] = rec
     return best
-
-
-# -- workload sweeps ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WorkloadRecord:
-    """One (order, workload) measurement of a workload sweep."""
-
-    machine: str
-    order: str
-    ring_cost: int
-    workload: str
-    label: str
-    comm_size: int
-    n_comms: int
-    total_bytes: float
-    duration_single: float
-    duration_all: float
-
-
-def workload_sweep(
-    topology: MachineTopology,
-    hierarchy: Hierarchy,
-    workload: str,
-    params: dict | None = None,
-    orders: Sequence[Order] | None = None,
-    engine: SweepEngine | None = None,
-    jobs: int = 1,
-    cache_dir=None,
-    prune: bool = True,
-    backend: str = "round",
-    batch: bool = False,
-) -> list[WorkloadRecord]:
-    """Score every enumeration order against one lowered workload.
-
-    The workload is lowered once through the registry (validated and
-    memoized); its rank count is the communicator size, so the protocol's
-    ``n_comms = hierarchy.size // n_ranks`` concurrent instances measure
-    the ``all`` scenario.  Unknown workload names raise
-    :class:`~repro.workloads.UnknownWorkloadError` (naming the registered
-    set) before any request is issued.  Points run through the same
-    engine plumbing as :func:`sweep` -- memoization, equivalence pruning,
-    worker fan-out, and the vectorized ``batch`` path all apply.
-    """
-    from repro.ir import backend_names
-    from repro.workloads import canonical_params, lower_workload
-
-    if backend not in backend_names():
-        raise ValueError(
-            f"unknown backend {backend!r} (available: {', '.join(backend_names())})"
-        )
-    hierarchy.check_process_count(topology.n_cores)
-    wl_params = canonical_params(workload, params or {})
-    program = lower_workload(workload, dict(wl_params))
-    n_ranks = program.n_ranks
-    if hierarchy.size % n_ranks:
-        raise ValueError(
-            f"workload {workload!r} needs {n_ranks} ranks, which does not "
-            f"divide the machine's {hierarchy.size} processes"
-        )
-    total = program.meta.total_bytes
-    if total is None:
-        total = program.total_bytes
-    engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir, prune=prune)
-    if orders is None:
-        orders = all_orders(hierarchy.depth)
-    orders = [tuple(order) for order in orders]
-    extras = (("des_all", True),) if backend == "des" else ()
-    evaluate = engine.evaluate_batch if batch else engine.evaluate_many
-    results = evaluate(
-        [
-            EvalRequest(
-                model=backend,
-                topology=topology,
-                hierarchy=hierarchy,
-                order=order,
-                comm_size=n_ranks,
-                workload=workload,
-                workload_params=wl_params,
-                extras=extras,
-            )
-            for order in orders
-        ]
-    )
-    records: list[WorkloadRecord] = []
-    for order, point in zip(orders, results):
-        if is_failure(point):
-            continue  # quarantined point; salvage stays on engine.failures
-        records.append(
-            WorkloadRecord(
-                machine=topology.name,
-                order=format_order(order),
-                ring_cost=signature(hierarchy, order, n_ranks).ring_cost,
-                workload=workload,
-                label=program.meta.label or workload,
-                comm_size=n_ranks,
-                n_comms=hierarchy.size // n_ranks,
-                total_bytes=float(total),
-                duration_single=point["duration_single"],
-                duration_all=point["duration_all"],
-            )
-        )
-    return records
-
-
-def workload_ladder_sweep(
-    topology: MachineTopology,
-    hierarchy: Hierarchy,
-    workload: str,
-    params: dict | None = None,
-    orders: Sequence[Order] | None = None,
-    engine: SweepEngine | None = None,
-    jobs: int = 1,
-    cache_dir=None,
-    backend: str = "round",
-    scenario: str = "all",
-    rungs: Sequence[str] | None = None,
-    eta: float = 4.0,
-    top_k: int = 10,
-    probe: int = 16,
-    tau_floor: float = 0.9,
-    seed: int = 0,
-    batch: bool | None = None,
-    exhaustive_audit: bool = False,
-):
-    """Multi-fidelity order search for one workload.
-
-    The workload counterpart of :func:`ladder_sweep`: orders are scored
-    on the free analytic metric (using the workload's declared traffic
-    volume), survivors promoted through progressively costlier backends
-    until ``backend`` ranks the finalists.  Returns ``(records, result)``
-    with the finalists' :class:`WorkloadRecord` rows (rank-major, the
-    ``top_k`` fastest) and the ladder's audit trail.  Requests carry the
-    same content keys :func:`workload_sweep` issues, so ladder and plain
-    sweeps share every cache record.
-    """
-    from repro.engine.fidelity import (
-        FidelityLadder,
-        LadderConfig,
-        analytic_order_score,
-        default_rungs,
-    )
-    from repro.ir import backend_names
-    from repro.workloads import canonical_params, lower_workload
-
-    if backend not in backend_names():
-        raise ValueError(
-            f"unknown backend {backend!r} (available: {', '.join(backend_names())})"
-        )
-    if scenario not in ("all", "single"):
-        raise ValueError("scenario must be 'all' or 'single'")
-    hierarchy.check_process_count(topology.n_cores)
-    wl_params = canonical_params(workload, params or {})
-    program = lower_workload(workload, dict(wl_params))
-    n_ranks = program.n_ranks
-    if hierarchy.size % n_ranks:
-        raise ValueError(
-            f"workload {workload!r} needs {n_ranks} ranks, which does not "
-            f"divide the machine's {hierarchy.size} processes"
-        )
-    total = program.meta.total_bytes
-    if total is None:
-        total = program.total_bytes
-    engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir)
-    if orders is None:
-        orders = all_orders(hierarchy.depth)
-    candidates = [tuple(order) for order in orders]
-    config = LadderConfig(
-        rungs=tuple(rungs) if rungs is not None else default_rungs(backend),
-        eta=eta,
-        top_k=top_k,
-        probe=probe,
-        tau_floor=tau_floor,
-        seed=seed,
-        duration_key="duration_all" if scenario == "all" else "duration_single",
-    )
-    if config.rungs[-1] != backend:
-        raise ValueError(
-            f"the final rung {config.rungs[-1]!r} must match backend "
-            f"{backend!r}: the finalists' records are materialized at the "
-            "sweep backend's fidelity"
-        )
-
-    def requests_for(model: str, order: Order) -> list[EvalRequest]:
-        extras = (("des_all", True),) if model == "des" else ()
-        return [
-            EvalRequest(
-                model=model,
-                topology=topology,
-                hierarchy=hierarchy,
-                order=order,
-                comm_size=n_ranks,
-                workload=workload,
-                workload_params=wl_params,
-                extras=extras,
-            )
-        ]
-
-    def metric_score(order: Order) -> float:
-        # The workload's summed flow volume through the analytic proxy:
-        # one aggregate number per order, same units as the sweep rungs.
-        return analytic_order_score(
-            topology, hierarchy, order, n_ranks, float(total)
-        )
-
-    ladder = FidelityLadder(engine, config, batch=batch)
-    result = ladder.search(
-        candidates,
-        requests_for,
-        metric_score=metric_score if "metric" in config.rungs else None,
-        exhaustive_audit=exhaustive_audit,
-    )
-    records = workload_sweep(
-        topology,
-        hierarchy,
-        workload,
-        params=dict(wl_params),
-        orders=list(result.ranking),
-        engine=engine,
-        backend=backend,
-        batch=ladder.batch,
-    )
-    key_attr = "duration_all" if scenario == "all" else "duration_single"
-    totals = {rec.order: getattr(rec, key_attr) for rec in records}
-    ranked = sorted(totals, key=lambda o: (totals[o], o))[:top_k]
-    by_order = {rec.order: rec for rec in records}
-    return [by_order[o] for o in ranked], result
 
 
 # -- verification sweeps -----------------------------------------------------
@@ -625,7 +469,7 @@ def verify_sweep(
 
     tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
     engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir)
-    cells: list[tuple[MachineTopology, int, str, str]] = []
+    cells = []
     for p in comm_sizes:
         topo = topology or generic_cluster((max(p, 2),))
         if p > topo.n_cores:
@@ -633,27 +477,27 @@ def verify_sweep(
         for collective, algorithm in checkable_algorithms(p):
             if collectives is not None and collective not in collectives:
                 continue
-            cells.append((topo, p, collective, algorithm))
+            (cell,) = collective_cells([p], [collective], [total_bytes], algorithm)
+            cells.append((topo, cell))
     results = engine.evaluate_many(
         [
             EvalRequest(
                 model="verify",
                 topology=topo,
-                comm_size=p,
-                collective=collective,
-                algorithm=algorithm,
-                total_bytes=total_bytes,
+                comm_size=cell.comm_size,
+                workload=cell.workload,
+                workload_params=cell.params,
                 extras=(("tolerance", tol),),
             )
-            for topo, p, collective, algorithm in cells
+            for topo, cell in cells
         ]
     )
     return [
         VerifyRecord(
             machine=topo.name,
-            collective=collective,
-            algorithm=algorithm,
-            comm_size=p,
+            collective=cell.name,
+            algorithm=dict(cell.params)["algorithm"],
+            comm_size=cell.comm_size,
             total_bytes=total_bytes,
             n_rounds=int(out["n_rounds"]),
             semantic_ok=bool(out["semantic_ok"]),
@@ -662,7 +506,7 @@ def verify_sweep(
             invariants_ok=bool(out["invariants_ok"]),
             n_violations=int(out["n_violations"]),
         )
-        for (topo, p, collective, algorithm), out in zip(cells, results)
+        for (topo, cell), out in zip(cells, results)
         if not is_failure(out)  # quarantined cells stay on engine.failures
     ]
 

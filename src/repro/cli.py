@@ -210,20 +210,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     h = parse_synthetic(args.hierarchy)
     topology = _machine_topology(args.machine, h)
-    workload, wl_params = _workload_query(args)
-    if workload is None:
+    if args.workload is None:
         if not args.comm_sizes:
             raise SystemExit(
                 "--comm-sizes is required (or name a --workload instead)"
             )
-        comm_sizes = [int(s) for s in args.comm_sizes.split(",")]
-    elif args.comm_sizes:
-        raise SystemExit(
-            "--comm-sizes conflicts with --workload: the lowered workload "
-            "defines the communicator size"
+        grid = dict(
+            comm_sizes=[int(s) for s in args.comm_sizes.split(",")],
+            collectives=tuple((args.collectives or "alltoall").split(",")),
+            sizes=[float(s) for s in (args.sizes or "1e6,64e6").split(",")],
+            algorithm=args.algorithm,
         )
-    collectives = tuple(args.collectives.split(","))
-    sizes = [float(s) for s in args.sizes.split(",")]
+        sweep_fn, ladder_fn = sweep, ladder_sweep
+    else:
+        workload, params = _workload_query(
+            args, "comm_sizes", ("collectives", "sizes", "algorithm")
+        )
+        grid = dict(workload=workload, params=params)
+        sweep_fn, ladder_fn = workload_sweep, workload_ladder_sweep
     orders = (
         [parse_order(o) for o in args.orders.split(",")] if args.orders else None
     )
@@ -246,38 +250,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     ladder_extra = {}
     top_k = args.top_k if args.top_k is not None else 10
-    result = None
     try:
-        if args.ladder and workload is not None:
-            try:
-                records, result = workload_ladder_sweep(
-                    topology,
-                    h,
-                    workload,
-                    params=wl_params,
-                    orders=orders,
-                    engine=engine,
-                    backend=args.backend,
-                    scenario=args.scenario,
-                    rungs=tuple(args.rungs.split(",")) if args.rungs else None,
-                    eta=args.eta,
-                    top_k=top_k,
-                    probe=args.probe,
-                    tau_floor=args.tau_floor,
-                    seed=args.seed,
-                    exhaustive_audit=args.exhaustive_audit,
-                )
-            except WorkloadError as err:
-                raise SystemExit(str(err)) from None
-        elif args.ladder:
-            records, result = ladder_sweep(
+        if args.ladder:
+            records, result = ladder_fn(
                 topology,
                 h,
-                comm_sizes,
-                collectives=collectives,
-                sizes=sizes,
+                **grid,
                 orders=orders,
-                algorithm=args.algorithm,
                 engine=engine,
                 backend=args.backend,
                 scenario=args.scenario,
@@ -289,58 +268,41 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 exhaustive_audit=args.exhaustive_audit,
             )
-        if result is not None:
-            ladder_extra = {"ladder": result.to_jsonable()}
-            for rung in result.rungs:
-                tau = "-" if rung.tau is None else f"{rung.tau:.3f}"
-                widened = " (widened)" if rung.widened else ""
-                tied = " (all tied)" if rung.n_distinct == 1 else ""
-                print(
-                    f"# ladder {rung.rung}: {rung.n_candidates} -> "
-                    f"{rung.n_promoted} promoted, tau={tau}{widened}, "
-                    f"{rung.n_requests} request(s), {rung.wall_s:.2f}s{tied}",
-                    file=sys.stderr,
-                )
-            if result.audit:
-                print(
-                    f"# exhaustive audit: top-{result.audit['checked_top_k']} "
-                    f"agrees across {result.audit['n_candidates']} candidates",
-                    file=sys.stderr,
-                )
-        elif workload is not None:
-            try:
-                records = workload_sweep(
-                    topology,
-                    h,
-                    workload,
-                    params=wl_params,
-                    orders=orders,
-                    engine=engine,
-                    backend=args.backend,
-                    batch=args.batch,
-                )
-            except WorkloadError as err:
-                raise SystemExit(str(err)) from None
-            if args.top_k is not None:
-                records = top_k_records(records, top_k, args.scenario)
         else:
-            records = sweep(
+            records = sweep_fn(
                 topology,
                 h,
-                comm_sizes,
-                collectives=collectives,
-                sizes=sizes,
+                **grid,
                 orders=orders,
-                algorithm=args.algorithm,
                 engine=engine,
                 backend=args.backend,
                 batch=args.batch,
             )
             if args.top_k is not None:
                 records = top_k_records(records, top_k, args.scenario)
+    except WorkloadError as err:
+        raise SystemExit(str(err)) from None
     finally:
         if engine.dispatcher is not None:
             engine.dispatcher.close()
+    if args.ladder:
+        ladder_extra = {"ladder": result.to_jsonable()}
+        for rung in result.rungs:
+            tau = "-" if rung.tau is None else f"{rung.tau:.3f}"
+            widened = " (widened)" if rung.widened else ""
+            tied = " (all tied)" if rung.n_distinct == 1 else ""
+            print(
+                f"# ladder {rung.rung}: {rung.n_candidates} -> "
+                f"{rung.n_promoted} promoted, tau={tau}{widened}, "
+                f"{rung.n_requests} request(s), {rung.wall_s:.2f}s{tied}",
+                file=sys.stderr,
+            )
+        if result.audit:
+            print(
+                f"# exhaustive audit: top-{result.audit['checked_top_k']} "
+                f"agrees across {result.audit['n_candidates']} candidates",
+                file=sys.stderr,
+            )
     sys.stdout.write(to_csv(records))
     if args.bench_json:
         doc = engine.write_bench_json(
@@ -380,31 +342,27 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 def _cmd_advise(args: argparse.Namespace) -> int:
     from repro.core.advisor import advise
-    from repro.workloads import WorkloadError
+    from repro.workloads import WorkloadError, workload_cell
 
     h = parse_synthetic(args.hierarchy)
     topology = _machine_topology(args.machine, h)
-    workload, wl_params = _workload_query(args)
-    if workload is None and args.comm_size is None:
-        raise SystemExit(
-            "--comm-size is required (or name a --workload instead)"
-        )
-    if workload is not None and args.comm_size is not None:
-        raise SystemExit(
-            "--comm-size conflicts with --workload: the lowered workload "
-            "defines the communicator size"
-        )
     try:
+        if args.workload is None:
+            if args.comm_size is None:
+                raise SystemExit(
+                    "--comm-size is required (or name a --workload instead)"
+                )
+            query = dict(comm_size=args.comm_size, collective=args.collective)
+        else:
+            workload, params = _workload_query(args, "comm_size", ("collective",))
+            query = dict(cells=(workload_cell(workload, params),))
         advice = advise(
             topology,
             h,
-            args.comm_size,
-            collective=args.collective,
+            **query,
             scenario=args.scenario,
             backend=args.backend,
             ladder=args.ladder,
-            workload=workload,
-            workload_params=wl_params,
         )
     except WorkloadError as err:
         raise SystemExit(str(err)) from None
@@ -455,19 +413,40 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag, type=kind, default=None, help=doc)
 
 
-def _workload_query(args: argparse.Namespace):
-    """``(workload, params)`` from the CLI flags, or ``(None, None)``."""
+def _workload_query(
+    args: argparse.Namespace, comm_flag: str, conflicts: Sequence[str]
+):
+    """``(workload, params)`` from the ``--workload`` flags.
+
+    The communicator-size flag ``comm_flag`` and the collective-only
+    flags named in ``conflicts`` are refused (the latter as the service
+    refuses the matching ``/advise`` fields): the lowered workload
+    defines the communicator size and traffic volume.
+    """
     import json
 
-    workload = getattr(args, "workload", None)
-    if workload is None:
-        return None, None
     from repro.workloads import workload_names
 
+    workload = args.workload
     if workload not in workload_names():
         raise SystemExit(
             f"unknown workload {workload!r} "
             f"(registered: {', '.join(workload_names())})"
+        )
+    if getattr(args, comm_flag) is not None:
+        raise SystemExit(
+            f"--{comm_flag.replace('_', '-')} conflicts with --workload: the "
+            "lowered workload defines the communicator size"
+        )
+    named = sorted(
+        "--" + name.replace("_", "-")
+        for name in conflicts
+        if getattr(args, name) is not None
+    )
+    if named:
+        raise SystemExit(
+            f"workload queries must not name {named}: the lowered "
+            "workload defines the communicator size and traffic volume"
         )
     params: dict = {}
     for spec in args.param or ():
@@ -664,8 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="communicator size (required unless --workload is given)",
     )
     p.add_argument(
-        "--collective", default="alltoall",
+        "--collective", default=None,
         choices=["alltoall", "allgather", "allreduce"],
+        help="collective to rank orders for (default: alltoall)",
     )
     _add_workload_args(p)
     p.add_argument("--scenario", default="all", choices=["all", "single"])
@@ -698,13 +678,14 @@ def build_parser() -> argparse.ArgumentParser:
         "unless --workload is given)",
     )
     p.add_argument(
-        "--collectives", default="alltoall",
-        help="comma-separated collectives (alltoall,allgather,allreduce)",
+        "--collectives", default=None,
+        help="comma-separated collectives (alltoall,allgather,allreduce; "
+        "default: alltoall)",
     )
     _add_workload_args(p)
     p.add_argument(
-        "--sizes", default="1e6,64e6",
-        help="comma-separated data sizes in bytes",
+        "--sizes", default=None,
+        help="comma-separated data sizes in bytes (default: 1e6,64e6)",
     )
     p.add_argument(
         "--orders", default=None,

@@ -20,8 +20,9 @@ dozen classes).
 The query pipeline is split in two so other front-ends (notably the
 placement-advisor service, :mod:`repro.service`) can interpose their own
 evaluation step without forking the ranking logic: :func:`plan_query`
-lowers a placement question to a :class:`QueryPlan` — the equivalence
-classes plus the flattened ``(representative, payload size)``
+lowers a placement question (one or more workload cells, see
+:class:`repro.workloads.Cell`) to a :class:`QueryPlan` — the
+equivalence classes plus the flattened ``(representative, cell)``
 :class:`~repro.engine.keys.EvalRequest` grid — and
 :func:`advice_from_results` assembles the grid's results back into an
 :class:`Advice`.  Any evaluator that returns the grid's results aligned
@@ -34,13 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.bench.microbench import run_microbench, run_program
 from repro.core.equivalence import equivalence_classes
 from repro.core.hierarchy import Hierarchy
-from repro.core.metrics import OrderSignature, signature
+from repro.core.metrics import OrderSignature
 from repro.core.orders import Order, format_order
 from repro.launcher.slurm import order_to_distribution
-from repro.netsim.fabric import Fabric
 from repro.topology.machine import MachineTopology
 
 
@@ -120,39 +119,35 @@ class Advice:
 class QueryPlan:
     """A placement query lowered to its evaluable request grid.
 
-    ``classes`` holds the order equivalence classes (representative
-    first); ``requests`` is the flattened representative-major
-    ``(representative, payload size)`` grid whose results — aligned with
-    ``requests`` — :func:`advice_from_results` assembles into an
-    :class:`Advice`.  Index arithmetic: request ``i`` scores class
-    ``i // n_sizes`` at payload ``total_bytes[i % n_sizes]``.
+    ``cells`` is the query's traffic (workload cells sharing one
+    communicator size); ``classes`` holds the order equivalence classes
+    (representative first); ``requests`` is the flattened
+    representative-major ``(representative, cell)`` grid whose results
+    -- aligned with ``requests`` -- :func:`advice_from_results`
+    assembles into an :class:`Advice`.  Index arithmetic: request ``i``
+    scores class ``i // len(cells)`` on cell ``cells[i % len(cells)]``.
     """
 
     topology: MachineTopology
     hierarchy: Hierarchy
-    comm_size: int
-    collective: str
+    cells: tuple
     scenario: str
     backend: str
-    algorithm: str | None
-    total_bytes: tuple[float, ...]
     classes: tuple[tuple[OrderSignature, ...], ...]
     requests: tuple = ()
-    #: Workload-frontend plans: the registered workload name plus its
-    #: canonical parameter pairs.  ``collective`` then carries the
-    #: workload name purely as the report label, ``comm_size`` the
-    #: lowered program's rank count, and ``total_bytes`` the single
-    #: aggregate traffic volume (so ``n_sizes == 1``).
-    workload: str | None = None
-    workload_params: tuple = ()
+
+    @property
+    def comm_size(self) -> int:
+        return self.cells[0].comm_size
+
+    @property
+    def name(self) -> str:
+        """The report label (the collective, or the workload)."""
+        return self.cells[0].name
 
     @property
     def duration_key(self) -> str:
         return "duration_all" if self.scenario == "all" else "duration_single"
-
-    @property
-    def n_sizes(self) -> int:
-        return len(self.total_bytes)
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -161,103 +156,52 @@ class QueryPlan:
 def plan_query(
     topology: MachineTopology,
     hierarchy: Hierarchy,
-    comm_size: int | None = None,
-    collective: str = "alltoall",
-    total_bytes: Sequence[float] = (1e6, 64e6),
+    cells: Sequence,
     scenario: str = "all",
-    algorithm: str | None = None,
     orders: Sequence[Order] | None = None,
     backend: str = "round",
-    workload: str | None = None,
-    workload_params: dict | None = None,
 ) -> QueryPlan:
     """Validate a placement query and lower it to a :class:`QueryPlan`.
 
-    Two query shapes share the pipeline: collective-shaped queries name
-    ``(collective, comm_size, total_bytes)`` as before, and
-    workload-shaped queries name a registered workload frontend instead
-    -- the workload is lowered once through the registry, its rank count
-    becomes the communicator size, and its aggregate traffic volume is
-    the plan's single payload size.  Either way the request grid carries
-    the same content keys the sweep layer issues, so advisor and sweeps
-    share every cache record.
+    ``cells`` are the query's workload cells
+    (:func:`repro.workloads.collective_cells` for a collective at
+    several payload sizes, :func:`repro.workloads.workload_cell` for a
+    registered workload); they must share one communicator size, which
+    must divide the machine.  The request grid carries the same content
+    keys the sweep layer issues, so advisor and sweeps share every cache
+    record.
     """
-    from repro.engine import EvalRequest
-    from repro.ir import backend_names
+    from repro.workloads.base import check_grid
 
     if scenario not in ("all", "single"):
         raise ValueError("scenario must be 'all' or 'single'")
-    if backend not in backend_names():
+    cells = tuple(cells)
+    if not cells:
+        raise ValueError("a query needs at least one cell (payload size)")
+    comm_size = cells[0].comm_size
+    if any(c.comm_size != comm_size for c in cells):
         raise ValueError(
-            f"unknown backend {backend!r} (available: {', '.join(backend_names())})"
+            "a query's cells must share one communicator size, got "
+            f"{sorted({c.comm_size for c in cells})}"
         )
-    wl_params: tuple = ()
-    if workload is not None:
-        from repro.workloads import canonical_params, lower_workload
-
-        wl_params = canonical_params(workload, workload_params or {})
-        program = lower_workload(workload, dict(wl_params))
-        if comm_size is not None and comm_size != program.n_ranks:
-            raise ValueError(
-                f"workload {workload!r} lowers to {program.n_ranks} ranks "
-                f"but the query names comm_size={comm_size}; omit comm_size "
-                "for workload queries"
-            )
-        comm_size = program.n_ranks
-        if hierarchy.size % comm_size:
-            raise ValueError(
-                f"workload {workload!r} needs {comm_size} ranks, which does "
-                f"not divide the machine's {hierarchy.size} processes"
-            )
-        total = program.meta.total_bytes
-        if total is None:
-            total = program.total_bytes
-        sizes = (float(total),)
-        collective = workload  # the report label for workload advice
-    else:
-        if comm_size is None:
-            raise ValueError(
-                "comm_size is required for collective-shaped queries"
-            )
-        sizes = tuple(float(s) for s in total_bytes)
-        if not sizes:
-            raise ValueError("total_bytes must name at least one payload size")
-    hierarchy.check_process_count(topology.n_cores)
+    check_grid(topology, hierarchy, cells, backend)
     classes = tuple(
         tuple(sigs)
         for sigs in equivalence_classes(hierarchy, comm_size, orders=orders).values()
     )
-    extras = (("des_all", True),) if backend == "des" else ()
     requests = tuple(
-        EvalRequest(
-            model=backend,
-            topology=topology,
-            hierarchy=hierarchy,
-            order=tuple(sigs[0].order),
-            comm_size=comm_size,
-            collective=None if workload is not None else collective,
-            algorithm=None if workload is not None else algorithm,
-            total_bytes=None if workload is not None else nbytes,
-            workload=workload,
-            workload_params=wl_params,
-            extras=extras,
-        )
+        cell.request(backend, topology, hierarchy, tuple(sigs[0].order))
         for sigs in classes
-        for nbytes in sizes
+        for cell in cells
     )
     return QueryPlan(
         topology=topology,
         hierarchy=hierarchy,
-        comm_size=comm_size,
-        collective=collective,
+        cells=cells,
         scenario=scenario,
         backend=backend,
-        algorithm=algorithm,
-        total_bytes=sizes,
         classes=classes,
         requests=requests,
-        workload=workload,
-        workload_params=wl_params,
     )
 
 
@@ -278,27 +222,25 @@ def advice_from_results(plan: QueryPlan, results: Sequence[dict]) -> Advice:
             f"expected {len(plan.requests)} results for the plan's grid, "
             f"got {len(results)}"
         )
-    n_sizes = plan.n_sizes
+    n_cells = len(plan.cells)
     failed = [
         failed_point(
             results[i],
-            order=tuple(plan.classes[i // n_sizes][0].order),
-            total_bytes=plan.total_bytes[i % n_sizes],
+            order=tuple(plan.classes[i // n_cells][0].order),
+            total_bytes=plan.cells[i % n_cells].total_bytes,
         )
         for i in range(len(results))
         if is_failure(results[i])
     ]
     if failed:
         raise BatchEvaluationError(
-            failed, context=f"{plan.backend} advice grid for {plan.collective}"
+            failed, context=f"{plan.backend} advice grid for {plan.name}"
         )
     key = plan.duration_key
-    totals = []
-    for c in range(len(plan.classes)):
-        total = 0.0
-        for j in range(n_sizes):
-            total += float(results[c * n_sizes + j][key])
-        totals.append(total)
+    totals = [
+        sum(float(results[c * n_cells + j][key]) for j in range(n_cells))
+        for c in range(len(plan.classes))
+    ]
     return _assemble(plan, totals)
 
 
@@ -319,7 +261,7 @@ def _assemble(plan: QueryPlan, totals: Sequence[float]) -> Advice:
     recs.sort(key=lambda r: r.predicted_seconds)
     return Advice(
         recommendations=tuple(recs),
-        collective=plan.collective,
+        collective=plan.name,
         comm_size=plan.comm_size,
         scenario=plan.scenario,
     )
@@ -336,15 +278,16 @@ def ladder_advise(
     Instead of scoring every class representative at the plan's backend
     like :func:`advice_from_results`, runs the error-calibrated
     successive-halving search
-    (:class:`~repro.engine.fidelity.FidelityLadder`): classes are scored
-    on the free analytic metric first and survivors promoted through
-    progressively costlier models until the plan's backend ranks the
-    finalists.  Returns ``(advice, result)`` — the :class:`Advice` over
-    the *finalist* classes only (eliminated classes carry no duration to
-    report) and the :class:`~repro.engine.fidelity.LadderResult` audit
-    trail.  Finalist durations are bitwise-identical to a full
-    :func:`advise` at the same backend: the final rung issues the exact
-    request keys ``plan.requests`` holds.
+    (:meth:`~repro.engine.fidelity.FidelityLadder.search_cells`, the
+    search ladder sweeps use): classes are scored on the free analytic
+    metric first and survivors promoted through progressively costlier
+    models until the plan's backend ranks the finalists.  Returns
+    ``(advice, result)`` — the :class:`Advice` over the *finalist*
+    classes only (eliminated classes carry no duration to report) and
+    the :class:`~repro.engine.fidelity.LadderResult` audit trail.
+    Finalist durations are bitwise-identical to a full :func:`advise`
+    at the same backend: the final rung issues the exact request keys
+    ``plan.requests`` holds.
 
     ``config`` defaults to the stock ladder toward ``plan.backend`` with
     the plan's scenario duration key; a custom config must agree with
@@ -352,13 +295,8 @@ def ladder_advise(
     """
     import dataclasses
 
-    from repro.engine import EvalRequest, SweepEngine
-    from repro.engine.fidelity import (
-        FidelityLadder,
-        LadderConfig,
-        analytic_order_score,
-        default_rungs,
-    )
+    from repro.engine import SweepEngine
+    from repro.engine.fidelity import FidelityLadder, LadderConfig, default_rungs
 
     engine = engine or SweepEngine()
     if config is None:
@@ -376,47 +314,12 @@ def ladder_advise(
             f"ladder duration_key {config.duration_key!r} must match the "
             f"plan's scenario key {plan.duration_key!r}"
         )
-    n_sizes = plan.n_sizes
-
-    def requests_for(model: str, ci: int) -> Sequence:
-        if model == plan.backend:
-            # The plan's own grid slice: identical objects, identical keys.
-            return plan.requests[ci * n_sizes : (ci + 1) * n_sizes]
-        rep = tuple(plan.classes[ci][0].order)
-        extras = (("des_all", True),) if model == "des" else ()
-        workload = plan.workload
-        return [
-            EvalRequest(
-                model=model,
-                topology=plan.topology,
-                hierarchy=plan.hierarchy,
-                order=rep,
-                comm_size=plan.comm_size,
-                collective=None if workload is not None else plan.collective,
-                algorithm=None if workload is not None else plan.algorithm,
-                total_bytes=None if workload is not None else nbytes,
-                workload=workload,
-                workload_params=plan.workload_params,
-                extras=extras,
-            )
-            for nbytes in plan.total_bytes
-        ]
-
-    def metric_score(ci: int) -> float:
-        rep = tuple(plan.classes[ci][0].order)
-        sig = signature(plan.hierarchy, rep, plan.comm_size)
-        return sum(
-            analytic_order_score(
-                plan.topology, plan.hierarchy, rep, plan.comm_size, nbytes, sig=sig
-            )
-            for nbytes in plan.total_bytes
-        )
-
-    ladder = FidelityLadder(engine, config)
-    result = ladder.search(
+    result = FidelityLadder(engine, config).search_cells(
         range(len(plan.classes)),
-        requests_for,
-        metric_score=metric_score,
+        plan.topology,
+        plan.hierarchy,
+        plan.cells,
+        order_of=lambda ci: tuple(plan.classes[ci][0].order),
         exhaustive_audit=exhaustive_audit,
     )
     if not result.ranking:
@@ -438,8 +341,8 @@ def advise(
     topology: MachineTopology,
     hierarchy: Hierarchy,
     comm_size: int | None = None,
-    collective: str = "alltoall",
-    total_bytes: Sequence[float] = (1e6, 64e6),
+    collective: str | None = None,
+    total_bytes: Sequence[float] | None = None,
     scenario: str = "all",
     algorithm: str | None = None,
     orders: Sequence[Order] | None = None,
@@ -447,49 +350,62 @@ def advise(
     batch: bool = False,
     engine=None,
     ladder=False,
-    workload: str | None = None,
-    workload_params: dict | None = None,
+    cells: Sequence | None = None,
 ) -> Advice:
-    """Rank order equivalence classes by predicted collective duration.
+    """Rank order equivalence classes by predicted duration.
 
-    ``scenario`` is ``"all"`` (every subcommunicator runs the collective
-    concurrently — the common production case) or ``"single"``.  The score
-    is the summed duration across ``total_bytes`` (one slow size cannot
-    hide a pathological small-size regime).  ``backend`` selects the
-    execution backend that scores each representative: ``round`` (the
-    default contention model), ``logp`` (faster, rankings-only fidelity)
-    or ``des`` (slowest, per-flow exact).
+    The query is either a collective -- ``comm_size``, ``collective``
+    (default ``alltoall``), the payload sizes ``total_bytes`` (default
+    ``(1e6, 64e6)``) and an optional pinned ``algorithm``, translated
+    here into ``collective`` workload cells -- or explicit ``cells``
+    (e.g. ``(workload_cell("dnn", params),)``), which must not be
+    combined with any collective argument.  ``scenario`` is
+    ``"all"`` (every subcommunicator runs concurrently — the common
+    production case) or ``"single"``.  The score is the summed duration
+    across the cells (one slow size cannot hide a pathological
+    small-size regime).  ``backend`` selects the execution backend that
+    scores each representative: ``round`` (the default contention
+    model), ``logp`` (faster, rankings-only fidelity) or ``des``
+    (slowest, per-flow exact).
 
-    ``batch`` scores the whole representative frontier through the sweep
-    engine's vectorized batch path (round/logp run as stacked array
-    passes; other backends fall back to the engine's pool) — bitwise
-    identical durations and rankings, order-of-magnitude faster frontier
-    scoring.  Pass ``engine`` (a :class:`~repro.engine.SweepEngine`) to
-    share its cache across calls; otherwise a private serial one is used.
+    Every class representative is scored through a
+    :class:`~repro.engine.SweepEngine` (pass ``engine`` to share its
+    cache across calls; otherwise a private serial one is used).
+    ``batch`` scores the frontier through the engine's vectorized batch
+    path (round/logp run as stacked array passes; other backends fall
+    back to the engine's pool) — bitwise identical durations and
+    rankings, order-of-magnitude faster frontier scoring.
 
     ``ladder`` routes the ranking through the multi-fidelity search
     instead (``True`` for the stock ladder toward ``backend``, or a
     :class:`~repro.engine.fidelity.LadderConfig`); the returned advice
     then covers only the ladder's finalist classes — see
     :func:`ladder_advise` for the audit trail.
-
-    ``workload`` asks for advice on a registered workload frontend
-    instead of a single collective (``comm_size`` is then derived from
-    the lowered program -- omit it); the score is the workload's
-    scenario duration per equivalence class.
     """
+    if cells is None:
+        from repro.workloads import collective_cells
+
+        if comm_size is None:
+            raise ValueError("comm_size is required for collective queries")
+        sizes = (1e6, 64e6) if total_bytes is None else total_bytes
+        cells = collective_cells([comm_size], [collective or "alltoall"], sizes, algorithm)
+    else:
+        named = [
+            name
+            for name, value in zip(
+                ("algorithm", "collective", "comm_size", "total_bytes"),
+                (algorithm, collective, comm_size, total_bytes),
+            )
+            if value is not None
+        ]
+        if named:
+            raise ValueError(
+                f"workload queries must not name {named}: the lowered "
+                "workload defines the communicator size and traffic volume"
+            )
     plan = plan_query(
-        topology,
-        hierarchy,
-        comm_size,
-        collective=collective,
-        total_bytes=total_bytes,
-        scenario=scenario,
-        algorithm=algorithm,
-        orders=orders,
+        topology, hierarchy, cells, scenario=scenario, orders=orders,
         backend=backend,
-        workload=workload,
-        workload_params=workload_params,
     )
     if ladder:
         from repro.engine.fidelity import LadderConfig
@@ -497,42 +413,8 @@ def advise(
         config = ladder if isinstance(ladder, LadderConfig) else None
         advice, _ = ladder_advise(plan, engine=engine, config=config)
         return advice
-    if batch:
-        from repro.engine import SweepEngine
+    from repro.engine import SweepEngine
 
-        engine = engine or SweepEngine()
-        flat = engine.evaluate_batch(list(plan.requests))
-        return advice_from_results(plan, flat)
-    fabric = Fabric(topology) if backend == "round" else None
-    program = None
-    if plan.workload is not None:
-        from repro.workloads import lower_workload
-
-        program = lower_workload(plan.workload, dict(plan.workload_params))
-    totals = []
-    for sigs in plan.classes:
-        rep = sigs[0]
-        total = 0.0
-        if program is not None:
-            point = run_program(
-                topology, hierarchy, rep.order, program,
-                fabric=fabric, backend=backend,
-            )
-            total = (
-                point.duration_all
-                if scenario == "all"
-                else point.duration_single
-            )
-        else:
-            for nbytes in plan.total_bytes:
-                point = run_microbench(
-                    topology, hierarchy, rep.order, plan.comm_size, collective,
-                    nbytes, algorithm=algorithm, fabric=fabric, backend=backend,
-                )
-                total += (
-                    point.duration_all
-                    if scenario == "all"
-                    else point.duration_single
-                )
-        totals.append(total)
-    return _assemble(plan, totals)
+    engine = engine or SweepEngine()
+    evaluate = engine.evaluate_batch if batch else engine.evaluate_many
+    return advice_from_results(plan, evaluate(list(plan.requests)))

@@ -11,23 +11,19 @@ model, the DES, verification cells and chaos cells.
 
 Quick start::
 
-    from repro.engine import EvalRequest, SweepEngine
+    from repro.engine import SweepEngine
+    from repro.workloads import collective_cells
 
     engine = SweepEngine(jobs=4, cache_dir=".sweep-cache")
-    req = EvalRequest(
-        model="round", topology=hydra(16), hierarchy=HYDRA16,
-        order=(0, 1, 2, 3), comm_size=16, collective="alltoall",
-        total_bytes=1e6,
-    )
+    (cell,) = collective_cells([16], ["alltoall"], [1e6])
+    req = cell.request("round", hydra(16), HYDRA16, (0, 1, 2, 3))
     engine.evaluate(req)   # -> {"duration_single": ..., "duration_all": ...}
     engine.stats.cache_hit_rate
 """
 
 from repro.engine.batch import (
-    BatchEvalRequest,
     BatchEvaluationError,
     FailedPoint,
-    evaluate_batch,
     failed_point,
 )
 from repro.engine.cache import ResultCache
@@ -38,12 +34,7 @@ from repro.engine.core import (
     PRUNABLE_MODELS,
     SweepEngine,
 )
-from repro.engine.distributed import (
-    DistributedSupervisor,
-    request_from_wire,
-    request_to_wire,
-    run_worker,
-)
+from repro.engine.distributed import DistributedSupervisor, run_worker
 from repro.engine.evaluators import (
     BATCH_EVALUATORS,
     EVALUATORS,
@@ -63,7 +54,12 @@ from repro.engine.fidelity import (
     default_rungs,
 )
 from repro.engine.journal import SweepJournal
-from repro.engine.keys import CACHE_SCHEMA, EvalRequest
+from repro.engine.keys import (
+    CACHE_SCHEMA,
+    EvalRequest,
+    request_from_wire,
+    request_to_wire,
+)
 from repro.engine.supervisor import (
     EvalFailure,
     TaskAttempt,
@@ -74,7 +70,6 @@ from repro.engine.supervisor import (
 __all__ = [
     "AUDIT_RTOL",
     "BATCH_EVALUATORS",
-    "BatchEvalRequest",
     "BatchEvaluationError",
     "CACHE_SCHEMA",
     "DistributedSupervisor",
@@ -98,7 +93,6 @@ __all__ = [
     "TaskSupervisor",
     "analytic_order_score",
     "default_rungs",
-    "evaluate_batch",
     "evaluate_request",
     "evaluate_requests_batch",
     "failed_point",

@@ -1,29 +1,18 @@
-"""Frontier-shaped evaluation requests for the vectorized batch path.
+"""Structured failures for result grids.
 
-A :class:`BatchEvalRequest` describes a whole frontier of (order,
-payload-size) micro-benchmark points -- the unit the paper's figures and
-the advisor actually sweep -- and flattens it into the same
-content-addressed :class:`~repro.engine.keys.EvalRequest` grid the scalar
-path uses, order-major.  :func:`evaluate_batch` pushes that grid through
-:meth:`~repro.engine.core.SweepEngine.evaluate_batch`, so every point
-still hits the two-tier cache under its own key and the results are
-bitwise identical to N scalar evaluations; only the inner loop changes
-(stacked array passes in-process instead of one task per point).
+The supervised engine salvages a grid by returning quarantined points
+as :class:`~repro.engine.supervisor.EvalFailure` result dicts.  Grid
+consumers that need every point (advice assembly, ranking) lift them
+into :class:`FailedPoint` coordinates with :func:`failed_point` and
+raise one :class:`BatchEvaluationError` naming them all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-import numpy as np
-
-from repro.core.hierarchy import Hierarchy
 from repro.core.orders import format_order
-from repro.engine.core import SweepEngine
-from repro.engine.keys import EvalRequest
-from repro.engine.supervisor import is_failure
-from repro.topology.machine import MachineTopology
 
 
 @dataclass(frozen=True)
@@ -82,112 +71,3 @@ class BatchEvaluationError(RuntimeError):
             f"{shown}{more}; failures are never cached, so re-running the "
             "grid retries exactly these points"
         )
-
-
-@dataclass(frozen=True)
-class BatchEvalRequest:
-    """One frontier: every listed order crossed with every payload size.
-
-    ``model`` names a registered evaluator (``round`` and ``logp`` have
-    vectorized batch evaluators; any other model transparently runs on
-    the supervised scalar path).  ``extras`` and ``seed`` are forwarded
-    to every generated request.
-    """
-
-    model: str
-    topology: MachineTopology
-    hierarchy: Hierarchy
-    orders: tuple[tuple[int, ...], ...]
-    comm_size: int
-    collective: str
-    total_bytes: tuple[float, ...]
-    algorithm: str | None = None
-    seed: int = 0
-    extras: tuple[tuple[str, Any], ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "orders",
-            tuple(tuple(int(i) for i in o) for o in self.orders),
-        )
-        object.__setattr__(
-            self, "total_bytes", tuple(float(s) for s in self.total_bytes)
-        )
-
-    def __len__(self) -> int:
-        return len(self.orders) * len(self.total_bytes)
-
-    def requests(self) -> list[EvalRequest]:
-        """The flattened grid, order-major: ``index = o * n_sizes + s``."""
-        return [
-            EvalRequest(
-                model=self.model,
-                topology=self.topology,
-                hierarchy=self.hierarchy,
-                order=order,
-                comm_size=self.comm_size,
-                collective=self.collective,
-                algorithm=self.algorithm,
-                total_bytes=nbytes,
-                seed=self.seed,
-                extras=self.extras,
-            )
-            for order in self.orders
-            for nbytes in self.total_bytes
-        ]
-
-    def stack(self, results: Sequence[dict], key: str) -> np.ndarray:
-        """Results field ``key`` as an ``(n_orders, n_sizes)`` array.
-
-        Raises :class:`BatchEvaluationError` (naming the failed
-        ``(order, payload)`` grid points) when the sequence contains
-        salvaged :class:`~repro.engine.supervisor.EvalFailure` records
-        from the supervised fallback path.
-        """
-        n_sizes = len(self.total_bytes)
-        if len(results) != len(self):
-            raise ValueError(
-                f"expected {len(self)} results, got {len(results)}"
-            )
-        failed = [
-            failed_point(
-                r,
-                order=self.orders[i // n_sizes],
-                total_bytes=self.total_bytes[i % n_sizes],
-            )
-            for i, r in enumerate(results)
-            if is_failure(r)
-        ]
-        if failed:
-            raise BatchEvaluationError(
-                failed, context=f"{self.model} frontier stack({key!r})"
-            )
-        return np.array(
-            [float(r[key]) for r in results], dtype=float
-        ).reshape(len(self.orders), n_sizes)
-
-    def rank_orders(
-        self, results: Sequence[dict], key: str = "duration_all"
-    ) -> list[tuple[int, ...]]:
-        """Orders ranked fastest-first by summed duration across sizes.
-
-        Ties break by frontier position, matching what a stable sort over
-        the scalar path's per-order totals produces.
-        """
-        totals = self.stack(results, key).sum(axis=1)
-        ranked = sorted(range(len(self.orders)), key=lambda i: (totals[i], i))
-        return [self.orders[i] for i in ranked]
-
-
-def evaluate_batch(
-    batch: BatchEvalRequest, engine: SweepEngine | None = None
-) -> list[dict]:
-    """Score a frontier in vectorized passes; results align with
-    :meth:`BatchEvalRequest.requests`.
-
-    With no ``engine``, a fresh in-process :class:`SweepEngine` (no disk
-    cache) is used; pass one to share its cache, journal and stats.
-    """
-    engine = engine or SweepEngine()
-    return engine.evaluate_batch(batch.requests())

@@ -17,7 +17,8 @@ that many bytes of UTF-8 JSON.  Messages carry a ``type``:
   semantics;
 - ``task``      manager -> worker: ``{index, attempt, request}`` where
   ``request`` is the wire form of an :class:`EvalRequest`
-  (:func:`request_to_wire`);
+  (:func:`repro.engine.keys.request_to_wire`, which sits beside the
+  canonical form so one module owns the request's field list);
 - ``result``    worker -> manager: ``{index, status: "ok", result}`` or
   ``{index, status: "error", detail, digest}``;
 - ``shutdown``  manager -> worker: drain and exit.
@@ -56,9 +57,13 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.hierarchy import Hierarchy
 from repro.engine import chaos
-from repro.engine.keys import CACHE_SCHEMA, EvalRequest
+from repro.engine.keys import (
+    CACHE_SCHEMA,
+    EvalRequest,
+    request_from_wire,
+    request_to_wire,
+)
 from repro.engine.supervisor import (
     EvalFailure,
     SupervisorStats,
@@ -67,12 +72,13 @@ from repro.engine.supervisor import (
     _TaskState,
     _traceback_digest,
 )
-from repro.topology.machine import LevelParams, MachineTopology
 from repro.util.retry import RetryPolicy
 
 #: Bump when the message layout changes; hello frames carry it and the
 #: manager drops workers that disagree.
-PROTOCOL_VERSION = 1
+#: History: 1 -> 2 when requests gained one shape and the workload
+#: fields joined the wire form (version-1 peers dropped them).
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame; anything larger is a protocol violation
 #: (results are small dicts of floats, requests a few KiB of topology).
@@ -130,145 +136,6 @@ def recv_frame(sock: socket.socket) -> dict | None:
     if not isinstance(doc, dict):
         raise ProtocolError(f"expected a JSON object frame, got {type(doc)}")
     return doc
-
-
-# -- request wire form -------------------------------------------------------
-
-
-def request_to_wire(request: EvalRequest) -> dict:
-    """JSON-portable form of a request, key-preserving by construction.
-
-    Floats ride as raw JSON numbers: Python serializes them via their
-    ``repr`` shortest form and parses that back to the identical double,
-    so the reconstructed request canonicalises -- and therefore hashes --
-    exactly like the original.
-    """
-    topo = request.topology
-    doc: dict = {
-        "model": request.model,
-        "topology": {
-            "name": topo.name,
-            "flop_rate": topo.flop_rate,
-            "root_bw": topo.root_bw,
-            "levels": [
-                {
-                    "name": lv.name,
-                    "radix": lv.radix,
-                    "link_bw": lv.link_bw,
-                    "link_lat": lv.link_lat,
-                    "mem_bw": lv.mem_bw,
-                }
-                for lv in topo.levels
-            ],
-        },
-        "seed": request.seed,
-    }
-    if request.hierarchy is not None:
-        h = request.hierarchy
-        doc["hierarchy"] = {
-            "radices": list(h.radices),
-            "names": list(h.names),
-            "masked": h.masked,
-        }
-    if request.order is not None:
-        doc["order"] = list(request.order)
-    if request.comm_size is not None:
-        doc["comm_size"] = request.comm_size
-    if request.collective is not None:
-        doc["collective"] = request.collective
-    if request.algorithm is not None:
-        doc["algorithm"] = request.algorithm
-    if request.total_bytes is not None:
-        doc["total_bytes"] = float(request.total_bytes)
-    if request.schedule is not None and len(request.schedule):
-        doc["schedule"] = [
-            {
-                "kind": s.kind,
-                "start": s.start,
-                "target": s.target,
-                "level": s.level,
-                "end": s.end,
-                "bw_factor": s.bw_factor,
-                "lat_factor": s.lat_factor,
-                "slowdown": s.slowdown,
-            }
-            for s in request.schedule
-        ]
-    if request.extras:
-        doc["extras"] = [[k, v] for k, v in request.extras]
-    return doc
-
-
-def request_from_wire(doc: dict) -> EvalRequest:
-    """Reconstruct an :class:`EvalRequest` from its wire form."""
-    t = doc["topology"]
-    topology = MachineTopology(
-        name=t["name"],
-        levels=tuple(
-            LevelParams(
-                name=lv["name"],
-                radix=int(lv["radix"]),
-                link_bw=float(lv["link_bw"]),
-                link_lat=float(lv["link_lat"]),
-                mem_bw=float(lv["mem_bw"]),
-            )
-            for lv in t["levels"]
-        ),
-        flop_rate=float(t["flop_rate"]),
-        root_bw=float(t["root_bw"]),
-    )
-    hierarchy = None
-    if "hierarchy" in doc:
-        h = doc["hierarchy"]
-        hierarchy = Hierarchy(
-            tuple(int(r) for r in h["radices"]),
-            tuple(h["names"]),
-            masked=bool(h["masked"]),
-        )
-    schedule = None
-    if "schedule" in doc:
-        from repro.faults.model import FaultSchedule, FaultSpec
-
-        schedule = FaultSchedule(
-            tuple(
-                FaultSpec(
-                    kind=s["kind"],
-                    start=float(s["start"]),
-                    target=int(s["target"]),
-                    level=int(s["level"]),
-                    end=float(s["end"]),
-                    bw_factor=float(s["bw_factor"]),
-                    lat_factor=float(s["lat_factor"]),
-                    slowdown=float(s["slowdown"]),
-                )
-                for s in doc["schedule"]
-            )
-        )
-    extras = tuple((k, _unlist(v)) for k, v in doc.get("extras", []))
-    return EvalRequest(
-        model=doc["model"],
-        topology=topology,
-        hierarchy=hierarchy,
-        order=tuple(doc["order"]) if "order" in doc else None,
-        comm_size=doc.get("comm_size"),
-        collective=doc.get("collective"),
-        algorithm=doc.get("algorithm"),
-        total_bytes=doc.get("total_bytes"),
-        seed=int(doc["seed"]),
-        schedule=schedule,
-        extras=extras,
-    )
-
-
-def _unlist(value):
-    """JSON turned extras tuples into lists; restore hashable tuples.
-
-    Canonicalisation treats lists and tuples identically, so this only
-    matters for the dataclass's own hashability, not for the key.
-    """
-    if isinstance(value, list):
-        return tuple(_unlist(v) for v in value)
-    return value
 
 
 # -- worker side -------------------------------------------------------------

@@ -115,79 +115,39 @@ def evaluate_requests_batch(requests: Sequence[EvalRequest]) -> list[dict]:
 # -- workload frontends -------------------------------------------------------
 
 
-def _workload_program(req: EvalRequest):
-    """Lower a workload-bearing request through the registry.
+def _program(req: EvalRequest):
+    """Lower a request's workload through the registry (memoized).
 
-    Contract: requests carrying a workload set ``comm_size`` to the
-    lowered program's rank count (their constructors read the same
-    registry), so placement derivation and the batch path's grouping key
-    agree with the collective-shaped requests they ride alongside.
+    Contract: ``comm_size`` equals the lowered program's rank count (the
+    request constructors read the same registry), so placement derivation
+    and the batch path's grouping key agree across workloads.
     """
     from repro.workloads import lower_workload
 
-    return lower_workload(req.workload, dict(req.workload_params))
+    return lower_workload(req.workload, req.workload_params)
 
 
-def _microbench_point(req: EvalRequest, backend: str):
-    """One protocol point for either request shape (collective/workload)."""
-    from repro.bench.microbench import run_microbench, run_program
-
-    if req.workload is not None:
-        return run_program(
-            req.topology,
-            req.hierarchy,
-            req.order,
-            _workload_program(req),
-            backend=backend,
-        )
-    return run_microbench(
-        req.topology,
-        req.hierarchy,
-        req.order,
-        req.comm_size,
-        req.collective,
-        req.total_bytes,
-        algorithm=req.algorithm,
-        backend=backend,
-    )
+# -- micro-benchmark points (round + logp) ------------------------------------
 
 
-# -- round model --------------------------------------------------------------
+def _eval_microbench(backend: str, req: EvalRequest) -> dict:
+    """Section 4.1 micro-benchmark point: steps 1-4 on the request's
+    lowered program.
 
-
-def _eval_round(req: EvalRequest) -> dict:
-    """Section 4.1 micro-benchmark point on the synchronized-round model."""
-    point = _microbench_point(req, "round")
-    return {
-        "duration_single": point.duration_single,
-        "duration_all": point.duration_all,
-    }
-
-
-register_evaluator("round", _eval_round)
-
-
-# -- logp analytical model ----------------------------------------------------
-
-
-def _eval_logp(req: EvalRequest) -> dict:
-    """The micro-benchmark point on the fast LogP-style backend.
-
-    Same protocol and output keys as ``round``, so sweeps, figures and
-    the advisor consume either interchangeably; fidelity is advisory
-    (order rankings, not absolute durations).
+    ``round`` is the synchronized-round model; ``logp`` the fast
+    LogP-style backend with the same protocol and output keys, so
+    sweeps, figures and the advisor consume either interchangeably (its
+    fidelity is advisory: order rankings, not absolute durations).
     """
-    point = _microbench_point(req, "logp")
+    from repro.bench.microbench import run_program
+
+    point = run_program(
+        req.topology, req.hierarchy, req.order, _program(req), backend=backend
+    )
     return {
         "duration_single": point.duration_single,
         "duration_all": point.duration_all,
     }
-
-
-register_evaluator("logp", _eval_logp)
-
-
-# -- batch microbench (round + logp) ------------------------------------------
 
 
 def _eval_microbench_batch(
@@ -200,10 +160,11 @@ def _eval_microbench_batch(
     scenario; the backend's structure memo persists across groups, so
     orders whose placements coincide (unpruned equivalence classes)
     analyse each round pattern exactly once for the whole frontier.
-    Bitwise contract: entry ``i`` equals ``_eval_{round,logp}(reqs[i])``.
+    Bitwise contract: entry ``i`` equals ``_eval_microbench(backend_name,
+    reqs[i])``.
     """
     from repro.bench.microbench import comm_members
-    from repro.ir import collective_program, get_backend
+    from repro.ir import get_backend
 
     engine = get_backend(backend_name)
     out: list[dict | None] = [None] * len(reqs)
@@ -215,17 +176,7 @@ def _eval_microbench_batch(
     for (topology, hierarchy, order, comm_size), idxs in groups.items():
         hierarchy.check_process_count(topology.n_cores)
         members = comm_members(hierarchy, order, comm_size)
-        programs = [
-            _workload_program(reqs[i])
-            if reqs[i].workload is not None
-            else collective_program(
-                reqs[i].collective,
-                comm_size,
-                reqs[i].total_bytes,
-                reqs[i].algorithm,
-            )
-            for i in idxs
-        ]
+        programs = [_program(reqs[i]) for i in idxs]
         # Microbench points only read total times; skip the per-round
         # RoundCost breakdown (``detail=False`` leaves times bit-exact).
         options = {"detail": False}
@@ -248,23 +199,16 @@ def _eval_microbench_batch(
     return out  # type: ignore[return-value]
 
 
-def _eval_round_batch(reqs: list[EvalRequest]) -> list[dict]:
-    return _eval_microbench_batch("round", reqs)
-
-
-def _eval_logp_batch(reqs: list[EvalRequest]) -> list[dict]:
-    return _eval_microbench_batch("logp", reqs)
-
-
-register_batch_evaluator("round", _eval_round_batch)
-register_batch_evaluator("logp", _eval_logp_batch)
+for _backend in ("round", "logp"):
+    register_evaluator(_backend, partial(_eval_microbench, _backend))
+    register_batch_evaluator(_backend, partial(_eval_microbench_batch, _backend))
 
 
 # -- discrete-event simulation ------------------------------------------------
 
 
 def _eval_des(req: EvalRequest) -> dict:
-    """DES replay of the first subcommunicator's collective schedule.
+    """DES replay of the first subcommunicator's program.
 
     Returns both the DES makespan and the round model's prediction for the
     same schedule, so differential consumers get their comparison from one
@@ -275,17 +219,12 @@ def _eval_des(req: EvalRequest) -> dict:
     offset-concatenated into one DES run) as ``duration_all``.
     """
     from repro.core.reorder import RankReordering
-    from repro.ir import collective_program, get_backend, placed_rounds
+    from repro.ir import get_backend, placed_rounds
     from repro.netsim.fabric import Fabric
 
     reordering = RankReordering(req.hierarchy, req.order, req.comm_size)
     cores = reordering.comm_members(0)
-    if req.workload is not None:
-        program = _workload_program(req)
-    else:
-        program = collective_program(
-            req.collective, req.comm_size, req.total_bytes, req.algorithm
-        )
+    program = _program(req)
     mode = req.extra("mode", "lockstep")
     incremental = bool(req.extra("incremental", True))
     audit_rates = bool(req.extra("audit_rates", False))
@@ -319,9 +258,11 @@ register_evaluator("des", _eval_des)
 def _eval_verify(req: EvalRequest) -> dict:
     """One (collective, algorithm, comm size) cell of a verify sweep.
 
-    Runs the semantic checker, the round-vs-DES differential and the
-    trace-invariant audit; the DES replay is the expensive part, which is
-    exactly what engine memoization amortizes across repeated campaigns.
+    The cell is a ``collective`` workload request with a pinned
+    algorithm.  Runs the semantic checker, the round-vs-DES differential
+    and the trace-invariant audit; the DES replay is the expensive part,
+    which is exactly what engine memoization amortizes across repeated
+    campaigns.
     """
     from repro.collectives.selector import rounds_for
     from repro.verify import (
@@ -332,23 +273,23 @@ def _eval_verify(req: EvalRequest) -> dict:
         replay_rounds_des,
     )
 
-    p = req.comm_size
+    collective, algorithm, total_bytes, p = (
+        req.param(k) for k in ("collective", "algorithm", "total_bytes", "p")
+    )
     tol = req.extra("tolerance")
     tol = DEFAULT_TOLERANCE if tol is None else float(tol)
     incremental = bool(req.extra("incremental", True))
     audit_rates = bool(req.extra("audit_rates", False))
-    rounds = rounds_for(req.collective, p, req.total_bytes, req.algorithm)
-    sem = check_schedule(
-        req.collective, rounds, p, req.total_bytes, algorithm=req.algorithm
-    )
+    rounds = rounds_for(collective, p, total_bytes, algorithm)
+    sem = check_schedule(collective, rounds, p, total_bytes, algorithm=algorithm)
     if p >= 2:
         cores = np.arange(p, dtype=np.int64)
         diff = compare_schedule(
             req.topology,
             cores,
             rounds,
-            label=f"{req.collective}/{req.algorithm}",
-            total_bytes=req.total_bytes,
+            label=f"{collective}/{algorithm}",
+            total_bytes=total_bytes,
             tolerance=tol,
             incremental=incremental,
             audit=audit_rates,

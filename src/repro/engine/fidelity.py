@@ -379,6 +379,51 @@ class FidelityLadder:
             )
         return result
 
+    def search_cells(
+        self,
+        candidates: Sequence[Any],
+        topology,
+        hierarchy,
+        cells: Sequence,
+        order_of: Callable[[Any], tuple[int, ...]] = tuple,
+        exhaustive_audit: bool = False,
+    ) -> LadderResult:
+        """The order search every front-end runs: :meth:`search` over a
+        grid of :class:`~repro.workloads.Cell` s.
+
+        A candidate's grid at one fidelity is one request per cell for
+        ``order_of(candidate)``, in cell order, so its summed score and
+        its content keys match a plain sweep over the same cells.  The
+        ``metric`` rung sums :func:`analytic_order_score` over the
+        distinct ``(comm_size, total_bytes)`` pairs of the cells, in
+        first-seen order, with one signature per communicator size.
+        """
+        from repro.core.metrics import signature
+
+        pairs = list(dict.fromkeys((c.comm_size, c.total_bytes) for c in cells))
+        comm_sizes = list(dict.fromkeys(comm_size for comm_size, _ in pairs))
+
+        def requests_for(model: str, candidate: Any) -> list[EvalRequest]:
+            order = order_of(candidate)
+            return [cell.request(model, topology, hierarchy, order) for cell in cells]
+
+        def metric_score(candidate: Any) -> float:
+            order = order_of(candidate)
+            sigs = {c: signature(hierarchy, order, c) for c in comm_sizes}
+            return sum(
+                analytic_order_score(
+                    topology, hierarchy, order, comm_size, total, sig=sigs[comm_size]
+                )
+                for comm_size, total in pairs
+            )
+
+        return self.search(
+            candidates,
+            requests_for,
+            metric_score=metric_score,
+            exhaustive_audit=exhaustive_audit,
+        )
+
     # -- internals ---------------------------------------------------------
 
     def _score(

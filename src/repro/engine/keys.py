@@ -4,9 +4,12 @@ Every simulation the sweep layer runs -- a round-model micro-benchmark
 point, a DES schedule replay, a verification cell, a chaos cell -- is
 described by an :class:`EvalRequest`.  The request canonicalises all
 inputs that influence the result (hierarchy, order, communicator size,
-collective, payload size, fault schedule, seed, *and* every performance
-parameter of the machine topology) into a deterministic JSON document,
-whose SHA-256 digest is the cache key.
+the workload and its canonical parameters, fault schedule, seed, *and*
+every performance parameter of the machine topology) into a
+deterministic JSON document, whose SHA-256 digest is the cache key.
+This module also owns the request's JSON wire form
+(:func:`request_to_wire` / :func:`request_from_wire`), so the field
+list lives in one place.
 
 Key properties:
 
@@ -22,14 +25,15 @@ Key properties:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.core.hierarchy import Hierarchy
-from repro.topology.machine import MachineTopology
+from repro.topology.machine import LevelParams, MachineTopology
 
 #: Bump when the canonical layout or any evaluator's semantics change in a
 #: way that should invalidate previously cached results.
@@ -42,7 +46,11 @@ from repro.topology.machine import MachineTopology
 #:           (``schema`` + ``checksum`` of the result payload); pre-3
 #:           records would be quarantined as corrupt, so retire their
 #:           keys instead.
-CACHE_SCHEMA = 3
+#:   3 -> 4: one request shape.  The ``collective``/``algorithm``/
+#:           ``total_bytes`` fields are gone; collective points are
+#:           ``collective`` workload requests, so their keys change
+#:           while their results do not.
+CACHE_SCHEMA = 4
 
 
 def _package_version() -> str:
@@ -125,6 +133,11 @@ class EvalRequest:
     ``verify``, ``chaos_healthy``, ``chaos_cell``, ...); ``extras`` holds
     model-specific knobs as a sorted tuple of ``(name, value)`` pairs so
     the dataclass stays hashable and canonicalisation stays stable.
+
+    Traffic has one shape: the registered ``workload`` plus its
+    canonical parameter pairs (see ``repro.workloads.canonical_params``;
+    a collective point is a ``collective`` workload request), with
+    ``comm_size`` set to the lowered program's rank count.
     """
 
     model: str
@@ -132,16 +145,9 @@ class EvalRequest:
     hierarchy: Hierarchy | None = None
     order: tuple[int, ...] | None = None
     comm_size: int | None = None
-    collective: str | None = None
-    algorithm: str | None = None
-    total_bytes: float | None = None
     seed: int = 0
     schedule: Any = None  # FaultSchedule | None (kept loose to avoid a cycle)
     extras: tuple[tuple[str, Any], ...] = field(default=())
-    #: Workload-frontend requests: the registered workload name plus its
-    #: canonical parameter pairs (see ``repro.workloads.canonical_params``).
-    #: ``None``/``()`` on collective-style requests, so legacy canonical
-    #: documents -- and therefore cached keys -- are untouched.
     workload: str | None = None
     workload_params: tuple[tuple[str, Any], ...] = field(default=())
 
@@ -158,10 +164,11 @@ class EvalRequest:
         )
 
     def extra(self, name: str, default: Any = None) -> Any:
-        for k, v in self.extras:
-            if k == name:
-                return v
-        return default
+        return dict(self.extras).get(name, default)
+
+    def param(self, name: str, default: Any = None) -> Any:
+        """One workload parameter (``default`` when absent)."""
+        return dict(self.workload_params).get(name, default)
 
     def canonical(self) -> dict:
         """The deterministic provenance document behind :attr:`key`."""
@@ -178,17 +185,11 @@ class EvalRequest:
             doc["order"] = list(self.order)
         if self.comm_size is not None:
             doc["comm_size"] = self.comm_size
-        if self.collective is not None:
-            doc["collective"] = self.collective
-        if self.algorithm is not None:
-            doc["algorithm"] = self.algorithm
-        if self.total_bytes is not None:
-            doc["total_bytes"] = _jsonify(float(self.total_bytes))
         if self.schedule is not None and len(self.schedule):
             doc["schedule"] = schedule_fingerprint(self.schedule)
         if self.extras:
             doc["extras"] = {k: _jsonify(v) for k, v in self.extras}
-        if self.workload is not None:
+        if self.workload:  # chaos cells carry no traffic workload
             doc["workload"] = self.workload
             doc["workload_params"] = {
                 k: _jsonify(v) for k, v in self.workload_params
@@ -222,10 +223,79 @@ class EvalRequest:
         return (int(self.key[:12], 16) ^ (self.seed * 0x9E3779B1)) % (2**31)
 
 
-def request_batch_orders(requests: Sequence[EvalRequest]) -> list[tuple[int, ...]]:
-    """Distinct orders appearing in a request batch, in first-seen order."""
-    seen: dict[tuple[int, ...], None] = {}
-    for r in requests:
-        if r.order is not None:
-            seen.setdefault(r.order, None)
-    return list(seen)
+# -- request wire form -------------------------------------------------------
+
+
+def request_to_wire(request: EvalRequest) -> dict:
+    """JSON-portable form of a request, key-preserving by construction.
+
+    Floats ride as raw JSON numbers: Python serializes them via their
+    ``repr`` shortest form and parses that back to the identical double,
+    so the reconstructed request canonicalises -- and therefore hashes --
+    exactly like the original.  Topology, hierarchy and fault specs
+    travel as their dataclass fields.
+    """
+    doc: dict = {
+        "model": request.model,
+        "topology": dataclasses.asdict(request.topology),
+        "seed": request.seed,
+    }
+    if request.hierarchy is not None:
+        doc["hierarchy"] = dataclasses.asdict(request.hierarchy)
+    if request.order is not None:
+        doc["order"] = list(request.order)
+    if request.comm_size is not None:
+        doc["comm_size"] = request.comm_size
+    if request.schedule is not None and len(request.schedule):
+        doc["schedule"] = [dataclasses.asdict(s) for s in request.schedule]
+    if request.extras:
+        doc["extras"] = [[k, v] for k, v in request.extras]
+    if request.workload:
+        doc["workload"] = request.workload
+        doc["workload_params"] = [[k, v] for k, v in request.workload_params]
+    return doc
+
+
+def request_from_wire(doc: dict) -> EvalRequest:
+    """Reconstruct an :class:`EvalRequest` from its wire form."""
+    t = doc["topology"]
+    topology = MachineTopology(
+        **{**t, "levels": tuple(LevelParams(**lv) for lv in t["levels"])}
+    )
+    hierarchy = None
+    if "hierarchy" in doc:
+        h = doc["hierarchy"]
+        hierarchy = Hierarchy(
+            tuple(h["radices"]), tuple(h["names"]), masked=h["masked"]
+        )
+    schedule = None
+    if "schedule" in doc:
+        from repro.faults.model import FaultSchedule, FaultSpec
+
+        schedule = FaultSchedule(tuple(FaultSpec(**s) for s in doc["schedule"]))
+    return EvalRequest(
+        model=doc["model"],
+        topology=topology,
+        hierarchy=hierarchy,
+        order=tuple(doc["order"]) if "order" in doc else None,
+        comm_size=doc.get("comm_size"),
+        seed=int(doc["seed"]),
+        schedule=schedule,
+        extras=tuple((k, _unlist(v)) for k, v in doc.get("extras", [])),
+        workload=doc.get("workload"),
+        workload_params=tuple(
+            (k, _unlist(v)) for k, v in doc.get("workload_params", [])
+        ),
+    )
+
+
+def _unlist(value):
+    """JSON turned extras and parameter tuples into lists; restore
+    hashable tuples.
+
+    Canonicalisation treats lists and tuples identically, so this only
+    matters for the dataclass's own hashability, not for the key.
+    """
+    if isinstance(value, list):
+        return tuple(_unlist(v) for v in value)
+    return value

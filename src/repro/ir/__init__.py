@@ -25,12 +25,9 @@ from repro.ir.backends import (
 from repro.ir.lower import (
     collective_program,
     from_rounds,
-    nascg_program,
     placed_rounds,
     rank_program,
     round_endpoints,
-    splatt_mode_program,
-    stencil_program,
 )
 from repro.ir.program import (
     BarrierOp,
@@ -76,13 +73,10 @@ __all__ = [
     "describe_backends",
     "from_rounds",
     "get_backend",
-    "nascg_program",
     "placed_rounds",
     "rank_program",
     "register_backend",
     "round_endpoints",
-    "splatt_mode_program",
-    "stencil_program",
     "supports_batch",
     "validate_program",
 ]

@@ -26,10 +26,7 @@ import numpy as np
 from repro.ir.program import CommProgram, CommRound, ProgramMeta
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from repro.apps.nascg.parallel import CGTimeModel
-    from repro.apps.stencil import StencilModel
     from repro.netsim.fabric import RoundSchedule
-    from repro.simmpi.cart import CartTopology
     from repro.simmpi.communicator import Comm
 
 #: ``sends[rank]`` entries are ``(dst, nbytes, tag)``; ``recvs[rank]``
@@ -80,62 +77,10 @@ def collective_program(
     only on the four arguments and is memoized, validated, and
     write-protected by the registry's single lowering path.
     """
-    from repro.workloads import lower_workload
+    from repro.workloads import collective_params, lower_workload
 
     return lower_workload(
-        "collective",
-        {
-            "collective": str(collective),
-            "p": int(p),
-            "total_bytes": float(total_bytes),
-            "algorithm": algorithm,
-        },
-    )
-
-
-def stencil_program(model: "StencilModel", cart: "CartTopology") -> CommProgram:
-    """One halo exchange of a :class:`~repro.apps.stencil.StencilModel`.
-
-    Shim over the ``stencil`` workload (halo traffic depends only on the
-    grid shape and periodicity, never on the Cartesian placement).
-    """
-    from repro.workloads import lower_workload
-
-    return lower_workload(
-        "stencil",
-        {
-            "dims": tuple(model.dims),
-            "periodic": tuple(int(f) for f in getattr(cart, "periodic", ())),
-            "cell_bytes": float(model.cell_bytes),
-            "local_extent": int(model.local_extent),
-        },
-    )
-
-
-def nascg_program(model: "CGTimeModel", p: int) -> CommProgram:
-    """One CG iteration's exchange pattern on ``p`` ranks (shim over the
-    ``nascg`` workload)."""
-    from repro.workloads import lower_workload
-
-    return lower_workload("nascg", {"klass": model.klass.name, "p": int(p)})
-
-
-def splatt_mode_program(per_pair_bytes: float, p: int, mode: int = 0) -> CommProgram:
-    """One CP-ALS mode's alltoallv on one layer communicator of size ``p``.
-
-    ``per_pair_bytes`` is the uniform pairwise volume
-    (``alltoallv_volume_per_rank(mode) / (p - 1)`` in the Splatt model).
-    Shim over the ``splatt`` workload.
-    """
-    from repro.workloads import lower_workload
-
-    return lower_workload(
-        "splatt",
-        {
-            "p": int(p),
-            "per_pair_bytes": float(per_pair_bytes),
-            "mode": int(mode),
-        },
+        "collective", collective_params(collective, p, total_bytes, algorithm)
     )
 
 

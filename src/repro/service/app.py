@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.core.advisor import QueryPlan, advice_from_results, plan_query
@@ -75,27 +75,24 @@ def topology_for(machine: str, hierarchy: Hierarchy) -> MachineTopology:
 
 @dataclass(frozen=True)
 class PlacementQuery:
-    """One parsed ``/advise`` request body.
+    """One parsed ``/advise`` request body, translated into cells.
 
-    Two shapes: collective queries name ``comm_size`` (+ ``collective``,
-    ``total_bytes``, ``algorithm``); workload queries name a registered
-    workload frontend and its parameters instead -- the lowered program
-    then defines the communicator size and traffic volume, so those
-    fields are mutually exclusive with ``workload``.
+    Two body shapes enter here and leave as one: collective bodies name
+    ``comm_size`` (+ ``collective``, ``total_bytes``, ``algorithm``) and
+    become one ``collective`` workload cell per payload size; workload
+    bodies name a registered workload frontend and its parameters and
+    become that workload's cell (the lowered program then defines the
+    communicator size and traffic volume, so those fields are mutually
+    exclusive with ``workload``).  ``echo`` carries the body's shape
+    fields back into the response provenance.
     """
 
     hierarchy: str
-    comm_size: int | None = None
+    cells: tuple
     machine: str = "generic"
-    collective: str = "alltoall"
-    total_bytes: tuple[float, ...] = (1e6, 64e6)
     scenario: str = "all"
     backend: str | None = None  # None: the service default
-    algorithm: str | None = None
-    workload: str | None = None
-    #: Canonical ``(name, value)`` parameter pairs (hashable: the plan
-    #: memo and provenance both key on them).
-    workload_params: tuple = ()
+    echo: dict = field(default_factory=dict, compare=False)
 
     FIELDS = frozenset(
         {
@@ -115,6 +112,8 @@ class PlacementQuery:
     @classmethod
     def from_doc(cls, doc: Any) -> "PlacementQuery":
         """Parse and validate a JSON body; raises :class:`QueryError`."""
+        from repro.workloads import collective_cells, workload_cell
+
         if not isinstance(doc, dict):
             raise QueryError("query body must be a JSON object")
         unknown = set(doc) - cls.FIELDS
@@ -142,21 +141,14 @@ class PlacementQuery:
         backend = doc.get("backend")
         if backend is not None:
             backend = str(backend)
+        shape = dict(
+            hierarchy=hierarchy, machine=machine, scenario=scenario,
+            backend=backend,
+        )
 
         workload = doc.get("workload")
         if workload is not None:
-            from repro.workloads import (
-                WorkloadError,
-                canonical_params,
-                workload_names,
-            )
-
             workload = str(workload)
-            if workload not in workload_names():
-                raise QueryError(
-                    f"unknown workload {workload!r} "
-                    f"(registered: {', '.join(workload_names())})"
-                )
             conflicting = sorted(
                 f
                 for f in ("collective", "algorithm", "total_bytes", "comm_size")
@@ -175,17 +167,15 @@ class PlacementQuery:
                     "name/value pairs"
                 )
             try:
-                wl_params = canonical_params(workload, raw_params)
-            except WorkloadError as err:
+                cell = workload_cell(workload, raw_params)
+            except ValueError as err:  # a WorkloadError or a lowering error
                 raise QueryError(str(err)) from None
-            return cls(
-                hierarchy=hierarchy,
-                machine=machine,
-                scenario=scenario,
-                backend=backend,
-                workload=workload,
-                workload_params=wl_params,
-            )
+            echo = {
+                "algorithm": None,
+                "workload": workload,
+                "workload_params": dict(cell.params),
+            }
+            return cls(cells=(cell,), echo=echo, **shape)
         if "workload_params" in doc:
             raise QueryError("workload_params requires a workload")
 
@@ -223,16 +213,11 @@ class PlacementQuery:
                     f"unknown algorithm {algorithm!r} for {collective!r} "
                     f"(known: {known or 'none'})"
                 )
-        return cls(
-            hierarchy=hierarchy,
-            comm_size=comm_size,
-            machine=machine,
-            collective=collective,
-            total_bytes=sizes,
-            scenario=scenario,
-            backend=backend,
-            algorithm=algorithm,
-        )
+        try:
+            cells = collective_cells([comm_size], [collective], sizes, algorithm)
+        except ValueError as err:  # duplicate sizes
+            raise QueryError(str(err)) from None
+        return cls(cells=cells, echo={"algorithm": algorithm}, **shape)
 
 
 class AdvisorService:
@@ -301,18 +286,7 @@ class AdvisorService:
     def plan(self, query: PlacementQuery) -> QueryPlan:
         """The (memoized) evaluable plan for a query."""
         backend = query.backend or self.default_backend
-        key = (
-            query.machine,
-            query.hierarchy,
-            query.comm_size,
-            query.collective,
-            query.total_bytes,
-            query.scenario,
-            query.algorithm,
-            backend,
-            query.workload,
-            query.workload_params,
-        )
+        key = (query.machine, query.hierarchy, query.cells, query.scenario, backend)
         plan = self._plans.get(key)
         if plan is not None:
             self._plans.move_to_end(key)
@@ -327,16 +301,9 @@ class AdvisorService:
             plan = plan_query(
                 topology,
                 hierarchy,
-                query.comm_size,
-                collective=query.collective,
-                total_bytes=query.total_bytes,
+                query.cells,
                 scenario=query.scenario,
-                algorithm=query.algorithm,
                 backend=backend,
-                workload=query.workload,
-                workload_params=dict(query.workload_params)
-                if query.workload is not None
-                else None,
             )
         except ValueError as err:
             raise QueryError(str(err)) from None
@@ -400,21 +367,17 @@ class AdvisorService:
         from repro import __version__
         from repro.engine.keys import CACHE_SCHEMA
 
-        doc = {
+        return {
             "backend": plan.backend,
             "machine": query.machine,
             "topology": plan.topology.name,
             "hierarchy": query.hierarchy,
-            "algorithm": plan.algorithm,
+            **query.echo,
             "version": __version__,
             "cache_schema": CACHE_SCHEMA,
             "n_classes": len(plan.classes),
             "n_requests": len(plan.requests),
         }
-        if plan.workload is not None:
-            doc["workload"] = plan.workload
-            doc["workload_params"] = dict(plan.workload_params)
-        return doc
 
     # -- introspection endpoints -------------------------------------------
 

@@ -18,6 +18,7 @@ from repro.workloads import (  # noqa: F401  (imported for registration)
 )
 from repro.workloads.base import (
     REQUIRED,
+    Cell,
     ParamSpec,
     UnknownWorkloadError,
     Workload,
@@ -27,19 +28,25 @@ from repro.workloads.base import (
     get_workload,
     lower_workload,
     register_workload,
+    workload_cell,
     workload_names,
 )
+from repro.workloads.collective import collective_cells, collective_params
 
 __all__ = [
     "REQUIRED",
+    "Cell",
     "ParamSpec",
     "UnknownWorkloadError",
     "Workload",
     "WorkloadError",
     "canonical_params",
+    "collective_cells",
+    "collective_params",
     "describe_workloads",
     "get_workload",
     "lower_workload",
     "register_workload",
+    "workload_cell",
     "workload_names",
 ]

@@ -203,6 +203,78 @@ def canonical_params(
     return tuple(sorted(out))
 
 
+@dataclass(frozen=True)
+class Cell:
+    """One traffic pattern of a query or sweep grid: the request shape's
+    traffic half.
+
+    ``workload`` and ``params`` (canonical pairs) are what an
+    :class:`~repro.engine.keys.EvalRequest` keys on.  ``comm_size`` is
+    the lowered program's rank count and ``total_bytes`` its declared
+    volume (the figure-axis payload for collectives).  Neither is keyed
+    separately: each follows from the params.
+    """
+
+    workload: str
+    params: tuple[tuple[str, Any], ...]
+    comm_size: int
+    total_bytes: float
+
+    @property
+    def name(self) -> str:
+        """The report label: the collective for collective cells, the
+        workload otherwise."""
+        if self.workload == "collective":
+            return dict(self.params)["collective"]
+        return self.workload
+
+    def request(self, model: str, topology, hierarchy, order):
+        """The micro-benchmark request scoring this cell for one order;
+        ``des`` requests also simulate the all-communicators scenario."""
+        from repro.engine.keys import EvalRequest
+
+        return EvalRequest(
+            model=model,
+            topology=topology,
+            hierarchy=hierarchy,
+            order=order,
+            comm_size=self.comm_size,
+            workload=self.workload,
+            workload_params=self.params,
+            extras=(("des_all", True),) if model == "des" else (),
+        )
+
+
+def check_grid(topology, hierarchy, cells, backend: str) -> None:
+    """Refuse a cell grid the machine cannot run: an unknown backend, a
+    hierarchy that does not match the machine, or a cell whose rank
+    count does not divide the machine's processes."""
+    from repro.ir import get_backend
+
+    get_backend(backend)  # unknown names raise, listing the registry
+    hierarchy.check_process_count(topology.n_cores)
+    for cell in cells:
+        if hierarchy.size % cell.comm_size:
+            raise ValueError(
+                f"{cell.name} needs {cell.comm_size} ranks, which does not "
+                f"divide the machine's {hierarchy.size} processes"
+            )
+
+
+def workload_cell(
+    name: str,
+    params: Mapping[str, Any] | tuple[tuple[str, Any], ...] | None = None,
+) -> Cell:
+    """The cell of one workload invocation: canonicalised and lowered
+    once, so its rank count and traffic volume are known up front."""
+    canonical = canonical_params(name, params)
+    program = lower_workload(name, canonical)
+    total = program.meta.total_bytes
+    if total is None:
+        total = program.total_bytes
+    return Cell(name, canonical, program.n_ranks, float(total))
+
+
 def lower_workload(
     name: str,
     params: Mapping[str, Any] | tuple[tuple[str, Any], ...] | None = None,

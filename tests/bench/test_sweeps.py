@@ -243,3 +243,31 @@ class TestEngineIntegration:
         second = verify_sweep([4], collectives=["allgather"], engine=engine)
         assert first == second
         assert engine.stats.evaluated == evaluated
+
+    @pytest.mark.parametrize("collective, p, size", [("alltoall", 16, 1e6),
+                                                     ("allreduce", 32, 16e6)])
+    def test_collective_and_workload_sweeps_share_one_cache(
+        self, collective, p, size
+    ):
+        """One request shape means one cache: a collective sweep warms
+        the equivalent ``collective`` workload sweep completely."""
+        from repro.bench.sweeps import workload_sweep
+        from repro.engine import SweepEngine
+
+        engine = SweepEngine()
+        orders = [(0, 1, 2, 3), (1, 0, 2, 3), (3, 2, 1, 0)]
+        records = sweep(
+            TOPO, H, comm_sizes=[p], collectives=[collective], sizes=[size],
+            orders=orders, engine=engine,
+        )
+        evaluated = engine.stats.evaluated
+        assert evaluated > 0
+        wl_records = workload_sweep(
+            TOPO, H, "collective",
+            {"collective": collective, "p": p, "total_bytes": size},
+            orders=orders, engine=engine,
+        )
+        assert engine.stats.evaluated == evaluated  # every key was warm
+        assert [
+            (repr(r.duration_single), repr(r.duration_all)) for r in wl_records
+        ] == [(repr(r.duration_single), repr(r.duration_all)) for r in records]

@@ -1,10 +1,13 @@
 """Unit tests for the order advisor."""
 
+import re
+
 import pytest
 
 from repro.core.advisor import advise
 from repro.core.hierarchy import Hierarchy
 from repro.topology.machines import hydra
+from repro.workloads import collective_cells
 
 H = Hierarchy((4, 2, 2, 8), ("node", "socket", "group", "core"))
 TOPO = hydra(4)
@@ -74,3 +77,27 @@ class TestAdvise:
         # Times must differ (different algorithms), even if the winner
         # happens to agree.
         assert a2a.best.predicted_seconds != ag.best.predicted_seconds
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"comm_size": 16}, ["comm_size"]),
+            ({"collective": "alltoall"}, ["collective"]),
+            (
+                {"total_bytes": (1e6,), "algorithm": "pairwise"},
+                ["algorithm", "total_bytes"],
+            ),
+        ],
+    )
+    def test_cells_refuse_collective_arguments(self, kwargs, named):
+        # Cells define the communicator size and traffic: a collective
+        # argument next to them would otherwise be silently ignored.
+        cells = collective_cells([16], ["alltoall"], [1e6])
+        with pytest.raises(ValueError, match=re.escape(f"must not name {named}")):
+            advise(TOPO, H, cells=cells, **kwargs)
+
+    def test_cells_answer_like_the_collective_query(self):
+        cells = collective_cells([16], ["alltoall"], [1e6, 64e6])
+        via_cells = advise(TOPO, H, cells=cells, backend="logp")
+        via_args = advise(TOPO, H, 16, backend="logp")
+        assert via_cells.to_jsonable() == via_args.to_jsonable()

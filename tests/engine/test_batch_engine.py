@@ -18,6 +18,7 @@ from repro.core.hierarchy import Hierarchy
 from repro.engine import EvalRequest, SweepEngine
 from repro.engine.journal import JOURNAL_NAME
 from repro.topology.machines import generic_cluster
+from repro.workloads import collective_params
 
 H = Hierarchy((2, 2, 4), names=("node", "socket", "core"))
 TOPO = generic_cluster((2, 2, 4), names=("node", "socket", "core"))
@@ -33,8 +34,8 @@ def _requests(model: str = "logp") -> list[EvalRequest]:
             hierarchy=H,
             order=order,
             comm_size=4,
-            collective="alltoall",
-            total_bytes=s,
+            workload="collective",
+            workload_params=collective_params("alltoall", 4, s),
         )
         for order in ORDERS
         for s in SIZES
@@ -132,9 +133,8 @@ class TestBatchFallback:
             model="verify",
             topology=TOPO,
             comm_size=4,
-            collective="alltoall",
-            algorithm="pairwise",
-            total_bytes=16e3,
+            workload="collective",
+            workload_params=collective_params("alltoall", 4, 16e3, "pairwise"),
         )
         eng = SweepEngine(cache_dir=tmp_path)
         res_b = eng.evaluate_batch([req])[0]
@@ -184,8 +184,8 @@ class TestMachineSpanningCommunicator:
                 hierarchy=H,
                 order=order,
                 comm_size=H.size,
-                collective="alltoall",
-                total_bytes=s,
+                workload="collective",
+                workload_params=collective_params("alltoall", H.size, s),
             )
             for order in ORDERS
             for s in SIZES

@@ -1,52 +1,52 @@
-"""Regression: frontier stacking over results containing salvaged
+"""Regression: assembling a result grid that contains salvaged
 EvalFailure records must raise a structured BatchEvaluationError naming
 the failed (order, payload) grid points -- not an opaque KeyError."""
 
 from __future__ import annotations
 
-import numpy as np
+import math
+
 import pytest
 
-from repro.engine import (
-    BatchEvalRequest,
-    BatchEvaluationError,
-    SweepEngine,
-    is_failure,
-)
+from repro.core.advisor import advice_from_results, plan_query
+from repro.engine import BatchEvaluationError, SweepEngine, is_failure
 from repro.engine.chaos import CHAOS_ENV
 from repro.topology.hwloc import parse_synthetic
 from repro.topology.machines import generic_cluster
+from repro.workloads import collective_cells
 
 H = parse_synthetic("node:2 socket:2 core:2")
 TOPO = generic_cluster(H.radices, H.names)
+SIZES = (1e5, 1e6)
 
 
-def _frontier() -> BatchEvalRequest:
-    return BatchEvalRequest(
-        model="round",
-        topology=TOPO,
-        hierarchy=H,
+def _plan():
+    return plan_query(
+        TOPO,
+        H,
+        collective_cells([4], ["alltoall"], SIZES),
         orders=((0, 1, 2), (2, 1, 0), (1, 0, 2)),
-        comm_size=4,
-        collective="alltoall",
-        total_bytes=(1e5, 1e6),
     )
+
+
+def _representatives(plan) -> list[tuple[int, ...]]:
+    return [tuple(sigs[0].order) for sigs in plan.classes]
 
 
 class TestStackWithFailures:
     def test_all_failures_raise_structured_error(self, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV, "flaky=1.0,attempts=5")
         engine = SweepEngine(max_attempts=1)
-        batch = _frontier()
-        results = engine.evaluate_many(batch.requests())
+        plan = _plan()
+        results = engine.evaluate_many(plan.requests)
         assert all(is_failure(r) for r in results)
         with pytest.raises(BatchEvaluationError) as exc:
-            batch.stack(results, "duration_all")
+            advice_from_results(plan, results)
         err = exc.value
-        assert len(err.points) == len(batch)
+        assert len(err.points) == len(plan)
         # Every grid coordinate is named, with its quarantine cause.
-        assert {p.order for p in err.points} == set(batch.orders)
-        assert {p.total_bytes for p in err.points} == set(batch.total_bytes)
+        assert {p.order for p in err.points} == set(_representatives(plan))
+        assert {p.total_bytes for p in err.points} == set(SIZES)
         assert all(p.cause == "exception" for p in err.points)
         assert "2-1-0" in str(err) and "100000" in str(err)
 
@@ -55,29 +55,26 @@ class TestStackWithFailures:
         # fail, some succeed, deterministically.
         monkeypatch.setenv(CHAOS_ENV, "flaky=0.5,attempts=5")
         engine = SweepEngine(max_attempts=1, prune=False)
-        batch = _frontier()
-        results = engine.evaluate_many(batch.requests())
+        plan = _plan()
+        results = engine.evaluate_many(plan.requests)
         failed_idx = {i for i, r in enumerate(results) if is_failure(r)}
         if not failed_idx or len(failed_idx) == len(results):
             pytest.skip("chaos draw left no mixed outcome for this grid")
-        n_sizes = len(batch.total_bytes)
         with pytest.raises(BatchEvaluationError) as exc:
-            batch.rank_orders(results)
-        named = {
-            (p.order, p.total_bytes) for p in exc.value.points
-        }
+            advice_from_results(plan, results)
+        named = {(p.order, p.total_bytes) for p in exc.value.points}
+        reps = _representatives(plan)
         expected = {
-            (batch.orders[i // n_sizes], batch.total_bytes[i % n_sizes])
-            for i in failed_idx
+            (reps[i // len(SIZES)], SIZES[i % len(SIZES)]) for i in failed_idx
         }
         assert named == expected
 
     def test_clean_grid_still_stacks(self, monkeypatch):
         monkeypatch.delenv(CHAOS_ENV, raising=False)
         engine = SweepEngine()
-        batch = _frontier()
-        results = engine.evaluate_many(batch.requests())
-        stacked = batch.stack(results, "duration_all")
-        assert stacked.shape == (len(batch.orders), len(batch.total_bytes))
-        assert np.isfinite(stacked).all()
-        assert len(batch.rank_orders(results)) == len(batch.orders)
+        plan = _plan()
+        advice = advice_from_results(plan, engine.evaluate_many(plan.requests))
+        assert len(advice.recommendations) == len(plan.classes)
+        assert all(
+            math.isfinite(r.predicted_seconds) for r in advice.recommendations
+        )

@@ -36,6 +36,7 @@ from repro.engine.distributed import (
 from repro.engine.journal import JOURNAL_NAME
 from repro.faults.model import FaultSchedule, FaultSpec
 from repro.topology.machines import generic_cluster
+from repro.workloads import collective_params, workload_cell
 
 NAMES = ("node", "socket", "core")
 
@@ -47,7 +48,8 @@ def _requests(radices=(2, 2, 4), comm_size=4, models=("round",), sizes=(1e6,)):
     return [
         EvalRequest(
             model=model, topology=topo, hierarchy=h, order=order,
-            comm_size=comm_size, collective="alltoall", total_bytes=nbytes,
+            comm_size=comm_size, workload="collective",
+            workload_params=collective_params("alltoall", comm_size, nbytes),
         )
         for model in models
         for order in all_orders(h.depth)
@@ -68,7 +70,8 @@ class TestWireFormat:
         )
         request = EvalRequest(
             model="des", topology=topo, hierarchy=h, order=(1, 0),
-            comm_size=4, collective="allreduce", total_bytes=12345.678,
+            comm_size=4, workload="collective",
+            workload_params=collective_params("allreduce", 4, 12345.678),
             seed=7, schedule=schedule,
             extras=(("des_all", True), ("nested", (1, (2, 3)))),
         )
@@ -82,7 +85,8 @@ class TestWireFormat:
         topo = generic_cluster((2,), names=("node",))
         request = EvalRequest(
             model="des", topology=topo, hierarchy=h, order=(0,),
-            comm_size=2, collective="allgather", total_bytes=1e6,
+            comm_size=2, workload="collective",
+            workload_params=collective_params("allgather", 2, 1e6),
             schedule=FaultSchedule(
                 (FaultSpec(kind="node_crash", start=1.0, target=0),)
             ),
@@ -100,10 +104,7 @@ wire_configs = st.fixed_dictionaries(
         "model": st.sampled_from(["logp", "round", "des"]),
         "radices": st.sampled_from([(2, 2), (2, 2, 4), (4, 2, 2)]),
         "comm_size": st.sampled_from([2, 4, 8]),
-        "collective": st.sampled_from(["alltoall", "allgather", "allreduce"]),
-        "total_bytes": st.floats(1.0, 1e9, allow_nan=False),
         "seed": st.integers(0, 2**31 - 1),
-        "algorithm": st.sampled_from([None, "ring", "rd"]),
         "extras": st.sampled_from(
             [(), (("des_all", True),), (("a", 1), ("b", (2.5, "x")))]
         ),
@@ -111,23 +112,58 @@ wire_configs = st.fixed_dictionaries(
 )
 
 
+#: Raw values per schema kind; canonicalisation coerces them.
+PARAM_VALUES = {
+    "int": st.integers(0, 64),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(max_size=8),
+    "bool": st.booleans(),
+    "int_tuple": st.lists(st.integers(0, 8), max_size=3),
+    "json": st.recursive(
+        st.one_of(
+            st.integers(-5, 5),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.text(max_size=3),
+        ),
+        lambda inner: st.lists(inner, max_size=3),
+        max_leaves=8,
+    ),
+}
+
+
+@st.composite
+def workload_invocations(draw):
+    """Any registered workload with canonical (never lowered) params."""
+    from repro.workloads import canonical_params, get_workload, workload_names
+
+    name = draw(st.sampled_from(workload_names()))
+    raw = {}
+    for spec in get_workload(name).params:
+        if spec.required or draw(st.booleans()):
+            raw[spec.name] = draw(PARAM_VALUES[spec.kind])
+    return name, canonical_params(name, raw)
+
+
 @settings(max_examples=40, deadline=None)
-@given(wire_configs)
-def test_property_wire_round_trip_is_key_preserving(cfg):
-    """Any representable request survives manager -> JSON -> worker with
-    its content key -- and therefore its cache identity -- intact."""
+@given(wire_configs, workload_invocations())
+def test_property_wire_round_trip_is_key_preserving(cfg, invocation):
+    """Any representable request -- every registered workload, with
+    canonical params -- survives manager -> JSON -> worker with its
+    content key, and therefore its cache identity, intact."""
     names = NAMES[: len(cfg["radices"])]
     h = Hierarchy(cfg["radices"], names=names)
     topo = generic_cluster(cfg["radices"], names=names)
     order = tuple(range(h.depth))[::-1]
+    workload, params = invocation
     request = EvalRequest(
         model=cfg["model"], topology=topo, hierarchy=h, order=order,
-        comm_size=cfg["comm_size"], collective=cfg["collective"],
-        algorithm=cfg["algorithm"], total_bytes=cfg["total_bytes"],
+        comm_size=cfg["comm_size"], workload=workload, workload_params=params,
         seed=cfg["seed"], extras=cfg["extras"],
     )
     wired = request_from_wire(json.loads(json.dumps(request_to_wire(request))))
     assert wired.key == request.key
+    assert wired.workload_params == request.workload_params  # tuples restored
+    hash(wired)
 
 
 class TestFraming:
@@ -217,6 +253,24 @@ class TestDistributedDeterminism:
         assert len(results) == len(requests)
         # The death was observed as a crash and/or covered by a respawn.
         assert stats.crashes >= 1 or stats.workers_respawned >= 1
+
+    def test_one_worker_evaluates_workload_request_bitwise(self):
+        """A dnn request evaluated on a socket worker matches the
+        in-process result bit for bit, with nothing quarantined."""
+        topo = generic_cluster((2, 2, 4), names=NAMES)
+        cell = workload_cell(
+            "dnn", {"dp": 2, "tp": 2, "pp": 2, "hidden": 32, "seq": 16}
+        )
+        request = cell.request("round", topo, topo.hierarchy, (2, 1, 0))
+        expected = SweepEngine().evaluate(request)
+        engine = SweepEngine()
+        with DistributedSupervisor(spawn=1, policy=engine.retry_policy) as disp:
+            engine.dispatcher = disp
+            (got,) = engine.evaluate_many([request])
+            assert disp.n_connected == 1
+            assert not disp.stats.degraded_serial  # the worker computed it
+        assert engine.stats.quarantined == 0
+        assert repr(got) == repr(expected)
 
     def test_empty_pool_degrades_to_serial(self):
         """No workers ever connect: the run still completes, in-process,

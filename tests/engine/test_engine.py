@@ -16,6 +16,7 @@ from repro.engine import (
 )
 from repro.engine.evaluators import EVALUATORS
 from repro.topology.machines import generic_cluster
+from repro.workloads import collective_params
 
 
 H = Hierarchy((2, 2, 4), names=("node", "socket", "core"))
@@ -33,15 +34,15 @@ def _round_req(order=(0, 1, 2), total=1e6, **overrides) -> EvalRequest:
         hierarchy=H,
         order=order,
         comm_size=4,
-        collective="alltoall",
-        total_bytes=total,
+        workload="collective",
+        workload_params=collective_params("alltoall", 4, total),
     )
     base.update(overrides)
     return EvalRequest(**base)
 
 
 def _order_blind_eval(req: EvalRequest) -> dict:
-    return {"value": float(req.total_bytes or 0.0)}
+    return {"value": float(req.param("total_bytes") or 0.0)}
 
 
 def _order_sensitive_eval(req: EvalRequest) -> dict:
@@ -208,7 +209,7 @@ class TestRobustness:
 
     def _boom_on(self, total):
         def eval_or_boom(req: EvalRequest) -> dict:
-            if req.total_bytes == total:
+            if req.param("total_bytes") == total:
                 raise RuntimeError("permanently broken cell")
             return _order_blind_eval(req)
 

@@ -19,6 +19,7 @@ from repro.core.hierarchy import Hierarchy  # noqa: E402
 from repro.core.orders import all_orders  # noqa: E402
 from repro.engine import EvalRequest, SweepEngine  # noqa: E402
 from repro.topology.machines import generic_cluster  # noqa: E402
+from repro.workloads import collective_params
 
 RADICES = [(2, 2, 4), (4, 2, 2), (2, 4, 2)]
 
@@ -42,8 +43,10 @@ def _requests(cfg) -> list[EvalRequest]:
             hierarchy=h,
             order=order,
             comm_size=cfg["comm_size"],
-            collective=cfg["collective"],
-            total_bytes=cfg["total_bytes"],
+            workload="collective",
+            workload_params=collective_params(
+                cfg["collective"], cfg["comm_size"], cfg["total_bytes"],
+            ),
         )
         for order in all_orders(h.depth)
     ]

@@ -26,6 +26,7 @@ from repro.engine.fidelity import (
     default_rungs,
 )
 from repro.topology.machines import generic_cluster
+from repro.workloads import collective_params
 
 NAMES = ("node", "socket", "core")
 
@@ -76,7 +77,8 @@ class TestPromotionMath:
             return [
                 EvalRequest(
                     model=model, topology=topo, hierarchy=h, order=order,
-                    comm_size=4, collective="alltoall", total_bytes=1e6,
+                    comm_size=4, workload="collective",
+                    workload_params=collective_params("alltoall", 4, 1e6),
                 )
             ]
 
@@ -108,7 +110,8 @@ class TestPromotionMath:
             return [
                 EvalRequest(
                     model=model, topology=topo, hierarchy=h, order=order,
-                    comm_size=4, collective="alltoall", total_bytes=1e6,
+                    comm_size=4, workload="collective",
+                    workload_params=collective_params("alltoall", 4, 1e6),
                 )
             ]
 
@@ -138,7 +141,8 @@ class TestPromotionMath:
             return [
                 EvalRequest(
                     model=model, topology=topo, hierarchy=h, order=order,
-                    comm_size=4, collective="alltoall", total_bytes=1e6,
+                    comm_size=4, workload="collective",
+                    workload_params=collective_params("alltoall", 4, 1e6),
                 )
             ]
 
@@ -168,7 +172,8 @@ class TestPromotionMath:
             return [
                 EvalRequest(
                     model=model, topology=topo, hierarchy=h, order=order,
-                    comm_size=4, collective="alltoall", total_bytes=1e6,
+                    comm_size=4, workload="collective",
+                    workload_params=collective_params("alltoall", 4, 1e6),
                 )
             ]
 
@@ -317,7 +322,8 @@ class TestLadderSweepPlumbing:
             for r in (
                 EvalRequest(
                     model="round", topology=topo, hierarchy=h, order=o,
-                    comm_size=4, collective="alltoall", total_bytes=1e6,
+                    comm_size=4, workload="collective",
+                    workload_params=collective_params("alltoall", 4, 1e6),
                 )
                 for o in all_orders(h.depth)
             )
@@ -340,7 +346,8 @@ class TestLadderSweepPlumbing:
             return [
                 EvalRequest(
                     model=model, topology=topo, hierarchy=h, order=order,
-                    comm_size=4, collective=collective, total_bytes=1e6,
+                    comm_size=4, workload="collective",
+                    workload_params=collective_params(collective, 4, 1e6),
                 )
             ]
 

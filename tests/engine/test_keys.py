@@ -8,6 +8,7 @@ from repro.core.hierarchy import Hierarchy
 from repro.engine import CACHE_SCHEMA, EvalRequest
 from repro.engine.keys import _jsonify, topology_fingerprint
 from repro.topology.machines import generic_cluster
+from repro.workloads import collective_params
 
 
 H = Hierarchy((2, 2, 4), names=("node", "socket", "core"))
@@ -20,8 +21,8 @@ def _req(**overrides) -> EvalRequest:
         hierarchy=H,
         order=(2, 1, 0),
         comm_size=4,
-        collective="alltoall",
-        total_bytes=1e6,
+        workload="collective",
+        workload_params=collective_params("alltoall", 4, 1e6),
     )
     base.update(overrides)
     return EvalRequest(**base)
@@ -62,9 +63,9 @@ class TestKeySensitivity:
             {"model": "des"},
             {"order": (0, 1, 2)},
             {"comm_size": 8},
-            {"collective": "allgather"},
-            {"algorithm": "pairwise"},
-            {"total_bytes": 2e6},
+            {"workload_params": collective_params("allgather", 4, 1e6)},
+            {"workload_params": collective_params("alltoall", 4, 1e6, "pairwise")},
+            {"workload_params": collective_params("alltoall", 4, 2e6)},
             {"seed": 7},
             {"extras": (("mode", "pipelined"),)},
         ],
@@ -87,8 +88,10 @@ class TestKeySensitivity:
         assert _req(hierarchy=masked).key != _req().key
 
     def test_near_boundary_floats_key_apart(self):
-        a = _req(total_bytes=1e6)
-        b = _req(total_bytes=1e6 * (1 + 1e-12))
+        a = _req(workload_params=collective_params("alltoall", 4, 1e6))
+        b = _req(
+            workload_params=collective_params("alltoall", 4, 1e6 * (1 + 1e-12))
+        )
         assert a.key != b.key
 
 

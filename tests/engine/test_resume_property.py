@@ -23,6 +23,7 @@ from repro.core.hierarchy import Hierarchy  # noqa: E402
 from repro.engine import EvalRequest, SweepEngine  # noqa: E402
 from repro.engine.evaluators import EVALUATORS  # noqa: E402
 from repro.topology.machines import generic_cluster  # noqa: E402
+from repro.workloads import collective_params
 
 
 H = Hierarchy((2, 2, 4), names=("node", "socket", "core"))
@@ -32,7 +33,7 @@ N_POINTS = 5
 
 def _probe_eval(req: EvalRequest) -> dict:
     # Deterministic, key-dependent, and cheap: a stand-in for any model.
-    return {"value": float(req.total_bytes or 0.0) * 1.5, "tag": 7.0}
+    return {"value": float(req.param("total_bytes") or 0.0) * 1.5, "tag": 7.0}
 
 
 if "resume_probe" not in EVALUATORS:  # once per session; workers inherit
@@ -47,8 +48,8 @@ def _requests() -> list[EvalRequest]:
             hierarchy=H,
             order=(0, 1, 2),
             comm_size=4,
-            collective="alltoall",
-            total_bytes=float((i + 1) * 10_000),
+            workload="collective",
+            workload_params=collective_params("alltoall", 4, float((i + 1) * 10_000)),
         )
         for i in range(N_POINTS)
     ]

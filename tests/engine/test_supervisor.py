@@ -17,6 +17,7 @@ from repro.engine.evaluators import EVALUATORS
 from repro.engine.supervisor import EvalFailure, TaskSupervisor
 from repro.topology.machines import generic_cluster
 from repro.util.retry import RetryPolicy
+from repro.workloads import collective_params
 
 
 H = Hierarchy((2, 2, 4), names=("node", "socket", "core"))
@@ -31,15 +32,15 @@ def _reqs(n: int) -> list[EvalRequest]:
             hierarchy=H,
             order=(0, 1, 2),
             comm_size=4,
-            collective="alltoall",
-            total_bytes=float((i + 1) * 100_000),
+            workload="collective",
+            workload_params=collective_params("alltoall", 4, float((i + 1) * 100_000)),
         )
         for i in range(n)
     ]
 
 
 def _cheap_eval(req: EvalRequest) -> dict:
-    return {"value": float(req.total_bytes or 0.0)}
+    return {"value": float(req.param("total_bytes") or 0.0)}
 
 
 @pytest.fixture
@@ -48,7 +49,7 @@ def cheap_round(monkeypatch):
 
 
 def _expected(reqs):
-    return [{"value": float(r.total_bytes)} for r in reqs]
+    return [{"value": float(r.param("total_bytes"))} for r in reqs]
 
 
 class TestHealthyPath:
@@ -147,7 +148,7 @@ class TestQuarantine:
         # Satellite bugfix: one always-failing task must not discard the
         # batch's completed results.
         def eval_or_boom(req: EvalRequest) -> dict:
-            if req.total_bytes == 200_000:
+            if req.param("total_bytes") == 200_000:
                 raise RuntimeError("permanently broken cell")
             return _cheap_eval(req)
 

@@ -3,8 +3,8 @@
 The bitwise contract of the vectorized evaluation path is that batching
 changes *cost*, never *results*: for any sampled frontier of (hierarchy,
 communicator, collective, payload sizes, orders), driving it through
-``evaluate_batch()`` must reproduce N scalar ``evaluate()`` calls bit for
-bit -- equal ``repr`` on every duration, hence identical order rankings
+``SweepEngine.evaluate_batch()`` must reproduce N scalar ``evaluate()``
+calls bit for bit -- equal ``repr`` on every duration, hence identical order rankings
 -- for both the ``logp`` and ``round`` backends.  A second property pins
 the same contract one layer down, on ``run_batch`` vs ``run`` of the
 backend instances themselves, with size pools chosen to straddle the
@@ -31,11 +31,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.bench.microbench import comm_members  # noqa: E402
 from repro.core.hierarchy import Hierarchy  # noqa: E402
 from repro.core.orders import all_orders  # noqa: E402
-from repro.engine import (  # noqa: E402
-    BatchEvalRequest,
-    SweepEngine,
-    evaluate_batch,
-)
+from repro.engine import SweepEngine  # noqa: E402
 from repro.ir import (  # noqa: E402
     CommProgram,
     CommRound,
@@ -45,7 +41,7 @@ from repro.ir import (  # noqa: E402
 )
 from repro.netsim.fabric import Fabric, RoundSchedule  # noqa: E402
 from repro.topology.machines import generic_cluster  # noqa: E402
-from repro.workloads import lower_workload  # noqa: E402
+from repro.workloads import collective_cells, lower_workload  # noqa: E402
 
 RADICES = [(2, 2, 4), (4, 2, 2), (2, 4, 2), (2, 2, 2, 2)]
 #: Payload pool straddling the alltoall bruck/pairwise threshold
@@ -93,23 +89,30 @@ class TestEvaluateBatchDifferential:
     @settings(max_examples=25)
     def test_bitwise_equal_and_same_ranking(self, backend, cfg):
         topo = generic_cluster(cfg["radices"])
-        batch = BatchEvalRequest(
-            model=backend,
-            topology=topo,
-            hierarchy=cfg["hierarchy"],
-            orders=cfg["orders"],
-            comm_size=cfg["comm_size"],
-            collective=cfg["collective"],
-            total_bytes=cfg["sizes"],
+        cells = collective_cells(
+            [cfg["comm_size"]], [cfg["collective"]], cfg["sizes"]
         )
-        batched = evaluate_batch(batch, SweepEngine())
+        requests = [
+            cell.request(backend, topo, cfg["hierarchy"], order)
+            for order in cfg["orders"]
+            for cell in cells
+        ]
+        batched = SweepEngine().evaluate_batch(requests)
         scalar_engine = SweepEngine()
-        scalar = [scalar_engine.evaluate(r) for r in batch.requests()]
+        scalar = [scalar_engine.evaluate(r) for r in requests]
         assert [repr(r) for r in batched] == [repr(r) for r in scalar]
+
+        def ranking(results, key):
+            n = len(cells)
+            totals = [
+                sum(float(r[key]) for r in results[i * n : (i + 1) * n])
+                for i in range(len(cfg["orders"]))
+            ]
+            ranked = sorted(range(len(totals)), key=lambda i: (totals[i], i))
+            return [cfg["orders"][i] for i in ranked]
+
         for key in ("duration_all", "duration_single"):
-            assert batch.rank_orders(batched, key) == batch.rank_orders(
-                scalar, key
-            )
+            assert ranking(batched, key) == ranking(scalar, key)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

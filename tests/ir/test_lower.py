@@ -11,9 +11,9 @@ from repro.ir import (
     from_rounds,
     placed_rounds,
     round_endpoints,
-    splatt_mode_program,
     validate_program,
 )
+from repro.workloads import lower_workload
 
 
 class _AdHocRound:
@@ -65,7 +65,7 @@ class TestCollectiveProgram:
 class TestSplattModeProgram:
     def test_no_self_flows_and_volume(self):
         p, per_pair = 4, 100.0
-        prog = splatt_mode_program(per_pair, p)
+        prog = lower_workload("splatt", {"p": p, "per_pair_bytes": per_pair})
         assert prog.meta.source == "splatt"
         assert validate_program(prog).ok
         for rnd in prog.rounds:

@@ -16,6 +16,7 @@ from repro.service.app import (
 )
 from repro.topology.hwloc import parse_synthetic
 from repro.topology.machines import hydra
+from repro.workloads import collective_cells, workload_cell
 
 GOOD = {"hierarchy": "node:2 socket:2 core:2", "comm_size": 8}
 
@@ -24,14 +25,13 @@ class TestQueryParsing:
     def test_defaults(self):
         q = PlacementQuery.from_doc(dict(GOOD))
         assert q.machine == "generic"
-        assert q.collective == "alltoall"
-        assert q.total_bytes == (1e6, 64e6)
+        assert q.cells == collective_cells([8], ["alltoall"], (1e6, 64e6))
         assert q.scenario == "all"
         assert q.backend is None
 
     def test_scalar_total_bytes_promoted(self):
         q = PlacementQuery.from_doc({**GOOD, "total_bytes": 4096})
-        assert q.total_bytes == (4096.0,)
+        assert [c.total_bytes for c in q.cells] == [4096.0]
 
     @pytest.mark.parametrize(
         "doc, match",
@@ -49,6 +49,7 @@ class TestQueryParsing:
             ({**GOOD, "total_bytes": [-1.0]}, "positive"),
             ({**GOOD, "scenario": "some"}, "scenario"),
             ({**GOOD, "algorithm": "magic"}, "unknown algorithm"),
+            ({**GOOD, "total_bytes": [1e6, 1e6]}, "duplicate sizes"),
         ],
     )
     def test_rejects_bad_docs(self, doc, match):
@@ -63,10 +64,11 @@ class TestQueryParsing:
                 "workload_params": {"dp": 2, "tp": 4},
             }
         )
-        assert q.workload == "dnn"
-        assert q.comm_size is None
-        assert dict(q.workload_params)["dp"] == 2
-        assert dict(q.workload_params)["tp"] == 4
+        (cell,) = q.cells
+        assert cell.workload == "dnn"
+        assert cell.comm_size == 8  # the lowered program's rank count
+        assert dict(cell.params)["dp"] == 2
+        assert dict(cell.params)["tp"] == 4
 
     @pytest.mark.parametrize(
         "doc, match",
@@ -211,8 +213,7 @@ class TestAdvise:
             offline = advise(
                 generic_cluster(h.radices, h.names),
                 h,
-                workload="dnn",
-                workload_params=dict(params),
+                cells=(workload_cell("dnn", params),),
                 backend="logp",
                 batch=True,
             )

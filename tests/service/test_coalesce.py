@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.service.coalesce import KeyCoalescer
+from repro.workloads import collective_params
 
 
 class FakeRequest:
@@ -182,8 +183,8 @@ class TestWarmProbe:
             grid = [
                 EvalRequest(
                     model="logp", topology=topo, hierarchy=topo.hierarchy,
-                    order=(0, 1), comm_size=2, collective="alltoall",
-                    total_bytes=nbytes,
+                    order=(0, 1), comm_size=2, workload="collective",
+                    workload_params=collective_params("alltoall", 2, nbytes),
                 )
                 for nbytes in (1e5, 1e6)
             ]

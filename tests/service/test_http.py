@@ -318,12 +318,12 @@ class TestSharedCacheDir:
         h = parse_synthetic(QUERY["hierarchy"])
         sweeper = SweepEngine(cache_dir=tmp_path)
         from repro.core.advisor import plan_query
+        from repro.workloads import collective_cells
 
         plan = plan_query(
             generic_cluster(h.radices, h.names),
             h,
-            QUERY["comm_size"],
-            total_bytes=tuple(QUERY["total_bytes"]),
+            collective_cells([QUERY["comm_size"]], ["alltoall"], QUERY["total_bytes"]),
             backend="logp",
         )
         sweeper.evaluate_batch(list(plan.requests))

@@ -1,5 +1,8 @@
 """Unit tests for the repro-mrd command-line interface."""
 
+import csv
+import io
+
 import pytest
 
 from repro.cli import main
@@ -268,6 +271,74 @@ class TestWorkloads:
                 [
                     "sweep", "-H", "[[2,2,4]]", "--comm-sizes", "4",
                     "--workload", "stencil", "--param", "dims=[4,4]",
+                ]
+            )
+
+    def test_sweep_refuses_collective_flags_with_workload(self):
+        # Each of these used to be silently ignored next to --workload.
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "sweep", "--machine", "generic", "-H", "a:2 b:4",
+                    "--workload", "collective",
+                    "--param", "collective=alltoall", "--param", "p=8",
+                    "--param", "total_bytes=1e6",
+                    "--algorithm", "bogus", "--collectives", "nonsense",
+                    "--sizes", "5",
+                ]
+            )
+        assert str(err.value) == (
+            "workload queries must not name ['--algorithm', '--collectives', "
+            "'--sizes']: the lowered workload defines the communicator size "
+            "and traffic volume"
+        )
+
+    @pytest.mark.parametrize(
+        "flags", [["--algorithm", "ring"], ["--collectives", "allgather"],
+                  ["--sizes", "1e6"]],
+    )
+    def test_sweep_refuses_each_collective_flag(self, flags):
+        with pytest.raises(SystemExit, match=rf"must not name \['{flags[0]}'\]"):
+            main(
+                [
+                    "sweep", "-H", "[[2,2,4]]",
+                    "--workload", "stencil", "--param", "dims=[4,4]", *flags,
+                ]
+            )
+
+    def test_advise_refuses_collective_with_workload(self):
+        with pytest.raises(
+            SystemExit, match=r"workload queries must not name \['--collective'\]"
+        ):
+            main(
+                [
+                    "advise", "-H", "node:2 socket:2 core:4",
+                    "--workload", "dnn", "--dp", "2", "--tp", "2",
+                    "--collective", "allgather",
+                ]
+            )
+
+    def test_collective_defaults_apply_without_flags(self, capsys):
+        # Defaults moved out of argparse: an unflagged sweep still runs the
+        # alltoall grid at 1e6 and 64e6 bytes.
+        rc, out = run_cli(
+            capsys, "sweep", "-H", "[[2,2,4]]", "--comm-sizes", "4",
+            "--orders", "0-1-2",
+        )
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["collective"], float(r["total_bytes"])) for r in rows] == [
+            ("alltoall", 1e6), ("alltoall", 64e6)
+        ]
+
+    def test_sweep_refuses_duplicate_sizes(self):
+        with pytest.raises(
+            SystemExit, match=r"duplicate sizes in \[1000000.0, 1000000.0\]"
+        ):
+            main(
+                [
+                    "sweep", "-H", "[[2,2,4]]", "--comm-sizes", "4",
+                    "--sizes", "1e6,1e6", "--orders", "0-1-2",
                 ]
             )
 

@@ -9,9 +9,9 @@ Three contracts:
   across the ``round``/``des``/``logp`` backends
   (``tests/workloads/golden_dnn.json``, regenerated with
   ``tests/verify/regen_golden.py --dnn``);
-- **keys**: workload requests extend :class:`~repro.engine.keys
-  .EvalRequest` canonical documents without touching legacy
-  (collective-shaped) keys.
+- **keys**: every traffic request is a workload request in its
+  :class:`~repro.engine.keys.EvalRequest` canonical document, collective
+  points included.
 """
 
 import json
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir import validate_program
-from repro.workloads import WorkloadError, lower_workload
+from repro.workloads import WorkloadError, collective_params, lower_workload
 
 GOLDEN = Path(__file__).parent / "golden_dnn.json"
 
@@ -142,7 +142,7 @@ class TestRequestKeys:
 
         return generic_cluster((2, 2, 4))
 
-    def test_legacy_canonical_untouched_without_workload(self):
+    def test_collective_requests_are_workload_requests(self):
         from repro.engine.keys import EvalRequest
 
         topo = self.topo()
@@ -152,12 +152,18 @@ class TestRequestKeys:
             hierarchy=topo.hierarchy,
             order=(2, 1, 0),
             comm_size=16,
-            collective="alltoall",
-            total_bytes=1e5,
+            workload="collective",
+            workload_params=collective_params("alltoall", 16, 1e5),
         )
         doc = req.canonical()
-        assert "workload" not in doc
-        assert "workload_params" not in doc
+        assert doc["workload"] == "collective"
+        assert doc["workload_params"] == {
+            "algorithm": None,
+            "collective": "alltoall",
+            "p": 16,
+            "total_bytes": repr(1e5),
+        }
+        assert not {"collective", "algorithm", "total_bytes"} & set(doc)
 
     def test_workload_extends_the_key(self):
         from repro.engine.keys import EvalRequest

@@ -5,24 +5,25 @@ Two contracts are locked here:
 - **registry semantics**: names, schemas, canonicalisation, structured
   errors, and the validate/freeze/memoize policy of the single lowering
   path (:func:`repro.workloads.lower_workload`);
-- **producer equivalence**: every historical entry point in
-  :mod:`repro.ir.lower` (collective/stencil/nascg/splatt) is now a thin
-  shim over the registry and must keep producing bitwise-identical
-  programs.
+- **producer equivalence**: every producer's registry workload
+  (collective/stencil/nascg/splatt) keeps producing the programs its
+  application model's own round lists lower to, bit for bit;
+  ``collective_program`` stays a thin shim over the registry.
 """
 
 import numpy as np
 import pytest
 
 from repro.ir import CommProgram, collective_program
-from repro.ir.lower import nascg_program, splatt_mode_program, stencil_program
 from repro.workloads import (
     UnknownWorkloadError,
     WorkloadError,
     canonical_params,
+    collective_cells,
     describe_workloads,
     get_workload,
     lower_workload,
+    workload_cell,
     workload_names,
 )
 
@@ -109,6 +110,37 @@ class TestLowerWorkload:
             )
 
 
+class TestCells:
+    def test_collective_grid_is_comm_major_size_minor(self):
+        cells = collective_cells([4, 8], ["alltoall", "allgather"], [1e6, 64e6])
+        assert [(c.comm_size, c.name, c.total_bytes) for c in cells] == [
+            (p, coll, size)
+            for p in (4, 8)
+            for coll in ("alltoall", "allgather")
+            for size in (1e6, 64e6)
+        ]
+        assert {c.workload for c in cells} == {"collective"}
+
+    def test_workload_cell_is_named_after_its_workload(self):
+        cell = workload_cell("stencil", {"dims": [4, 4]})
+        assert (cell.name, cell.comm_size) == ("stencil", 16)
+
+    @pytest.mark.parametrize(
+        "axes, label",
+        [
+            (([4, 4], ["alltoall"], [1e6]), "comm sizes"),
+            (([4], ["alltoall", "alltoall"], [1e6]), "collectives"),
+            (([4], ["alltoall"], [1e6, 64e6, 1e6]), "sizes"),
+        ],
+    )
+    def test_duplicate_axis_values_refused(self, axes, label):
+        # The ladder's metric rung sums over distinct (comm_size, payload)
+        # pairs; a duplicated axis value would make it disagree with the
+        # engine rungs, which score one request per cell.
+        with pytest.raises(WorkloadError, match=f"duplicate {label}"):
+            collective_cells(*axes)
+
+
 class TestProducerShims:
     """ir.lower entry points stay bitwise-equal to direct lowerings."""
 
@@ -136,7 +168,15 @@ class TestProducerShims:
         topo = generic_cluster((2, 2, 4), names=h.names)
         model = StencilModel(topo, h, dims)
         cart = CartTopology(h, dims, (2, 1, 0))
-        shim = stencil_program(model, cart)
+        shim = lower_workload(
+            "stencil",
+            {
+                "dims": tuple(model.dims),
+                "periodic": tuple(int(f) for f in cart.periodic),
+                "cell_bytes": model.cell_bytes,
+                "local_extent": model.local_extent,
+            },
+        )
         legacy = from_rounds(model.exchange_rounds(cart), n_ranks=shim.n_ranks)
         assert_programs_equal(shim, legacy)
 
@@ -147,7 +187,7 @@ class TestProducerShims:
         from repro.topology.machines import lumi_node
 
         model = CGTimeModel(lumi_node(), "C")
-        shim = nascg_program(model, p)
+        shim = lower_workload("nascg", {"klass": model.klass.name, "p": p})
         legacy = from_rounds(model.comm_rounds_per_iteration(p), n_ranks=p)
         assert_programs_equal(shim, legacy)
 
@@ -156,7 +196,9 @@ class TestProducerShims:
         from repro.collectives.misc import alltoallv_pairwise_rounds
         from repro.ir.lower import from_rounds
 
-        shim = splatt_mode_program(1e4, p, mode=1)
+        shim = lower_workload(
+            "splatt", {"p": p, "per_pair_bytes": 1e4, "mode": 1}
+        )
         sizes = np.full((p, p), 1e4)
         np.fill_diagonal(sizes, 0.0)
         legacy = from_rounds(alltoallv_pairwise_rounds(sizes), n_ranks=p)
