@@ -20,10 +20,11 @@ backends register at import time:
     crossing latency and ``rate_coeff`` is the worst per-flow inverse
     fair share -- each flow's busiest up/down link (and the root
     capacity) priced exactly as the round model prices it, but with the
-    latency and bandwidth maxima decoupled into a closed form.  Round
-    *structure* is analysed once per (placement, pattern) and reused
-    across payload sizes, so order sweeps run an order of magnitude
-    faster than ``round``, at advisory (ranking) fidelity.
+    latency and bandwidth maxima decoupled into a closed form.  Only
+    that ``(alpha, rate_coeff)`` pair is memoized per (placement,
+    pattern), in the per-topology fabric beside the round model's
+    structures, so a warm memo covers many more placements in the same
+    memory; the model is advisory (ranking) fidelity.
 
 Backends are looked up by name through the registry
 (:func:`get_backend` for a shared per-process instance whose caches
@@ -32,7 +33,6 @@ amortize across calls, :func:`create_backend` for a cold instance).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -305,12 +305,12 @@ class _AnalyticBackend:
     Per alignment group and placement, each distinct round pattern gets
     one memoized structural analysis, and the ``(n_programs, R)`` time
     matrix fills with vector ops over whole patterns rather than one
-    round at a time.  A kernel supplies the structures (``(live, lat,
-    share, ...)`` per pattern), their pricing of scalar and per-flow
-    payloads, and the summation of the time matrix, which runs along the
-    round axis with ``np.add.accumulate``: its strictly sequential
-    additions keep the round-by-round ``total += t * repeat`` order bit
-    for bit.
+    round at a time.  A kernel supplies the memoized structures (what
+    scalar payloads need per pattern), the ``(live, lat, share)`` of the
+    patterns carrying per-flow payloads, their pricing, and the
+    summation of the time matrix, which runs along the round axis with
+    ``np.add.accumulate``: its strictly sequential additions keep the
+    round-by-round ``total += t * repeat`` order bit for bit.
     """
 
     name: str
@@ -322,8 +322,9 @@ class _AnalyticBackend:
         self._fabrics: Dict[MachineTopology, Fabric] = {}
 
     def fabric(self, topology: MachineTopology) -> Fabric:
-        """The per-topology :class:`~repro.netsim.fabric.Fabric` (shared
-        pattern cache across every call on this backend instance)."""
+        """The per-topology :class:`~repro.netsim.fabric.Fabric`, which
+        holds both kernels' structure memos across every call on this
+        backend instance."""
         from repro.netsim.fabric import Fabric
 
         fab = self._fabrics.get(topology)
@@ -366,7 +367,7 @@ class _AnalyticBackend:
             tables = [_pattern_table(p) for p in group]
             ref = tables[0]
             structs = self._pattern_structures(ref, topology, cores_list, options)
-            times = self._times(group, tables, structs, len(cores_list))
+            times = self._times(group, tables, structs, topology, cores_list)
             totals = self._totals(times, tables).tolist()
             per_round: list[tuple] = [()] * len(idxs)
             if detail:
@@ -391,7 +392,20 @@ class _AnalyticBackend:
         cores_list: list[np.ndarray],
         options: dict[str, Any],
     ) -> Sequence[tuple]:
-        """One ``(live, lat, share, ...)`` per pattern of ``table``."""
+        """One memoized structure per pattern of ``table``: what the
+        kernel needs to price scalar payloads."""
+        raise NotImplementedError
+
+    def _flow_structures(
+        self,
+        structs: Sequence[tuple],
+        table: _PatternTable,
+        topology: MachineTopology,
+        cores_list: list[np.ndarray],
+        which: list[int],
+    ) -> Sequence[tuple]:
+        """``(live, lat, share)`` of patterns ``which``, for per-flow
+        payloads (``structs`` are :meth:`_pattern_structures`)."""
         raise NotImplementedError
 
     @staticmethod
@@ -415,7 +429,8 @@ class _AnalyticBackend:
         group: list[CommProgram],
         tables: list[_PatternTable],
         structs: Sequence[tuple],
-        k: int,
+        topology: MachineTopology,
+        cores_list: list[np.ndarray],
     ) -> np.ndarray:
         """The ``(len(group), R)`` matrix of per-round durations.
 
@@ -423,25 +438,31 @@ class _AnalyticBackend:
         (:meth:`_scalar_times`).  Per pattern, the cells carrying
         per-flow payload arrays then stack into one ``(cells, live
         flows)`` matrix, each row the round's payload tiled once per
-        placement (the merged round's flow order) and cut to live flows.
+        placement (the merged round's flow order) and cut to live flows,
+        and price against the pattern's :meth:`_flow_structures`.
         """
         ref = tables[0]
         times = self._scalar_times(structs, ref, np.array([t.nbytes for t in tables]))
         per_flow = np.array([t.per_flow for t in tables])
         if not per_flow.any():
             return times
-        for cols, struct in zip(ref.cols(), structs):
+        cols = list(ref.cols())
+        which = [p for p, c in enumerate(cols) if per_flow[:, c].any()]
+        flow_structs = self._flow_structures(structs, ref, topology, cores_list, which)
+        k = len(cores_list)
+        for p, struct in zip(which, flow_structs):
             live, lat = struct[:2]
-            rows, at = np.nonzero(per_flow[:, cols])
-            if not (rows.size and lat.size):
+            if not lat.size:
                 continue
+            rows, at = np.nonzero(per_flow[:, cols[p]])
+            at = cols[p][at]
             payload = np.stack(
                 [
                     np.tile(group[j].rounds[r].nbytes_per_flow(), k)[live]
-                    for j, r in zip(rows.tolist(), cols[at].tolist())
+                    for j, r in zip(rows.tolist(), at.tolist())
                 ]
             )
-            times[rows, cols[at]] = self._flow_times(struct, payload)
+            times[rows, at] = self._flow_times(struct, payload)
         return times
 
 
@@ -476,6 +497,16 @@ class RoundBackend(_AnalyticBackend):
         fab: Fabric = options.get("fabric") or self.fabric(topology)
         which = range(len(table.patterns))
         return fab.round_structures(list(_placed_patterns(table, cores_list, which)))
+
+    def _flow_structures(
+        self,
+        structs: Sequence[tuple],
+        table: _PatternTable,
+        topology: MachineTopology,
+        cores_list: list[np.ndarray],
+        which: list[int],
+    ) -> Sequence[tuple]:
+        return [structs[p] for p in which]
 
     @staticmethod
     def _scalar_times(
@@ -674,29 +705,26 @@ class LogPBackend(_AnalyticBackend):
 
     The per-link counts are payload-independent, so one structural
     analysis per (placement, pattern) serves every payload size and
-    every round the pattern recurs in: scalar payloads then cost one
-    multiply per (program, round) -- the Hockney ``alpha + n * beta``
-    form -- and per-flow arrays one ``(cell, flow)`` pass over the
-    cached per-flow shares.  Decoupling the latency and bandwidth maxima
-    makes the model an upper bound of the round model up to float
-    rounding (the shares are built as ``count * (1 / bw)``, the round
-    model's as ``bw / count``); its fidelity contract is order
-    *rankings*, not absolute durations.
+    every round the pattern recurs in.  The per-topology
+    :class:`~repro.netsim.fabric.Fabric` memoizes only the
+    ``(alpha, rate_coeff)`` pair
+    (:meth:`~repro.netsim.fabric.Fabric.logp_coefficients`), so scalar
+    payloads cost one multiply per (program, round) -- the Hockney
+    ``alpha + n * beta`` form.  Per-flow payload arrays need the
+    per-flow shares, which one uncached stacked pass re-derives for just
+    the patterns those cells use; pricing them is one ``(cell, flow)``
+    pass.  Decoupling the latency and bandwidth maxima makes the model
+    an upper bound of the round model up to float rounding (the shares
+    are built as ``count * (1 / bw)``, the round model's as
+    ``bw / count``); its fidelity contract is order *rankings*, not
+    absolute durations.
     """
 
     name = "logp"
     capabilities = BackendCapabilities(
         faults=False, per_flow_contention=False, tolerance="advisory", batch=True
     )
-
-    #: Cached structures per backend instance; keys embed src/dst arrays.
-    CACHE_LIMIT = 4096
-
     _merged_flow_counts = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._structures: OrderedDict[tuple, tuple] = OrderedDict()
 
     def _pattern_structures(
         self,
@@ -705,24 +733,25 @@ class LogPBackend(_AnalyticBackend):
         cores_list: list[np.ndarray],
         options: dict[str, Any],
     ) -> Sequence[tuple]:
-        """The memoized ``(live, lat, inv_share, alpha, rate_coeff)`` of
-        every pattern of ``table`` under this placement (LRU); the misses
-        are analysed together in stacked passes."""
-        from repro.netsim.fabric import lru_structures
+        """The ``(alpha, rate_coeff)`` of every pattern of ``table`` under
+        this placement, from the fabric's memo; its misses are analysed
+        together in stacked passes."""
+        return self.fabric(topology).logp_coefficients(
+            tuple(c.tobytes() for c in cores_list),
+            table.keys,
+            lambda missing: _placed_patterns(table, cores_list, missing),
+        )
 
-        def analyse(missing: list[int]) -> Iterator[tuple]:
-            placed = _placed_patterns(table, cores_list, missing)
-            for live, lat, inv_share in self.fabric(topology).fair_shares(
-                placed, inverse=True
-            ):
-                if lat.size:
-                    yield live, lat, inv_share, float(lat.max()), float(inv_share.max())
-                else:
-                    yield live, lat, inv_share, 0.0, 0.0
-
-        placement_key = (topology, tuple(c.tobytes() for c in cores_list))
-        keys = [placement_key + key for key in table.keys]
-        return lru_structures(self._structures, keys, self.CACHE_LIMIT, analyse)
+    def _flow_structures(
+        self,
+        structs: Sequence[tuple],
+        table: _PatternTable,
+        topology: MachineTopology,
+        cores_list: list[np.ndarray],
+        which: list[int],
+    ) -> Sequence[tuple]:
+        placed = _placed_patterns(table, cores_list, which)
+        return list(self.fabric(topology).fair_shares(placed, inverse=True))
 
     @staticmethod
     def _scalar_times(
@@ -730,15 +759,14 @@ class LogPBackend(_AnalyticBackend):
     ) -> np.ndarray:
         # One elementwise ``alpha + nbytes * rate_coeff`` over every
         # (program, round) cell, each round reading its pattern's pair.
-        alpha = np.array([s[3] for s in structs])[table.ids]
-        rate_coeff = np.array([s[4] for s in structs])[table.ids]
+        alpha, rate_coeff = np.array(structs).reshape(-1, 2)[table.ids].T
         times: np.ndarray = alpha + nbytes * rate_coeff
-        times[:, np.array([not s[1].size for s in structs], dtype=bool)[table.ids]] = 0.0
+        times[:, np.isnan(alpha)] = 0.0  # patterns without live flows
         return times
 
     @staticmethod
     def _flow_times(struct: tuple, payload: np.ndarray) -> np.ndarray:
-        _, lat, inv_share = struct[:3]
+        _, lat, inv_share = struct
         times: np.ndarray = (lat + payload * inv_share).max(axis=1)
         return times
 

@@ -38,10 +38,13 @@ T = TypeVar("T")
 
 @dataclass
 class FabricCacheStats:
-    """Process-wide round-pattern cache telemetry (all fabrics).
+    """Hit/miss/eviction counters of one family of fabric memos.
 
-    Reset/read by the sweep benchmark and surfaced in ``BENCH_sweep.json``;
-    advisory counters only, never control flow.
+    :data:`FABRIC_CACHE_STATS` counts the round-time cache of every
+    fabric (surfaced in ``BENCH_sweep.json``), :data:`STRUCTURE_CACHE_STATS`
+    the structure memos of both analytic kernels (:func:`lru_structures`);
+    both appear in the engine's ``/stats``.  Advisory counters only,
+    never control flow.
     """
 
     hits: int = 0
@@ -63,8 +66,13 @@ class FabricCacheStats:
         }
 
 
-#: Aggregate counters across every :class:`Fabric` in the process.
+#: Aggregate round-time cache counters across every :class:`Fabric` in
+#: the process.
 FABRIC_CACHE_STATS = FabricCacheStats()
+
+#: Aggregate structure-memo counters (:func:`lru_structures`) across every
+#: fabric in the process.
+STRUCTURE_CACHE_STATS = FabricCacheStats()
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,15 @@ RoundStructure = tuple["np.ndarray | slice", np.ndarray, np.ndarray]
 #: spares the structure memo one mask per entry.
 ALL_FLOWS = slice(None)
 
+#: What the logp model keeps of one placed round pattern:
+#: ``(alpha, rate_coeff)``, the largest first-hop latency and the largest
+#: inverse fair share over the pattern's live flows.
+LogPCoefficients = tuple[float, float]
+
+#: ``(alpha, rate_coeff)`` of a pattern whose flows are all self-flows;
+#: NaN marks it, and its rounds price at ``0.0``.
+NO_FLOWS: LogPCoefficients = (float("nan"), float("nan"))
+
 
 class Fabric:
     """Vectorized round-time evaluation on one machine topology."""
@@ -122,6 +139,15 @@ class Fabric:
     #: round's src/dst arrays, so unbounded growth would cost real memory
     #: on studies that evaluate thousands of distinct patterns.
     CACHE_LIMIT = 4096
+
+    #: logp ``(alpha, rate_coeff)`` pairs kept per fabric.  One pass over
+    #: the served advise shape set adds 15,340 pairs, 10,392 of them on the
+    #: lumi(2) fabric and 4,948 on hydra(4), so the set stays warm with 2x
+    #: headroom even on one fabric.  An entry measures ~310 bytes: key
+    #: tuple, float pair and ordered-dict slot, plus its share of the
+    #: pattern bytes, which every placement of a program shares.  A full
+    #: memo holds ~10 MB.
+    COEFFICIENT_LIMIT = 1 << 15
 
     #: Flows plus tally cells one stacked structural pass holds.  A
     #: pattern weighs its flow count plus the machine's core count (the
@@ -134,6 +160,7 @@ class Fabric:
         self.topology = topology
         self._cache: OrderedDict[tuple, float] = OrderedDict()
         self._structures: OrderedDict[tuple, RoundStructure] = OrderedDict()
+        self._coefficients: OrderedDict[tuple, LogPCoefficients] = OrderedDict()
         self.cache_stats = FabricCacheStats()
 
     def uncontended_time(
@@ -210,6 +237,35 @@ class Fabric:
             keys,
             self.CACHE_LIMIT,
             lambda missing: self.fair_shares([patterns[i] for i in missing]),
+        )
+
+    def logp_coefficients(
+        self,
+        placement: tuple[bytes, ...],
+        keys: Sequence[tuple[bytes, bytes]],
+        placed: Callable[[list[int]], Iterable[tuple[np.ndarray, np.ndarray]]],
+    ) -> list[LogPCoefficients]:
+        """The logp model's ``(alpha, rate_coeff)`` of rank-space patterns.
+
+        ``keys`` are the patterns' ``(src bytes, dst bytes)`` and
+        ``placement`` the bytes of their placement's core arrays; the
+        fabric's topology is the rest of the identity, so it stays out of
+        the key.  ``placed(missing)`` yields the core-space ``(src, dst)``
+        of the patterns at positions ``missing``, which the LRU memo's
+        misses share one stacked :meth:`fair_shares` pass over.  Only the
+        two maxima are kept: per-flow payloads re-derive the per-flow
+        shares uncached.
+        """
+
+        def analyse(missing: list[int]) -> Iterator[LogPCoefficients]:
+            for _, lat, inv_share in self.fair_shares(placed(missing), inverse=True):
+                yield (float(lat.max()), float(inv_share.max())) if lat.size else NO_FLOWS
+
+        return lru_structures(
+            self._coefficients,
+            [(placement, *key) for key in keys],
+            self.COEFFICIENT_LIMIT,
+            analyse,
         )
 
     def fair_shares(
@@ -325,7 +381,8 @@ def lru_structures(
 ) -> list[T]:
     """Structures of ``keys`` from an LRU ``memo`` of at most ``limit``
     entries; ``analyse(missing)`` yields the structures of the missing
-    keys' positions, in order, so all misses share one stacked pass."""
+    keys' positions, in order, so all misses share one stacked pass.
+    Lookups count into :data:`STRUCTURE_CACHE_STATS`."""
     out: list = []
     missing = []
     for i, key in enumerate(keys):
@@ -335,11 +392,15 @@ def lru_structures(
         else:
             memo.move_to_end(key)
         out.append(hit)
+    stats = STRUCTURE_CACHE_STATS
+    stats.hits += len(keys) - len(missing)
+    stats.misses += len(missing)
     if missing:
         for i, struct in zip(missing, analyse(missing)):
             out[i] = memo[keys[i]] = struct
             if len(memo) > limit:
                 memo.popitem(last=False)
+                stats.evictions += 1
     return out
 
 

@@ -141,8 +141,8 @@ class TestLogPBackend:
         for s in (1e4, 1e5, 1e6):
             eng.run(collective_program("alltoall", 8, s, "pairwise"), TOPO, [cores])
         # pairwise alltoall on 8 ranks: 7 distinct patterns, cached once
-        # each despite 3 payload sizes.
-        assert len(eng._structures) == 7
+        # each despite 3 payload sizes, in the topology's fabric.
+        assert len(eng.fabric(TOPO)._coefficients) == 7
 
     def test_self_flows_cost_nothing(self):
         prog = CommProgram(2, (CommRound([0, 1], [0, 1], 1e6),))

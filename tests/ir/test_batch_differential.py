@@ -14,7 +14,11 @@ recurring non-adjacently with varying payloads, compute and repeats) and
 a dnn lowering pin the per-pattern pricing of repeated rounds, against
 ``run`` and against references that price every round separately: the
 placed, merged round schedule for ``round``, and a per-round logp model
-built with per-level boolean masks.
+built with per-level boolean masks.  A last property shares one logp
+instance between scalar-payload and per-flow-payload programs over the
+same patterns, in both orders, against fresh instances: the memo keeps
+only each pattern's ``(alpha, rate_coeff)``, and per-flow payloads
+re-derive their shares outside it.
 """
 
 from __future__ import annotations
@@ -296,6 +300,73 @@ class TestRepeatedPatterns:
             _assert_batch_matches(backend, topo, [program], members)
 
 
+# -- one logp instance, scalar and per-flow payloads ----------------------------
+
+
+@st.composite
+def shared_pattern_programs(draw):
+    """Two scalar-payload and two per-flow-payload programs over one pattern
+    pool whose first pattern has only self-flows."""
+    radices = draw(st.sampled_from(RADICES))
+    h = Hierarchy(radices)
+    divisors = [d for d in range(2, h.size + 1) if h.size % d == 0]
+    p = draw(st.sampled_from(divisors))
+    ranks = st.integers(0, p - 1)
+
+    def pattern(self_flows):
+        n = draw(st.integers(1, 2 * p))
+        src = draw(st.lists(ranks, min_size=n, max_size=n))
+        dst = src if self_flows else draw(st.lists(ranks, min_size=n, max_size=n))
+        return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+
+    pool = [pattern(True)] + [pattern(False) for _ in range(draw(st.integers(1, 3)))]
+    uses = [0] + draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+
+    def program(per_flow):
+        rounds = []
+        for use in uses:
+            src, dst = pool[use]
+            if per_flow:
+                nbytes = np.array(
+                    draw(st.lists(st.sampled_from([0.0, 5e2, 1e5, 2e6]),
+                                  min_size=src.size, max_size=src.size)),
+                    dtype=float,
+                )
+            else:
+                nbytes = draw(st.sampled_from([0.0, 1e3, 64e3, 3.7e6]))
+            rounds.append(CommRound(src, dst, nbytes))
+        return CommProgram(p, tuple(rounds))
+
+    order = draw(st.sampled_from(all_orders(len(radices))))
+    root_bw = draw(st.sampled_from([0.0, 2e10]))
+    return {
+        "topology": dataclasses.replace(generic_cluster(radices), root_bw=root_bw),
+        "members": comm_members(h, order, p),
+        "scalar": [program(False) for _ in range(2)],
+        "per_flow": [program(True) for _ in range(2)],
+    }
+
+
+@given(cfg=shared_pattern_programs())
+@settings(max_examples=40)
+def test_logp_scalar_and_per_flow_share_one_instance(cfg):
+    topo = cfg["topology"]
+    scalar, per_flow = cfg["scalar"], cfg["per_flow"]
+    for programs in (
+        [scalar[0], per_flow[0], scalar[1], per_flow[1]],
+        [per_flow[0], scalar[0], per_flow[1], scalar[1]],
+    ):
+        shared = create_backend("logp")
+        for placements in ([cfg["members"][0]], list(cfg["members"])):
+            fresh = [create_backend("logp").run(p, topo, placements) for p in programs]
+            for program, ref in zip(programs, fresh):
+                assert repr(shared.run(program, topo, placements)) == repr(ref)
+                assert repr(ref.time) == repr(_logp_reference(program, topo, placements))
+            # Aligned scalar and per-flow programs also price in one pass.
+            batched = shared.run_batch(programs, topo, placements)
+            assert [repr(r) for r in batched] == [repr(r) for r in fresh]
+
+
 def test_dnn_step_analyses_each_pattern_once():
     """The 256-rank dnn step repeats 73 src/dst patterns over 390 rounds:
     one placement adds one structure per pattern to each kernel's memo."""
@@ -309,7 +380,7 @@ def test_dnn_step_analyses_each_pattern_once():
     members = comm_members(Hierarchy(radices), all_orders(len(radices))[7], 256)
     logp = create_backend("logp")
     logp.run_batch([program], topo, [members[0]])
-    assert len(logp._structures) == 73
+    assert len(logp.fabric(topo)._coefficients) == 73
     rnd = create_backend("round")
     rnd.run_batch([program], topo, [members[0]])
     assert len(rnd.fabric(topo)._structures) == 73

@@ -217,3 +217,36 @@ class TestRoundCache:
         assert FABRIC_CACHE_STATS.hits + FABRIC_CACHE_STATS.misses == before + 2
         doc = FABRIC_CACHE_STATS.to_jsonable()
         assert {"hits", "misses", "evictions", "hit_rate"} <= set(doc)
+
+
+class TestLogPCoefficients:
+    PATTERNS = [
+        (np.array([0, 1]), np.array([1, 8])),
+        (np.array([2, 3]), np.array([2, 3])),  # self-flows only
+    ]
+
+    def _coefficients(self, f, j):
+        src, dst = self.PATTERNS[j]
+        return f.logp_coefficients(
+            (b"placement",), [(src.tobytes(), dst.tobytes())], lambda _: [(src, dst)]
+        )[0]
+
+    def test_pairs_are_the_fair_share_maxima(self):
+        from repro.netsim.fabric import NO_FLOWS
+
+        f = Fabric(_topo())
+        _, lat, inv_share = next(f.fair_shares([self.PATTERNS[0]], inverse=True))
+        assert self._coefficients(f, 0) == (float(lat.max()), float(inv_share.max()))
+        assert self._coefficients(f, 1) is NO_FLOWS
+
+    def test_structure_memo_counts_hits_misses_and_evictions(self):
+        from repro.netsim.fabric import STRUCTURE_CACHE_STATS as stats
+
+        f = Fabric(_topo())
+        f.COEFFICIENT_LIMIT = 1
+        before = (stats.hits, stats.misses, stats.evictions)
+        for j in (0, 0, 1, 0):  # miss, hit, miss + evict, miss + evict
+            self._coefficients(f, j)
+        after = (stats.hits, stats.misses, stats.evictions)
+        assert tuple(a - b for a, b in zip(after, before)) == (1, 3, 2)
+        assert len(f._coefficients) == 1

@@ -8,6 +8,7 @@ import asyncio
 import pytest
 
 from repro.core.advisor import advise
+from repro.netsim.fabric import STRUCTURE_CACHE_STATS
 from repro.service.app import (
     AdvisorService,
     PlacementQuery,
@@ -19,6 +20,17 @@ from repro.topology.machines import hydra
 from repro.workloads import collective_cells, workload_cell
 
 GOOD = {"hierarchy": "node:2 socket:2 core:2", "comm_size": 8}
+
+HYDRA4 = ("hydra", "node:4 socket:2 group:2 core:8")
+LUMI2 = ("lumi", "node:2 socket:2 numa:4 l3:2 core:8")
+
+#: The shapes the advise service is benchmarked on: hydra(4) at comm
+#: sizes 8-64 for three collectives, plus lumi(2) alltoall at 16 and 64.
+SERVED_SHAPES = [
+    (HYDRA4, comm_size, collective)
+    for comm_size in (8, 16, 32, 64)
+    for collective in ("alltoall", "allgather", "allreduce")
+] + [(LUMI2, 16, "alltoall"), (LUMI2, 64, "alltoall")]
 
 
 class TestQueryParsing:
@@ -231,8 +243,36 @@ class TestAdvise:
             assert doc["service"]["advise_requests"] == 1
             assert doc["coalescing"]["calls"] == 1
             assert doc["engine"]["requests"] > 0
+            assert doc["engine"]["structure_cache"]["misses"] > 0
             assert "memory_hits" in doc["cache"]
             assert doc["prewarm"]["cycles"] == 0
             assert svc.healthz_doc()["status"] == "ok"
         finally:
             svc.close()
+
+
+def test_served_shape_set_stays_warm():
+    """One pass over the served shape set leaves every logp structure it
+    needs in the fabric memos: a second pass at new payloads analyses
+    nothing and evicts nothing."""
+
+    def one_pass(scale):
+        for (machine, spec), comm_size, collective in SERVED_SHAPES:
+            h = parse_synthetic(spec)
+            advise(
+                topology_for(machine, h),
+                h,
+                comm_size,
+                collective=collective,
+                total_bytes=(1e5 * scale, 64e6 * scale),
+                backend="logp",
+                batch=True,
+            )
+
+    one_pass(1.0)
+    before = STRUCTURE_CACHE_STATS.to_jsonable()
+    one_pass(1.005)
+    after = STRUCTURE_CACHE_STATS.to_jsonable()
+    assert after["hits"] > before["hits"]
+    assert after["misses"] == before["misses"]
+    assert after["evictions"] == before["evictions"]
