@@ -3,7 +3,8 @@
 Measures what the supervised executor costs and proves what it buys:
 
 - **overhead gate** -- a clean fig3-scale sweep through the
-  :class:`~repro.engine.supervisor.TaskSupervisor` must stay within
+  :class:`~repro.engine.supervisor.TaskSupervisor` (two forked local
+  workers, framed JSON over socketpairs) must stay within
   ``ROBUSTNESS_MAX_OVERHEAD`` (default 10%) wall clock of the same
   requests through a raw fire-and-forget ``Pool.map``;
 - **chaos recovery** -- with injected worker SIGKILLs, hangs, and flaky
@@ -74,10 +75,10 @@ def test_robustness_overhead_chaos_and_resume(once, tmp_path):
     t_pool = time.perf_counter() - t0
 
     # -- clean supervised run (the overhead being gated) ------------------
-    sup = TaskSupervisor(jobs=2, policy=RetryPolicy(timeout=60.0))
-    t0 = time.perf_counter()
-    clean = once(sup.run, reqs)
-    t_clean = time.perf_counter() - t0
+    with TaskSupervisor(jobs=2, policy=RetryPolicy(timeout=60.0)) as sup:
+        t0 = time.perf_counter()
+        clean = once(sup.run, reqs)
+        t_clean = time.perf_counter() - t0
     overhead = t_clean / t_pool - 1.0
 
     # -- chaos run: first attempts crash, hang, or raise ------------------

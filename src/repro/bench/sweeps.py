@@ -345,8 +345,8 @@ def ladder_sweep(
     ``tau_floor`` (0.9), ``seed`` (0), ``batch`` and
     ``exhaustive_audit`` (False).  ``batch`` routes engine rungs through
     the vectorized batch path; default: batch unless the engine has a
-    distributed ``dispatcher`` attached, in which case rung grids fan
-    out to the workers.  ``exhaustive_audit`` additionally evaluates
+    caller-owned ``dispatcher`` attached (e.g. one listening for remote
+    workers), in which case rung grids fan out to its workers.  ``exhaustive_audit`` additionally evaluates
     *every* order at the final rung and asserts the ladder's top-k
     matches -- the opt-in correctness gate, at full-sweep cost.
 

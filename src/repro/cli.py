@@ -12,10 +12,10 @@ Operational front-end for the two use cases of Section 3:
 - ``advise``       rank orders by predicted collective performance on a
   simulated machine (``hydra``/``lumi`` presets or a generic model)
 - ``sweep``        memoized, parallel parameter sweep over orders /
-  communicator sizes / collectives / data sizes (``--jobs``,
+  communicator sizes / collectives / data sizes (``--jobs``/``--workers``,
   ``--cache-dir``, ``--no-prune``, ``--bench-json``) with CSV output;
   ``--ladder`` switches to the error-calibrated multi-fidelity search
-  and ``--workers``/``--listen`` dispatch evaluations to socket workers
+  and ``--listen`` also dispatches evaluations to remote workers
 - ``worker``       serve evaluations to a ``sweep --listen`` dispatcher
   (``--connect HOST:PORT``), locally or from another host
 - ``backends``     the execution-backend registry: ``list`` prints every
@@ -170,27 +170,24 @@ def _parse_endpoint(spec: str) -> tuple[str, int]:
 
 
 def _sweep_dispatcher(args: argparse.Namespace, engine):
-    """The distributed dispatcher for ``sweep``, or None for local pools."""
-    if not args.workers and not args.listen:
+    """A supervisor that accepts remote workers, or None without ``--listen``."""
+    if not args.listen:
         return None
-    from repro.engine import DistributedSupervisor
+    from repro.engine import TaskSupervisor
 
-    host, port = (
-        _parse_endpoint(args.listen) if args.listen else ("127.0.0.1", 0)
-    )
-    dispatcher = DistributedSupervisor(
-        host=host,
-        port=port,
-        spawn=args.workers,
+    dispatcher = TaskSupervisor(
+        jobs=args.jobs,
         policy=engine.retry_policy,
+        listen=_parse_endpoint(args.listen),
         min_workers=args.min_workers,
         worker_wait=args.worker_wait,
     )
-    bound_host, bound_port = dispatcher.address
+    host, port = dispatcher.address
+    local = args.jobs if args.jobs > 1 else 0
     print(
-        f"# dispatcher listening on {bound_host}:{bound_port} "
-        f"({args.workers} spawned worker(s); connect more with "
-        f"'repro-mrd worker --connect {bound_host}:{bound_port}')",
+        f"# dispatcher listening on {host}:{port} ({local} local "
+        f"worker(s); connect more with "
+        f"'repro-mrd worker --connect {host}:{port}')",
         file=sys.stderr,
     )
     return dispatcher
@@ -549,7 +546,7 @@ def _cmd_verify_differential(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.engine.distributed import run_worker
+    from repro.engine.supervisor import run_worker
 
     host, port = _parse_endpoint(args.connect)
     return run_worker(host, port, connect_timeout=args.connect_timeout)
@@ -693,8 +690,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--algorithm", default=None, help="pin a collective algorithm")
     p.add_argument(
-        "--jobs", "-j", type=int, default=1,
-        help="worker processes for independent evaluations",
+        "--jobs", "-j", "--workers", type=int, default=1, dest="jobs",
+        metavar="N",
+        help="local worker processes for independent evaluations",
     )
     p.add_argument(
         "--cache-dir", default=None,
@@ -773,23 +771,19 @@ def build_parser() -> argparse.ArgumentParser:
         "assert the ladder's top-k matches the exhaustive sweep",
     )
     p.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="spawn N local socket workers and dispatch evaluations to "
-        "them (an alternative to the --jobs fork pool)",
-    )
-    p.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
         help="accept remote 'repro-mrd worker --connect' workers on this "
         "endpoint (port 0 picks an ephemeral port, printed to stderr)",
     )
     p.add_argument(
         "--min-workers", type=int, default=None, metavar="N",
-        help="wait for N connected workers before dispatching (default: "
-        "1 when only --listen is given, else 0)",
+        help="with --listen, wait for N connected workers before "
+        "dispatching (default: 1 with --jobs 1, else 0)",
     )
     p.add_argument(
         "--worker-wait", type=float, default=30.0, metavar="SECONDS",
-        help="max wait for --min-workers before degrading (default: 30)",
+        help="with --listen, max wait for --min-workers (and for an "
+        "emptied pool to refill) before degrading (default: 30)",
     )
     _add_backend_arg(p)
     p.set_defaults(func=_cmd_sweep)

@@ -4,8 +4,9 @@ Every figure of the paper is a sweep over candidate mixed-radix orders;
 this package is the substrate that makes those sweeps cheap: canonical
 content-addressed evaluation requests (:mod:`repro.engine.keys`), a
 two-tier LRU + on-disk result cache (:mod:`repro.engine.cache`),
-equivalence-class pruning with an audit mode, and a ``multiprocessing``
-fan-out with deterministic ordering (:mod:`repro.engine.core`).  The
+equivalence-class pruning with an audit mode (:mod:`repro.engine.core`),
+and one supervised dispatcher whose workers are forked locally or join
+over TCP, with deterministic ordering (:mod:`repro.engine.supervisor`).  The
 registered evaluators (:mod:`repro.engine.evaluators`) cover the round
 model, the DES, verification cells and chaos cells.
 
@@ -34,7 +35,6 @@ from repro.engine.core import (
     PRUNABLE_MODELS,
     SweepEngine,
 )
-from repro.engine.distributed import DistributedSupervisor, run_worker
 from repro.engine.evaluators import (
     BATCH_EVALUATORS,
     EVALUATORS,
@@ -65,6 +65,7 @@ from repro.engine.supervisor import (
     TaskAttempt,
     TaskSupervisor,
     is_failure,
+    run_worker,
 )
 
 __all__ = [
@@ -72,7 +73,6 @@ __all__ = [
     "BATCH_EVALUATORS",
     "BatchEvaluationError",
     "CACHE_SCHEMA",
-    "DistributedSupervisor",
     "FailedPoint",
     "FidelityLadder",
     "EVALUATORS",

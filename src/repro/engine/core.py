@@ -14,8 +14,9 @@ into results while exploiting three independent sources of cheapness:
    insight turned into compute savings, restricted to the provably sound
    subset.  The opt-in audit mode (``prune=False``) re-simulates every
    class member and asserts the broadcast would have been sound.
-3. **Parallel fan-out** -- independent evaluations run on a *supervised*
-   worker pool (:mod:`repro.engine.supervisor`): per-task dispatch with
+3. **Parallel fan-out** -- independent evaluations run on the one
+   supervised dispatcher (:mod:`repro.engine.supervisor`), whose workers
+   are forked locally or join over TCP: per-task dispatch with
    deadlines, crash detection and worker respawn, retry with exponential
    backoff, quarantine of tasks that exhaust their attempt budget, and
    graceful degradation to in-process execution if the pool dies.
@@ -179,20 +180,20 @@ class SweepEngine:
         In-process cache entries kept.
     task_timeout:
         Wall-clock seconds one evaluation may run before its worker is
-        killed and the task retried (None: no deadline).  Only enforced
-        with ``jobs > 1``.
+        killed and the task retried (None: no deadline).  Enforced on
+        workers only, not in-process (``jobs=1`` without a dispatcher).
     max_attempts:
         Times a task may run before being quarantined as a structured
         :class:`~repro.engine.supervisor.EvalFailure` result.
     retry_backoff:
         Base wall-clock pause after a failed attempt; doubles per retry.
     dispatcher:
-        Optional persistent executor with the supervisor's
-        ``run(requests, on_complete)``/``stats`` shape (notably
-        :class:`~repro.engine.distributed.DistributedSupervisor`).  When
-        set, non-batched evaluation fans out through it instead of a
-        per-batch fork pool; its lifecycle (``close()``) belongs to the
-        caller.
+        Optional persistent :class:`~repro.engine.supervisor.TaskSupervisor`
+        (or anything with its ``run(requests, on_complete)``/``stats``
+        shape), e.g. one listening for remote workers.  When set,
+        non-batched evaluation fans out through it instead of a
+        per-batch pool of ``jobs`` local workers; its lifecycle
+        (``close()``) belongs to the caller.
     """
 
     def __init__(
@@ -520,19 +521,22 @@ class SweepEngine:
     def _run(self, requests, on_complete) -> list[dict | EvalFailure]:
         """Evaluate distinct requests under the task supervisor.
 
-        With a ``dispatcher`` configured, the batch runs on it (e.g. a
-        socket worker pool) instead of a per-batch fork pool; either way
-        the per-run stats deltas are merged into the engine's.
+        With a ``dispatcher`` configured, the batch runs on that
+        caller-owned pool (e.g. one accepting remote workers); otherwise
+        on a supervisor with ``jobs`` local workers that lives for this
+        batch.  Either way the per-run stats deltas are merged into the
+        engine's.
         """
         if not requests:
             return []
-        if self.dispatcher is not None:
-            supervisor = self.dispatcher
-        else:
-            supervisor = TaskSupervisor(jobs=self.jobs, policy=self.retry_policy)
+        supervisor = self.dispatcher or TaskSupervisor(
+            jobs=self.jobs, policy=self.retry_policy
+        )
         try:
             return supervisor.run(requests, on_complete=on_complete)
         finally:
+            if supervisor is not self.dispatcher:
+                supervisor.close()
             s = supervisor.stats
             self.stats.retries += s.retries
             self.stats.crashes += s.crashes

@@ -1,11 +1,13 @@
 """Registered evaluation functions, one per request model.
 
-Each evaluator is a pure module-level function ``EvalRequest -> dict`` so
-requests can be shipped to ``multiprocessing`` workers by pickle.  Results
-are flat ``{str: float}`` dicts -- JSON-serializable by construction, so
-the disk cache and ``BENCH_sweep.json`` need no custom encoders (booleans
-are stored as 0.0/1.0, counts as floats; ``inf`` is allowed and survives
-Python's JSON round-trip).
+Each evaluator is a pure function ``EvalRequest -> dict`` registered by
+model name; workers receive requests in their wire form and look the
+evaluator up here (forked workers inherit the registry, remote ones
+import it).  Results are flat ``{str: float}`` dicts -- JSON-serializable
+by construction, so the disk cache, the workers' result frames and
+``BENCH_sweep.json`` need no custom encoders (booleans are stored as
+0.0/1.0, counts as floats; ``inf`` is allowed and survives Python's JSON
+round-trip).
 
 Determinism contract: an evaluator may only depend on its request.  Any
 incidental RNG use is pinned by :func:`seed_worker` before dispatch, with
@@ -23,8 +25,8 @@ import numpy as np
 
 from repro.engine.keys import EvalRequest
 
-#: model name -> evaluator.  Populated at import; engines and spawn-mode
-#: pool workers both import this module, so the registry is always ready.
+#: model name -> evaluator.  Populated at import; engines and workers
+#: both import this module, so the registry is always ready.
 EVALUATORS: dict[str, Callable[[EvalRequest], dict]] = {}
 
 #: model name -> batch evaluator (list of requests -> list of results,
@@ -130,38 +132,24 @@ def _program(req: EvalRequest):
 # -- micro-benchmark points (round + logp) ------------------------------------
 
 
-def _eval_microbench(backend: str, req: EvalRequest) -> dict:
-    """Section 4.1 micro-benchmark point: steps 1-4 on the request's
-    lowered program.
+def _eval_microbench_batch(
+    backend_name: str, reqs: list[EvalRequest]
+) -> list[dict]:
+    """Section 4.1 micro-benchmark points: steps 1-4 on each request's
+    lowered program, as one vectorized pass over the frontier.
 
     ``round`` is the synchronized-round model; ``logp`` the fast
     LogP-style backend with the same protocol and output keys, so
     sweeps, figures and the advisor consume either interchangeably (its
     fidelity is advisory: order rankings, not absolute durations).
-    """
-    from repro.bench.microbench import run_program
-
-    point = run_program(
-        req.topology, req.hierarchy, req.order, _program(req), backend=backend
-    )
-    return {
-        "duration_single": point.duration_single,
-        "duration_all": point.duration_all,
-    }
-
-
-def _eval_microbench_batch(
-    backend_name: str, reqs: list[EvalRequest]
-) -> list[dict]:
-    """One vectorized pass over a frontier of microbench requests.
 
     Requests sharing (topology, hierarchy, order, comm_size) share a
     placement, so their programs stack into one ``run_batch`` call per
     scenario; the backend's structure memo persists across groups, so
     orders whose placements coincide (unpruned equivalence classes)
     analyse each round pattern exactly once for the whole frontier.
-    Bitwise contract: entry ``i`` equals ``_eval_microbench(backend_name,
-    reqs[i])``.
+    The scalar evaluator is this function on a one-request frontier, so
+    a point's result does not depend on the frontier it was batched in.
     """
     from repro.bench.microbench import comm_members
     from repro.ir import get_backend
@@ -199,9 +187,16 @@ def _eval_microbench_batch(
     return out  # type: ignore[return-value]
 
 
+def _first(batch_fn: Callable[[list[EvalRequest]], list[dict]],
+           req: EvalRequest) -> dict:
+    return batch_fn([req])[0]
+
+
 for _backend in ("round", "logp"):
-    register_evaluator(_backend, partial(_eval_microbench, _backend))
-    register_batch_evaluator(_backend, partial(_eval_microbench_batch, _backend))
+    _batch = register_batch_evaluator(
+        _backend, partial(_eval_microbench_batch, _backend)
+    )
+    register_evaluator(_backend, partial(_first, _batch))
 
 
 # -- discrete-event simulation ------------------------------------------------

@@ -247,9 +247,9 @@ class FidelityLadder:
     ladder share warmth with plain sweeps).  ``batch`` routes engine
     rungs through :meth:`evaluate_batch
     <repro.engine.core.SweepEngine.evaluate_batch>` (the default when
-    the engine has no distributed dispatcher) or
+    the engine has no caller-owned dispatcher) or
     :meth:`evaluate_many <repro.engine.core.SweepEngine.evaluate_many>`
-    (the default with one, so rung evaluations fan out to workers).
+    (the default with one, so rung evaluations fan out to its workers).
     """
 
     def __init__(

@@ -26,6 +26,7 @@ Key properties:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -226,6 +227,12 @@ class EvalRequest:
 # -- request wire form -------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _wire_fields(value: Any) -> dict:
+    """``dataclasses.asdict`` of a topology or hierarchy, once per value."""
+    return dataclasses.asdict(value)
+
+
 def request_to_wire(request: EvalRequest) -> dict:
     """JSON-portable form of a request, key-preserving by construction.
 
@@ -233,15 +240,17 @@ def request_to_wire(request: EvalRequest) -> dict:
     ``repr`` shortest form and parses that back to the identical double,
     so the reconstructed request canonicalises -- and therefore hashes --
     exactly like the original.  Topology, hierarchy and fault specs
-    travel as their dataclass fields.
+    travel as their dataclass fields.  The topology and hierarchy
+    documents are shared between calls for equal values: treat the
+    returned document as read-only.
     """
     doc: dict = {
         "model": request.model,
-        "topology": dataclasses.asdict(request.topology),
+        "topology": _wire_fields(request.topology),
         "seed": request.seed,
     }
     if request.hierarchy is not None:
-        doc["hierarchy"] = dataclasses.asdict(request.hierarchy)
+        doc["hierarchy"] = _wire_fields(request.hierarchy)
     if request.order is not None:
         doc["order"] = list(request.order)
     if request.comm_size is not None:

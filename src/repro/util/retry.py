@@ -8,9 +8,10 @@ concepts so both consumers can use it unchanged:
 - :func:`repro.faults.run_with_retry` charges the backoff to the *fault
   schedule's virtual clock* and uses ``timeout`` as the simulator's
   per-operation stall limit;
-- :class:`repro.engine.supervisor.TaskSupervisor` sleeps the backoff in
-  *wall-clock* time and uses ``timeout`` as the per-task deadline after
-  which a hung worker is killed.
+- :class:`repro.engine.supervisor.TaskSupervisor` holds a failed task
+  back for the backoff in *wall-clock* time and uses ``timeout`` as the
+  per-task deadline after which a hung worker is killed (local) or
+  dropped from the pool (remote).
 
 :class:`AttemptRecord` is the bookkeeping row the fault-recovery loop
 appends per attempt; it lives here with the policy so importing the

@@ -2,15 +2,19 @@
 fault tolerance.
 
 The contract under test is the one the paper's sweeps depend on: moving
-evaluation onto socket workers changes *where* requests run, never what
-they produce.  Results, journal records, and cache records from a
-two-worker pool must be bitwise identical to a single-process run, and
-killing a worker mid-sweep must cost retries, not answers.
+evaluation onto workers changes *where* requests run, never what they
+produce.  Results, journal records, and cache records from a two-worker
+pool must be bitwise identical to a single-process run, and killing a
+worker mid-sweep must cost retries, not answers.  The determinism tests
+run with remote workers in :class:`TestDistributedDeterminism` and again
+with local workers in :class:`TestLocalWorkers` (the ``pool`` fixture in
+``conftest.py`` builds either kind).
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing as mp
 import os
 import signal
 import socket
@@ -21,16 +25,20 @@ import pytest
 from repro.core.hierarchy import Hierarchy
 from repro.core.orders import all_orders
 from repro.engine import (
-    DistributedSupervisor,
     EvalRequest,
     SweepEngine,
+    TaskSupervisor,
     request_from_wire,
     request_to_wire,
 )
-from repro.engine.distributed import (
+from repro.engine import supervisor as sup_mod
+from repro.engine.keys import CACHE_SCHEMA
+from repro.engine.supervisor import (
     MAX_FRAME,
+    PROTOCOL_VERSION,
     ProtocolError,
     recv_frame,
+    run_worker,
     send_frame,
 )
 from repro.engine.journal import JOURNAL_NAME
@@ -166,6 +174,10 @@ def test_property_wire_round_trip_is_key_preserving(cfg, invocation):
     hash(wired)
 
 
+#: Frame bodies that are not UTF-8 JSON encoding an object.
+MALFORMED_BODIES = [b"[1,2]", b"{nope", b"\xff\xfe"]
+
+
 class TestFraming:
     def test_send_recv_round_trip(self):
         a, b = socket.socketpair()
@@ -195,17 +207,66 @@ class TestFraming:
         finally:
             b.close()
 
+    @pytest.mark.parametrize("body", MALFORMED_BODIES)
+    def test_malformed_body_is_a_protocol_error(self, body):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(len(body).to_bytes(4, "big") + body)
+            with pytest.raises(ProtocolError):
+                recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+
+@pytest.mark.parametrize("body", MALFORMED_BODIES)
+def test_malformed_frame_drops_only_that_worker(body):
+    """A worker that says hello and then answers its task with a body
+    that is not a JSON object is dropped and its task charged as a
+    crash; the task is retried on the honest worker and the run
+    finishes."""
+    requests = _requests(radices=(2, 2), models=("logp",))
+    expected = TaskSupervisor(jobs=1).run(requests)
+    with TaskSupervisor(listen=("127.0.0.1", 0), min_workers=2) as sup:
+        rogue = socket.create_connection(sup.address)
+        send_frame(rogue, {
+            "type": "hello", "version": PROTOCOL_VERSION, "schema": CACHE_SCHEMA,
+        })
+
+        def answer_badly():
+            assert recv_frame(rogue)["type"] == "task"
+            rogue.sendall(len(body).to_bytes(4, "big") + body)
+
+        thread = threading.Thread(target=answer_badly)
+        thread.start()
+        honest = mp.get_context("fork").Process(
+            target=run_worker, args=sup.address, daemon=True
+        )
+        honest.start()
+        results = sup.run(requests)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert rogue.recv(1) == b""  # the manager hung up on it
+        rogue.close()
+    honest.join(timeout=10.0)
+    assert honest.exitcode == 0  # still in the pool until shutdown
+    assert results == expected
+    assert sup.stats.crashes == 1
+    assert not sup.stats.degraded_serial
+
 
 @pytest.mark.slow
 class TestDistributedDeterminism:
-    def test_two_worker_pool_matches_single_process_bitwise(self, tmp_path):
+    JOIN = "remote"
+
+    def test_two_worker_pool_matches_single_process_bitwise(self, tmp_path, pool):
         """Results, journal records, and cache records from a 2-worker
-        socket run are bitwise identical to a jobs=1 in-process run."""
+        run are bitwise identical to a jobs=1 in-process run."""
         requests = _requests(models=("logp", "round"))
         dir_a, dir_b = tmp_path / "socket", tmp_path / "serial"
 
         engine_a = SweepEngine(cache_dir=dir_a)
-        with DistributedSupervisor(spawn=2, policy=engine_a.retry_policy) as disp:
+        with pool(2, policy=engine_a.retry_policy) as disp:
             engine_a.dispatcher = disp
             socket_results = engine_a.evaluate_many(requests)
             assert disp.n_connected >= 1
@@ -229,33 +290,39 @@ class TestDistributedDeterminism:
         for name in files_a:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
-    def test_worker_killed_mid_sweep_loses_nothing(self):
+    def test_worker_killed_mid_sweep_loses_nothing(self, pool):
         """SIGKILL one worker mid-run: the sweep completes with every
         result present exactly once and bitwise equal to a serial run."""
-        from repro.engine.supervisor import TaskSupervisor, is_failure
+        from repro.engine.supervisor import is_failure
 
         requests = _requests(models=("round",), sizes=(1e5, 1e6))
         expected = TaskSupervisor(jobs=1).run(requests)
 
         killed = threading.Event()
-        with DistributedSupervisor(spawn=2) as disp:
+        with pool(2) as disp:
             def assassin(index, result):
-                if not killed.is_set() and disp.worker_pids:
+                if not killed.is_set() and pool.pids(disp):
                     killed.set()
-                    os.kill(disp.worker_pids[0], signal.SIGKILL)
+                    os.kill(pool.pids(disp)[0], signal.SIGKILL)
 
             results = disp.run(requests, on_complete=assassin)
             stats = disp.stats
+            connected = disp.n_connected
 
         assert killed.is_set()
         assert not any(is_failure(r) for r in results)
         assert results == expected  # nothing lost, nothing duplicated
         assert len(results) == len(requests)
-        # The death was observed as a crash and/or covered by a respawn.
-        assert stats.crashes >= 1 or stats.workers_respawned >= 1
+        if pool.join == "local":
+            # The death was observed as a crash and/or covered by a respawn.
+            assert stats.crashes >= 1 or stats.workers_respawned >= 1
+        else:
+            # A remote worker is not respawned: the death was observed as
+            # a crash and/or the worker left the pool.
+            assert stats.crashes >= 1 or connected == 1
 
-    def test_one_worker_evaluates_workload_request_bitwise(self):
-        """A dnn request evaluated on a socket worker matches the
+    def test_one_worker_evaluates_workload_request_bitwise(self, pool):
+        """A dnn request evaluated on a remote worker matches the
         in-process result bit for bit, with nothing quarantined."""
         topo = generic_cluster((2, 2, 4), names=NAMES)
         cell = workload_cell(
@@ -264,7 +331,7 @@ class TestDistributedDeterminism:
         request = cell.request("round", topo, topo.hierarchy, (2, 1, 0))
         expected = SweepEngine().evaluate(request)
         engine = SweepEngine()
-        with DistributedSupervisor(spawn=1, policy=engine.retry_policy) as disp:
+        with pool(1, policy=engine.retry_policy) as disp:
             engine.dispatcher = disp
             (got,) = engine.evaluate_many([request])
             assert disp.n_connected == 1
@@ -272,16 +339,35 @@ class TestDistributedDeterminism:
         assert engine.stats.quarantined == 0
         assert repr(got) == repr(expected)
 
-    def test_empty_pool_degrades_to_serial(self):
-        """No workers ever connect: the run still completes, in-process,
+    def test_empty_pool_degrades_to_serial(self, pool, monkeypatch):
+        """No workers ever join: the run still completes, in-process,
         and says so in its stats."""
+        def no_workers(ctx, inherited):
+            raise OSError("fork refused")
+
+        # Local: every fork fails; remote: no worker ever connects.
+        monkeypatch.setattr(sup_mod, "_spawn_local", no_workers)
         requests = _requests(radices=(2, 2), models=("logp",))
         engine = SweepEngine()
-        with DistributedSupervisor(
-            spawn=0, min_workers=1, worker_wait=0.2,
-            policy=engine.retry_policy,
-        ) as disp:
+        with pool(2, arrive=False, worker_wait=0.2,
+                  policy=engine.retry_policy) as disp:
             engine.dispatcher = disp
             results = engine.evaluate_many(requests)
             assert disp.stats.degraded_serial
         assert results == SweepEngine(jobs=1).evaluate_many(requests)
+
+
+@pytest.mark.slow
+class TestLocalWorkers:
+    """The determinism tests above, with forked local workers."""
+
+    JOIN = "local"
+    test_two_worker_pool_matches_single_process_bitwise = (
+        TestDistributedDeterminism.test_two_worker_pool_matches_single_process_bitwise
+    )
+    test_worker_killed_mid_sweep_loses_nothing = (
+        TestDistributedDeterminism.test_worker_killed_mid_sweep_loses_nothing
+    )
+    test_empty_pool_degrades_to_serial = (
+        TestDistributedDeterminism.test_empty_pool_degrades_to_serial
+    )

@@ -2,7 +2,10 @@
 
 The execution faults come from the deterministic chaos harness
 (:mod:`repro.engine.chaos`), driven through the ``REPRO_ENGINE_CHAOS``
-environment variable exactly as CI's chaos-smoke job drives it.
+environment variable exactly as CI's chaos-smoke job drives it.  The
+dispatcher tests run with local workers in their own classes and again
+with remote workers in :class:`TestRemoteWorkers` (the ``pool`` fixture
+in ``conftest.py`` builds either kind).
 """
 
 from __future__ import annotations
@@ -53,10 +56,10 @@ def _expected(reqs):
 
 
 class TestHealthyPath:
-    def test_serial_and_parallel_identical(self, cheap_round):
+    def test_serial_and_parallel_identical(self, cheap_round, pool):
         reqs = _reqs(5)
         serial = TaskSupervisor(jobs=1).run(reqs)
-        parallel = TaskSupervisor(jobs=3).run(reqs)
+        parallel = pool(3).run(reqs)
         assert serial == parallel == _expected(reqs)
 
     def test_on_complete_fires_once_per_task(self, cheap_round):
@@ -76,29 +79,33 @@ class TestHealthyPath:
 class TestChaosRecovery:
     """Injected first-attempt faults; every retry must recover bitwise."""
 
-    def test_flaky_retries_recover(self, cheap_round, monkeypatch):
+    def test_flaky_retries_recover(self, cheap_round, monkeypatch, pool):
         monkeypatch.setenv(CHAOS_ENV, "flaky=1.0")
         reqs = _reqs(4)
-        sup = TaskSupervisor(jobs=2, policy=RetryPolicy(max_attempts=3))
+        sup = pool(2, policy=RetryPolicy(max_attempts=3))
         assert sup.run(reqs) == _expected(reqs)
         assert sup.stats.exceptions == 4
         assert sup.stats.retries == 4
         assert sup.stats.quarantined == 0
 
-    def test_worker_crash_detected_and_retried(self, cheap_round, monkeypatch):
+    def test_worker_crash_detected_and_retried(self, cheap_round, monkeypatch, pool):
         monkeypatch.setenv(CHAOS_ENV, "crash=1.0")
         reqs = _reqs(3)
-        sup = TaskSupervisor(jobs=2, policy=RetryPolicy(max_attempts=3))
+        sup = pool(2, policy=RetryPolicy(max_attempts=3), spares=len(reqs))
         assert sup.run(reqs) == _expected(reqs)
         assert sup.stats.crashes == 3
-        assert sup.stats.workers_respawned >= 1
+        if pool.join == "local":
+            assert sup.stats.workers_respawned >= 1
+        else:  # a dead remote worker leaves the pool; spares took over
+            assert sup.stats.workers_respawned == 0
+            assert not sup.stats.degraded_serial
         assert sup.stats.quarantined == 0
 
-    def test_hung_worker_killed_at_deadline(self, cheap_round, monkeypatch):
+    def test_hung_worker_killed_at_deadline(self, cheap_round, monkeypatch, pool):
         monkeypatch.setenv(CHAOS_ENV, "hang=1.0,hang_s=60")
         reqs = _reqs(2)
-        sup = TaskSupervisor(
-            jobs=2, policy=RetryPolicy(max_attempts=3, timeout=0.4)
+        sup = pool(
+            2, policy=RetryPolicy(max_attempts=3, timeout=0.4), spares=len(reqs)
         )
         assert sup.run(reqs) == _expected(reqs)
         assert sup.stats.timeouts == 2
@@ -116,10 +123,10 @@ class TestChaosRecovery:
 
 
 class TestQuarantine:
-    def test_exhausted_budget_yields_eval_failure(self, cheap_round, monkeypatch):
+    def test_exhausted_budget_yields_eval_failure(self, cheap_round, monkeypatch, pool):
         monkeypatch.setenv(CHAOS_ENV, "flaky=1.0,attempts=99")  # never recovers
         reqs = _reqs(2)
-        sup = TaskSupervisor(jobs=2, policy=RetryPolicy(max_attempts=2))
+        sup = pool(2, policy=RetryPolicy(max_attempts=2))
         out = sup.run(reqs)
         assert all(isinstance(o, EvalFailure) for o in out)
         assert sup.stats.quarantined == 2
@@ -131,9 +138,9 @@ class TestQuarantine:
         assert failure.attempts[0].backoff > 0
         assert "quarantined after 2 attempt(s)" in failure.summary()
 
-    def test_failure_record_shape(self, cheap_round, monkeypatch):
+    def test_failure_record_shape(self, cheap_round, monkeypatch, pool):
         monkeypatch.setenv(CHAOS_ENV, "flaky=1.0,attempts=99")
-        sup = TaskSupervisor(jobs=1, policy=RetryPolicy(max_attempts=2))
+        sup = pool(1, policy=RetryPolicy(max_attempts=2))
         failure = sup.run(_reqs(1))[0]
         doc = failure.to_result()
         assert is_failure(doc)
@@ -144,7 +151,7 @@ class TestQuarantine:
         assert not is_failure({"value": 1.0})
         assert not is_failure(None)
 
-    def test_one_bad_task_does_not_poison_the_batch(self, monkeypatch):
+    def test_one_bad_task_does_not_poison_the_batch(self, monkeypatch, pool):
         # Satellite bugfix: one always-failing task must not discard the
         # batch's completed results.
         def eval_or_boom(req: EvalRequest) -> dict:
@@ -154,7 +161,7 @@ class TestQuarantine:
 
         monkeypatch.setitem(EVALUATORS, "round", eval_or_boom)
         reqs = _reqs(3)
-        sup = TaskSupervisor(jobs=2, policy=RetryPolicy(max_attempts=2))
+        sup = pool(2, policy=RetryPolicy(max_attempts=2))
         out = sup.run(reqs)
         assert out[0] == {"value": 100_000.0}
         assert out[2] == {"value": 300_000.0}
@@ -163,15 +170,42 @@ class TestQuarantine:
 
 
 class TestDegradation:
-    def test_unspawnable_pool_degrades_to_serial(self, cheap_round, monkeypatch):
-        def no_workers(ctx):
+    def test_unspawnable_pool_degrades_to_serial(self, cheap_round, monkeypatch, pool):
+        def no_workers(ctx, inherited):
             raise OSError("fork refused")
 
-        monkeypatch.setattr(sup_mod, "_Worker", no_workers)
+        # Local: every fork fails; remote: no worker ever connects.
+        monkeypatch.setattr(sup_mod, "_spawn_local", no_workers)
         reqs = _reqs(3)
-        sup = TaskSupervisor(jobs=2)
+        sup = pool(2, arrive=False, worker_wait=0.2)
         assert sup.run(reqs) == _expected(reqs)
         assert sup.stats.degraded_serial
+
+
+class TestRemoteWorkers:
+    """The dispatcher tests above, with every worker joining over TCP."""
+
+    JOIN = "remote"
+    test_serial_and_parallel_identical = (
+        TestHealthyPath.test_serial_and_parallel_identical
+    )
+    test_flaky_retries_recover = TestChaosRecovery.test_flaky_retries_recover
+    test_worker_crash_detected_and_retried = (
+        TestChaosRecovery.test_worker_crash_detected_and_retried
+    )
+    test_hung_worker_killed_at_deadline = (
+        TestChaosRecovery.test_hung_worker_killed_at_deadline
+    )
+    test_exhausted_budget_yields_eval_failure = (
+        TestQuarantine.test_exhausted_budget_yields_eval_failure
+    )
+    test_failure_record_shape = TestQuarantine.test_failure_record_shape
+    test_one_bad_task_does_not_poison_the_batch = (
+        TestQuarantine.test_one_bad_task_does_not_poison_the_batch
+    )
+    test_unspawnable_pool_degrades_to_serial = (
+        TestDegradation.test_unspawnable_pool_degrades_to_serial
+    )
 
 
 class TestChaosSpec:

@@ -120,6 +120,18 @@ class TestSweep:
         assert rc == 0
         assert len(out.strip().splitlines()) == 7  # header + 6 orders
 
+    def test_workers_is_a_spelling_of_jobs(self, capsys, tmp_path):
+        args = ("sweep", "-H", "[[2,2,4]]", "--comm-sizes", "4", "--sizes", "1e6")
+        rc, serial = run_cli(capsys, *args)
+        assert rc == 0
+        path = tmp_path / "BENCH_sweep.json"
+        rc, out = run_cli(capsys, *args, "--workers", "2", "--bench-json", str(path))
+        assert rc == 0
+        assert out == serial
+        import json
+
+        assert json.loads(path.read_text())["jobs"] == 2
+
 
 class TestShow:
     def test_renders_grid(self, capsys):
