@@ -3,8 +3,10 @@
 Searches a 5040-order space (a depth-7 binary hierarchy, every mixed-radix
 process order, 128-rank alltoall) with the error-calibrated fidelity
 ladder -- free analytic metric -> batched ``logp`` -> full-fidelity
-``round`` under successive halving -- and with the exhaustive ``--batch``
-sweep the ladder replaces, and asserts the tentpole's contract:
+``round`` under successive halving -- and with the exhaustive sweep the
+ladder replaces (both on worker-less engines, so every engine rung and
+the exhaustive grid run as in-process vectorized passes), and asserts
+the tentpole's contract:
 
 - the ladder is ``>= LADDER_BENCH_MIN_SPEEDUP`` times faster than the
   full-fidelity sweep of the same space (default 4x locally; CI exports
@@ -76,7 +78,7 @@ def test_ladder_speedup_and_topk_identity(once):
         t0 = time.perf_counter()
         full = sweep(
             topo, h, [COMM_SIZE], sizes=SIZES, engine=SweepEngine(),
-            backend="round", batch=True,
+            backend="round",
         )
         t_full = time.perf_counter() - t0
         return records, result, t_ladder, full, t_full

@@ -99,20 +99,19 @@ def fig2_enumerations(comm_size: int = 4) -> list[Fig2Enumeration]:
 
 def _sweep_figure(
     topology, hierarchy, orders, comm_size, collective, sizes, algorithm=None,
-    engine=None, backend="round", batch=False,
+    engine=None, backend="round",
 ) -> list[MicrobenchSeries]:
     """Evaluate one figure's (order x size) grid.
 
     The grid runs through the sweep layer's grid path as
     ``collective`` workload cells -- memoized, equivalence-pruned, and
-    fanned out over ``engine``'s worker pool.  Without an engine a
-    private serial one evaluates every order (no pruning), the
+    fanned out over ``engine``'s workers.  Without an engine a private
+    worker-less one evaluates every order in-process (no pruning), the
     per-order computation of :func:`~repro.bench.microbench.size_sweep`
     bit for bit.  ``backend`` names the execution backend for every
     grid point (``round`` reproduces the paper figures bit-identically;
     ``logp`` trades absolute fidelity for speed; ``des`` replays every
-    point on the flow-level simulator).  ``batch`` routes the grid
-    through the engine's vectorized evaluators (bitwise identical).
+    point on the flow-level simulator).
     """
     from repro.bench.microbench import MicrobenchPoint
     from repro.bench.sweeps import _sweep_cells
@@ -125,7 +124,7 @@ def _sweep_figure(
     cells = collective_cells([comm_size], [collective], sizes, algorithm)
     rows = _sweep_cells(
         topology, hierarchy, cells, orders, engine or SweepEngine(prune=False),
-        backend, batch,
+        backend,
     )
     points = {
         (order, cell.total_bytes): MicrobenchPoint(
@@ -151,13 +150,12 @@ def _sweep_figure(
 
 
 def fig3_data(
-    sizes: Sequence[float] | None = None, engine=None, backend: str = "round",
-    batch: bool = False,
+    sizes: Sequence[float] | None = None, engine=None, backend: str = "round"
 ) -> list[MicrobenchSeries]:
     """Figure 3: Alltoall, 16 Hydra nodes, 512 ranks, 16 per communicator."""
     return _sweep_figure(
         hydra(16), HYDRA16, FIG3_ORDERS, 16, "alltoall",
-        sizes or paper_sizes(n=9), engine=engine, backend=backend, batch=batch,
+        sizes or paper_sizes(n=9), engine=engine, backend=backend,
     )
 
 

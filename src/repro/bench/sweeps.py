@@ -76,7 +76,7 @@ class WorkloadRecord:
 
 
 def _sweep_cells(
-    topology, hierarchy, cells, orders, engine, backend: str, batch: bool
+    topology, hierarchy, cells, orders, engine, backend: str
 ) -> list[tuple[Order, object, dict]]:
     """Evaluate the grid; returns ``(order, cell, result)`` rows in grid
     order, without the quarantined points (they stay on
@@ -92,8 +92,7 @@ def _sweep_cells(
         for cell in cells
         if cell.comm_size == comm_size
     ]
-    evaluate = engine.evaluate_batch if batch else engine.evaluate_many
-    results = evaluate(
+    results = engine.evaluate_many(
         [cell.request(backend, topology, hierarchy, order) for order, cell in grid]
     )
     return [
@@ -118,7 +117,6 @@ def _ladder_cells(
     probe: int = 16,
     tau_floor: float = 0.9,
     seed: int = 0,
-    batch: bool | None = None,
     exhaustive_audit: bool = False,
 ):
     """The multi-fidelity search over a cell grid.
@@ -148,8 +146,7 @@ def _ladder_cells(
             f"{backend!r}: the finalists' records are materialized at the "
             "sweep backend's fidelity"
         )
-    ladder = FidelityLadder(engine, config, batch=batch)
-    result = ladder.search_cells(
+    result = FidelityLadder(engine, config).search_cells(
         [tuple(order) for order in orders],
         topology,
         hierarchy,
@@ -159,8 +156,7 @@ def _ladder_cells(
     # Re-run the finalists through the plain grid (pure cache hits: the
     # final rung already evaluated these keys) to materialize records.
     rows = _sweep_cells(
-        topology, hierarchy, cells, list(result.ranking), engine, backend,
-        ladder.batch,
+        topology, hierarchy, cells, list(result.ranking), engine, backend
     )
     records = records_of(topology, hierarchy, rows)
     return top_k_records(records, top_k, scenario), result
@@ -232,7 +228,6 @@ def sweep(
     cache_dir=None,
     prune: bool = True,
     backend: str = "round",
-    batch: bool = False,
 ) -> list[SweepRecord]:
     """Evaluate the full cross product; returns one record per point.
 
@@ -244,17 +239,14 @@ def sweep(
     ``backend`` selects the execution backend per point: ``round`` (the
     default), ``logp`` (fast advisory rankings) or ``des`` (exact flow
     simulation; the all-communicators scenario is simulated too, so
-    expect DES-scale runtimes).
-
-    ``batch`` routes the grid through the vectorized batch evaluators
-    (:meth:`~repro.engine.core.SweepEngine.evaluate_batch`): ``round``
-    and ``logp`` points are scored as stacked array passes in-process,
-    bitwise identical to the scalar path and hitting the same cache
-    keys; other models transparently fall back to the worker pool.
+    expect DES-scale runtimes).  Where the points run follows from the
+    engine's workers: without them, ``round`` and ``logp`` points are
+    scored in-process as one vectorized pass; with them, every point is
+    a worker task.  Results are bitwise identical either way.
     """
     engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir, prune=prune)
     cells = collective_cells(comm_sizes, collectives, sizes, algorithm)
-    rows = _sweep_cells(topology, hierarchy, cells, orders, engine, backend, batch)
+    rows = _sweep_cells(topology, hierarchy, cells, orders, engine, backend)
     return _collective_records(topology, hierarchy, rows)
 
 
@@ -269,7 +261,6 @@ def workload_sweep(
     cache_dir=None,
     prune: bool = True,
     backend: str = "round",
-    batch: bool = False,
 ) -> list[WorkloadRecord]:
     """Score every enumeration order against one lowered workload.
 
@@ -283,7 +274,7 @@ def workload_sweep(
     """
     cells = (workload_cell(workload, params),)
     engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir, prune=prune)
-    rows = _sweep_cells(topology, hierarchy, cells, orders, engine, backend, batch)
+    rows = _sweep_cells(topology, hierarchy, cells, orders, engine, backend)
     return _workload_records(topology, hierarchy, rows)
 
 
@@ -342,13 +333,10 @@ def ladder_sweep(
     ``options`` are the ladder's knobs: ``backend`` (``round``; the final
     rung), ``scenario`` (``all``), ``rungs`` (default: the stock ladder
     toward ``backend``), ``eta`` (4.0), ``top_k`` (10), ``probe`` (16),
-    ``tau_floor`` (0.9), ``seed`` (0), ``batch`` and
-    ``exhaustive_audit`` (False).  ``batch`` routes engine rungs through
-    the vectorized batch path; default: batch unless the engine has a
-    caller-owned ``dispatcher`` attached (e.g. one listening for remote
-    workers), in which case rung grids fan out to its workers.  ``exhaustive_audit`` additionally evaluates
-    *every* order at the final rung and asserts the ladder's top-k
-    matches -- the opt-in correctness gate, at full-sweep cost.
+    ``tau_floor`` (0.9), ``seed`` (0) and ``exhaustive_audit`` (False).
+    ``exhaustive_audit`` additionally evaluates *every* order at the
+    final rung and asserts the ladder's top-k matches -- the opt-in
+    correctness gate, at full-sweep cost.
 
     Returns ``(records, result)``: the finalists' sweep records trimmed
     to the ``top_k`` fastest orders (rank-major, byte-comparable to

@@ -203,6 +203,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workload_sweep,
     )
     from repro.engine import SweepEngine
+    from repro.engine.fidelity import LadderConfigError
     from repro.workloads import WorkloadError
 
     h = parse_synthetic(args.hierarchy)
@@ -212,12 +213,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise SystemExit(
                 "--comm-sizes is required (or name a --workload instead)"
             )
-        grid = dict(
-            comm_sizes=[int(s) for s in args.comm_sizes.split(",")],
-            collectives=tuple((args.collectives or "alltoall").split(",")),
-            sizes=[float(s) for s in (args.sizes or "1e6,64e6").split(",")],
-            algorithm=args.algorithm,
-        )
+        try:
+            grid = dict(
+                comm_sizes=[int(s) for s in args.comm_sizes.split(",")],
+                collectives=tuple((args.collectives or "alltoall").split(",")),
+                sizes=[float(s) for s in (args.sizes or "1e6,64e6").split(",")],
+                algorithm=args.algorithm,
+            )
+        except ValueError as err:
+            raise SystemExit(f"bad --comm-sizes or --sizes: {err}") from None
         sweep_fn, ladder_fn = sweep, ladder_sweep
     else:
         workload, params = _workload_query(
@@ -230,13 +234,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     if args.resume and not args.cache_dir:
         raise SystemExit("--resume requires --cache-dir (the journal lives there)")
-    engine = SweepEngine(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        prune=not args.no_prune,
-        task_timeout=args.task_timeout,
-        max_attempts=args.max_attempts,
-    )
+    if args.top_k is not None and args.top_k < 1:
+        raise SystemExit("--top-k must be >= 1")
+    try:
+        engine = SweepEngine(
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            prune=not args.no_prune,
+            task_timeout=args.task_timeout,
+            max_attempts=args.max_attempts,
+        )
+    except ValueError as err:
+        raise SystemExit(
+            f"invalid --jobs, --max-attempts or --task-timeout: {err}"
+        ) from None
     engine.dispatcher = _sweep_dispatcher(args, engine)
     if args.resume:
         print(
@@ -273,11 +284,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 orders=orders,
                 engine=engine,
                 backend=args.backend,
-                batch=args.batch,
             )
             if args.top_k is not None:
                 records = top_k_records(records, top_k, args.scenario)
-    except WorkloadError as err:
+    except (WorkloadError, LadderConfigError) as err:  # raised pre-evaluation
         raise SystemExit(str(err)) from None
     finally:
         if engine.dispatcher is not None:
@@ -692,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", "-j", "--workers", type=int, default=1, dest="jobs",
         metavar="N",
-        help="local worker processes for independent evaluations",
+        help="local worker processes (default 1: none, so round/logp "
+        "points are scored in-process as one vectorized pass)",
     )
     p.add_argument(
         "--cache-dir", default=None,
@@ -719,12 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-attempts", type=int, default=3,
         help="attempts per evaluation before it is quarantined (default: 3)",
-    )
-    p.add_argument(
-        "--batch", action="store_true",
-        help="score the grid through the vectorized batch evaluators "
-        "(round/logp run as stacked array passes, bitwise identical to "
-        "the scalar path and sharing its cache keys)",
     )
     p.add_argument(
         "--scenario", default="all", choices=["all", "single"],

@@ -347,7 +347,7 @@ def advise(
     algorithm: str | None = None,
     orders: Sequence[Order] | None = None,
     backend: str = "round",
-    batch: bool = False,
+    batch: bool = False,  # ignored; the engine picks its path
     engine=None,
     ladder=False,
     cells: Sequence | None = None,
@@ -370,11 +370,10 @@ def advise(
 
     Every class representative is scored through a
     :class:`~repro.engine.SweepEngine` (pass ``engine`` to share its
-    cache across calls; otherwise a private serial one is used).
-    ``batch`` scores the frontier through the engine's vectorized batch
-    path (round/logp run as stacked array passes; other backends fall
-    back to the engine's pool) — bitwise identical durations and
-    rankings, order-of-magnitude faster frontier scoring.
+    cache across calls; otherwise a private worker-less one is used).
+    The engine's workers decide where the frontier runs: in-process as
+    one vectorized pass without workers, on the workers with them.
+    ``batch`` is accepted and ignored.
 
     ``ladder`` routes the ranking through the multi-fidelity search
     instead (``True`` for the stock ladder toward ``backend``, or a
@@ -416,5 +415,4 @@ def advise(
     from repro.engine import SweepEngine
 
     engine = engine or SweepEngine()
-    evaluate = engine.evaluate_batch if batch else engine.evaluate_many
-    return advice_from_results(plan, evaluate(list(plan.requests)))
+    return advice_from_results(plan, engine.evaluate_many(list(plan.requests)))

@@ -28,7 +28,9 @@ identical to a clean run.
 
 In serial (in-process) execution only ``flaky`` fires: crashing or
 hanging the sole process is the operator's domain (``timeout -s KILL``),
-not the harness's.
+not the harness's.  The engine's in-process vectorized pass is one
+attempt 0 for all its requests: a ``flaky`` hit on any of them fails the
+whole pass, which falls back to the supervisor (:func:`maybe_fail_pass`).
 """
 
 from __future__ import annotations
@@ -124,6 +126,16 @@ def maybe_inject(key: str, attempt: int, serial: bool = False) -> None:
         raise ChaosInjectedError(
             f"injected flaky failure (attempt {attempt}, key {key[:12]})"
         )
+
+
+def maybe_fail_pass(keys) -> None:
+    """Flaky mode for a vectorized pass, one attempt 0 for all ``keys``:
+    raise if any key's draw hits.  Reads the spec once per pass."""
+    spec = active_spec()
+    if spec is not None and spec.flaky > 0 and spec.attempts >= 1:
+        for key in keys:
+            if _uniform(key, "flaky", 0) < spec.flaky:
+                raise ChaosInjectedError(f"injected flaky failure (pass, key {key[:12]})")
 
 
 def maybe_corrupt_payload(key: str, payload: str) -> str:

@@ -14,12 +14,15 @@ into results while exploiting three independent sources of cheapness:
    insight turned into compute savings, restricted to the provably sound
    subset.  The opt-in audit mode (``prune=False``) re-simulates every
    class member and asserts the broadcast would have been sound.
-3. **Parallel fan-out** -- independent evaluations run on the one
-   supervised dispatcher (:mod:`repro.engine.supervisor`), whose workers
-   are forked locally or join over TCP: per-task dispatch with
-   deadlines, crash detection and worker respawn, retry with exponential
-   backoff, quarantine of tasks that exhaust their attempt budget, and
-   graceful degradation to in-process execution if the pool dies.
+3. **One evaluation path, placed by the workers** -- without workers,
+   the ``round``/``logp`` frontier runs in-process as one vectorized
+   pass; with workers (``jobs > 1`` or a ``dispatcher``), independent
+   evaluations run on the one supervised dispatcher
+   (:mod:`repro.engine.supervisor`), whose workers are forked locally
+   or join over TCP: per-task dispatch with deadlines, crash detection
+   and worker respawn, retry with exponential backoff, quarantine of
+   tasks that exhaust their attempt budget, and graceful degradation to
+   in-process execution if the pool dies.
    Results keep deterministic ordering and per-request worker seeding,
    so ``jobs=1`` and ``jobs=N`` are bitwise identical -- on healthy
    machines and through every recovery path.
@@ -47,6 +50,7 @@ from pathlib import Path
 from typing import Sequence
 
 import repro.engine.evaluators as _evaluators
+from repro.engine import chaos
 from repro.engine.cache import ResultCache
 from repro.engine.journal import JOURNAL_NAME, SweepJournal
 from repro.engine.keys import EvalRequest
@@ -166,7 +170,8 @@ class SweepEngine:
     Parameters
     ----------
     jobs:
-        Worker processes for independent evaluations; 1 evaluates inline.
+        Worker processes for independent evaluations; 1 evaluates
+        in-process, ``round``/``logp`` as one vectorized pass.
     cache_dir:
         Optional directory for the persistent JSON result cache.  Also
         enables the crash-safe completion journal
@@ -190,10 +195,10 @@ class SweepEngine:
     dispatcher:
         Optional persistent :class:`~repro.engine.supervisor.TaskSupervisor`
         (or anything with its ``run(requests, on_complete)``/``stats``
-        shape), e.g. one listening for remote workers.  When set,
-        non-batched evaluation fans out through it instead of a
-        per-batch pool of ``jobs`` local workers; its lifecycle
-        (``close()``) belongs to the caller.
+        shape), e.g. one listening for remote workers.  When set, every
+        evaluation fans out through it instead of a per-batch pool of
+        ``jobs`` local workers; its lifecycle (``close()``) belongs to
+        the caller.
     """
 
     def __init__(
@@ -244,40 +249,22 @@ class SweepEngine:
 
         Duplicate and cached requests are recalled, equivalence classes
         are collapsed (or audited), and the remaining distinct
-        evaluations run on the supervised worker pool in deterministic
-        order.  Tasks that exhaust their retry budget come back as
-        structured failure records (see
+        evaluations run in deterministic order on the path the worker
+        configuration picks (see :meth:`_run`).  Tasks that exhaust
+        their retry budget come back as structured failure records (see
         :func:`repro.engine.supervisor.is_failure`) instead of aborting
         the batch; every successful result is cached -- and journaled,
         with a ``cache_dir`` -- the moment it completes, so partial
         progress survives crashes and interrupts.
         """
-        return self._evaluate(requests, batched=False)
-
-    def evaluate_batch(self, requests: Sequence[EvalRequest]) -> list[dict]:
-        """:meth:`evaluate_many` through the vectorized batch evaluators.
-
-        Identical pipeline and bitwise-identical results: the same
-        content keys consult and populate the same two-tier cache
-        record by record (so a warm batch run after a scalar run -- or
-        vice versa -- evaluates nothing), the same equivalence pruning
-        and journaling apply, and requests whose model has no batch
-        evaluator (or whose batch pass raises) fall back to the
-        supervised pool.  Only the inner loop changes: batchable
-        evaluations run in-process as stacked array passes instead of
-        one task per request.
-        """
-        return self._evaluate(requests, batched=True)
-
-    def _evaluate(
-        self, requests: Sequence[EvalRequest], batched: bool
-    ) -> list[dict]:
         with self._lock:
-            return self._evaluate_locked(requests, batched)
+            return self._evaluate_locked(requests)
 
-    def _evaluate_locked(
-        self, requests: Sequence[EvalRequest], batched: bool
-    ) -> list[dict]:
+    #: Alias kept only while the end-to-end benchmark's tracer patches
+    #: this name; remove it together with that use.
+    evaluate_batch = evaluate_many
+
+    def _evaluate_locked(self, requests: Sequence[EvalRequest]) -> list[dict]:
         t0 = time.perf_counter()
         requests = list(requests)
         for r in requests:  # configuration errors fail fast, pre-dispatch
@@ -323,20 +310,16 @@ class SweepEngine:
                 to_run.extend(group.indices)
         to_run.sort()  # deterministic dispatch order
 
-        # 4. Fan out under supervision, persisting each completion at once.
-        def on_complete(pos: int, outcome: dict | EvalFailure) -> None:
-            i = to_run[pos]
+        # 4. Evaluate, persisting each completion at once.
+        def on_complete(i: int, outcome: dict | EvalFailure) -> None:
             if isinstance(outcome, EvalFailure):
                 return  # never cache or journal a failure: re-evaluate later
             self.cache.put(keys[i], outcome, requests[i].canonical())
             self._journal_record(keys[i])
 
-        run_requests = [requests[i] for i in to_run]
-        if batched:
-            evaluated = self._run_batched(run_requests, on_complete)
-        else:
-            evaluated = self._run(run_requests, on_complete)
-        for i, outcome in zip(to_run, evaluated):
+        evaluated = self._run(requests, to_run, on_complete)
+        for i in to_run:
+            outcome = evaluated[i]
             if isinstance(outcome, EvalFailure):
                 self.failures.append(outcome)
                 results[i] = outcome.to_result()
@@ -470,55 +453,44 @@ class SweepEngine:
                         f"({a!r} vs {b!r}, rtol={AUDIT_RTOL})"
                     )
 
-    def _run_batched(self, requests, on_complete) -> list[dict | EvalFailure]:
-        """Evaluate distinct requests through the batch evaluators.
+    def _run(
+        self, requests, to_run: list[int], on_complete
+    ) -> dict[int, dict | EvalFailure]:
+        """Evaluate ``requests[i]`` for each ``i`` in ``to_run`` on the
+        path the workers pick; ``on_complete(i, outcome)`` fires as each
+        settles.
 
-        Batchable models run in-process as one vectorized pass (each
-        completion persisted through ``on_complete`` exactly as the
-        supervised path does); non-batchable models -- and the whole
-        batchable slice, should its vectorized pass raise -- fall back
-        to :meth:`_run`.
+        Without workers (``jobs == 1`` and no ``dispatcher``), models
+        with a batch evaluator run in-process as one vectorized pass;
+        everything else -- and the whole vectorized slice, should its
+        pass raise -- runs under :meth:`_supervise`.  With workers,
+        every request goes to the supervisor.
         """
-        if not requests:
-            return []
-        results: list[dict | EvalFailure | None] = [None] * len(requests)
-        vec = [
-            pos
-            for pos, r in enumerate(requests)
-            if r.model in _evaluators.BATCH_EVALUATORS
-        ]
-        rest = [
-            pos
-            for pos, r in enumerate(requests)
-            if r.model not in _evaluators.BATCH_EVALUATORS
-        ]
-        if vec:
+        done: dict[int, dict | EvalFailure] = {}
+        if self.jobs == 1 and self.dispatcher is None:
+            vec = [i for i in to_run if requests[i].model in _evaluators.BATCH_EVALUATORS]
             try:
+                chaos.maybe_fail_pass(requests[i].key for i in vec)
                 outcomes = _evaluators.evaluate_requests_batch(
-                    [requests[pos] for pos in vec]
+                    [requests[i] for i in vec]
                 )
             except Exception:
                 self.stats.batch_fallbacks += 1
-                rest = sorted(rest + vec)
             else:
-                for pos, outcome in zip(vec, outcomes):
-                    on_complete(pos, outcome)
-                    results[pos] = outcome
+                done = dict(zip(vec, outcomes))
+                for i, outcome in done.items():
+                    on_complete(i, outcome)
                 self.stats.batched += len(vec)
+        rest = [i for i in to_run if i not in done]
         if rest:
+            outcomes = self._supervise(
+                [requests[i] for i in rest],
+                lambda pos, outcome: on_complete(rest[pos], outcome),
+            )
+            done.update(zip(rest, outcomes))
+        return done
 
-            def sub_complete(
-                sub_pos: int, outcome, _map: list[int] = rest
-            ) -> None:
-                on_complete(_map[sub_pos], outcome)
-
-            outcomes = self._run([requests[pos] for pos in rest], sub_complete)
-            for pos, outcome in zip(rest, outcomes):
-                results[pos] = outcome
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
-
-    def _run(self, requests, on_complete) -> list[dict | EvalFailure]:
+    def _supervise(self, requests, on_complete) -> list[dict | EvalFailure]:
         """Evaluate distinct requests under the task supervisor.
 
         With a ``dispatcher`` configured, the batch runs on that
@@ -527,8 +499,6 @@ class SweepEngine:
         batch.  Either way the per-run stats deltas are merged into the
         engine's.
         """
-        if not requests:
-            return []
         supervisor = self.dispatcher or TaskSupervisor(
             jobs=self.jobs, policy=self.retry_policy
         )

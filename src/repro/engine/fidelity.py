@@ -11,7 +11,7 @@ correlated rankings (BENCH_ir.json: ``logp`` is ~11x cheaper than
 rung         what it costs                           what it knows
 ===========  ======================================  ================
 ``metric``   free (analytic, :mod:`repro.core.metrics`)  locality structure
-``logp``     vectorized batch pass                   contention-free latency/bw
+``logp``     closed-form per-pattern pass            contention-free latency/bw
 ``round``    per-round contention model              link sharing
 ``des``      flow-level event simulation             exact per-flow dynamics
 ===========  ======================================  ================
@@ -121,7 +121,7 @@ class LadderConfig:
                 "the final rung must be an engine model (it produces the "
                 "reported ranking)"
             )
-        if self.eta < 1:
+        if not self.eta >= 1:  # also refuses nan
             raise LadderConfigError("eta must be >= 1")
         if self.top_k < 1:
             raise LadderConfigError("top_k must be >= 1")
@@ -244,25 +244,15 @@ class FidelityLadder:
 
     ``engine`` is the shared :class:`~repro.engine.core.SweepEngine`
     (its cache makes probe evaluations free on promotion and lets the
-    ladder share warmth with plain sweeps).  ``batch`` routes engine
-    rungs through :meth:`evaluate_batch
-    <repro.engine.core.SweepEngine.evaluate_batch>` (the default when
-    the engine has no caller-owned dispatcher) or
-    :meth:`evaluate_many <repro.engine.core.SweepEngine.evaluate_many>`
-    (the default with one, so rung evaluations fan out to its workers).
+    ladder share warmth with plain sweeps).  Engine rungs go through
+    :meth:`evaluate_many <repro.engine.core.SweepEngine.evaluate_many>`,
+    so the engine's workers decide where they run: in-process as one
+    vectorized pass without workers, on the workers with them.
     """
 
-    def __init__(
-        self,
-        engine,
-        config: LadderConfig | None = None,
-        batch: bool | None = None,
-    ):
+    def __init__(self, engine, config: LadderConfig | None = None):
         self.engine = engine
         self.config = config or LadderConfig()
-        if batch is None:
-            batch = getattr(engine, "dispatcher", None) is None
-        self.batch = batch
 
     # -- public ------------------------------------------------------------
 
@@ -447,10 +437,7 @@ class FidelityLadder:
                 )
             spans.append((c, len(reqs)))
             flat.extend(reqs)
-        evaluate = (
-            self.engine.evaluate_batch if self.batch else self.engine.evaluate_many
-        )
-        results = evaluate(flat)
+        results = self.engine.evaluate_many(flat)
         key = self.config.duration_key
         scores: dict[Any, float] = {}
         pos = 0

@@ -20,7 +20,6 @@ from repro.ir.backends import (
     describe_backends,
     get_backend,
     register_backend,
-    supports_batch,
 )
 from repro.ir.lower import (
     collective_program,
@@ -77,6 +76,5 @@ __all__ = [
     "rank_program",
     "register_backend",
     "round_endpoints",
-    "supports_batch",
     "validate_program",
 ]

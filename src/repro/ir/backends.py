@@ -253,11 +253,6 @@ def _placed_patterns(
         yield flat[starts + rnd.src].ravel(), flat[starts + rnd.dst].ravel()
 
 
-def supports_batch(backend: ExecutionBackend) -> bool:
-    """Whether ``backend`` implements the stacked ``run_batch`` protocol."""
-    return callable(getattr(backend, "run_batch", None))
-
-
 # -- registry ----------------------------------------------------------------
 
 _FACTORIES: Dict[str, Callable[[], ExecutionBackend]] = {}

@@ -235,8 +235,8 @@ class AdvisorService:
         Memoized query plans kept (equivalence-class enumeration and the
         request grid are pure functions of the query shape).
     evaluate:
-        Override for the blocking batch evaluator (tests use this to
-        gate evaluations); default ``engine.evaluate_batch``.
+        Override for the blocking grid evaluator (tests use this to
+        gate evaluations); default ``engine.evaluate_many``.
     """
 
     def __init__(
@@ -252,7 +252,7 @@ class AdvisorService:
             max_workers=1, thread_name_prefix="repro-eval"
         )
         self.coalescer = KeyCoalescer(
-            evaluate if evaluate is not None else self.engine.evaluate_batch,
+            evaluate if evaluate is not None else self.engine.evaluate_many,
             executor=self._executor,
             probe=self.engine.cache.warm,
         )
@@ -411,7 +411,6 @@ class AdvisorService:
 def build_service(
     backend: str = "logp",
     cache_dir: str | None = None,
-    jobs: int = 1,
     lru_size: int = 65536,
 ) -> AdvisorService:
     """An :class:`AdvisorService` over a fresh engine.
@@ -419,9 +418,10 @@ def build_service(
     ``cache_dir`` enables the on-disk warm tier (shared with
     ``repro-mrd sweep`` runs and other service processes) and the
     completion journal.  ``lru_size`` is generous by default: the
-    in-memory tier is the service's serving tier.
+    in-memory tier is the service's serving tier.  The engine has no
+    workers, so it scores the ``logp`` frontier in-process.
     """
-    engine = SweepEngine(jobs=jobs, cache_dir=cache_dir, lru_size=lru_size)
+    engine = SweepEngine(cache_dir=cache_dir, lru_size=lru_size)
     return AdvisorService(engine=engine, default_backend=backend)
 
 

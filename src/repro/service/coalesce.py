@@ -73,8 +73,8 @@ class CallStats:
 class KeyCoalescer:
     """Coalesce concurrent evaluations sharing request content keys.
 
-    ``evaluate`` is the blocking batch evaluator (normally
-    :meth:`SweepEngine.evaluate_batch <repro.engine.core.SweepEngine.evaluate_batch>`);
+    ``evaluate`` is the blocking grid evaluator (normally
+    :meth:`SweepEngine.evaluate_many <repro.engine.core.SweepEngine.evaluate_many>`);
     ``executor`` is where submitted slices run (None: the loop's default
     thread pool).  ``probe`` (normally :meth:`ResultCache.warm
     <repro.engine.cache.ResultCache.warm>`) reports, per content key,
@@ -178,7 +178,7 @@ class KeyCoalescer:
                 results = done.result()
                 if len(results) != len(submit):
                     err = RuntimeError(
-                        f"batch evaluator returned {len(results)} results "
+                        f"grid evaluator returned {len(results)} results "
                         f"for {len(submit)} requests"
                     )
         for i, r in enumerate(submit):

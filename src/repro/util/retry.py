@@ -44,6 +44,8 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.base_backoff < 0 or self.backoff_factor < 1:
             raise ValueError("backoff must be non-negative and non-shrinking")
+        if self.timeout is not None and not self.timeout > 0:
+            raise ValueError("timeout must be > 0 (None disables it)")
 
     def backoff(self, attempt: int) -> float:
         """Backoff after the ``attempt``-th failure (0-based)."""

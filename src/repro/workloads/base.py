@@ -248,14 +248,15 @@ class Cell:
 def check_grid(topology, hierarchy, cells, backend: str) -> None:
     """Refuse a cell grid the machine cannot run: an unknown backend, a
     hierarchy that does not match the machine, or a cell whose rank
-    count does not divide the machine's processes."""
+    count does not divide the machine's processes (a
+    :class:`WorkloadError`)."""
     from repro.ir import get_backend
 
     get_backend(backend)  # unknown names raise, listing the registry
     hierarchy.check_process_count(topology.n_cores)
     for cell in cells:
         if hierarchy.size % cell.comm_size:
-            raise ValueError(
+            raise WorkloadError(
                 f"{cell.name} needs {cell.comm_size} ranks, which does not "
                 f"divide the machine's {hierarchy.size} processes"
             )

@@ -10,6 +10,7 @@ enters the system through :func:`collective_cells`.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.ir.program import CommProgram, ProgramMeta
@@ -93,8 +94,9 @@ def collective_cells(
     canonicalised once per cell.  Nothing is lowered here (evaluators
     lower on demand); ``total_bytes`` keeps the size as given, the
     figure-axis value sweep records report.  Duplicate comm sizes,
-    collectives or sizes raise :class:`~repro.workloads.WorkloadError`:
-    the grid is a set of distinct cells.
+    collectives or sizes raise :class:`~repro.workloads.WorkloadError`
+    (the grid is a set of distinct cells), as do sizes that are negative,
+    infinite or nan (the IR refuses such payloads).
     """
     for label, values in (
         ("comm sizes", comm_sizes),
@@ -103,6 +105,9 @@ def collective_cells(
     ):
         if len(set(values)) != len(values):
             raise WorkloadError(f"duplicate {label} in {list(values)}")
+    bad = [s for s in sizes if not 0 <= s < math.inf]
+    if bad:
+        raise WorkloadError(f"sizes must be finite and >= 0 bytes, got {bad}")
     return tuple(
         Cell(
             "collective",

@@ -1,4 +1,5 @@
-"""The ``pool`` fixture: one dispatcher, either way a worker joins."""
+"""Engine test helpers: the ``pool`` fixture (one dispatcher, either way
+a worker joins) and :func:`swap_evaluator`."""
 
 from __future__ import annotations
 
@@ -7,7 +8,24 @@ import time
 
 import pytest
 
+from repro.engine import evaluators
 from repro.engine.supervisor import TaskSupervisor, run_worker
+
+
+def swap_evaluator(monkeypatch, model: str, fn) -> None:
+    """Make ``fn`` the evaluator of ``model`` on both registries.
+
+    A worker-less engine scores ``round``/``logp`` through the batch
+    registry and every other path through the per-request one, so a fake
+    swapped into only one of them would be bypassed.  The batch stand-in
+    applies ``fn`` request by request; if it raises, the engine's
+    vectorized pass falls back to the supervisor, which calls ``fn``
+    per request with retries and quarantine.
+    """
+    monkeypatch.setitem(evaluators.EVALUATORS, model, fn)
+    monkeypatch.setitem(
+        evaluators.BATCH_EVALUATORS, model, lambda reqs: [fn(r) for r in reqs]
+    )
 
 
 class Pools:

@@ -1,11 +1,14 @@
-"""Batch sweeps hit and populate the ResultCache identically to scalar.
+"""The in-process vectorized path hits and populates the ResultCache
+identically to per-request evaluation on workers.
 
-The batch path's cache contract: every point still lives under its own
-content-addressed key, so a batch sweep writes byte-identical on-disk
-records to a scalar sweep over the same grid, a warm run in either mode
-evaluates nothing regardless of which mode filled the cache, and a batch
-run can resume from a journal written by an interrupted *scalar* run
-(evaluating only the keys that never completed).
+A worker-less engine (``jobs=1``) scores ``round``/``logp`` points as
+one vectorized pass; a ``jobs=2`` engine sends every point to its
+workers one request at a time.  The cache contract: every point still
+lives under its own content-addressed key, so both paths write
+byte-identical on-disk records over the same grid, a warm run on either
+path evaluates nothing regardless of which path filled the cache, and a
+vectorized run can resume from a journal written by an interrupted run
+on workers (evaluating only the keys that never completed).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import pytest
 
 from repro.core.hierarchy import Hierarchy
 from repro.engine import EvalRequest, SweepEngine
+from repro.engine.evaluators import evaluate_request
 from repro.engine.journal import JOURNAL_NAME
 from repro.topology.machines import generic_cluster
 from repro.workloads import collective_params
@@ -55,10 +59,12 @@ class TestCacheIdentity:
     def test_batch_writes_identical_disk_records(self, model, tmp_path):
         scalar_dir = tmp_path / "scalar"
         batch_dir = tmp_path / "batch"
-        scalar = SweepEngine(cache_dir=scalar_dir)
+        scalar = SweepEngine(jobs=2, cache_dir=scalar_dir)
         res_s = scalar.evaluate_many(_requests(model))
         batch = SweepEngine(cache_dir=batch_dir)
-        res_b = batch.evaluate_batch(_requests(model))
+        res_b = batch.evaluate_many(_requests(model))
+        assert scalar.stats.batched == 0
+        assert batch.stats.batched > 0
         assert [repr(r) for r in res_b] == [repr(r) for r in res_s]
         recs_s = _disk_records(scalar_dir)
         recs_b = _disk_records(batch_dir)
@@ -76,18 +82,18 @@ class TestCacheIdentity:
         assert keys_b == keys_s
 
     def test_warm_batch_after_scalar_evaluates_nothing(self, model, tmp_path):
-        cold = SweepEngine(cache_dir=tmp_path)
+        cold = SweepEngine(jobs=2, cache_dir=tmp_path)
         res_cold = cold.evaluate_many(_requests(model))
         warm = SweepEngine(cache_dir=tmp_path)
-        res_warm = warm.evaluate_batch(_requests(model))
+        res_warm = warm.evaluate_many(_requests(model))
         assert warm.stats.evaluated == 0
         assert warm.stats.batched == 0  # nothing left to batch
         assert [repr(r) for r in res_warm] == [repr(r) for r in res_cold]
 
     def test_warm_scalar_after_batch_evaluates_nothing(self, model, tmp_path):
         cold = SweepEngine(cache_dir=tmp_path)
-        res_cold = cold.evaluate_batch(_requests(model))
-        warm = SweepEngine(cache_dir=tmp_path)
+        res_cold = cold.evaluate_many(_requests(model))
+        warm = SweepEngine(jobs=2, cache_dir=tmp_path)
         res_warm = warm.evaluate_many(_requests(model))
         assert warm.stats.evaluated == 0
         assert [repr(r) for r in res_warm] == [repr(r) for r in res_cold]
@@ -96,39 +102,40 @@ class TestCacheIdentity:
 class TestResumeFromScalarJournal:
     def test_batch_resume_evaluates_only_missing_keys(self, tmp_path):
         requests = _requests("logp")
-        # An interrupted scalar run: only a prefix of the grid completed.
+        # An interrupted run on workers: only a prefix of the grid completed.
         prefix = requests[:3]
-        interrupted = SweepEngine(cache_dir=tmp_path, prune=False)
+        interrupted = SweepEngine(jobs=2, cache_dir=tmp_path, prune=False)
         interrupted.evaluate_many(prefix)
         done = len({r.key for r in prefix})
-        # A batch run over the full grid resumes from the scalar journal.
+        # A vectorized run over the full grid resumes from that journal.
         resumed = SweepEngine(cache_dir=tmp_path, prune=False)
         assert resumed.stats.journal_replayed == done
-        results = resumed.evaluate_batch(requests)
+        results = resumed.evaluate_many(requests)
         distinct = len({r.key for r in requests})
         assert resumed.stats.evaluated == distinct - done
         assert resumed.stats.disk_hits >= done
-        # The resumed output matches an uninterrupted scalar run bitwise.
-        reference = SweepEngine(prune=False).evaluate_many(requests)
+        # The resumed output matches per-request evaluation bitwise.
+        reference = [evaluate_request(r) for r in requests]
         assert [repr(r) for r in results] == [repr(r) for r in reference]
 
     def test_journal_promised_but_lost_record_reevaluated(self, tmp_path):
         requests = _requests("logp")[:2]
-        first = SweepEngine(cache_dir=tmp_path, prune=False)
+        first = SweepEngine(jobs=2, cache_dir=tmp_path, prune=False)
         first.evaluate_many(requests)
         lost = requests[0]
         (tmp_path / lost.key[:2] / f"{lost.key}.json").unlink()
         again = SweepEngine(cache_dir=tmp_path, prune=False)
-        res = again.evaluate_batch(requests)
+        res = again.evaluate_many(requests)
         assert again.stats.journal_missing == 1
         assert again.stats.evaluated == 1
-        reference = SweepEngine(prune=False).evaluate_many(requests)
+        reference = [evaluate_request(r) for r in requests]
         assert [repr(r) for r in res] == [repr(r) for r in reference]
 
 
 class TestBatchFallback:
     def test_non_batchable_model_falls_back_to_pool(self, tmp_path):
-        # "verify" has no batch evaluator; evaluate_batch must still work.
+        # "verify" has no batch evaluator; a worker-less engine must
+        # still evaluate it, under its serial supervisor.
         req = EvalRequest(
             model="verify",
             topology=TOPO,
@@ -137,9 +144,9 @@ class TestBatchFallback:
             workload_params=collective_params("alltoall", 4, 16e3, "pairwise"),
         )
         eng = SweepEngine(cache_dir=tmp_path)
-        res_b = eng.evaluate_batch([req])[0]
+        res_b = eng.evaluate_many([req])[0]
         assert eng.stats.batched == 0
-        reference = SweepEngine().evaluate_many([req])[0]
+        reference = evaluate_request(req)
         assert repr(res_b) == repr(reference)
 
     def test_batch_pass_exception_falls_back(self, monkeypatch):
@@ -151,10 +158,10 @@ class TestBatchFallback:
         monkeypatch.setitem(evaluators.BATCH_EVALUATORS, "logp", boom)
         eng = SweepEngine()
         requests = _requests("logp")
-        results = eng.evaluate_batch(requests)
+        results = eng.evaluate_many(requests)
         assert eng.stats.batch_fallbacks == 1
         assert eng.stats.batched == 0
-        reference = SweepEngine().evaluate_many(requests)
+        reference = [evaluate_request(r) for r in requests]
         assert [repr(r) for r in results] == [repr(r) for r in reference]
 
 
@@ -194,3 +201,40 @@ class TestMachineSpanningCommunicator:
         assert calls == [1] * len(ORDERS)
         for res in results:
             assert repr(res["duration_all"]) == repr(res["duration_single"])
+
+
+class TestPathRule:
+    """The worker configuration picks the path; results never change."""
+
+    def test_workers_pick_the_path(self):
+        from repro.engine import TaskSupervisor
+
+        requests = _requests("round")
+        worker_less = SweepEngine(prune=False)
+        on_workers = SweepEngine(jobs=2, prune=False)
+        with TaskSupervisor(jobs=2) as pool:
+            caller_owned = SweepEngine(prune=False, dispatcher=pool)
+            results = [
+                engine.evaluate_many(requests)
+                for engine in (worker_less, on_workers, caller_owned)
+            ]
+        assert worker_less.stats.batched == len(requests)
+        assert on_workers.stats.batched == 0
+        assert caller_owned.stats.batched == 0
+        assert [repr(r) for r in results[1]] == [repr(r) for r in results[0]]
+        assert [repr(r) for r in results[2]] == [repr(r) for r in results[0]]
+
+    def test_chaos_flaky_fails_the_vectorized_pass(self, monkeypatch):
+        from repro.engine.chaos import CHAOS_ENV
+
+        requests = _requests("logp")
+        clean = [evaluate_request(r) for r in requests]
+        # Every first attempt is hit; the supervisor's retry recovers.
+        monkeypatch.setenv(CHAOS_ENV, "flaky=1.0")
+        eng = SweepEngine(prune=False, retry_backoff=0.0)
+        results = eng.evaluate_many(requests)
+        assert eng.stats.batch_fallbacks == 1
+        assert eng.stats.batched == 0
+        assert eng.stats.retries == len(requests)
+        assert not eng.failures
+        assert [repr(r) for r in results] == [repr(r) for r in clean]

@@ -17,6 +17,7 @@ from repro.engine import (
 from repro.engine.evaluators import EVALUATORS
 from repro.topology.machines import generic_cluster
 from repro.workloads import collective_params
+from tests.engine.conftest import swap_evaluator
 
 
 H = Hierarchy((2, 2, 4), names=("node", "socket", "core"))
@@ -54,7 +55,7 @@ def _order_sensitive_eval(req: EvalRequest) -> dict:
 @pytest.fixture
 def fake_round(monkeypatch):
     """Replace the round evaluator with a cheap order-blind stub."""
-    monkeypatch.setitem(EVALUATORS, "round", _order_blind_eval)
+    swap_evaluator(monkeypatch, "round", _order_blind_eval)
 
 
 class TestMemoization:
@@ -120,7 +121,7 @@ class TestAuditMode:
         assert eng.stats.audited == 1
 
     def test_audit_catches_order_sensitive_results(self, monkeypatch):
-        monkeypatch.setitem(EVALUATORS, "round", _order_sensitive_eval)
+        swap_evaluator(monkeypatch, "round", _order_sensitive_eval)
         eng = SweepEngine(prune=False)
         with pytest.raises(EngineAuditError, match="value"):
             eng.evaluate_many([_round_req(o) for o in EQUIV_ORDERS])
@@ -129,7 +130,7 @@ class TestAuditMode:
         def diverging(req):
             return {"value": 1.0} if req.order == (2, 0, 1) else {"other": 1.0}
 
-        monkeypatch.setitem(EVALUATORS, "round", diverging)
+        swap_evaluator(monkeypatch, "round", diverging)
         eng = SweepEngine(prune=False)
         with pytest.raises(EngineAuditError, match="fields diverge"):
             eng.evaluate_many([_round_req(o) for o in EQUIV_ORDERS])
@@ -216,7 +217,7 @@ class TestRobustness:
         return eval_or_boom
 
     def test_bad_task_salvages_rest_of_batch(self, monkeypatch):
-        monkeypatch.setitem(EVALUATORS, "round", self._boom_on(2e6))
+        swap_evaluator(monkeypatch, "round", self._boom_on(2e6))
         eng = SweepEngine(max_attempts=2, retry_backoff=0.0)
         reqs = [_round_req(total=t) for t in (1e6, 2e6, 3e6)]
         out = eng.evaluate_many(reqs)
@@ -229,13 +230,13 @@ class TestRobustness:
         assert "quarantined" in eng.failure_summary()
 
     def test_failures_never_cached_so_fix_reruns_them(self, monkeypatch, tmp_path):
-        monkeypatch.setitem(EVALUATORS, "round", self._boom_on(2e6))
+        swap_evaluator(monkeypatch, "round", self._boom_on(2e6))
         eng = SweepEngine(cache_dir=tmp_path, max_attempts=1)
         reqs = [_round_req(total=t) for t in (1e6, 2e6)]
         eng.evaluate_many(reqs)
         # The evaluator is "fixed"; a resumed engine retries only the
         # failed key and serves the journaled one from cache.
-        monkeypatch.setitem(EVALUATORS, "round", _order_blind_eval)
+        swap_evaluator(monkeypatch, "round", _order_blind_eval)
         eng2 = SweepEngine(cache_dir=tmp_path)
         out = eng2.evaluate_many(reqs)
         assert out == [{"value": 1e6}, {"value": 2e6}]
@@ -247,7 +248,7 @@ class TestRobustness:
         def always_boom(req: EvalRequest) -> dict:
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(EVALUATORS, "round", always_boom)
+        swap_evaluator(monkeypatch, "round", always_boom)
         eng = SweepEngine(max_attempts=1)
         a, b = eng.evaluate_many([_round_req(o) for o in EQUIV_ORDERS])
         assert is_failure(a) and b is a  # broadcast, not re-evaluated
@@ -284,7 +285,7 @@ class TestRobustness:
         assert eng.stats.tmp_files_removed == 1
 
     def test_bench_json_reports_robustness_counters(self, monkeypatch, tmp_path):
-        monkeypatch.setitem(EVALUATORS, "round", self._boom_on(1e6))
+        swap_evaluator(monkeypatch, "round", self._boom_on(1e6))
         eng = SweepEngine(max_attempts=1)
         eng.evaluate(_round_req())
         doc = eng.write_bench_json(tmp_path / "BENCH_sweep.json")

@@ -229,10 +229,11 @@ class TestEtaOneBitwiseIdentity:
             topo, h, cfg["comm_sizes"], sizes=(1e6,), engine=engine_a,
             backend=cfg["backend"], eta=1.0, top_k=n_orders, probe=4,
         )
-        engine_b = SweepEngine()
+        # The ladder ran in-process; the reference runs on workers.
+        engine_b = SweepEngine(jobs=2)
         full = sweep(
             topo, h, cfg["comm_sizes"], sizes=(1e6,), engine=engine_b,
-            backend=cfg["backend"], batch=True,
+            backend=cfg["backend"],
         )
         expected = top_k_records(full, n_orders)
         assert to_csv(records) == to_csv(expected)
@@ -247,7 +248,7 @@ class TestEtaOneBitwiseIdentity:
             engine = SweepEngine(jobs=jobs)
             records, _ = ladder_sweep(
                 topo, h, [4], sizes=(1e6,), engine=engine, backend="round",
-                top_k=3, probe=4, batch=False,
+                top_k=3, probe=4,
             )
             csvs.append(to_csv(records))
         assert csvs[0] == csvs[1]
@@ -286,10 +287,11 @@ def test_property_eta1_ladder_is_bitwise_a_full_sweep(cfg):
         backend=cfg["backend"], rungs=cfg["rungs"], eta=1.0,
         top_k=n_orders, probe=cfg["probe"],
     )
+    # The ladder ran in-process; the reference runs on workers.
     full = sweep(
         topo, h, [cfg["comm_size"]], collectives=(cfg["collective"],),
-        sizes=(cfg["total_bytes"],), engine=SweepEngine(),
-        backend=cfg["backend"], batch=True,
+        sizes=(cfg["total_bytes"],), engine=SweepEngine(jobs=2),
+        backend=cfg["backend"],
     )
     assert to_csv(records) == to_csv(top_k_records(full, n_orders))
     assert all(r.n_promoted == r.n_candidates for r in result.rungs[:-1])
@@ -306,7 +308,7 @@ class TestLadderSweepPlumbing:
     def test_ladder_and_sweep_share_cache_keys(self):
         topo, h = _machine()
         engine = SweepEngine()
-        sweep(topo, h, [4], sizes=(1e6,), engine=engine, backend="round", batch=True)
+        sweep(topo, h, [4], sizes=(1e6,), engine=engine, backend="round")
         evaluated = engine.stats.evaluated
         # Everything the final rung needs is already cached; only the
         # cheaper screening rungs evaluate anything new.

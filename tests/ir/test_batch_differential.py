@@ -3,9 +3,10 @@
 The bitwise contract of the vectorized evaluation path is that batching
 changes *cost*, never *results*: for any sampled frontier of (hierarchy,
 communicator, collective, payload sizes, orders), driving it through
-``SweepEngine.evaluate_batch()`` must reproduce N scalar ``evaluate()``
-calls bit for bit -- equal ``repr`` on every duration, hence identical order rankings
--- for both the ``logp`` and ``round`` backends.  A second property pins
+a worker-less ``SweepEngine`` (one in-process vectorized pass) must
+reproduce N per-request ``evaluate_request()`` calls bit for bit --
+equal ``repr`` on every duration, hence identical order rankings -- for
+both the ``logp`` and ``round`` backends.  A second property pins
 the same contract one layer down, on ``run_batch`` vs ``run`` of the
 backend instances themselves, with size pools chosen to straddle the
 bruck/pairwise auto-selection threshold so alignment-group splitting is
@@ -36,6 +37,7 @@ from repro.bench.microbench import comm_members  # noqa: E402
 from repro.core.hierarchy import Hierarchy  # noqa: E402
 from repro.core.orders import all_orders  # noqa: E402
 from repro.engine import SweepEngine  # noqa: E402
+from repro.engine.evaluators import evaluate_request  # noqa: E402
 from repro.ir import (  # noqa: E402
     CommProgram,
     CommRound,
@@ -101,9 +103,10 @@ class TestEvaluateBatchDifferential:
             for order in cfg["orders"]
             for cell in cells
         ]
-        batched = SweepEngine().evaluate_batch(requests)
-        scalar_engine = SweepEngine()
-        scalar = [scalar_engine.evaluate(r) for r in requests]
+        engine = SweepEngine()
+        batched = engine.evaluate_many(requests)
+        assert engine.stats.batched == engine.stats.evaluated
+        scalar = [evaluate_request(r) for r in requests]
         assert [repr(r) for r in batched] == [repr(r) for r in scalar]
 
         def ranking(results, key):

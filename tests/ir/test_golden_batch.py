@@ -1,11 +1,13 @@
 """Golden lock: the batch path reproduces the fig3 golden exactly.
 
 ``tests/ir/golden_fig3.json`` pins the seed round-model durations of the
-fig3 grid.  ``tests/ir/test_golden_fig3.py`` holds the *scalar* paths to
-it; this module holds the *batch* paths to the same fixture, so a batch
-kernel regression cannot hide behind a matching scalar/batch comparison:
+fig3 grid.  ``tests/ir/test_golden_fig3.py`` holds the per-request path
+(on engine workers) to it; this module holds the in-process vectorized
+path to the same fixture, so a batch kernel regression cannot hide
+behind a matching per-request/vectorized comparison:
 
-- the ``round`` backend through ``fig3_data(batch=True)`` must stay
+- the ``round`` backend through ``fig3_data()`` (no engine workers, so
+  the grid is one in-process vectorized pass) must stay
   bitwise identical to the golden ``repr`` strings, and its fastest-first
   order ranking must equal the golden ranking exactly;
 - the ``logp`` backend through the batch path is advisory, so its
@@ -47,7 +49,7 @@ def _golden_ranking(golden, scenario: str) -> list[str]:
 
 class TestRoundBatchGolden:
     def test_bitwise_identical_to_golden(self, golden):
-        series = fig3_data(batch=True)
+        series = fig3_data()
         assert len(series) == len(FIG3_ORDERS)
         for s in series:
             ref = golden[format_order(s.order)]
@@ -61,7 +63,7 @@ class TestRoundBatchGolden:
 
     @pytest.mark.parametrize("scenario", ["duration_single", "duration_all"])
     def test_order_ranking_matches_golden(self, golden, scenario):
-        series = fig3_data(batch=True, engine=SweepEngine())
+        series = fig3_data(engine=SweepEngine())
         attr = scenario
         totals = {
             format_order(s.order): sum(getattr(p, attr) for p in s.points)
@@ -76,7 +78,7 @@ class TestLogPBatchGolden:
     def test_ranking_tau_at_least_0_9(self, golden, scenario):
         series = {
             format_order(s.order): s
-            for s in fig3_data(backend="logp", batch=True)
+            for s in fig3_data(backend="logp")
         }
         orders = [format_order(o) for o in FIG3_ORDERS]
         n_sizes = len(golden[orders[0]][scenario])

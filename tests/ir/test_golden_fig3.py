@@ -5,7 +5,10 @@ fig3 grid (6 orders x 9 sizes, both scenarios) as ``repr`` strings.  The
 ``round`` backend must stay *bitwise* identical to it; the ``logp``
 backend is advisory, so it is held to ranking fidelity instead: the
 per-size Kendall tau between its order ranking and the golden ranking
-must average >= 0.9.  (The ``des`` backend's bitwise contract is pinned
+must average >= 0.9.  Both run the per-request path, one task per point
+on two engine workers (``tests/ir/test_golden_batch.py`` holds the
+in-process vectorized path to the same fixture).  (The ``des``
+backend's bitwise contract is pinned
 separately by ``tests/verify/golden_differential.json`` -- fig3's 512
 ranks are DES-prohibitive in unit tests.)
 """
@@ -17,6 +20,7 @@ import pytest
 
 from repro.bench.figures import FIG3_ORDERS, fig3_data
 from repro.core.orders import format_order
+from repro.engine import SweepEngine
 
 GOLDEN = Path(__file__).parent / "golden_fig3.json"
 
@@ -52,7 +56,7 @@ class TestKendallTau:
 
 class TestRoundBackendGolden:
     def test_bitwise_identical_to_seed(self, golden):
-        series = fig3_data()
+        series = fig3_data(engine=SweepEngine(jobs=2, prune=False))
         assert len(series) == len(FIG3_ORDERS)
         for s in series:
             ref = golden[format_order(s.order)]
@@ -66,7 +70,11 @@ class TestRoundBackendGolden:
 class TestLogPBackendGolden:
     @pytest.mark.parametrize("scenario", ["duration_single", "duration_all"])
     def test_ranking_tau_at_least_0_9(self, golden, scenario):
-        series = {format_order(s.order): s for s in fig3_data(backend="logp")}
+        engine = SweepEngine(jobs=2, prune=False)
+        series = {
+            format_order(s.order): s
+            for s in fig3_data(backend="logp", engine=engine)
+        }
         orders = [format_order(o) for o in FIG3_ORDERS]
         n_sizes = len(golden[orders[0]][scenario])
         taus = []

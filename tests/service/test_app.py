@@ -8,6 +8,7 @@ import asyncio
 import pytest
 
 from repro.core.advisor import advise
+from repro.engine import SweepEngine
 from repro.netsim.fabric import STRUCTURE_CACHE_STATS
 from repro.service.app import (
     AdvisorService,
@@ -149,8 +150,10 @@ class TestAdvise:
             }
             response = asyncio.run(svc.advise(doc))
             h = parse_synthetic(doc["hierarchy"])
+            # The service scores in-process; offline runs on workers.
             offline = advise(
-                hydra(4), h, 16, total_bytes=(1e5, 1e6), backend="logp"
+                hydra(4), h, 16, total_bytes=(1e5, 1e6), backend="logp",
+                engine=SweepEngine(jobs=2),
             )
             # Not approximately: the service assembles through the exact
             # same plan/advice code path as offline advise().
@@ -227,7 +230,7 @@ class TestAdvise:
                 h,
                 cells=(workload_cell("dnn", params),),
                 backend="logp",
-                batch=True,
+                engine=SweepEngine(jobs=2),
             )
             assert response["advice"] == offline.to_jsonable()
             assert response["provenance"]["workload"] == "dnn"
@@ -266,7 +269,6 @@ def test_served_shape_set_stays_warm():
                 collective=collective,
                 total_bytes=(1e5 * scale, 64e6 * scale),
                 backend="logp",
-                batch=True,
             )
 
     one_pass(1.0)

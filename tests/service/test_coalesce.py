@@ -190,7 +190,7 @@ class TestWarmProbe:
             ]
             with ThreadPoolExecutor(max_workers=1) as pool:
                 coal = KeyCoalescer(
-                    engine.evaluate_batch, executor=pool,
+                    engine.evaluate_many, executor=pool,
                     probe=engine.cache.warm,
                 )
                 _, cold = await coal.evaluate(grid)

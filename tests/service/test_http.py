@@ -91,9 +91,11 @@ class TestRoutes:
             QUERY["comm_size"],
             total_bytes=tuple(QUERY["total_bytes"]),
             backend="logp",
+            engine=SweepEngine(jobs=2),
         )
-        # The served ranking is the offline ranking, bit for bit, after a
-        # real JSON round-trip over the wire.
+        # The served ranking (scored in-process) is the offline ranking
+        # (scored on workers), bit for bit, after a real JSON round-trip
+        # over the wire.
         assert served["advice"] == offline.to_jsonable()
 
     def test_error_mapping(self):
@@ -154,7 +156,7 @@ class TestCoalescingEndToEnd:
         def gated(requests):
             underlying.append(len(requests))
             assert release.wait(30)
-            return engine.evaluate_batch(requests)
+            return engine.evaluate_many(requests)
 
         svc = AdvisorService(engine=engine, evaluate=gated)
         n = 6
@@ -200,7 +202,7 @@ class TestCoalescingEndToEnd:
 
         def gated(requests):
             assert release.wait(30)
-            return engine.evaluate_batch(requests)
+            return engine.evaluate_many(requests)
 
         svc = AdvisorService(engine=engine, evaluate=gated)
         a_doc = {**QUERY, "total_bytes": [1e5, 1e6]}
@@ -316,7 +318,7 @@ class TestSharedCacheDir:
         """The engine's on-disk tier is the shared warm tier: a sweep in
         one process warms queries served by another."""
         h = parse_synthetic(QUERY["hierarchy"])
-        sweeper = SweepEngine(cache_dir=tmp_path)
+        sweeper = SweepEngine(jobs=2, cache_dir=tmp_path)  # on workers
         from repro.core.advisor import plan_query
         from repro.workloads import collective_cells
 
@@ -326,7 +328,7 @@ class TestSharedCacheDir:
             collective_cells([QUERY["comm_size"]], ["alltoall"], QUERY["total_bytes"]),
             backend="logp",
         )
-        sweeper.evaluate_batch(list(plan.requests))
+        sweeper.evaluate_many(list(plan.requests))
         assert sweeper.stats.evaluated > 0
 
         svc = AdvisorService(engine=SweepEngine(cache_dir=tmp_path))

@@ -132,6 +132,44 @@ class TestSweep:
 
         assert json.loads(path.read_text())["jobs"] == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("-j", "0"),
+            ("--max-attempts", "0"),
+            ("--comm-sizes", "3"),  # does not divide the 8 processes
+            ("--sizes", "nan"),
+            ("--sizes", "-5"),
+            ("--sizes", "inf"),
+            ("--task-timeout", "0", "-j", "2"),
+            ("--task-timeout", "-1", "-j", "2"),
+            ("--top-k", "0"),
+            ("--ladder", "--top-k", "0"),
+            ("--ladder", "--eta", "0.5"),
+            ("--ladder", "--probe", "0"),
+        ],
+    )
+    def test_refuses_bad_values_before_evaluating(self, flags, monkeypatch, capsys):
+        from repro.engine import SweepEngine
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated despite a refused option")
+
+        monkeypatch.setattr(SweepEngine, "_run", no_evaluation)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "-H", "node:2 core:4", "--comm-sizes", "4",
+                "--sizes", "1e6", *flags,
+            ])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "quarantine" not in capsys.readouterr().err
+
+    def test_batch_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "-H", "[[2,2,4]]", "--comm-sizes", "4", "--batch"])
+        assert exc.value.code == 2  # an argparse usage error
+
 
 class TestShow:
     def test_renders_grid(self, capsys):
