@@ -215,7 +215,7 @@ def _eval_des(req: EvalRequest) -> dict:
     """
     from repro.core.reorder import RankReordering
     from repro.ir import get_backend, placed_rounds
-    from repro.netsim.fabric import Fabric
+    from repro.ir.backends import round_fabric
 
     reordering = RankReordering(req.hierarchy, req.order, req.comm_size)
     cores = reordering.comm_members(0)
@@ -228,7 +228,7 @@ def _eval_des(req: EvalRequest) -> dict:
         program, req.topology, [cores],
         mode=mode, incremental=incremental, audit=audit_rates,
     ).time
-    t_round = placed_rounds(program, cores).total_time(Fabric(req.topology))
+    t_round = placed_rounds(program, cores).total_time(round_fabric(req.topology))
     out = {
         "duration_des": t_des,
         "duration_round": t_round,

@@ -10,9 +10,10 @@ backends register at import time:
     (:mod:`repro.netsim.fabric`).  Bit-identical to the pre-IR
     ``rounds_to_schedule`` + ``RoundSchedule`` pipeline.
 ``des``
-    The flow-level discrete-event simulation
-    (:mod:`repro.simmpi.runtime` over :mod:`repro.netsim.flows`),
-    including fault schedules and the incremental max-min kernel.
+    The flow-level discrete-event simulation over the incremental
+    max-min kernel (:mod:`repro.netsim.flows`): lockstep rounds through
+    the direct round kernel (:mod:`repro.netsim.lockstep`), pipelined
+    programs and fault schedules through :mod:`repro.simmpi.runtime`.
     Bit-identical to the pre-IR ``replay_rounds_des``.
 ``logp``
     A Hockney/LogGP-style analytical model: per round,
@@ -534,11 +535,15 @@ class RoundBackend(_AnalyticBackend):
 class DESBackend:
     """Exact max-min flow DES; the model of record for verification.
 
-    The lockstep loop is the pre-IR ``replay_rounds_des`` body, executed
-    from the IR's op-view posting order: each distinct round pattern runs
-    in a fresh simulator (clock restarting at zero, records shifted onto
-    the accumulated timeline) against one shared :class:`FlowNetwork`, so
-    rate-memo and path caches carry across patterns.
+    ``lockstep`` mode (the default) times each round on a fresh clock
+    with the direct round kernel (:func:`repro.netsim.lockstep.run_round`),
+    which equals a per-round :class:`~repro.simmpi.runtime.Simulator` bit
+    for bit.  Every round shares one :class:`FlowNetwork`, so its path
+    caches and rate memo carry across rounds, and healthy rounds are
+    memoized per topology.  Records are shifted onto the accumulated
+    timeline.  ``pipelined`` mode runs the whole program, repeats
+    unrolled, in one simulator; only it accepts a fault schedule, which
+    runs on a network of its own.
     """
 
     name = "des"
@@ -560,99 +565,136 @@ class DESBackend:
         fault_schedule: Any = None,
         **options: Any,
     ) -> ExecutionResult:
-        from repro.ir.lower import placed_rounds, rank_program, round_endpoints
-        from repro.netsim.fabric import Fabric
         from repro.netsim.flows import FlowNetwork
-        from repro.simmpi.communicator import Comm
-        from repro.simmpi.runtime import FlowRecord, Simulator
 
+        if mode not in ("lockstep", "pipelined"):
+            raise ValueError(f"unknown replay mode {mode!r} (lockstep|pipelined)")
+        faults = fault_schedule is not None and not fault_schedule.empty
+        if faults and mode == "lockstep":
+            raise ValueError(
+                "lockstep mode cannot run a fault schedule: each round's clock "
+                "restarts at zero, so absolute fault times have no meaning "
+                "(use mode='pipelined')"
+            )
+        if faults and network is not None:
+            raise ValueError(
+                "a fault schedule runs on a network of its own; do not pass "
+                "network= with one (faults mutate network capacities)"
+            )
         cores_list = _as_placements(placements)
         if len(cores_list) > 1:
             program, cores = _concat_placements(program, cores_list)
         else:
             cores = cores_list[0]
-        rounds = program.rounds
-        p = int(cores.size)
+        if cores.size and (cores.min() < 0 or cores.max() >= topology.n_cores):
+            raise ValueError("rank_to_core refers to cores outside the machine")
         records: list = []
-        collect = [records.append, *listeners]
-        fabric = fabric or Fabric(topology)
-        comms = Comm.world(p)
-        net = network or FlowNetwork(topology, incremental=incremental, audit=audit)
-
-        def simulator(round_listeners: list[Callable[[Any], None]]) -> Simulator:
-            return Simulator(
-                topology,
-                cores,
-                listeners=round_listeners,
-                network=net,
-                fault_schedule=fault_schedule,
-                backend=self.name,
-            )
-
+        sinks = [records.append, *listeners]
+        net = None if faults else (
+            network or FlowNetwork(topology, incremental=incremental, audit=audit)
+        )
         if mode == "lockstep":
-            total = 0.0
-            per_round = []
-            for idx, spec in enumerate(rounds):
-                # Each round runs in a fresh simulator whose clock restarts
-                # at zero; shift its records onto the accumulated timeline
-                # so the concatenated trace stays a coherent execution.
-                offset = total
-                local: list = []
-                sends, recvs = round_endpoints(spec, 0)
-                sim = simulator([local.append])
-                sim.run(
-                    {
-                        r: rank_program(comms[r], sends, recvs, spec.compute)
-                        for r in range(p)
-                    }
-                )
-                for rec in local:
-                    shifted = FlowRecord(
-                        src_rank=rec.src_rank,
-                        dst_rank=rec.dst_rank,
-                        src_core=rec.src_core,
-                        dst_core=rec.dst_core,
-                        nbytes=rec.nbytes,
-                        start=rec.start + offset,
-                        end=rec.end + offset,
-                        key=rec.key,
-                    )
-                    for sink in collect:
-                        sink(shifted)
-                t_one = max(sim.finish_times.values(), default=0.0)
-                t_model = fabric.round_time(
-                    placed_rounds([spec], cores).rounds[0]
-                )
-                per_round.append(
-                    RoundCost(
-                        index=idx,
-                        repeat=spec.repeat,
-                        n_flows=spec.src.size,
-                        seconds=t_one,
-                        model_seconds=t_model,
-                    )
-                )
-                total += t_one * spec.repeat
-            return ExecutionResult(self.name, total, tuple(per_round), records)
+            fab = fabric or round_fabric(topology)
+            total, per_round = _lockstep(program, cores, net, fab, sinks)
+            return ExecutionResult(self.name, total, per_round, records)
+        from repro.ir.lower import rank_program, round_endpoints
+        from repro.simmpi.communicator import Comm
+        from repro.simmpi.runtime import Simulator
 
-        if mode == "pipelined":
-            endpoints = [
-                round_endpoints(spec, idx * spec.src.size)
-                for idx, spec in enumerate(rounds)
-            ]
+        rounds = program.rounds
+        endpoints = [
+            round_endpoints(spec, idx * spec.src.size)
+            for idx, spec in enumerate(rounds)
+        ]
 
-            def full_program(comm: Comm) -> Iterator[Any]:
-                for spec, (sends, recvs) in zip(rounds, endpoints):
-                    for _ in range(spec.repeat):
-                        yield from rank_program(comm, sends, recvs, spec.compute)
-                return None
+        def full_program(comm: Comm) -> Iterator[Any]:
+            for spec, (sends, recvs) in zip(rounds, endpoints):
+                for _ in range(spec.repeat):
+                    yield from rank_program(comm, sends, recvs, spec.compute)
+            return None
 
-            sim = simulator(collect)
-            sim.run({r: full_program(comms[r]) for r in range(p)})
-            total = max(sim.finish_times.values(), default=0.0)
-            return ExecutionResult(self.name, total, (), records)
+        p = int(cores.size)
+        comms = Comm.world(p)
+        sim = Simulator(
+            topology,
+            cores,
+            listeners=sinks,
+            fault_schedule=fault_schedule,
+            incremental=incremental,
+            audit_rates=audit,
+            network=net,
+            backend=self.name,
+        )
+        sim.run({r: full_program(comms[r]) for r in range(p)})
+        total = max(sim.finish_times.values(), default=0.0)
+        return ExecutionResult(self.name, total, (), records)
 
-        raise ValueError(f"unknown replay mode {mode!r} (lockstep|pipelined)")
+
+def round_fabric(topology: MachineTopology) -> Fabric:
+    """The shared ``round`` backend's :class:`~repro.netsim.fabric.Fabric`
+    for ``topology``, whose round-time memo stays warm across calls."""
+    backend = get_backend("round")
+    assert isinstance(backend, RoundBackend)
+    return backend.fabric(topology)
+
+
+def _lockstep(
+    program: CommProgram,
+    cores: np.ndarray,
+    network: Any,
+    fabric: Fabric,
+    sinks: list,
+) -> tuple[float, tuple[RoundCost, ...]]:
+    """Every round on a fresh clock through the direct round kernel.
+
+    Returns the total (each round's time times its repeat, in round
+    order) and the per-round costs, each with the round model's time
+    beside it.  Each completed flow goes to ``sinks`` as a
+    :class:`~repro.simmpi.runtime.FlowRecord` shifted onto the
+    accumulated timeline, keyed like the simulator keys it:
+    ``(communicator id, flow index)``.
+    """
+    from repro.ir.lower import placed_rounds
+    from repro.netsim.lockstep import post_order, run_round
+    from repro.simmpi.communicator import new_comm_id
+    from repro.simmpi.runtime import FlowRecord
+
+    comm_id = new_comm_id()
+    total = 0.0
+    per_round = []
+    for idx, spec in enumerate(program.rounds):
+        placed = placed_rounds([spec], cores).rounds[0]
+        order = post_order(spec.src, spec.dst)
+        nbytes = spec.nbytes_per_flow()
+        run = run_round(
+            network, placed.src[order], placed.dst[order], nbytes[order], spec.compute
+        )
+        # Shift the round's records onto the accumulated timeline.
+        start = (spec.compute if spec.compute > 0.0 else 0.0) + total
+        for i, end in zip(order[run.order].tolist(), run.ends.tolist()):
+            record = FlowRecord(
+                src_rank=int(spec.src[i]),
+                dst_rank=int(spec.dst[i]),
+                src_core=int(placed.src[i]),
+                dst_core=int(placed.dst[i]),
+                nbytes=float(nbytes[i]),
+                start=start,
+                end=end + total,
+                key=(comm_id, i),
+            )
+            for sink in sinks:
+                sink(record)
+        per_round.append(
+            RoundCost(
+                index=idx,
+                repeat=spec.repeat,
+                n_flows=spec.src.size,
+                seconds=run.seconds,
+                model_seconds=fabric.round_time(placed),
+            )
+        )
+        total += run.seconds * spec.repeat
+    return total, tuple(per_round)
 
 
 def _concat_placements(

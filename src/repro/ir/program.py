@@ -198,7 +198,8 @@ class CommProgram:
         receives in flow order, then its sends in flow order, then the
         round's :class:`BarrierOp`.  With ``expand_repeats`` each
         repeated instance is emitted separately (tags restart per
-        instance, matching the lockstep replay's per-round simulations).
+        instance, matching the lockstep replay, which times each round on
+        a fresh clock).
         """
         if not 0 <= rank < self.n_ranks:
             raise ValueError(f"rank {rank} outside program of {self.n_ranks} rank(s)")

@@ -87,6 +87,7 @@ class KernelStats:
     memo_hits: int = 0  # active-set signature answered from the memo
     signature_skips: int = 0  # recompute skipped: signature unchanged
     deferrals: int = 0  # reprices absorbed by same-timestamp event bursts
+    completion_deferrals: int = 0  # completions taken at ``now`` without a solve
     reference_solves: int = 0  # from-scratch reference runs (audit/off mode)
     audits: int = 0  # incremental-vs-reference cross-checks
     sim_events: int = 0  # DES event-loop iterations (all simulators)
@@ -96,6 +97,7 @@ class KernelStats:
         self.memo_hits = 0
         self.signature_skips = 0
         self.deferrals = 0
+        self.completion_deferrals = 0
         self.reference_solves = 0
         self.audits = 0
         self.sim_events = 0
@@ -108,6 +110,7 @@ class KernelStats:
             "memo_hits": self.memo_hits,
             "signature_skips": self.signature_skips,
             "deferrals": self.deferrals,
+            "completion_deferrals": self.completion_deferrals,
             "reference_solves": self.reference_solves,
             "audits": self.audits,
             "sim_events": self.sim_events,
@@ -140,18 +143,19 @@ class Flow:
             self.remaining = float(self.nbytes)
 
 
-#: Shared per-topology path/latency caches.  Paths and base latencies are
-#: pure functions of the (frozen, hashable) topology, so every FlowNetwork
-#: on the same machine -- e.g. the per-round simulators of a lockstep
-#: differential replay -- shares one cache.
-_TOPO_CACHES: dict[MachineTopology, tuple[dict, dict, dict]] = {}
+#: Shared per-topology caches.  Paths and base latencies are pure
+#: functions of the (frozen, hashable) topology, and so is a lockstep
+#: round on the healthy machine, so every FlowNetwork on the same machine
+#: -- e.g. the networks of successive DES evaluations -- shares them.
+_TOPO_CACHES: dict[MachineTopology, tuple[dict, dict, dict, OrderedDict]] = {}
 
 
-def _topo_caches(topology: MachineTopology) -> tuple[dict, dict, dict]:
+def _topo_caches(topology: MachineTopology) -> tuple[dict, dict, dict, OrderedDict]:
     hit = _TOPO_CACHES.get(topology)
     if hit is None:
-        # (path arrays, path lists, base latencies) keyed by (src, dst)
-        hit = ({}, {}, {})
+        # (path arrays, path lists, base latencies) keyed by (src, dst),
+        # then the lockstep round memo (see repro.netsim.lockstep)
+        hit = ({}, {}, {}, OrderedDict())
         _TOPO_CACHES[topology] = hit
     return hit
 
@@ -199,14 +203,18 @@ class FlowNetwork:
             self._root_edge = self._capacity.size - 1
         # Healthy capacities; fault injection rescales _capacity from these.
         self._base_capacity = self._capacity.copy()
-        #: Largest current link capacity -- an upper bound on any flow's
-        #: rate, used by the simulator's lazy-reprice deferral proof.
+        #: Largest and smallest current link capacity.  The largest bounds
+        #: any flow's rate and the smallest tells whether a link is stalled;
+        #: the simulator's lazy-reprice deferral proofs use both.
         self.max_capacity = float(self._capacity.max(initial=0.0))
+        self.min_capacity = float(self._capacity.min(initial=np.inf))
         self._lat_faults: dict[tuple[int, int], float] = {}
         # -- incremental-kernel state -------------------------------------
-        self._path_cache, self._path_list_cache, self._base_lat_cache = _topo_caches(
-            topology
-        )
+        caches = _topo_caches(topology)
+        self._path_cache, self._path_list_cache, self._base_lat_cache = caches[:3]
+        #: Per-topology LRU of healthy lockstep round results, shared by
+        #: every network on the machine (see :mod:`repro.netsim.lockstep`).
+        self.round_memo = caches[3]
         #: Latency cache valid for the *current* fault state only.
         self._lat_cache: dict[tuple[int, int], float] = {}
         #: Distinguishes capacity states in memo keys.  () is the healthy
@@ -261,11 +269,18 @@ class FlowNetwork:
             for lv, comp, bw, lat in faults
         )
         self.max_capacity = float(self._capacity.max(initial=0.0))
+        self.min_capacity = float(self._capacity.min(initial=np.inf))
         # Latencies depend on the active latency-fault set; the base cache
         # (pure topology) survives, the faulted overlay does not.
         self._lat_cache = {}
         self._last_key = None
         self._last_rates = None
+
+    @property
+    def healthy(self) -> bool:
+        """Whether no fault set is installed (the machine's own capacities
+        and latencies are in force)."""
+        return not self._fault_token
 
     # -- paths and latency ----------------------------------------------------
 

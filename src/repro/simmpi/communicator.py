@@ -30,6 +30,12 @@ from repro.simmpi.ops import Compute, Irecv, Isend, Recv, Request, Send, Sendrec
 
 _comm_ids = itertools.count(1)
 
+
+def new_comm_id() -> int:
+    """A fresh process-wide communicator ID (scopes message keys)."""
+    return next(_comm_ids)
+
+
 #: Communicator IDs revoked via :meth:`Comm.revoke` (shared by all handles).
 _revoked_ids: set[int] = set()
 
@@ -69,7 +75,7 @@ class Comm:
         self.rank = my_group_rank
         if not 0 <= my_group_rank < group.size:
             raise ValueError(f"rank {my_group_rank} outside group of size {group.size}")
-        self.comm_id = next(_comm_ids) if comm_id is None else comm_id
+        self.comm_id = new_comm_id() if comm_id is None else comm_id
 
     # -- introspection ------------------------------------------------------
 
@@ -126,7 +132,7 @@ class Comm:
         if not survivors:
             raise RankFailedError(dead, "cannot shrink: every member failed")
         group = Group(tuple(c.world_rank for c in survivors))
-        comm_id = next(_comm_ids)
+        comm_id = new_comm_id()
         return {
             c.rank: Comm(group, new_rank, comm_id)
             for new_rank, c in enumerate(survivors)
@@ -224,7 +230,7 @@ class Comm:
     def world(n: int) -> list["Comm"]:
         """Handles on a fresh world communicator of size ``n`` (one per rank)."""
         group = Group(tuple(range(n)))
-        comm_id = next(_comm_ids)
+        comm_id = new_comm_id()
         return [Comm(group, r, comm_id) for r in range(n)]
 
     @staticmethod
@@ -255,7 +261,7 @@ class Comm:
             members.sort()  # by key, then by previous rank
             world = tuple(handles[rank].world_rank for _, rank in members)
             group = Group(world)
-            comm_id = next(_comm_ids)
+            comm_id = new_comm_id()
             for new_rank, (_, old_rank) in enumerate(members):
                 out[old_rank] = Comm(group, new_rank, comm_id)
         return out
@@ -264,5 +270,5 @@ class Comm:
     def from_members(world_ranks: Sequence[int]) -> list["Comm"]:
         """Handles on a communicator whose rank ``i`` is ``world_ranks[i]``."""
         group = Group(tuple(world_ranks))
-        comm_id = next(_comm_ids)
+        comm_id = new_comm_id()
         return [Comm(group, r, comm_id) for r in range(group.size)]

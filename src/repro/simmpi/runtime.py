@@ -129,11 +129,11 @@ class Simulator:
         :class:`~repro.netsim.flows.RateAuditError` on divergence.
     network:
         Optional pre-built :class:`FlowNetwork` to reuse, sharing its path
-        caches and rate memo across simulators (the lockstep differential
-        replay runs one short simulation per round pattern; a shared
-        network lets repeated patterns pay for one rate solve).  Must be
-        built on the same topology; incompatible with a fault schedule,
-        which mutates network capacities.
+        caches and rate memo with other simulators and with the lockstep
+        round kernel (:mod:`repro.netsim.lockstep`), so repeated active
+        sets pay for one rate solve.  Must be built on the same topology;
+        incompatible with a fault schedule, which mutates network
+        capacities.
     """
 
     def __init__(
@@ -302,6 +302,11 @@ class Simulator:
                 # of one per event).
                 KERNEL_STATS.deferrals += 1
                 t_flow, flow_idx = np.inf, -1
+            elif self._rates_dirty and (due := self._burst_completion()) >= 0:
+                # Completion burst: this flow completes at ``now`` whatever
+                # the fresh rates would be, so it goes without a solve.
+                KERNEL_STATS.completion_deferrals += 1
+                t_flow, flow_idx = self.now, due
             else:
                 self._ensure_rates()
                 t_flow, flow_idx = self._next_completion()
@@ -379,6 +384,39 @@ class Simulator:
             if flow.remaining <= floor or flow.src == flow.dst:
                 return False
         return True
+
+    def _burst_completion(self) -> int:
+        """Index of an active flow that completes at ``now`` whatever the
+        fresh rates are, or ``-1``.
+
+        The same proof as :meth:`_can_defer`.  Take the first active flow
+        that has no bytes left or is a self-flow.  With no zero-capacity
+        link every flow gets a positive rate, so this one completes at
+        ``now + 0 / rate == now`` (a self-flow's rate is infinite:
+        ``now + remaining / inf == now``).  Every flow before it has more
+        than ``2 * ulp(now) * max_capacity`` bytes left, so it completes
+        strictly after ``now``.  The strict-``<`` first-minimum scan of
+        :meth:`_next_completion` therefore picks this flow at ``now``, a
+        completion goes before any event at ``now``, and ``dt == 0``
+        progresses nothing: completing it without the solve leaves the
+        trajectory bit-identical.  The one solve then sees the active set
+        after the whole burst.
+        """
+        network = self.network
+        if network.min_capacity <= 0.0:
+            return -1
+        floor = 2.0 * math.ulp(self.now) * network.max_capacity
+        remaining: Iterable[float] = (
+            self._flow_rem.tolist()
+            if self._mirror_valid
+            else (entry[0].remaining for entry in self._active)
+        )
+        for i, (entry, rem) in enumerate(zip(self._active, remaining)):
+            if rem == 0.0 or entry[0].src == entry[0].dst:
+                return i
+            if rem <= floor:
+                return -1
+        return -1
 
     def _next_completion(self) -> tuple[float, int]:
         """Earliest in-flight completion ``(time, active-list index)``.

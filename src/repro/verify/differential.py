@@ -11,9 +11,9 @@ structured per-round mismatch report when they disagree.
 
 Two replay modes:
 
-- ``lockstep`` simulates each distinct round pattern in isolation (one DES
-  run per pattern, scaled by its repeat count), mirroring the round
-  model's synchronized-round semantics.  For rounds whose flows carry
+- ``lockstep`` simulates each round in isolation on a fresh clock (one
+  run of the DES round kernel, scaled by its repeat count), mirroring
+  the round model's synchronized-round semantics.  For rounds whose flows carry
   equal bytes the two models agree to float precision whenever every
   flow's bottleneck share equals its max-min rate; progressive filling can
   redistribute capacity released by fast flows, so the DES may finish

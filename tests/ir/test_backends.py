@@ -115,6 +115,71 @@ class TestDESBackend:
         with pytest.raises(ValueError, match="unknown replay mode"):
             get_backend("des").run(prog, TOPO, [np.arange(4)], mode="warp")
 
+    def test_pipelined_fault_schedule_matches_direct_simulator(self):
+        from repro.faults.model import FaultSchedule, FaultSpec
+        from repro.ir.lower import rank_program, round_endpoints
+        from repro.simmpi import Comm, Simulator
+
+        prog = collective_program("alltoall", 8, 1e6, "pairwise")
+        cores = np.arange(0, 16, 2)  # both nodes
+        schedule = FaultSchedule(
+            (
+                FaultSpec(
+                    "link_degrade", start=1e-6, target=0, level=0, end=1e-4,
+                    bw_factor=0.25, lat_factor=2.0,
+                ),
+            )
+        )
+        des = get_backend("des")
+        result = des.run(prog, TOPO, [cores], mode="pipelined", fault_schedule=schedule)
+        healthy = des.run(prog, TOPO, [cores], mode="pipelined")
+        assert result.time > healthy.time  # the fault bites
+
+        endpoints = [
+            round_endpoints(spec, i * spec.src.size) for i, spec in enumerate(prog.rounds)
+        ]
+
+        def program(comm):
+            for spec, (sends, recvs) in zip(prog.rounds, endpoints):
+                for _ in range(spec.repeat):
+                    yield from rank_program(comm, sends, recvs, spec.compute)
+
+        records = []
+        comms = Comm.world(8)
+        sim = Simulator(TOPO, cores, listeners=[records.append], fault_schedule=schedule)
+        sim.run({r: program(comms[r]) for r in range(8)})
+        assert result.time == max(sim.finish_times.values())
+
+        def fields(recs):
+            return [
+                (r.src_rank, r.dst_rank, r.src_core, r.dst_core, r.nbytes, r.start, r.end)
+                for r in recs
+            ]
+
+        assert fields(result.records) == fields(records)
+
+    def test_fault_schedule_refusals(self):
+        from repro.faults.model import FaultSchedule, FaultSpec
+        from repro.netsim.flows import FlowNetwork
+
+        prog = collective_program("allgather", 4, 1e5, "ring")
+        schedule = FaultSchedule((FaultSpec("link_degrade", start=0.0, target=0),))
+        des = get_backend("des")
+        with pytest.raises(ValueError, match="lockstep mode cannot run a fault schedule"):
+            des.run(prog, TOPO, [np.arange(4)], fault_schedule=schedule)
+        with pytest.raises(ValueError, match="network of its own"):
+            des.run(
+                prog, TOPO, [np.arange(4)], mode="pipelined",
+                fault_schedule=schedule, network=FlowNetwork(TOPO),
+            )
+        # An empty schedule is no schedule, in either mode.
+        for mode in ("lockstep", "pipelined"):
+            plain = des.run(prog, TOPO, [np.arange(4)], mode=mode)
+            empty = des.run(
+                prog, TOPO, [np.arange(4)], mode=mode, fault_schedule=FaultSchedule()
+            )
+            assert empty.time == plain.time
+
     def test_concurrent_placements_offset_concatenated(self):
         prog = collective_program("alltoall", 4, 1e5, "pairwise")
         eng = get_backend("des")
