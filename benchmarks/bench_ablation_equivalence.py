@@ -14,7 +14,6 @@ import math
 from repro.bench.figures import HYDRA16, LUMI16
 from repro.bench.microbench import run_microbench
 from repro.core.equivalence import equivalence_classes
-from repro.netsim.fabric import Fabric
 from repro.topology.machines import hydra
 
 
@@ -38,7 +37,6 @@ def test_pruning_factor_lumi(once):
 def test_equivalent_orders_time_identically(once):
     """Soundness: same-signature orders give the same collective time."""
     topo = hydra(16)
-    fabric = Fabric(topo)
     classes = once(equivalence_classes, HYDRA16, 16)
     checked = 0
     for sigs in classes.values():
@@ -47,7 +45,7 @@ def test_equivalent_orders_time_identically(once):
         times = [
             run_microbench(
                 topo, HYDRA16, s.order, 16, "alltoall", 4e6,
-                algorithm="pairwise", fabric=fabric,
+                algorithm="pairwise",
             ).duration_single
             for s in sigs[:3]
         ]

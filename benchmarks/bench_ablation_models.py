@@ -14,8 +14,7 @@ import pytest
 
 from repro.collectives.allgather import ring_program, ring_rounds
 from repro.collectives.alltoall import pairwise_program, pairwise_rounds
-from repro.ir.lower import placed_rounds
-from repro.netsim.fabric import Fabric
+from repro.ir import from_rounds, get_backend
 from repro.simmpi import Comm, Simulator
 from repro.topology.machines import hydra
 
@@ -31,7 +30,9 @@ def _des_time(topology, cores, make_prog):
 
 
 def _fast_time(topology, cores, rounds):
-    return placed_rounds(rounds, np.asarray(cores)).total_time(Fabric(topology))
+    cores = np.asarray(cores)
+    program = from_rounds(rounds, n_ranks=cores.size)
+    return get_backend("round").run(program, topology, [cores]).time
 
 
 @pytest.mark.parametrize(

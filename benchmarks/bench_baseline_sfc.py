@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.figures import HYDRA16
-from repro.bench.microbench import collective_schedule
 from repro.core.metrics import (
     pair_level_percentages_of_coords,
     ring_cost_of_coords,
@@ -25,7 +24,7 @@ from repro.core.mixed_radix import decompose_many
 from repro.core.orders import all_orders
 from repro.core.reorder import RankReordering
 from repro.core.sfc import hilbert_enumeration, morton_enumeration
-from repro.netsim.fabric import Fabric, RoundSchedule
+from repro.ir import collective_program, get_backend
 from repro.topology.machines import hydra
 
 COMM = 16
@@ -38,17 +37,13 @@ def _members_from_new_rank(new_rank: np.ndarray) -> np.ndarray:
     return inv.reshape(-1, COMM)
 
 
-def _all_comms_time(fabric: Fabric, members: np.ndarray) -> float:
-    schedules = [
-        collective_schedule("alltoall", members[c], NBYTES, algorithm="pairwise")
-        for c in range(members.shape[0])
-    ]
-    return RoundSchedule.merge(schedules).total_time(fabric)
+def _all_comms_time(topology, members: np.ndarray) -> float:
+    program = collective_program("alltoall", COMM, NBYTES, algorithm="pairwise")
+    return get_backend("round").run(program, topology, members).time
 
 
 def test_sfc_vs_mixed_radix_orders(once):
     topology = hydra(16)
-    fabric = Fabric(topology)
 
     def evaluate():
         results = {}
@@ -59,13 +54,13 @@ def test_sfc_vs_mixed_radix_orders(once):
             members = _members_from_new_rank(enum(HYDRA16))
             coords = decompose_many(HYDRA16, members[0])
             results[name] = (
-                _all_comms_time(fabric, members),
+                _all_comms_time(topology, members),
                 ring_cost_of_coords(coords),
                 pair_level_percentages_of_coords(coords),
             )
         for order in all_orders(4):
             r = RankReordering(HYDRA16, order, COMM)
-            t = _all_comms_time(fabric, r.all_comm_members())
+            t = _all_comms_time(topology, r.all_comm_members())
             label = "-".join(map(str, order))
             coords = decompose_many(HYDRA16, r.comm_members(0))
             results[label] = (

@@ -16,15 +16,13 @@ benchmarking all ``h!`` of them.  This example
 Run:  python examples/order_advisor.py
 """
 
-
-from repro.bench.microbench import collective_schedule
 from repro.core.advisor import advise
 from repro.core.dynamic import MixedReordering, heterogeneous_subcommunicators
 from repro.core.hierarchy import Hierarchy
 from repro.core.orders import format_order
 from repro.core.reorder import RankReordering
-from repro.netsim.fabric import RoundSchedule
-from repro.netsim.trace import TracingFabric, ascii_timeline
+from repro.ir import collective_program
+from repro.netsim.trace import ascii_timeline, round_trace
 from repro.topology.machines import hydra
 
 TOPO = hydra(8)
@@ -40,13 +38,8 @@ def advisor_demo() -> tuple:
 
 def timeline_demo(order, label: str) -> None:
     members = RankReordering(H, order, 16).all_comm_members()
-    schedules = [
-        collective_schedule("alltoall", members[c], 8e6, algorithm="pairwise")
-        for c in range(members.shape[0])
-    ]
-    merged = RoundSchedule.merge(schedules)
-    tf = TracingFabric(TOPO)
-    traces = tf.schedule_trace(merged)
+    program = collective_program("alltoall", 16, 8e6, algorithm="pairwise")
+    traces = round_trace(program, TOPO, members)
     print(f"{label} order {format_order(order)} — 16 concurrent alltoalls, 8 MB:")
     print(ascii_timeline(traces[:6], width=36))
     print("   ...\n")

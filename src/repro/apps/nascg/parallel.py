@@ -13,7 +13,7 @@ On a single node (the Figure 9 setting) the SpMV dominates and its speed
 is set by how much memory bandwidth each process can actually extract --
 which depends on how many active cores share each L3/NUMA/socket, i.e. on
 the *core selection*.  The communication terms are evaluated on the same
-fabric model as the micro-benchmarks and grow with process count, which
+round model as the micro-benchmarks and grow with process count, which
 is what ends the scaling beyond 16 processes.
 
 The model is calibrated by class parameters only (``n``, ``nnz``); no
@@ -30,11 +30,10 @@ import numpy as np
 
 from repro.apps.nascg.matrix import CGClass, CG_CLASSES
 from repro.collectives.base import RoundSpec
-from repro.ir.lower import placed_rounds
 from repro.core.coreselect import distinct_selections
 from repro.core.hierarchy import Hierarchy
 from repro.core.orders import Order, all_orders
-from repro.netsim.fabric import Fabric
+from repro.ir import from_rounds, get_backend
 from repro.topology.machine import MachineTopology
 
 #: Bytes of matrix data streamed per nonzero in CSR SpMV (8B value + 4B col).
@@ -116,7 +115,6 @@ class CGTimeModel:
     def __init__(self, topology: MachineTopology, klass: CGClass | str = "C"):
         self.topology = topology
         self.klass = CG_CLASSES[klass] if isinstance(klass, str) else klass
-        self.fabric = Fabric(topology)
 
     @cached_property
     def _total_inner_iterations(self) -> int:
@@ -144,8 +142,8 @@ class CGTimeModel:
         rounds = self.comm_rounds_per_iteration(cores.size)
         if not rounds:
             return 0.0
-        schedule = placed_rounds(rounds, cores)
-        return schedule.total_time(self.fabric)
+        program = from_rounds(rounds, n_ranks=cores.size)
+        return get_backend("round").run(program, self.topology, [cores]).time
 
     def run_time(self, cores: Sequence[int]) -> tuple[float, float, float]:
         """``(total, compute, comm)`` for the full benchmark."""

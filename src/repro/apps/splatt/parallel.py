@@ -31,13 +31,12 @@ import numpy as np
 
 from repro.apps.splatt.grid import all_layer_comms, choose_grid
 from repro.apps.splatt.tensor import NELL1_DIMS, NELL1_NNZ
-from repro.collectives.misc import alltoallv_pairwise_rounds
-from repro.ir.lower import placed_rounds
 from repro.collectives.selector import rounds_for
 from repro.core.hierarchy import Hierarchy
 from repro.core.orders import Order, all_orders
 from repro.core.reorder import RankReordering
-from repro.netsim.fabric import Fabric, RoundSchedule
+from repro.ir import CommProgram, from_rounds, get_backend
+from repro.workloads import lower_workload
 from repro.profiling.mpisee import CommProfiler
 from repro.topology.machine import MachineTopology
 
@@ -99,7 +98,6 @@ class CPDModel:
         self.p = topology.n_cores
         self.grid = choose_grid(dims, self.p)
         self.layers = all_layer_comms(self.grid)
-        self.fabric = Fabric(topology)
 
     # -- volumes -------------------------------------------------------------
 
@@ -126,17 +124,13 @@ class CPDModel:
 
     # -- execution -------------------------------------------------------------
 
-    def _mode_schedule(self, mode: int, member_cores: list[np.ndarray]) -> RoundSchedule:
-        """Merged schedule of all the mode's simultaneous alltoallvs."""
-        schedules = []
-        for cores in member_cores:
-            p = cores.size
-            per_pair = self.alltoallv_volume_per_rank(mode) / max(p - 1, 1)
-            sizes = np.full((p, p), per_pair)
-            np.fill_diagonal(sizes, 0.0)
-            rounds = alltoallv_pairwise_rounds(sizes)
-            schedules.append(placed_rounds(rounds, cores))
-        return RoundSchedule.merge(schedules)
+    def _mode_program(self, mode: int) -> CommProgram:
+        """One layer communicator's alltoallv of ``mode`` (the ``splatt``
+        workload): every layer of a mode has the same size, so each runs
+        this program."""
+        p = int(self.layers[mode][0].size)
+        per_pair = self.alltoallv_volume_per_rank(mode) / max(p - 1, 1)
+        return lower_workload("splatt", {"p": p, "per_pair_bytes": per_pair, "mode": mode})
 
     def run(self, order: Sequence[int]) -> CPDRun:
         """Model a full CPD under the given rank reordering."""
@@ -145,13 +139,17 @@ class CPDModel:
         # Core of each *reordered* rank (reordered rank r runs on the core
         # whose canonical rank reorders to r; canonical rank == core).
         core_of = reordering.canonical_rank
+        round_model = get_backend("round")
         profile = CommProfiler()
         comm_time = 0.0
         a2av_by_size: dict[int, float] = {}
         for mode in range(len(self.grid)):
+            # All the mode's alltoallvs run at once: the layer
+            # communicators are the placements.
             member_cores = [core_of[m] for m in self.layers[mode]]
             comm_size = int(member_cores[0].size)
-            t = self._mode_schedule(mode, member_cores).total_time(self.fabric)
+            program = self._mode_program(mode)
+            t = round_model.run(program, self.topology, member_cores).time
             t *= self.iterations
             comm_time += t
             a2av_by_size[comm_size] = a2av_by_size.get(comm_size, 0.0) + t
@@ -166,8 +164,8 @@ class CPDModel:
         world_cores = core_of
         small = 8.0 * self.cp_rank * self.p  # paper-convention total bytes
         for op, coll in (("MPI_Allreduce", "allreduce"), ("MPI_Bcast", "bcast")):
-            rounds = rounds_for(coll, self.p, small)
-            t = placed_rounds(rounds, world_cores).total_time(self.fabric)
+            program = from_rounds(rounds_for(coll, self.p, small), n_ranks=self.p)
+            t = round_model.run(program, self.topology, [world_cores]).time
             t *= self.iterations * len(self.grid)
             comm_time += t
             profile.record(comm_size=self.p, n_comms=1, op=op, seconds=t)

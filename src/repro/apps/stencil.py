@@ -9,7 +9,7 @@ hierarchy-aware rank placement.  Built on :mod:`repro.simmpi.cart`:
   simulated MPI (real halo exchanges of real NumPy rows/columns),
   validated against a single-process reference;
 - :class:`StencilModel` -- the performance face: halo volumes per
-  dimension mapped through the fabric model, so different Cartesian
+  dimension priced by the round model, so different Cartesian
   reorderings can be compared the same way the paper compares
   subcommunicator orders.
 """
@@ -22,10 +22,9 @@ from typing import Any, Generator, Sequence
 import numpy as np
 
 from repro.collectives.base import RoundSpec
-from repro.ir.lower import placed_rounds
 from repro.core.hierarchy import Hierarchy
 from repro.core.orders import Order, all_orders
-from repro.netsim.fabric import Fabric
+from repro.ir import from_rounds, get_backend
 from repro.simmpi.cart import CartTopology
 from repro.simmpi.communicator import Comm
 from repro.topology.machine import MachineTopology
@@ -146,7 +145,7 @@ def gather_blocks(
 
 @dataclass
 class StencilModel:
-    """Halo-exchange cost of a Cartesian layout on the fabric model."""
+    """Halo-exchange cost of a Cartesian layout under the round model."""
 
     topology: MachineTopology
     hierarchy: Hierarchy
@@ -173,21 +172,19 @@ class StencilModel:
                     )
         return rounds
 
-    def exchange_time(self, cart: CartTopology, fabric: Fabric | None = None) -> float:
-        fabric = fabric or Fabric(self.topology)
-        schedule = placed_rounds(
-            self.exchange_rounds(cart), cart.core_of
-        )
-        return schedule.total_time(fabric)
+    def exchange_time(self, cart: CartTopology) -> float:
+        """One halo exchange under the round model, ranks on ``cart``'s cores."""
+        cores = cart.core_of
+        program = from_rounds(self.exchange_rounds(cart), n_ranks=cores.size)
+        return get_backend("round").run(program, self.topology, [cores]).time
 
     def rank_orders(self, orders: Sequence[Order] | None = None) -> list[tuple[Order, float]]:
         """Halo-exchange time of every enumeration order, fastest first."""
-        fabric = Fabric(self.topology)
         if orders is None:
             orders = all_orders(self.hierarchy.depth)
         out = []
         for order in orders:
             cart = CartTopology(self.hierarchy, self.dims, order)
-            out.append((tuple(order), self.exchange_time(cart, fabric)))
+            out.append((tuple(order), self.exchange_time(cart)))
         out.sort(key=lambda t: t[1])
         return out

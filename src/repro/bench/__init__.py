@@ -13,7 +13,6 @@
 from repro.bench.microbench import (
     MicrobenchPoint,
     MicrobenchSeries,
-    collective_schedule,
     run_microbench,
     size_sweep,
 )
@@ -21,7 +20,6 @@ from repro.bench.microbench import (
 __all__ = [
     "MicrobenchPoint",
     "MicrobenchSeries",
-    "collective_schedule",
     "run_microbench",
     "size_sweep",
 ]

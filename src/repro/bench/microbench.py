@@ -32,13 +32,15 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.ir.program import CommProgram
 
-from repro.ir.lower import placed_rounds
-from repro.collectives.selector import rounds_for
+# Imported here, not on first use: the sweep engine forks its local
+# workers after importing this module, so the collectives (and the
+# simulator and network modules they load) are shared with every worker
+# instead of imported again in each.
+from repro.collectives.selector import select_algorithm
 from repro.core.hierarchy import Hierarchy
 from repro.core.metrics import OrderSignature, signature
 from repro.core.orders import Order
 from repro.core.reorder import RankReordering
-from repro.netsim.fabric import Fabric, RoundSchedule
 from repro.topology.machine import MachineTopology
 
 
@@ -86,18 +88,6 @@ class MicrobenchSeries:
         return np.array([p.total_bytes for p in self.points])
 
 
-def collective_schedule(
-    collective: str,
-    comm_cores: np.ndarray | Sequence[int],
-    total_bytes: float,
-    algorithm: str | None = None,
-) -> RoundSchedule:
-    """Round schedule of one collective on one communicator's cores."""
-    cores = np.asarray(comm_cores, dtype=np.int64)
-    rounds = rounds_for(collective, cores.size, total_bytes, algorithm)
-    return placed_rounds(rounds, cores)
-
-
 @lru_cache(maxsize=512)
 def comm_members(
     hierarchy: Hierarchy, order: tuple[int, ...], comm_size: int
@@ -121,7 +111,6 @@ def run_program(
     hierarchy: Hierarchy,
     order: Sequence[int],
     program: "CommProgram",
-    fabric: Fabric | None = None,
     backend: str = "round",
 ) -> MicrobenchPoint:
     """Steps 1-4 of the protocol for one already-lowered program.
@@ -144,13 +133,8 @@ def run_program(
     members = comm_members(hierarchy, tuple(order), program.n_ranks)
 
     engine = get_backend(backend)
-    options = {}
-    if backend == "round":
-        options["fabric"] = fabric or engine.fabric(topology)
-    duration_single = engine.run(topology=topology, program=program,
-                                 placements=[members[0]], **options).time
-    duration_all = engine.run(topology=topology, program=program,
-                              placements=list(members), **options).time
+    duration_single = engine.run(program, topology, [members[0]]).time
+    duration_all = engine.run(program, topology, list(members)).time
     total = program.meta.total_bytes
     if total is None:
         total = program.total_bytes
@@ -165,7 +149,6 @@ def run_microbench(
     collective: str,
     total_bytes: float,
     algorithm: str | None = None,
-    fabric: Fabric | None = None,
     backend: str = "round",
 ) -> MicrobenchPoint:
     """Steps 1-4 of the protocol for one data size.
@@ -177,17 +160,14 @@ def run_microbench(
 
     The collective is lowered once to a :class:`~repro.ir.program.CommProgram`
     and executed by the registered ``backend`` -- ``round`` (the paper's
-    model, bit-identical to the pre-IR schedule pipeline), ``logp`` (fast
-    advisory analytics) or ``des`` (exact flow simulation).  A shared
-    ``fabric`` carries the round model's pattern cache across calls; other
-    backends ignore it.
+    model), ``logp`` (fast advisory analytics) or ``des`` (exact flow
+    simulation).  The shared backend instance keeps its per-topology
+    pattern caches warm across calls.
     """
     from repro.ir import collective_program
 
     program = collective_program(collective, comm_size, total_bytes, algorithm)
-    point = run_program(
-        topology, hierarchy, order, program, fabric=fabric, backend=backend
-    )
+    point = run_program(topology, hierarchy, order, program, backend=backend)
     # Report the requested figure-axis size verbatim (bit-identical to the
     # historical signature even if a producer ever rounds its meta volume).
     return MicrobenchPoint(
@@ -203,18 +183,13 @@ def size_sweep(
     collective: str,
     sizes: Sequence[float],
     algorithm: str | None = None,
-    fabric: Fabric | None = None,
     backend: str = "round",
 ) -> MicrobenchSeries:
     """One figure curve: the protocol across a size sweep."""
-    from repro.collectives.selector import select_algorithm
-
-    if backend == "round":
-        fabric = fabric or Fabric(topology)
     points = tuple(
         run_microbench(
             topology, hierarchy, order, comm_size, collective, s, algorithm,
-            fabric, backend=backend,
+            backend=backend,
         )
         for s in sizes
     )

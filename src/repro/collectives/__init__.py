@@ -5,8 +5,9 @@ communication pattern:
 
 - a *rounds* face -- ``rounds(p, total_bytes) -> list[RoundSpec]`` giving,
   per synchronized round, the ``(src, dst, nbytes)`` flows in communicator
-  rank space.  Mapped onto cores it feeds the fast contention model
-  (:class:`~repro.netsim.fabric.Fabric`) that regenerates the paper's
+  rank space.  Lowered to a :class:`~repro.ir.program.CommProgram` and
+  placed onto cores, it feeds the fast contention model (the ``round``
+  backend of :mod:`repro.ir.backends`) that regenerates the paper's
   figures at full scale.
 - a *program* face -- a generator per rank that actually moves NumPy
   payloads through the simulated MPI runtime, proving the algorithm

@@ -121,7 +121,7 @@ class EngineStats:
 
     def to_jsonable(self) -> dict:
         from repro import __version__
-        from repro.netsim.fabric import FABRIC_CACHE_STATS, STRUCTURE_CACHE_STATS
+        from repro.netsim.fabric import STRUCTURE_CACHE_STATS
 
         return {
             "version": __version__,
@@ -149,10 +149,8 @@ class EngineStats:
             "tmp_files_removed": self.tmp_files_removed,
             "journal_replayed": self.journal_replayed,
             "journal_missing": self.journal_missing,
-            # Round-pattern cache of the fast model and the analytic
-            # kernels' structure memos (this process's fabrics; workers
-            # accumulate their own and are not merged).
-            "fabric_round_cache": FABRIC_CACHE_STATS.to_jsonable(),
+            # The analytic kernels' structure memos (this process's
+            # fabrics; workers accumulate their own and are not merged).
             "structure_cache": STRUCTURE_CACHE_STATS.to_jsonable(),
         }
 

@@ -168,8 +168,6 @@ def _eval_microbench_batch(
         # Microbench points only read total times; skip the per-round
         # RoundCost breakdown (``detail=False`` leaves times bit-exact).
         options = {"detail": False}
-        if backend_name == "round":
-            options["fabric"] = engine.fabric(topology)
         single = engine.run_batch(programs, topology, [members[0]], **options)
         # A communicator spanning the machine is its only instance: the
         # all-instances scenario is the single one.
@@ -207,15 +205,19 @@ def _eval_des(req: EvalRequest) -> dict:
 
     Returns both the DES makespan and the round model's prediction for the
     same schedule, so differential consumers get their comparison from one
-    cached evaluation.  ``duration_single`` aliases the DES makespan so
+    cached evaluation.  The prediction sums the rounds' round-model
+    seconds times their repeats, without compute
+    (:func:`~repro.ir.backends.round_total`): in lockstep mode from the
+    DES run's own ``model_seconds``, in pipelined mode from a ``round``
+    backend run.  ``duration_single`` aliases the DES makespan so
     backend-agnostic consumers (sweep records, figures) find the key they
     expect; with the ``des_all`` extra set, the all-subcommunicators
     scenario is additionally simulated (every communicator's program
     offset-concatenated into one DES run) as ``duration_all``.
     """
     from repro.core.reorder import RankReordering
-    from repro.ir import get_backend, placed_rounds
-    from repro.ir.backends import round_fabric
+    from repro.ir import get_backend
+    from repro.ir.backends import round_total
 
     reordering = RankReordering(req.hierarchy, req.order, req.comm_size)
     cores = reordering.comm_members(0)
@@ -224,11 +226,16 @@ def _eval_des(req: EvalRequest) -> dict:
     incremental = bool(req.extra("incremental", True))
     audit_rates = bool(req.extra("audit_rates", False))
     backend = get_backend("des")
-    t_des = backend.run(
+    des = backend.run(
         program, req.topology, [cores],
         mode=mode, incremental=incremental, audit=audit_rates,
-    ).time
-    t_round = placed_rounds(program, cores).total_time(round_fabric(req.topology))
+    )
+    if mode == "lockstep":
+        t_round = round_total(des.per_round, model=True)
+    else:
+        rounds = get_backend("round").run(program, req.topology, [cores])
+        t_round = round_total(rounds.per_round)
+    t_des = des.time
     out = {
         "duration_des": t_des,
         "duration_round": t_round,

@@ -1,8 +1,8 @@
 """Unified communication-program IR and pluggable execution backends.
 
 See :mod:`repro.ir.program` for the IR itself, :mod:`repro.ir.lower` for
-the lowering pipeline (producers -> IR -> placed schedules / per-rank
-DES programs), :mod:`repro.ir.validate` for the validation pass, and
+the lowering pipeline (producers -> IR -> per-rank DES programs),
+:mod:`repro.ir.validate` for the validation pass, and
 :mod:`repro.ir.backends` for the ``round``/``des``/``logp`` execution
 backends and their registry.
 """
@@ -24,7 +24,6 @@ from repro.ir.backends import (
 from repro.ir.lower import (
     collective_program,
     from_rounds,
-    placed_rounds,
     rank_program,
     round_endpoints,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "describe_backends",
     "from_rounds",
     "get_backend",
-    "placed_rounds",
     "rank_program",
     "register_backend",
     "round_endpoints",

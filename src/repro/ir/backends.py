@@ -7,8 +7,9 @@ backends register at import time:
 
 ``round``
     The synchronized-round bottleneck fair-share model
-    (:mod:`repro.netsim.fabric`).  Bit-identical to the pre-IR
-    ``rounds_to_schedule`` + ``RoundSchedule`` pipeline.
+    (:mod:`repro.netsim.fabric`), the one implementation of the paper's
+    round model: the apps, the micro-benchmark protocol, the
+    differential check and the trace all price through it.
 ``des``
     The flow-level discrete-event simulation over the incremental
     max-min kernel (:mod:`repro.netsim.flows`): lockstep rounds through
@@ -67,7 +68,6 @@ class BackendCapabilities:
     faults: bool  # honours FaultSchedule injection
     per_flow_contention: bool  # exact max-min per flow (vs bottleneck share)
     tolerance: str  # "exact" (goldens hold bitwise) | "advisory" (rankings)
-    batch: bool = False  # offers run_batch (stacked multi-program scoring)
 
     def describe(self) -> str:
         flags = [
@@ -75,8 +75,6 @@ class BackendCapabilities:
             "per-flow" if self.per_flow_contention else "bottleneck",
             self.tolerance,
         ]
-        if self.batch:
-            flags.append("batch")
         return ",".join(flags)
 
 
@@ -468,18 +466,21 @@ class _AnalyticBackend:
 class RoundBackend(_AnalyticBackend):
     """The paper's round model: per round, ``max(lat + nbytes / share)``.
 
-    Bit-identical to placing each round (:func:`~repro.ir.lower.placed_rounds`),
-    merging the placements' rounds (:meth:`RoundSchedule.merge`) and
-    pricing each merged round with :meth:`Fabric.round_time`.  The
-    structures live in the :class:`~repro.netsim.fabric.Fabric` memo,
-    keyed by the merged round's core-space flows; the ``fabric`` option
-    supplies the fabric to use.  Scalar payloads price all of a
-    pattern's rounds in one ``(program, round, flow)`` pass.
+    Every placement's flows of a round run as one merged round
+    (instance-major), priced on the per-topology
+    :class:`~repro.netsim.fabric.Fabric`, whose structure memo is keyed
+    by the merged round's core-space flows; ``time`` adds the rounds'
+    ``seconds * repeat`` in round order, then the program's compute.
+    ``tests/ir/round_oracle.py`` keeps the per-round definition (place
+    each round, price it with :meth:`Fabric.round_structures` and
+    ``max(lat + nbytes / share)``, add ``t * repeat``) that this backend
+    equals bit for bit.  Scalar payloads price all of a pattern's rounds
+    in one ``(program, round, flow)`` pass.
     """
 
     name = "round"
     capabilities = BackendCapabilities(
-        faults=False, per_flow_contention=False, tolerance="exact", batch=True
+        faults=False, per_flow_contention=False, tolerance="exact"
     )
     _merged_flow_counts = True
 
@@ -490,9 +491,9 @@ class RoundBackend(_AnalyticBackend):
         cores_list: list[np.ndarray],
         options: dict[str, Any],
     ) -> Sequence[tuple]:
-        fab: Fabric = options.get("fabric") or self.fabric(topology)
         which = range(len(table.patterns))
-        return fab.round_structures(list(_placed_patterns(table, cores_list, which)))
+        placed = list(_placed_patterns(table, cores_list, which))
+        return self.fabric(topology).round_structures(placed)
 
     def _flow_structures(
         self,
@@ -561,7 +562,6 @@ class DESBackend:
         incremental: bool = True,
         audit: bool = False,
         network: Any = None,
-        fabric: Any = None,
         fault_schedule: Any = None,
         **options: Any,
     ) -> ExecutionResult:
@@ -583,9 +583,9 @@ class DESBackend:
             )
         cores_list = _as_placements(placements)
         if len(cores_list) > 1:
-            program, cores = _concat_placements(program, cores_list)
+            combined, cores = _concat_placements(program, cores_list)
         else:
-            cores = cores_list[0]
+            combined, cores = program, cores_list[0]
         if cores.size and (cores.min() < 0 or cores.max() >= topology.n_cores):
             raise ValueError("rank_to_core refers to cores outside the machine")
         records: list = []
@@ -594,14 +594,16 @@ class DESBackend:
             network or FlowNetwork(topology, incremental=incremental, audit=audit)
         )
         if mode == "lockstep":
-            fab = fabric or round_fabric(topology)
-            total, per_round = _lockstep(program, cores, net, fab, sinks)
+            # The round model merges the placements itself, so it prices
+            # the caller's program, whose pattern table is memoized.
+            model = get_backend("round").run(program, topology, cores_list).per_round
+            total, per_round = _lockstep(combined, cores, net, model, sinks)
             return ExecutionResult(self.name, total, per_round, records)
         from repro.ir.lower import rank_program, round_endpoints
         from repro.simmpi.communicator import Comm
         from repro.simmpi.runtime import Simulator
 
-        rounds = program.rounds
+        rounds = combined.rounds
         endpoints = [
             round_endpoints(spec, idx * spec.src.size)
             for idx, spec in enumerate(rounds)
@@ -630,31 +632,39 @@ class DESBackend:
         return ExecutionResult(self.name, total, (), records)
 
 
-def round_fabric(topology: MachineTopology) -> Fabric:
-    """The shared ``round`` backend's :class:`~repro.netsim.fabric.Fabric`
-    for ``topology``, whose round-time memo stays warm across calls."""
-    backend = get_backend("round")
-    assert isinstance(backend, RoundBackend)
-    return backend.fabric(topology)
+def round_total(per_round: Sequence[RoundCost], model: bool = False) -> float:
+    """The round model's program time without compute: each round's
+    round-model seconds times its repeat, added in round order.
+
+    ``per_round`` is the ``round`` backend's breakdown, or with ``model``
+    a lockstep DES run's, whose :attr:`RoundCost.model_seconds` carry the
+    round model's time of each round.
+    """
+    total = 0.0
+    for cost in per_round:
+        seconds = cost.model_seconds if model else cost.seconds
+        assert seconds is not None, "a lockstep DES breakdown is required"
+        total += seconds * cost.repeat
+    return total
 
 
 def _lockstep(
     program: CommProgram,
     cores: np.ndarray,
     network: Any,
-    fabric: Fabric,
+    model: Sequence[RoundCost],
     sinks: list,
 ) -> tuple[float, tuple[RoundCost, ...]]:
     """Every round on a fresh clock through the direct round kernel.
 
     Returns the total (each round's time times its repeat, in round
     order) and the per-round costs, each with the round model's time
-    beside it.  Each completed flow goes to ``sinks`` as a
+    (``model``, the ``round`` backend's breakdown) beside it.  Each
+    completed flow goes to ``sinks`` as a
     :class:`~repro.simmpi.runtime.FlowRecord` shifted onto the
     accumulated timeline, keyed like the simulator keys it:
     ``(communicator id, flow index)``.
     """
-    from repro.ir.lower import placed_rounds
     from repro.netsim.lockstep import post_order, run_round
     from repro.simmpi.communicator import new_comm_id
     from repro.simmpi.runtime import FlowRecord
@@ -662,21 +672,19 @@ def _lockstep(
     comm_id = new_comm_id()
     total = 0.0
     per_round = []
-    for idx, spec in enumerate(program.rounds):
-        placed = placed_rounds([spec], cores).rounds[0]
+    for idx, (spec, cost) in enumerate(zip(program.rounds, model)):
+        src, dst = cores[spec.src], cores[spec.dst]
         order = post_order(spec.src, spec.dst)
         nbytes = spec.nbytes_per_flow()
-        run = run_round(
-            network, placed.src[order], placed.dst[order], nbytes[order], spec.compute
-        )
+        run = run_round(network, src[order], dst[order], nbytes[order], spec.compute)
         # Shift the round's records onto the accumulated timeline.
         start = (spec.compute if spec.compute > 0.0 else 0.0) + total
         for i, end in zip(order[run.order].tolist(), run.ends.tolist()):
             record = FlowRecord(
                 src_rank=int(spec.src[i]),
                 dst_rank=int(spec.dst[i]),
-                src_core=int(placed.src[i]),
-                dst_core=int(placed.dst[i]),
+                src_core=int(src[i]),
+                dst_core=int(dst[i]),
                 nbytes=float(nbytes[i]),
                 start=start,
                 end=end + total,
@@ -690,7 +698,7 @@ def _lockstep(
                 repeat=spec.repeat,
                 n_flows=spec.src.size,
                 seconds=run.seconds,
-                model_seconds=fabric.round_time(placed),
+                model_seconds=cost.seconds,
             )
         )
         total += run.seconds * spec.repeat
@@ -759,7 +767,7 @@ class LogPBackend(_AnalyticBackend):
 
     name = "logp"
     capabilities = BackendCapabilities(
-        faults=False, per_flow_contention=False, tolerance="advisory", batch=True
+        faults=False, per_flow_contention=False, tolerance="advisory"
     )
     _merged_flow_counts = False
 

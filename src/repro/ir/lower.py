@@ -1,20 +1,22 @@
 """Lowering passes: producers -> IR -> executable forms.
 
-The single conversion pipeline that replaces the pre-IR converter mesh:
+The single conversion pipeline between the producers and the backends:
 
 ```
 collectives.rounds_for ----\\
-apps (stencil/nascg/splatt) +--> CommProgram --+--> placed_rounds  (core-space
-raw RoundSpec sequences ----/    (repro.ir)    |     RoundSchedule for the
-                                               |     round/logp analytics)
+apps (stencil/nascg/splatt) +--> CommProgram --+--> round / logp backends
+raw RoundSpec sequences ----/    (repro.ir)    |     (place each pattern on
+                                               |     the cores, price it on
+                                               |     the per-topology Fabric)
                                                +--> round_endpoints +
                                                     rank_program   (per-rank
                                                     DES generators)
 ```
 
-Everything that used to call ``collectives.base.rounds_to_schedule`` or
-the endpoint bucketing in ``repro.verify.differential`` now goes through
-here; those entry points survive as deprecated wrappers.
+Producers lower here (:func:`from_rounds`, :func:`collective_program`);
+the analytic backends place a program's rounds onto cores themselves
+(:mod:`repro.ir.backends`), and the DES posts the per-rank programs this
+module builds.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 from repro.ir.program import CommProgram, CommRound, ProgramMeta
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from repro.netsim.fabric import RoundSchedule
     from repro.simmpi.communicator import Comm
 
 #: ``sends[rank]`` entries are ``(dst, nbytes, tag)``; ``recvs[rank]``
@@ -82,40 +83,6 @@ def collective_program(
     return lower_workload(
         "collective", collective_params(collective, p, total_bytes, algorithm)
     )
-
-
-# -- IR -> placed flow schedules (round / logp analytics) --------------------
-
-
-def placed_rounds(
-    rounds: Sequence[Any] | CommProgram,
-    member_cores: np.ndarray | Sequence[int],
-) -> "RoundSchedule":
-    """Map communicator-rank rounds onto cores.
-
-    ``member_cores[comm_rank]`` is the core the communicator's rank is
-    bound to (the composition of the rank reordering and the process
-    launcher's core binding).  This is the historical
-    ``rounds_to_schedule`` lowering, error message included, and stays
-    bit-compatible with it: same validation, same ``Round`` construction
-    order.
-    """
-    from repro.netsim.fabric import Round, RoundSchedule
-
-    if isinstance(rounds, CommProgram):
-        rounds = rounds.rounds
-    cores = np.asarray(member_cores, dtype=np.int64)
-    out = []
-    for spec in rounds:
-        if spec.src.size and (
-            spec.src.min() < 0
-            or spec.dst.min() < 0
-            or spec.src.max() >= cores.size
-            or spec.dst.max() >= cores.size
-        ):
-            raise ValueError("round refers to ranks outside the communicator")
-        out.append(Round(cores[spec.src], cores[spec.dst], spec.nbytes, spec.repeat))
-    return RoundSchedule(out)
 
 
 # -- IR -> per-rank DES programs ---------------------------------------------

@@ -2,12 +2,14 @@
 
 Two models of the same tree-shaped fabric, cross-validated in the tests:
 
-- :class:`~repro.netsim.fabric.Fabric` -- a fast, vectorized
-  *synchronized-round* model: a communication round is a batch of flows;
-  each flow's rate is its bottleneck fair share (link capacity divided by
-  the number of flows traversing the link) and the round lasts until the
-  slowest flow finishes.  Collective algorithms are sequences of rounds,
-  so a whole collective on 2048 ranks costs a handful of NumPy passes.
+- :class:`~repro.netsim.fabric.Fabric` -- the structures of a fast,
+  vectorized *synchronized-round* model: a communication round is a batch
+  of flows; each flow's rate is its bottleneck fair share (link capacity
+  divided by the number of flows traversing the link) and the round lasts
+  until the slowest flow finishes.  Collective algorithms are sequences of
+  rounds, so a whole collective on 2048 ranks costs a handful of NumPy
+  passes.  The ``round`` backend (:mod:`repro.ir.backends`) prices
+  programs with it.
 - :class:`~repro.netsim.flows.FlowNetwork` -- exact progressive-filling
   max-min fairness over the same links, used by the discrete-event MPI
   runtime (:mod:`repro.simmpi`) where flows start and end asynchronously.
@@ -20,14 +22,12 @@ source-side up-links and destination-side down-links of levels
 """
 
 from repro.netsim.engine import EventQueue
-from repro.netsim.fabric import Fabric, Round, RoundSchedule
+from repro.netsim.fabric import Fabric
 from repro.netsim.flows import Flow, FlowNetwork
 
 __all__ = [
     "EventQueue",
     "Fabric",
-    "Round",
-    "RoundSchedule",
     "Flow",
     "FlowNetwork",
 ]

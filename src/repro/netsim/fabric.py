@@ -17,10 +17,16 @@ tests cross-validate it against the exact progressive-filling computation
 in :mod:`repro.netsim.flows` (they agree exactly whenever every flow in the
 round carries equal bytes, which round-structured collectives guarantee).
 
-Everything is vectorized: a round on 2048 ranks with a 5-level hierarchy
-costs ~10 NumPy passes.  A :class:`RoundSchedule` additionally deduplicates
-repeated rounds (a 255-round ring allgather has one distinct round pattern)
-so whole size sweeps stay cheap.
+A :class:`Fabric` holds the payload-independent half of that formula for
+one machine: per placed ``(src, dst)`` pattern, each live flow's latency
+and fair share (:meth:`Fabric.round_structures`), plus the logp model's
+``(alpha, rate_coeff)`` pairs, each in an LRU memo.  It prices nothing
+itself: the ``round`` and ``logp`` backends of :mod:`repro.ir.backends`
+own one fabric per topology and evaluate whole programs against it, so
+every caller of the round model goes through
+``get_backend("round").run(program, topology, placements)``.  A pattern
+is analysed in ~10 NumPy passes even at 2048 ranks, and a 255-round ring
+allgather has one distinct pattern.
 """
 
 from __future__ import annotations
@@ -38,13 +44,11 @@ T = TypeVar("T")
 
 @dataclass
 class FabricCacheStats:
-    """Hit/miss/eviction counters of one family of fabric memos.
+    """Hit/miss/eviction counters of a family of fabric memos.
 
-    :data:`FABRIC_CACHE_STATS` counts the round-time cache of every
-    fabric (surfaced in ``BENCH_sweep.json``), :data:`STRUCTURE_CACHE_STATS`
-    the structure memos of both analytic kernels (:func:`lru_structures`);
-    both appear in the engine's ``/stats``.  Advisory counters only,
-    never control flow.
+    :data:`STRUCTURE_CACHE_STATS` counts the structure memos of both
+    analytic kernels (:func:`lru_structures`) and appears in the engine's
+    ``/stats``.  Advisory counters only, never control flow.
     """
 
     hits: int = 0
@@ -66,50 +70,9 @@ class FabricCacheStats:
         }
 
 
-#: Aggregate round-time cache counters across every :class:`Fabric` in
-#: the process.
-FABRIC_CACHE_STATS = FabricCacheStats()
-
 #: Aggregate structure-memo counters (:func:`lru_structures`) across every
 #: fabric in the process.
 STRUCTURE_CACHE_STATS = FabricCacheStats()
-
-
-@dataclass(frozen=True)
-class Round:
-    """One batch of concurrent flows.
-
-    ``src``/``dst`` are core IDs, ``nbytes`` is per-flow payload (scalar or
-    per-flow array), ``repeat`` collapses consecutive identical rounds.
-    """
-
-    src: np.ndarray
-    dst: np.ndarray
-    nbytes: np.ndarray | float
-    repeat: int = 1
-
-    def __post_init__(self) -> None:
-        src = np.asarray(self.src, dtype=np.int64)
-        dst = np.asarray(self.dst, dtype=np.int64)
-        if src.shape != dst.shape:
-            raise ValueError("src and dst must have the same shape")
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        if self.repeat < 1:
-            raise ValueError("repeat must be >= 1")
-
-    @property
-    def n_flows(self) -> int:
-        return int(self.src.size)
-
-    def key(self) -> tuple:
-        """Hashable identity for schedule-level deduplication."""
-        nbytes = self.nbytes
-        if isinstance(nbytes, np.ndarray):
-            nb_key: tuple | float = (nbytes.tobytes(),)
-        else:
-            nb_key = float(nbytes)
-        return (self.src.tobytes(), self.dst.tobytes(), nb_key)
 
 
 #: Payload-independent part of one round pattern's fair-share pricing:
@@ -133,10 +96,11 @@ NO_FLOWS: LogPCoefficients = (float("nan"), float("nan"))
 
 
 class Fabric:
-    """Vectorized round-time evaluation on one machine topology."""
+    """Memoized fair-share structures of placed round patterns on one
+    machine topology (built by the analytic backends, one per topology)."""
 
-    #: Round-pattern cache entries kept per fabric; each key embeds the
-    #: round's src/dst arrays, so unbounded growth would cost real memory
+    #: Pattern structures kept per fabric; each key embeds the
+    #: pattern's src/dst arrays, so unbounded growth would cost real memory
     #: on studies that evaluate thousands of distinct patterns.
     CACHE_LIMIT = 4096
 
@@ -158,65 +122,8 @@ class Fabric:
 
     def __init__(self, topology: MachineTopology):
         self.topology = topology
-        self._cache: OrderedDict[tuple, float] = OrderedDict()
         self._structures: OrderedDict[tuple, RoundStructure] = OrderedDict()
         self._coefficients: OrderedDict[tuple, LogPCoefficients] = OrderedDict()
-        self.cache_stats = FabricCacheStats()
-
-    def uncontended_time(
-        self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray | float
-    ) -> np.ndarray:
-        """Per-flow time with no competing traffic (latency + serialization).
-
-        The serialization bandwidth is the slowest link on the path.
-        """
-        topo = self.topology
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        lca = topo.lca_level(src, dst)
-        bw = np.full(src.shape, np.inf)
-        for level in range(topo.depth):
-            crossing = lca <= level
-            bw = np.where(crossing, np.minimum(bw, topo.link_bw[level]), bw)
-        lat = topo.hop_latency(lca)
-        nb = np.broadcast_to(np.asarray(nbytes, dtype=float), src.shape)
-        out = lat + np.where(np.isfinite(bw), nb / bw, 0.0)
-        return np.where(lca == topo.depth, 0.0, out)
-
-    def round_time(self, rnd: Round) -> float:
-        """Duration of one round under bottleneck fair sharing.
-
-        Distinct patterns are cached per fabric with true LRU eviction
-        (the seed wholesale-cleared the cache at the limit, so a sweep
-        cycling through ``CACHE_LIMIT + 1`` patterns recomputed all of
-        them every pass).  Hit/miss/eviction counters accumulate on both
-        this fabric's :attr:`cache_stats` and the process-wide
-        :data:`FABRIC_CACHE_STATS`.
-        """
-        key = rnd.key()
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            self.cache_stats.hits += 1
-            FABRIC_CACHE_STATS.hits += 1
-            return cached
-        self.cache_stats.misses += 1
-        FABRIC_CACHE_STATS.misses += 1
-        t = self._round_time_impl(rnd)
-        self._cache[key] = t
-        if len(self._cache) > self.CACHE_LIMIT:
-            self._cache.popitem(last=False)
-            self.cache_stats.evictions += 1
-            FABRIC_CACHE_STATS.evictions += 1
-        return t
-
-    def _round_time_impl(self, rnd: Round) -> float:
-        live, lat, share = self.round_structures([(rnd.src, rnd.dst)])[0]
-        if not lat.size:
-            return 0.0
-        nb = np.broadcast_to(np.asarray(rnd.nbytes, dtype=float), rnd.src.shape)[live]
-        times = lat + nb / share
-        return float(times.max())
 
     def round_structures(
         self, patterns: Sequence[tuple[np.ndarray, np.ndarray]]
@@ -402,89 +309,3 @@ def lru_structures(
                 memo.popitem(last=False)
                 stats.evictions += 1
     return out
-
-
-@dataclass
-class RoundSchedule:
-    """An ordered sequence of rounds, evaluated with pattern deduplication."""
-
-    rounds: list[Round]
-
-    def total_time(self, fabric: Fabric) -> float:
-        """Sum of round durations (each distinct pattern computed once)."""
-        total = 0.0
-        for rnd in self.rounds:
-            total += fabric.round_time(rnd) * rnd.repeat
-        return total
-
-    @property
-    def n_rounds(self) -> int:
-        return sum(r.repeat for r in self.rounds)
-
-    @property
-    def total_bytes(self) -> float:
-        total = 0.0
-        for r in self.rounds:
-            nb = np.broadcast_to(np.asarray(r.nbytes, dtype=float), r.src.shape)
-            total += float(nb.sum()) * r.repeat
-        return total
-
-    @staticmethod
-    def merge(schedules: Sequence["RoundSchedule"]) -> "RoundSchedule":
-        """Synchronized concurrent execution of several schedules.
-
-        Round ``i`` of the merged schedule is the union of every schedule's
-        round ``i`` -- the model of "all subcommunicators execute the
-        collective simultaneously" in the paper's micro-benchmarks.
-        Schedules shorter than the longest simply finish early.  Repeat
-        compression is preserved only when all schedules agree on the
-        repeat structure (true for same-algorithm same-size
-        subcommunicators, the only case the harness produces); otherwise
-        rounds are expanded.
-        """
-        if not schedules:
-            return RoundSchedule([])
-        if len(schedules) == 1:
-            return schedules[0]
-        repeats = [tuple(r.repeat for r in s.rounds) for s in schedules]
-        if all(r == repeats[0] for r in repeats):
-            merged = []
-            for i, proto in enumerate(schedules[0].rounds):
-                merged.append(
-                    Round(
-                        np.concatenate([s.rounds[i].src for s in schedules]),
-                        np.concatenate([s.rounds[i].dst for s in schedules]),
-                        _concat_nbytes([s.rounds[i] for s in schedules]),
-                        repeat=proto.repeat,
-                    )
-                )
-            return RoundSchedule(merged)
-        expanded = [
-            [rnd for r in s.rounds for rnd in [r] * r.repeat] for s in schedules
-        ]
-        longest = max(len(e) for e in expanded)
-        merged = []
-        for i in range(longest):
-            parts = [e[i] for e in expanded if i < len(e)]
-            merged.append(
-                Round(
-                    np.concatenate([p.src for p in parts]),
-                    np.concatenate([p.dst for p in parts]),
-                    _concat_nbytes(parts),
-                )
-            )
-        return RoundSchedule(merged)
-
-
-def _concat_nbytes(rounds: Iterable[Round]) -> np.ndarray | float:
-    rounds = list(rounds)
-    scalars = {
-        float(r.nbytes) for r in rounds if not isinstance(r.nbytes, np.ndarray)
-    }
-    if len(scalars) == 1 and all(
-        not isinstance(r.nbytes, np.ndarray) for r in rounds
-    ):
-        return scalars.pop()
-    return np.concatenate(
-        [np.broadcast_to(np.asarray(r.nbytes, dtype=float), r.src.shape) for r in rounds]
-    )

@@ -1,8 +1,9 @@
 """Execution traces and ASCII timelines.
 
-Both network models can narrate what they did: the round model records one
-:class:`RoundTrace` per evaluated round (duration, flow count, bottleneck
-level), the DES emits per-flow records already (``Simulator`` listeners).
+Both network models can narrate what they did: :func:`round_trace` records
+one :class:`RoundTrace` per executed round of the round model (duration,
+flow count, bottleneck level), the DES emits per-flow records already
+(``Simulator`` listeners).
 The timeline renderer turns either into a terminal-friendly Gantt strip,
 which the examples use to make contention visible without matplotlib.
 """
@@ -14,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.netsim.fabric import Fabric, Round, RoundSchedule
+from repro.ir.backends import get_backend
+from repro.ir.program import CommProgram
 from repro.topology.machine import MachineTopology
 
 
@@ -29,79 +31,81 @@ class RoundTrace:
     bottleneck_level: str  # name of the level whose links bound the round
 
 
-class TracingFabric(Fabric):
-    """A fabric that records every evaluated round (cache disabled so
-    repeats are visible in the trace)."""
+def round_trace(
+    program: CommProgram,
+    topology: MachineTopology,
+    placements: Sequence[np.ndarray],
+) -> list[RoundTrace]:
+    """One :class:`RoundTrace` per executed round of ``program``.
 
-    def __init__(self, topology: MachineTopology):
-        super().__init__(topology)
-        self.traces: list[RoundTrace] = []
-        self._clock = 0.0
+    Every placement's flows of a round run as one merged round, as the
+    ``round`` backend prices them; durations are that backend's
+    ``per_round`` seconds, repeats are expanded, and each round starts
+    where the previous one ended.
+    """
+    cores_list = [np.asarray(c, dtype=np.int64) for c in placements]
+    costs = get_backend("round").run(program, topology, cores_list).per_round
+    traces: list[RoundTrace] = []
+    clock = 0.0
+    for rnd, cost in zip(program.rounds, costs):
+        level = _bottleneck_level(
+            topology,
+            np.concatenate([c[rnd.src] for c in cores_list]),
+            np.concatenate([c[rnd.dst] for c in cores_list]),
+            np.tile(rnd.nbytes_per_flow(), len(cores_list)),
+        )
+        for _ in range(cost.repeat):
+            traces.append(
+                RoundTrace(len(traces), clock, cost.seconds, cost.n_flows, level)
+            )
+            clock += cost.seconds
+    return traces
 
-    def reset(self) -> None:
-        self.traces.clear()
-        self._clock = 0.0
 
-    def schedule_trace(self, schedule: RoundSchedule) -> list[RoundTrace]:
-        """Evaluate a schedule round by round, recording each."""
-        self.reset()
-        index = 0
-        for rnd in schedule.rounds:
-            for _ in range(rnd.repeat):
-                duration = self._round_time_impl(rnd)
-                self.traces.append(
-                    RoundTrace(
-                        index=index,
-                        start=self._clock,
-                        duration=duration,
-                        n_flows=rnd.n_flows,
-                        bottleneck_level=self._bottleneck_level(rnd),
-                    )
-                )
-                self._clock += duration
-                index += 1
-        return self.traces
+def _bottleneck_level(
+    topo: MachineTopology, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray
+) -> str:
+    """Name of the level whose capacity limits a round's slowest flow.
 
-    def _bottleneck_level(self, rnd: Round) -> str:
-        """Name of the level whose capacity limits the slowest flow."""
-        topo = self.topology
-        lca = topo.lca_level(rnd.src, rnd.dst)
-        live = lca < topo.depth
-        if not live.any():
-            return "none"
-        # Re-derive the slowest flow and its binding level.
-        src, dst, lca = rnd.src[live], rnd.dst[live], lca[live]
-        nb = np.broadcast_to(np.asarray(rnd.nbytes, dtype=float), rnd.src.shape)[live]
-        best_level = "none"
-        worst_time = -1.0
-        # Scalar pass over a bounded set (levels x flows is small in traces).
-        counts: dict[tuple[int, int, bool], int] = {}
-        strides = topo.strides
-        for level in range(topo.depth):
-            m = lca <= level
-            for s in src[m]:
-                key = (level, int(s) // strides[level], True)
-                counts[key] = counts.get(key, 0) + 1
-            for d in dst[m]:
-                key = (level, int(d) // strides[level], False)
-                counts[key] = counts.get(key, 0) + 1
-        for i in range(src.size):
-            share = np.inf
-            binding = 0
-            for level in range(int(lca[i]), topo.depth):
-                cap = topo.link_bw[level]
-                n = max(
-                    counts[(level, int(src[i]) // strides[level], True)],
-                    counts[(level, int(dst[i]) // strides[level], False)],
-                )
-                if cap / n < share:
-                    share = cap / n
-                    binding = level
-            t = topo.hop_latency(np.array([lca[i]]))[0] + nb[i] / share
-            if t > worst_time:
-                worst_time = t
-                best_level = topo.hierarchy.names[binding]
-        return best_level
+    ``src``/``dst`` are the round's core-space flows and ``nbytes`` their
+    payloads.
+    """
+    lca = topo.lca_level(src, dst)
+    live = lca < topo.depth
+    if not live.any():
+        return "none"
+    # Re-derive the slowest flow and its binding level.
+    src, dst, lca, nb = src[live], dst[live], lca[live], nbytes[live]
+    best_level = "none"
+    worst_time = -1.0
+    # Scalar pass over a bounded set (levels x flows is small in traces).
+    counts: dict[tuple[int, int, bool], int] = {}
+    strides = topo.strides
+    for level in range(topo.depth):
+        m = lca <= level
+        for s in src[m]:
+            key = (level, int(s) // strides[level], True)
+            counts[key] = counts.get(key, 0) + 1
+        for d in dst[m]:
+            key = (level, int(d) // strides[level], False)
+            counts[key] = counts.get(key, 0) + 1
+    for i in range(src.size):
+        share = np.inf
+        binding = 0
+        for level in range(int(lca[i]), topo.depth):
+            cap = topo.link_bw[level]
+            n = max(
+                counts[(level, int(src[i]) // strides[level], True)],
+                counts[(level, int(dst[i]) // strides[level], False)],
+            )
+            if cap / n < share:
+                share = cap / n
+                binding = level
+        t = topo.hop_latency(np.array([lca[i]]))[0] + nb[i] / share
+        if t > worst_time:
+            worst_time = t
+            best_level = topo.hierarchy.names[binding]
+    return best_level
 
 
 def ascii_timeline(

@@ -38,7 +38,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.collectives.base import RoundSpec
-from repro.netsim.fabric import Fabric
 from repro.netsim.flows import FlowNetwork
 from repro.simmpi.runtime import FlowRecord
 from repro.topology.machine import MachineTopology
@@ -140,14 +139,14 @@ def replay_rounds_des(
     incremental: bool = True,
     audit: bool = False,
     network: FlowNetwork | None = None,
-    fabric: Fabric | None = None,
 ) -> tuple[float, list[RoundTiming], list[FlowRecord]]:
     """Replay a communicator-rank round schedule on the DES.
 
     Returns ``(makespan, per_round_timings, flow_records)``; per-round
     timings are only populated in ``lockstep`` mode (``pipelined`` has no
-    round boundaries to time).  ``member_cores[comm_rank]`` maps ranks to
-    cores exactly as :func:`repro.ir.lower.placed_rounds`.
+    round boundaries to time), each with the round model's time from the
+    DES run's cross-check.  ``member_cores[comm_rank]`` is the core of
+    communicator rank ``comm_rank``.
 
     Since the IR refactor this is a thin veneer over the ``des``
     execution backend (:class:`repro.ir.backends.DESBackend`): the rounds
@@ -156,9 +155,7 @@ def replay_rounds_des(
     (``network`` if given) serves every lockstep round, so its path
     caches and rate memo carry across the repeated patterns of a
     schedule; ``incremental=False`` forces the from-scratch reference
-    solver and ``audit=True`` cross-checks both on every solve.  A shared
-    ``fabric`` likewise carries the round model's pattern cache across
-    calls.
+    solver and ``audit=True`` cross-checks both on every solve.
     """
     from repro.ir import from_rounds, get_backend
 
@@ -173,7 +170,6 @@ def replay_rounds_des(
         incremental=incremental,
         audit=audit,
         network=network,
-        fabric=fabric,
     )
     timings = [
         RoundTiming(
@@ -199,48 +195,40 @@ def compare_schedule(
     incremental: bool = True,
     audit: bool = False,
     network: FlowNetwork | None = None,
-    fabric: Fabric | None = None,
     backend: str = "des",
 ) -> DifferentialCase:
     """Round-model vs reference-backend duration of one schedule.
 
     ``backend`` names the registered execution backend the round model is
     checked against (``des`` by default -- the model of record; ``logp``
-    gives a fast advisory comparison).
+    gives a fast advisory comparison).  The round model's total is its
+    rounds' seconds times their repeats, without compute, and every
+    per-round row sets the ``round`` backend's time beside the reference
+    backend's.  ``mode``, ``incremental``, ``audit`` and ``network`` go
+    to the DES only.
     """
-    from repro.ir import from_rounds, get_backend, placed_rounds
+    from repro.ir import from_rounds, get_backend
+    from repro.ir.backends import round_total
 
     cores = np.asarray(member_cores, dtype=np.int64)
-    fabric = fabric or Fabric(topology)
-    t_round = placed_rounds(rounds, cores).total_time(fabric)
+    program = from_rounds(rounds, n_ranks=max(int(cores.size), 1))
+    model = get_backend("round").run(program, topology, [cores]).per_round
+    options: dict = {}
     if backend == "des":
-        t_des, timings, _records = replay_rounds_des(
-            topology, cores, rounds, mode=mode,
-            incremental=incremental, audit=audit, network=network, fabric=fabric,
-        )
-    else:
-        program = from_rounds(rounds, n_ranks=max(int(cores.size), 1))
-        result = get_backend(backend).run(program, topology, [cores])
-        t_des = result.time
-        timings = [
-            RoundTiming(
-                index=c.index,
-                repeat=c.repeat,
-                n_flows=c.n_flows,
-                t_round=c.seconds if c.model_seconds is None else c.model_seconds,
-                t_des=c.seconds,
-            )
-            for c in result.per_round
-        ]
+        options = dict(mode=mode, incremental=incremental, audit=audit, network=network)
+    result = get_backend(backend).run(program, topology, [cores], **options)
     return DifferentialCase(
         label=label,
         p=int(cores.size),
         total_bytes=float(total_bytes),
         mode=mode,
         tolerance=tolerance,
-        t_round=t_round,
-        t_des=t_des,
-        rounds=tuple(timings),
+        t_round=round_total(model),
+        t_des=result.time,
+        rounds=tuple(
+            RoundTiming(c.index, c.repeat, c.n_flows, m.seconds, c.seconds)
+            for c, m in zip(result.per_round, model)
+        ),
     )
 
 
@@ -255,7 +243,6 @@ def compare_collective(
     incremental: bool = True,
     audit: bool = False,
     network: FlowNetwork | None = None,
-    fabric: Fabric | None = None,
     backend: str = "des",
 ) -> DifferentialCase:
     """Differential check of one collective on one communicator."""
@@ -276,7 +263,6 @@ def compare_collective(
         incremental=incremental,
         audit=audit,
         network=network,
-        fabric=fabric,
         backend=backend,
     )
 
@@ -305,7 +291,6 @@ def seed_benchmark_suite(
     spread = np.arange(0, topology.n_cores, topology.n_cores // p, dtype=np.int64)
     report = DifferentialReport()
     net = FlowNetwork(topology, incremental=incremental, audit=audit)
-    fabric = Fabric(topology)
     suite = [
         ("alltoall", "pairwise"),
         ("alltoall", "bruck"),
@@ -319,7 +304,7 @@ def seed_benchmark_suite(
             case = compare_collective(
                 topology, cores, collective, total_bytes,
                 algorithm=algorithm, tolerance=tolerance,
-                incremental=incremental, audit=audit, network=net, fabric=fabric,
+                incremental=incremental, audit=audit, network=net,
                 backend=backend,
             )
             report.cases.append(

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from repro.bench.microbench import (
-    collective_schedule,
     comm_members,
     paper_sizes,
     run_microbench,
     size_sweep,
 )
 from repro.core.hierarchy import Hierarchy
-from repro.netsim.fabric import Fabric
+from repro.ir import collective_program, create_backend, get_backend
 from repro.topology.machines import hydra
 
 H = Hierarchy((4, 2, 2, 8), ("node", "socket", "group", "core"))
@@ -21,17 +20,17 @@ TOPO = hydra(4)
 class TestSchedule:
     def test_schedule_respects_comm_cores(self):
         cores = np.array([0, 32, 64, 96])
-        sched = collective_schedule("alltoall", cores, 4e6, algorithm="pairwise")
-        for rnd in sched.rounds:
-            assert set(rnd.src.tolist()) <= set(cores.tolist())
-            assert set(rnd.dst.tolist()) <= set(cores.tolist())
+        program = collective_program("alltoall", 4, 4e6, "pairwise")
+        records = get_backend("des").run(program, TOPO, [cores]).records
+        assert records
+        for rec in records:
+            assert {rec.src_core, rec.dst_core} <= set(cores.tolist())
 
     def test_algorithm_override(self):
-        cores = np.arange(8)
-        pw = collective_schedule("alltoall", cores, 8e6, algorithm="pairwise")
-        br = collective_schedule("alltoall", cores, 8e6, algorithm="bruck")
-        assert len(pw.rounds) == 7
-        assert len(br.rounds) == 3
+        pw = collective_program("alltoall", 8, 8e6, algorithm="pairwise")
+        br = collective_program("alltoall", 8, 8e6, algorithm="bruck")
+        assert pw.n_rounds == 7
+        assert br.n_rounds == 3
 
 
 class TestRunMicrobench:
@@ -66,10 +65,13 @@ class TestRunMicrobench:
         )
 
     def test_fabric_reuse_consistent(self):
-        fabric = Fabric(TOPO)
-        a = run_microbench(TOPO, H, (0, 1, 2, 3), 16, "alltoall", 4e6, fabric=fabric)
-        b = run_microbench(TOPO, H, (0, 1, 2, 3), 16, "alltoall", 4e6, fabric=fabric)
+        # The shared backend's warm fabric answers as a cold one does.
+        a = run_microbench(TOPO, H, (0, 1, 2, 3), 16, "alltoall", 4e6)
+        b = run_microbench(TOPO, H, (0, 1, 2, 3), 16, "alltoall", 4e6)
         assert a.duration_all == b.duration_all
+        program = collective_program("alltoall", 16, 4e6)
+        members = list(comm_members(H, (0, 1, 2, 3), 16))
+        assert create_backend("round").run(program, TOPO, members).time == a.duration_all
 
 
 class TestSweep:

@@ -11,10 +11,9 @@ from repro.ir import (
     create_backend,
     describe_backends,
     get_backend,
-    placed_rounds,
 )
-from repro.netsim.fabric import Fabric
 from repro.topology.machines import generic_cluster
+from tests.ir.round_oracle import oracle_time, round_times
 
 TOPO = generic_cluster((2, 2, 4), names=("node", "socket", "core"))
 
@@ -53,8 +52,8 @@ class TestRoundBackend:
         prog = collective_program("alltoall", 8, 1e6)
         cores = np.arange(8)
         result = get_backend("round").run(prog, TOPO, [cores])
-        expected = placed_rounds(prog, cores).total_time(Fabric(TOPO))
-        assert result.time == expected
+        assert result.time == oracle_time(prog, TOPO, [cores])
+        assert [c.seconds for c in result.per_round] == round_times(prog, TOPO, [cores])
         assert result.backend == "round"
         assert len(result.per_round) == prog.n_distinct_rounds
 
@@ -87,10 +86,8 @@ class TestDESBackend:
         result = get_backend("des").run(prog, TOPO, [np.arange(4)])
         assert result.backend == "des"
         assert result.records  # flow trace captured
-        fabric = Fabric(TOPO)
-        for cost, spec in zip(result.per_round, prog.rounds):
-            expected = fabric.round_time(placed_rounds([spec], np.arange(4)).rounds[0])
-            assert cost.model_seconds == expected
+        expected = round_times(prog, TOPO, [np.arange(4)])
+        assert [c.model_seconds for c in result.per_round] == expected
 
     def test_matches_replay_rounds_des(self):
         from repro.collectives.selector import rounds_for
@@ -188,6 +185,9 @@ class TestDESBackend:
         assert both.time >= one.time
         # every flow of both instances lands in the combined trace
         assert len(both.records) == 2 * len(one.records)
+        # the cross-check prices the merged round of both instances
+        merged = round_times(prog, TOPO, [np.arange(4), np.arange(4, 8)])
+        assert [c.model_seconds for c in both.per_round] == merged
 
 
 class TestLogPBackend:

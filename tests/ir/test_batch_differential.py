@@ -43,11 +43,10 @@ from repro.ir import (  # noqa: E402
     CommRound,
     collective_program,
     create_backend,
-    placed_rounds,
 )
-from repro.netsim.fabric import Fabric, RoundSchedule  # noqa: E402
 from repro.topology.machines import generic_cluster  # noqa: E402
 from repro.workloads import collective_cells, lower_workload  # noqa: E402
+from tests.ir.round_oracle import oracle_time  # noqa: E402
 
 RADICES = [(2, 2, 4), (4, 2, 2), (2, 4, 2), (2, 2, 2, 2)]
 #: Payload pool straddling the alltoall bruck/pairwise threshold
@@ -211,12 +210,8 @@ def pattern_programs(draw):
 
 
 def _round_reference(program, topology, placements) -> float:
-    """The round model priced round by round on the merged placed schedule."""
-    fab = Fabric(topology)
-    schedule = RoundSchedule.merge([placed_rounds(program, c) for c in placements])
-    total = 0.0
-    for rnd in schedule.rounds:
-        total += fab.round_time(rnd) * rnd.repeat
+    """The round model priced round by round on the merged placed rounds."""
+    total = oracle_time(program, topology, placements)
     return total + sum(r.compute * r.repeat for r in program.rounds)
 
 

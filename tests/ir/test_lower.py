@@ -9,11 +9,14 @@ from repro.ir import (
     CommRound,
     collective_program,
     from_rounds,
-    placed_rounds,
+    get_backend,
     round_endpoints,
     validate_program,
 )
+from repro.ir.backends import _pattern_table, _placed_patterns
+from repro.topology.machines import generic_cluster
 from repro.workloads import lower_workload
+from tests.ir.round_oracle import placed_rounds
 
 
 class _AdHocRound:
@@ -74,26 +77,40 @@ class TestSplattModeProgram:
 
 
 class TestPlacedRounds:
+    """Placement of communicator ranks onto cores: the round oracle's
+    (``tests/ir/round_oracle.py``) and the analytic backends' own, which
+    must agree."""
+
     def test_maps_comm_ranks_onto_cores(self):
         cores = np.array([5, 2, 9, 0])
         prog = collective_program("alltoall", 4, 1e4, "pairwise")
-        schedule = placed_rounds(prog, cores)
-        for spec, rnd in zip(prog.rounds, schedule.rounds):
-            np.testing.assert_array_equal(rnd.src, cores[spec.src])
-            np.testing.assert_array_equal(rnd.dst, cores[spec.dst])
+        placed = placed_rounds(prog, cores)
+        table = _pattern_table(prog)
+        patterns = list(_placed_patterns(table, [cores], range(len(table.patterns))))
+        for spec, (src, dst, _, _), p in zip(prog.rounds, placed, table.ids.tolist()):
+            np.testing.assert_array_equal(src, cores[spec.src])
+            np.testing.assert_array_equal(dst, cores[spec.dst])
+            np.testing.assert_array_equal(patterns[p][0], src)
+            np.testing.assert_array_equal(patterns[p][1], dst)
 
     def test_accepts_program_or_raw_rounds(self):
         cores = np.arange(8)
         rounds = rounds_for("allgather", 8, 1e4, "ring")
         a = placed_rounds(rounds, cores)
         b = placed_rounds(from_rounds(rounds, n_ranks=8), cores)
-        assert len(a.rounds) == len(b.rounds)
-        for ra, rb in zip(a.rounds, b.rounds):
-            assert ra.key() == rb.key()
+        assert len(a) == len(b)
+        for ra, rb in zip(a, b):
+            np.testing.assert_array_equal(ra[0], rb[0])
+            np.testing.assert_array_equal(ra[1], rb[1])
+            assert ra[2:] == rb[2:]
 
     def test_out_of_range_rank_rejected(self):
+        rounds = [CommRound([0], [4], 8.0)]
         with pytest.raises(ValueError, match="outside the communicator"):
-            placed_rounds([CommRound([0], [4], 8.0)], np.arange(4))
+            placed_rounds(rounds, np.arange(4))
+        topo = generic_cluster((2, 4))
+        with pytest.raises(ValueError, match="outside the communicator"):
+            get_backend("round").run(CommProgram(5, tuple(rounds)), topo, [np.arange(4)])
 
 
 class TestRoundEndpoints:
@@ -115,6 +132,27 @@ class TestShimRemoval:
 
         assert not hasattr(base, "rounds_to_schedule")
         assert not hasattr(repro.collectives, "rounds_to_schedule")
+
+    def test_pre_ir_round_model_removed(self):
+        import repro.bench
+        import repro.ir
+        import repro.ir.backends as backends
+        import repro.netsim
+        import repro.netsim.fabric as fabric
+        import repro.netsim.trace as trace
+
+        for module, names in (
+            (fabric, ("Round", "RoundSchedule", "FABRIC_CACHE_STATS")),
+            (repro.netsim, ("Round", "RoundSchedule")),
+            (repro.ir, ("placed_rounds",)),
+            (backends, ("round_fabric",)),
+            (repro.bench, ("collective_schedule",)),
+            (trace, ("TracingFabric",)),
+        ):
+            for name in names:
+                assert not hasattr(module, name), name
+        for method in ("round_time", "_round_time_impl", "uncontended_time"):
+            assert not hasattr(fabric.Fabric, method), method
 
     def test_differential_helper_shims_removed(self):
         import repro.verify.differential as differential

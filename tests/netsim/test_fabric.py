@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.netsim.fabric import Fabric, Round, RoundSchedule
+from repro.ir import CommProgram, CommRound, get_backend
+from repro.netsim.fabric import STRUCTURE_CACHE_STATS, Fabric
 from repro.topology.machine import LevelParams, MachineTopology
 
 
@@ -19,203 +20,201 @@ def _topo():
     )
 
 
+def _run(topo, rounds, placements=None):
+    """The round backend's result of core-space ``rounds``."""
+    program = CommProgram(topo.n_cores, tuple(rounds))
+    if placements is None:
+        placements = [np.arange(topo.n_cores)]
+    return get_backend("round").run(program, topo, placements)
+
+
+def _round_time(src, dst, nbytes, topo=None):
+    """Duration of one core-space round under the round model."""
+    rnd = CommRound(np.asarray(src), np.asarray(dst), nbytes)
+    return _run(topo or _topo(), [rnd]).per_round[0].seconds
+
+
 class TestRound:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Round(np.array([0]), np.array([1, 2]), 10.0)
+            CommRound(np.array([0]), np.array([1, 2]), 10.0)
 
     def test_repeat_positive(self):
         with pytest.raises(ValueError):
-            Round(np.array([0]), np.array([1]), 1.0, repeat=0)
+            CommRound(np.array([0]), np.array([1]), 1.0, repeat=0)
 
     def test_key_distinguishes_sizes(self):
-        a = Round(np.array([0]), np.array([1]), 10.0)
-        b = Round(np.array([0]), np.array([1]), 20.0)
+        a = CommRound(np.array([0]), np.array([1]), 10.0)
+        b = CommRound(np.array([0]), np.array([1]), 20.0)
         assert a.key() != b.key()
+        assert a.structure_key() == b.structure_key()  # one pattern
 
 
 class TestUncontended:
+    """A flow alone in its round: latency plus serialization."""
+
     def test_latency_only_for_zero_bytes(self):
-        f = Fabric(_topo())
-        t = f.uncontended_time(np.array([0]), np.array([1]), 0.0)
-        assert t[0] == pytest.approx(0.25e-6)
+        assert _round_time([0], [1], 0.0) == pytest.approx(0.25e-6)
 
     def test_bottleneck_is_slowest_link(self):
-        f = Fabric(_topo())
         # Cross-node: path includes core (5), socket (20), node (10) GB/s.
-        t = f.uncontended_time(np.array([0]), np.array([8]), 5e6)
-        assert t[0] == pytest.approx(1e-6 + 5e6 / 5e9)
+        assert _round_time([0], [8], 5e6) == pytest.approx(1e-6 + 5e6 / 5e9)
 
     def test_self_flow_free(self):
-        f = Fabric(_topo())
-        assert f.uncontended_time(np.array([3]), np.array([3]), 1e9)[0] == 0.0
+        assert _round_time([3], [3], 1e9) == 0.0
 
 
 class TestRoundTime:
     def test_single_flow_equals_uncontended(self):
-        f = Fabric(_topo())
-        rnd = Round(np.array([0]), np.array([8]), 4e6)
-        expected = f.uncontended_time(np.array([0]), np.array([8]), 4e6)[0]
-        assert f.round_time(rnd) == pytest.approx(expected)
+        assert _round_time([0], [8], 4e6) == pytest.approx(1e-6 + 4e6 / 5e9)
 
     def test_contention_halves_share(self):
-        f = Fabric(_topo())
         # Two flows from the same node to the other node share the
         # 10 GB/s uplink: 5 GB/s each (core links allow 5 anyway; use a
         # size where bandwidth dominates latency).
-        rnd = Round(np.array([0, 1]), np.array([8, 9]), 50e6)
-        t2 = f.round_time(rnd)
-        one = f.round_time(Round(np.array([0]), np.array([8]), 50e6))
+        t2 = _round_time([0, 1], [8, 9], 50e6)
+        one = _round_time([0], [8], 50e6)
         assert t2 == pytest.approx(50e6 / 5e9 + 1e-6, rel=1e-6)
         assert t2 >= one
 
     def test_four_flows_quarter_share(self):
-        f = Fabric(_topo())
-        rnd = Round(np.arange(4), np.arange(8, 12), 50e6)
-        assert f.round_time(rnd) == pytest.approx(50e6 / 2.5e9 + 1e-6, rel=1e-6)
+        t = _round_time(np.arange(4), np.arange(8, 12), 50e6)
+        assert t == pytest.approx(50e6 / 2.5e9 + 1e-6, rel=1e-6)
 
     def test_disjoint_flows_do_not_interact(self):
-        f = Fabric(_topo())
         # One flow inside each socket: no shared links.
-        rnd = Round(np.array([0, 4, 8, 12]), np.array([1, 5, 9, 13]), 10e6)
-        single = f.round_time(Round(np.array([0]), np.array([1]), 10e6))
-        assert f.round_time(rnd) == pytest.approx(single)
+        single = _round_time([0], [1], 10e6)
+        assert _round_time([0, 4, 8, 12], [1, 5, 9, 13], 10e6) == pytest.approx(single)
 
     def test_self_flows_ignored(self):
-        f = Fabric(_topo())
-        rnd = Round(np.array([0, 1]), np.array([0, 2]), 1e6)
-        only = f.round_time(Round(np.array([1]), np.array([2]), 1e6))
-        assert f.round_time(rnd) == pytest.approx(only)
+        only = _round_time([1], [2], 1e6)
+        assert _round_time([0, 1], [0, 2], 1e6) == pytest.approx(only)
 
     def test_all_self_flows_is_free(self):
-        f = Fabric(_topo())
-        assert f.round_time(Round(np.arange(4), np.arange(4), 1e6)) == 0.0
+        assert _round_time(np.arange(4), np.arange(4), 1e6) == 0.0
 
     def test_per_flow_sizes(self):
-        f = Fabric(_topo())
-        rnd = Round(np.array([0, 2]), np.array([1, 3]), np.array([1e6, 9e6]))
         # Independent pairs within a socket; the big flow dominates.
-        assert f.round_time(rnd) == pytest.approx(0.25e-6 + 9e6 / 5e9)
+        t = _round_time([0, 2], [1, 3], np.array([1e6, 9e6]))
+        assert t == pytest.approx(0.25e-6 + 9e6 / 5e9)
 
     def test_cache_hit_consistency(self):
-        f = Fabric(_topo())
-        rnd = Round(np.array([0]), np.array([8]), 1e6)
-        assert f.round_time(rnd) == f.round_time(rnd)
+        topo = _topo()
+        first = _round_time([0], [8], 1e6, topo)
+        hits = STRUCTURE_CACHE_STATS.hits
+        assert _round_time([0], [8], 1e6, topo) == first
+        assert STRUCTURE_CACHE_STATS.hits == hits + 1
 
     def test_root_bw_caps_cross_node_traffic(self):
         from dataclasses import replace
 
         topo = replace(_topo(), root_bw=4e9)
-        f = Fabric(topo)
-        rnd = Round(np.array([0, 8]), np.array([8, 0]), 40e6)
         # 2 flows through a 4 GB/s root: 2 GB/s each.
-        assert f.round_time(rnd) == pytest.approx(1e-6 + 40e6 / 2e9, rel=1e-3)
+        t = _round_time([0, 8], [8, 0], 40e6, topo)
+        assert t == pytest.approx(1e-6 + 40e6 / 2e9, rel=1e-3)
 
 
 class TestSchedule:
+    """Whole programs: rounds in sequence, placements merged per round."""
+
     def test_total_time_sums_rounds(self):
-        f = Fabric(_topo())
-        r1 = Round(np.array([0]), np.array([1]), 1e6)
-        r2 = Round(np.array([0]), np.array([8]), 1e6)
-        sched = RoundSchedule([r1, r2])
-        assert sched.total_time(f) == pytest.approx(
-            f.round_time(r1) + f.round_time(r2)
+        r1 = CommRound(np.array([0]), np.array([1]), 1e6)
+        r2 = CommRound(np.array([0]), np.array([8]), 1e6)
+        assert _run(_topo(), [r1, r2]).time == pytest.approx(
+            _round_time([0], [1], 1e6) + _round_time([0], [8], 1e6)
         )
 
     def test_repeat_multiplies(self):
-        f = Fabric(_topo())
-        r = Round(np.array([0]), np.array([1]), 1e6, repeat=5)
-        assert RoundSchedule([r]).total_time(f) == pytest.approx(
-            5 * f.round_time(Round(np.array([0]), np.array([1]), 1e6))
-        )
+        r = CommRound(np.array([0]), np.array([1]), 1e6, repeat=5)
+        assert _run(_topo(), [r]).time == pytest.approx(5 * _round_time([0], [1], 1e6))
 
     def test_n_rounds_and_bytes(self):
-        r = Round(np.array([0, 1]), np.array([1, 2]), 100.0, repeat=3)
-        s = RoundSchedule([r])
-        assert s.n_rounds == 3
-        assert s.total_bytes == 600.0
+        r = CommRound(np.array([0, 1]), np.array([1, 2]), 100.0, repeat=3)
+        program = CommProgram(3, (r,))
+        assert program.n_rounds == 3
+        assert program.total_bytes == 600.0
 
     def test_merge_synchronizes_rounds(self):
-        f = Fabric(_topo())
-        # Four single-round schedules through the same 10 GB/s node
-        # uplink: merged, each flow drops to 2.5 GB/s.
-        parts = [
-            RoundSchedule([Round(np.array([i]), np.array([8 + i]), 50e6)])
-            for i in range(4)
-        ]
-        merged = RoundSchedule.merge(parts)
-        assert merged.rounds[0].n_flows == 4
-        assert merged.total_time(f) > parts[0].total_time(f)
+        # Four concurrent single-flow communicators through the same
+        # 10 GB/s node uplink: merged, each flow drops to 2.5 GB/s.
+        topo = _topo()
+        rnd = CommRound(np.array([0]), np.array([1]), 50e6)
+        parts = [np.array([i, 8 + i]) for i in range(4)]
+        merged = _run(topo, [rnd], parts)
+        assert merged.per_round[0].n_flows == 4
+        assert merged.time > _run(topo, [rnd], parts[:1]).time
 
     def test_merge_single_schedule_identity(self):
-        s = RoundSchedule([Round(np.array([0]), np.array([1]), 1.0)])
-        assert RoundSchedule.merge([s]) is s
+        # One communicator is the program itself: a bare core array and a
+        # one-element placement list price the same.
+        topo = _topo()
+        rnd = CommRound(np.array([0]), np.array([1]), 1.0)
+        cores = np.array([3, 9])
+        assert _run(topo, [rnd], cores).time == _run(topo, [rnd], [cores]).time
 
     def test_merge_empty(self):
-        assert RoundSchedule.merge([]).rounds == []
+        result = _run(_topo(), [])
+        assert result.time == 0.0
+        assert result.per_round == ()
 
     def test_merge_preserves_repeat_when_aligned(self):
-        s1 = RoundSchedule([Round(np.array([0]), np.array([1]), 1.0, repeat=3)])
-        s2 = RoundSchedule([Round(np.array([2]), np.array([3]), 1.0, repeat=3)])
-        merged = RoundSchedule.merge([s1, s2])
-        assert len(merged.rounds) == 1
-        assert merged.rounds[0].repeat == 3
-
-    def test_merge_expands_mismatched_repeats(self):
-        s1 = RoundSchedule([Round(np.array([0]), np.array([1]), 1.0, repeat=2)])
-        s2 = RoundSchedule([Round(np.array([2]), np.array([3]), 1.0)])
-        merged = RoundSchedule.merge([s1, s2])
-        assert merged.n_rounds == 2
-        assert merged.rounds[0].n_flows == 2  # both schedules in round 0
-        assert merged.rounds[1].n_flows == 1  # s1 finishes alone
+        rnd = CommRound(np.array([0]), np.array([1]), 1.0, repeat=3)
+        merged = _run(_topo(), [rnd], [np.array([0, 1]), np.array([2, 3])])
+        assert len(merged.per_round) == 1
+        assert merged.per_round[0].repeat == 3
+        assert merged.per_round[0].n_flows == 2
 
 
 class TestRoundCache:
-    def _round(self, i):
-        return Round(np.array([0]), np.array([1]), float(i + 1))
+    """The per-fabric LRU memo of round structures."""
+
+    @staticmethod
+    def _pattern(i):
+        return np.array([0]), np.array([1 + i])
+
+    @staticmethod
+    def _counts():
+        s = STRUCTURE_CACHE_STATS
+        return s.hits, s.misses, s.evictions
 
     def test_hit_and_miss_counters(self):
         f = Fabric(_topo())
-        rnd = self._round(0)
-        t1 = f.round_time(rnd)
-        assert (f.cache_stats.misses, f.cache_stats.hits) == (1, 0)
-        t2 = f.round_time(self._round(0))  # equal pattern, fresh object
-        assert (f.cache_stats.misses, f.cache_stats.hits) == (1, 1)
-        assert t1 == t2
+        before = self._counts()
+        first = f.round_structures([self._pattern(0)])[0]
+        assert self._counts()[:2] == (before[0], before[1] + 1)
+        again = f.round_structures([self._pattern(0)])[0]  # equal, fresh arrays
+        assert self._counts()[:2] == (before[0] + 1, before[1] + 1)
+        assert again is first
 
     def test_eviction_past_cache_limit(self):
         f = Fabric(_topo())
         f.CACHE_LIMIT = 2
+        before = self._counts()
         for i in range(3):
-            f.round_time(self._round(i))
-        assert f.cache_stats.evictions == 1
-        assert len(f._cache) == 2
+            f.round_structures([self._pattern(i)])
+        assert self._counts()[2] == before[2] + 1
+        assert len(f._structures) == 2
         # The evicted pattern (oldest) recomputes; the newest still hits.
-        f.round_time(self._round(2))
-        assert f.cache_stats.hits == 1
-        f.round_time(self._round(0))
-        assert f.cache_stats.misses == 4
+        f.round_structures([self._pattern(2)])
+        assert self._counts()[0] == before[0] + 1
+        f.round_structures([self._pattern(0)])
+        assert self._counts()[1] == before[1] + 4
 
     def test_lru_order_protects_recently_used(self):
         f = Fabric(_topo())
         f.CACHE_LIMIT = 2
-        f.round_time(self._round(0))
-        f.round_time(self._round(1))
-        f.round_time(self._round(0))  # refresh 0: 1 becomes the LRU entry
-        f.round_time(self._round(2))  # evicts 1, not 0
-        misses = f.cache_stats.misses
-        f.round_time(self._round(0))
-        assert f.cache_stats.misses == misses  # still cached
+        for i in (0, 1, 0, 2):  # refresh 0: 1 becomes the LRU entry, 2 evicts it
+            f.round_structures([self._pattern(i)])
+        misses = self._counts()[1]
+        f.round_structures([self._pattern(0)])
+        assert self._counts()[1] == misses  # still cached
 
     def test_process_wide_stats_accumulate(self):
-        from repro.netsim.fabric import FABRIC_CACHE_STATS
-
-        before = FABRIC_CACHE_STATS.hits + FABRIC_CACHE_STATS.misses
-        f = Fabric(_topo())
-        f.round_time(self._round(0))
-        f.round_time(self._round(0))
-        assert FABRIC_CACHE_STATS.hits + FABRIC_CACHE_STATS.misses == before + 2
-        doc = FABRIC_CACHE_STATS.to_jsonable()
+        before = STRUCTURE_CACHE_STATS.hits + STRUCTURE_CACHE_STATS.misses
+        for f in (Fabric(_topo()), Fabric(_topo())):
+            f.round_structures([self._pattern(0)])
+        assert STRUCTURE_CACHE_STATS.hits + STRUCTURE_CACHE_STATS.misses == before + 2
+        doc = STRUCTURE_CACHE_STATS.to_jsonable()
         assert {"hits", "misses", "evictions", "hit_rate"} <= set(doc)
 
 
@@ -240,8 +239,7 @@ class TestLogPCoefficients:
         assert self._coefficients(f, 1) is NO_FLOWS
 
     def test_structure_memo_counts_hits_misses_and_evictions(self):
-        from repro.netsim.fabric import STRUCTURE_CACHE_STATS as stats
-
+        stats = STRUCTURE_CACHE_STATS
         f = Fabric(_topo())
         f.COEFFICIENT_LIMIT = 1
         before = (stats.hits, stats.misses, stats.evictions)

@@ -4,12 +4,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.fabric import Fabric, Round
+from repro.ir import CommProgram, CommRound, get_backend
 from repro.topology.machines import generic_cluster
 
 TOPO = generic_cluster((2, 2, 2, 4), names=("node", "socket", "numa", "core"))
-FABRIC = Fabric(TOPO)
 N = TOPO.n_cores
+CORES = np.arange(N)
+
+
+def round_time(src, dst, nbytes) -> float:
+    """One core-space round's duration under the round backend."""
+    program = CommProgram(N, (CommRound(src, dst, nbytes),))
+    return get_backend("round").run(program, TOPO, [CORES]).per_round[0].seconds
 
 
 @st.composite
@@ -25,7 +31,7 @@ def flow_sets(draw, min_flows=1, max_flows=12):
 @settings(max_examples=60, deadline=None)
 def test_round_time_nonnegative_and_finite(flows):
     src, dst, nbytes = flows
-    t = FABRIC.round_time(Round(src, dst, nbytes))
+    t = round_time(src, dst, nbytes)
     assert t >= 0.0
     assert np.isfinite(t)
 
@@ -34,10 +40,10 @@ def test_round_time_nonnegative_and_finite(flows):
 @settings(max_examples=60, deadline=None)
 def test_adding_a_flow_never_speeds_a_round(flows):
     src, dst, nbytes = flows
-    base = FABRIC.round_time(Round(src, dst, nbytes))
+    base = round_time(src, dst, nbytes)
     extra_src = np.append(src, 0)
     extra_dst = np.append(dst, N - 1)
-    bigger = FABRIC.round_time(Round(extra_src, extra_dst, nbytes))
+    bigger = round_time(extra_src, extra_dst, nbytes)
     assert bigger >= base - 1e-15
 
 
@@ -45,8 +51,8 @@ def test_adding_a_flow_never_speeds_a_round(flows):
 @settings(max_examples=60, deadline=None)
 def test_round_time_monotone_in_bytes(flows, factor):
     src, dst, nbytes = flows
-    small = FABRIC.round_time(Round(src, dst, nbytes))
-    large = FABRIC.round_time(Round(src, dst, nbytes * factor))
+    small = round_time(src, dst, nbytes)
+    large = round_time(src, dst, nbytes * factor)
     assert large >= small - 1e-15
 
 
@@ -58,8 +64,8 @@ def test_bandwidth_regime_scales_linearly(flows):
     if (src == dst).all():
         return
     big = 1e9
-    t1 = FABRIC.round_time(Round(src, dst, big))
-    t2 = FABRIC.round_time(Round(src, dst, 2 * big))
+    t1 = round_time(src, dst, big)
+    t2 = round_time(src, dst, 2 * big)
     assert t2 / t1 == np.float64(2.0) or abs(t2 / t1 - 2.0) < 1e-3
 
 
@@ -68,9 +74,9 @@ def test_bandwidth_regime_scales_linearly(flows):
 def test_latency_respects_hierarchy_depth(a, b):
     """Crossing more levels never lowers the uncontended time."""
     lca = int(TOPO.lca_level(np.array([a]), np.array([b]))[0])
-    t = FABRIC.uncontended_time(np.array([a]), np.array([b]), 1e4)[0]
+    t = round_time(np.array([a]), np.array([b]), 1e4)
     # Compare against a same-numa pair (deepest non-self LCA).
-    t_local = FABRIC.uncontended_time(np.array([0]), np.array([1]), 1e4)[0]
+    t_local = round_time(np.array([0]), np.array([1]), 1e4)
     if lca < TOPO.depth - 1:  # crosses at least one level above cores
         assert t >= t_local - 1e-15
 
@@ -85,8 +91,8 @@ def test_splitting_a_round_never_helps_total(flows):
     src, dst, nbytes = flows
     if (src == dst).all():
         return
-    whole = FABRIC.round_time(Round(src, dst, nbytes))
+    whole = round_time(src, dst, nbytes)
     half = len(src) // 2 or 1
-    first = FABRIC.round_time(Round(src[:half], dst[:half], nbytes))
-    second = FABRIC.round_time(Round(src[half:], dst[half:], nbytes))
+    first = round_time(src[:half], dst[:half], nbytes)
+    second = round_time(src[half:], dst[half:], nbytes)
     assert first + second >= whole - 1e-12

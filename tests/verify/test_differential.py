@@ -65,6 +65,20 @@ def test_mismatch_report_names_the_worst_round():
     assert "round   0" in text
 
 
+def test_per_round_rows_compare_the_round_model_for_every_backend():
+    # Against logp, each row must set the round model's time of the round
+    # beside logp's, not logp's own time twice.
+    from repro.topology.machines import hydra
+
+    spec = RoundSpec(np.array([0, 0, 0, 0, 5]), np.array([1, 2, 3, 4, 40]), 1e4)
+    case = compare_schedule(hydra(2), np.arange(64), [spec], backend="logp")
+    (row,) = case.rounds
+    assert row.t_round == case.t_round  # one round, repeat 1
+    assert row.t_des == case.t_des
+    assert row.t_round < row.t_des
+    assert row.rel_err == case.rel_err > 0.1
+
+
 def test_pipelined_mode_runs_and_is_no_slower_to_finish(topo):
     from repro.collectives.selector import rounds_for
 
