@@ -4,16 +4,20 @@ The paper proposes ring cost + pair percentages to recognize redundant
 orders before running them.  This benchmark measures the pruning factor
 on the evaluation hierarchies and verifies the pruning is sound on the
 simulator: orders in one class produce identical single-communicator
-alltoall times.
+alltoall times.  It also times the engine's result-reuse key,
+``placement_key``, over all 120 LUMI orders (a greedy relabeling took
+about two minutes there; the closed form takes milliseconds).
 """
 
 from __future__ import annotations
 
 import math
+import time
 
 from repro.bench.figures import HYDRA16, LUMI16
 from repro.bench.microbench import run_microbench
-from repro.core.equivalence import equivalence_classes
+from repro.core.equivalence import equivalence_classes, placement_key
+from repro.core.orders import all_orders
 from repro.topology.machines import hydra
 
 
@@ -32,6 +36,25 @@ def test_pruning_factor_lumi(once):
     print(f"\nLUMI [[16,2,4,2,8]], comm 16: {n_orders} orders -> "
           f"{len(classes)} classes (pruning x{n_orders / len(classes):.1f})")
     assert len(classes) < n_orders
+
+
+def test_placement_key_lumi(once):
+    """The engine's pruning key on Fig 5's machine: 120 orders, 29 classes."""
+
+    def group() -> dict:
+        classes: dict = {}
+        for order in all_orders(LUMI16.depth):
+            classes.setdefault(placement_key(LUMI16, order, 16), []).append(order)
+        return classes
+
+    t0 = time.perf_counter()
+    classes = once(group)
+    elapsed = time.perf_counter() - t0
+    n_orders = math.factorial(LUMI16.depth)
+    print(f"\nLUMI [[16,2,4,2,8]], comm 16: placement_key over {n_orders} "
+          f"orders -> {len(classes)} classes in {elapsed * 1e3:.2f} ms")
+    assert len(classes) == 29
+    assert elapsed < 1.0
 
 
 def test_equivalent_orders_time_identically(once):

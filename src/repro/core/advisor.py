@@ -33,6 +33,7 @@ with ``plan.requests`` therefore produces rankings bitwise-identical to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from repro.core.equivalence import equivalence_classes
@@ -185,9 +186,11 @@ def plan_query(
             f"{sorted({c.comm_size for c in cells})}"
         )
     check_grid(topology, hierarchy, cells, backend)
-    classes = tuple(
-        tuple(sigs)
-        for sigs in equivalence_classes(hierarchy, comm_size, orders=orders).values()
+    classes = _order_classes(
+        hierarchy,
+        hierarchy.masked,
+        comm_size,
+        None if orders is None else tuple(tuple(o) for o in orders),
     )
     requests = tuple(
         cell.request(backend, topology, hierarchy, tuple(sigs[0].order))
@@ -202,6 +205,26 @@ def plan_query(
         backend=backend,
         classes=classes,
         requests=requests,
+    )
+
+
+@lru_cache(maxsize=256)
+def _order_classes(
+    hierarchy: Hierarchy,
+    masked: bool,
+    comm_size: int,
+    orders: tuple[Order, ...] | None,
+) -> tuple[tuple[OrderSignature, ...], ...]:
+    """:func:`equivalence_classes` as immutable tuples, memoized.
+
+    A query's classes depend only on these arguments, not on its
+    payloads, so a service plan-memo miss for a novel payload reuses
+    them.  ``masked`` is passed apart because :class:`Hierarchy`
+    equality ignores it while it switches the grouping key.
+    """
+    return tuple(
+        tuple(sigs)
+        for sigs in equivalence_classes(hierarchy, comm_size, orders=orders).values()
     )
 
 

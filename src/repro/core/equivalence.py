@@ -20,14 +20,17 @@ the comm-0 shortcut would mis-class orders.
 Keys are built on the exact integer pair counts, never on rounded
 percentages: two near-boundary pair ratios that round to the same float
 (or straddle a rounding boundary) must not merge (or split) a class.
+
+The sweep engine reuses results on the finer :func:`placement_key`
+instead, an O(depth) closed form over the order alone.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core.hierarchy import Hierarchy
-from repro.core.metrics import OrderSignature, signature_of_coords
+from repro.core.hierarchy import Hierarchy, _check_order
+from repro.core.metrics import OrderSignature, signature, signature_of_coords
 from repro.core.mixed_radix import decompose_many
 from repro.core.orders import Order, all_orders
 from repro.core.reorder import RankReordering
@@ -88,6 +91,10 @@ def equivalence_classes(
     (``None``) picks the first-communicator key for ordinary hierarchies
     and auto-enables the all-communicator key for masked ones; explicitly
     passing ``False`` for a masked hierarchy raises ``ValueError``.
+
+    Each signature comes from :func:`repro.core.metrics.signature`, which
+    decomposes comm 0's ranks directly in O(comm_size * depth); only the
+    all-communicator key reorders the whole machine.
     """
     check_all = resolve_check_all_comms(hierarchy, check_all_comms)
     if orders is None:
@@ -95,9 +102,7 @@ def equivalence_classes(
     classes: dict[tuple, list[OrderSignature]] = {}
     for order in orders:
         order = tuple(order)
-        reordering = RankReordering(hierarchy, order, comm_size)
-        coords = decompose_many(hierarchy, reordering.comm_members(0))
-        sig = signature_of_coords(order, coords)
+        sig = signature(hierarchy, order, comm_size)
         if check_all:
             key = tuple(sorted(_comm_signatures(hierarchy, order, comm_size)))
         else:
@@ -122,44 +127,9 @@ def class_key(
     return tuple(sorted(_comm_signatures(hierarchy, tuple(order), comm_size)))
 
 
-def _relabel(maps: list[dict], coords, commit: bool) -> tuple:
-    """First-occurrence relabeling of one communicator's coordinates.
-
-    ``maps[l]`` maps a relabeled level-prefix to the ``orig -> new`` digit
-    assignment of its subtree at level ``l``; new digits are handed out in
-    order of first appearance, which quotients away every per-level
-    subtree permutation.  With ``commit=False`` the shared maps are left
-    untouched (a lookahead), assignments landing in a local overlay.
-    """
-    out = []
-    overlay: dict[tuple, dict] = {}
-    for row in coords:
-        prefix: tuple = ()
-        new_row = []
-        for level, digit in enumerate(row):
-            digit = int(digit)
-            base = maps[level].get(prefix)
-            if base is not None and digit in base:
-                new = base[digit]
-            else:
-                local = overlay.setdefault((level, prefix), {})
-                if digit in local:
-                    new = local[digit]
-                else:
-                    new = (len(base) if base else 0) + len(local)
-                    local[digit] = new
-            new_row.append(new)
-            prefix += (new,)
-        out.append(tuple(new_row))
-    if commit:
-        for (level, prefix), local in overlay.items():
-            maps[level].setdefault(prefix, {}).update(local)
-    return tuple(out)
-
-
 def placement_key(
     hierarchy: Hierarchy, order: Sequence[int], comm_size: int
-) -> tuple:
+) -> tuple[int, ...]:
     """Canonical form of an order's full placement, up to machine symmetry.
 
     Two orders share this key iff their mappings are related by (a) a
@@ -173,24 +143,36 @@ def placement_key(
     signatures do not imply equal keys here (e.g. same-shaped orders
     spanning different physical levels).
 
-    The canonical form relabels digits by first occurrence while feeding
-    comm 0 first and then repeatedly the lexicographically smallest
-    remaining communicator, which makes the result independent of both
-    the machine's arbitrary unit labels and the input comm order.
+    Closed form, O(depth): the key is the shortest prefix of ``order``
+    (fastest level first) whose levels' radices multiply to a multiple
+    of ``comm_size``.  Reordered ranks count through that prefix's
+    levels in blocks, every block holds whole communicators, and the
+    blocks are translates of block 0 along the remaining levels.  So two
+    orders with the same prefix carve the machine into the same
+    communicators, each with the same internal rank order, and differ
+    only in which block they enumerate next -- the comm reordering (b)
+    ignores.  Orders with different prefixes are never isomorphic:
+    between consecutive ranks of a communicator the levels that change
+    form a carry chain ``prefix[:i + 1]``, every ``i`` occurs (by
+    minimality, the block boundary of ``prefix[:i]`` falls inside a
+    communicator), and relabeling digits keeps which levels change, so
+    the chains spell out the prefix in order.  When ``comm_size``
+    factors through the order the prefix is just the levels comm 0
+    spans; for ragged sizes (radix 3, communicators of 2) some
+    communicators straddle sub-blocks, and the argument is unchanged.
     """
-    reordering = RankReordering(hierarchy, tuple(order), comm_size)
-    comms = [
-        decompose_many(hierarchy, reordering.comm_members(c))
-        for c in range(reordering.n_comms)
-    ]
-    maps: list[dict] = [{} for _ in range(hierarchy.depth)]
-    canon = [_relabel(maps, comms[0], commit=True)]
-    remaining = comms[1:]
-    while remaining:
-        peeks = [_relabel(maps, c, commit=False) for c in remaining]
-        i = min(range(len(peeks)), key=peeks.__getitem__)
-        canon.append(_relabel(maps, remaining.pop(i), commit=True))
-    return tuple(canon)
+    order = tuple(order)
+    _check_order(order, hierarchy.depth)
+    if comm_size < 1 or hierarchy.size % comm_size != 0:
+        raise ValueError(
+            f"comm_size {comm_size} must divide world size {hierarchy.size}"
+        )
+    block = 1
+    for k, level in enumerate(order):
+        if block % comm_size == 0:
+            return order[:k]
+        block *= hierarchy.radices[level]
+    return order
 
 
 def representative_orders(

@@ -50,6 +50,7 @@ from pathlib import Path
 from typing import Sequence
 
 import repro.engine.evaluators as _evaluators
+from repro.core.equivalence import placement_key
 from repro.engine import chaos
 from repro.engine.cache import ResultCache
 from repro.engine.journal import JOURNAL_NAME, SweepJournal
@@ -228,7 +229,6 @@ class SweepEngine:
             self.stats.tmp_files_removed = self.cache.gc_tmp_files()
             self.journal = SweepJournal(Path(cache_dir) / JOURNAL_NAME)
             self.stats.journal_replayed = self.journal.replayed
-        self._class_keys: dict[tuple, tuple] = {}
         # Engine internals (cache bookkeeping, stats, journal handle) are
         # not thread-safe; the advisor service shares one engine across
         # request handlers and pre-warm workers, so the whole pipeline
@@ -399,6 +399,10 @@ class SweepEngine:
         per-level parameter gradients (the audit mode demonstrably
         catches such merges).  Requests outside :data:`PRUNABLE_MODELS`
         (or without an order) are singleton groups keyed by content key.
+
+        The canonical form is an O(depth) closed form over the order,
+        cheaper than a memo lookup, so it is computed per request and
+        nothing is kept.
         """
         if (
             request.model not in PRUNABLE_MODELS
@@ -410,19 +414,8 @@ class SweepEngine:
         doc = request.canonical()
         doc.pop("order", None)
         base = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        cls = self._class_key_cached(request)
+        cls = placement_key(request.hierarchy, request.order, request.comm_size)
         return ("class", base, cls)
-
-    def _class_key_cached(self, request: EvalRequest) -> tuple:
-        from repro.core.equivalence import placement_key
-
-        h = request.hierarchy
-        memo = (h.radices, h.names, h.masked, request.order, request.comm_size)
-        hit = self._class_keys.get(memo)
-        if hit is None:
-            hit = placement_key(h, request.order, request.comm_size)
-            self._class_keys[memo] = hit
-        return hit
 
     def _audit(
         self,

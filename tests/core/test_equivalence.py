@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from repro.core.equivalence import (
     class_key,
@@ -13,7 +15,9 @@ from repro.core.equivalence import (
 )
 from repro.core.hierarchy import Hierarchy
 from repro.core.metrics import OrderSignature
+from repro.core.mixed_radix import decompose_many
 from repro.core.orders import all_orders
+from repro.core.reorder import RankReordering
 
 
 class TestClasses:
@@ -265,3 +269,133 @@ def test_deep_hierarchy_classes_reasonable():
     lumi = Hierarchy((16, 2, 4, 2, 8))
     classes = equivalence_classes(lumi, 16)
     assert 1 < len(classes) < 120
+
+
+# -- the closed-form placement key vs the greedy canonical form -------------
+
+
+def _oracle_relabel(maps: list[dict], coords, commit: bool) -> tuple:
+    """First-occurrence relabeling of one communicator's coordinates.
+
+    ``maps[l]`` maps a relabeled level-prefix to the ``orig -> new`` digit
+    assignment of its subtree at level ``l``; new digits are handed out in
+    order of first appearance, which quotients away every per-level
+    subtree permutation.  With ``commit=False`` the shared maps are left
+    untouched (a lookahead), assignments landing in a local overlay.
+    """
+    out = []
+    overlay: dict[tuple, dict] = {}
+    for row in coords:
+        prefix: tuple = ()
+        new_row = []
+        for level, digit in enumerate(row):
+            digit = int(digit)
+            base = maps[level].get(prefix)
+            if base is not None and digit in base:
+                new = base[digit]
+            else:
+                local = overlay.setdefault((level, prefix), {})
+                if digit in local:
+                    new = local[digit]
+                else:
+                    new = (len(base) if base else 0) + len(local)
+                    local[digit] = new
+            new_row.append(new)
+            prefix += (new,)
+        out.append(tuple(new_row))
+    if commit:
+        for (level, prefix), local in overlay.items():
+            maps[level].setdefault(prefix, {}).update(local)
+    return tuple(out)
+
+
+def oracle_placement_key(hierarchy: Hierarchy, order, comm_size: int) -> tuple:
+    """The placement's canonical form by greedy relabeling.
+
+    Relabels digits by first occurrence while feeding comm 0 first and
+    then repeatedly the lexicographically smallest remaining
+    communicator, so the form is blind to the machine's unit labels and
+    to the enumeration order of comms 1..k.  O(n_comms^2 * comm_size *
+    depth): seconds per order on the paper's machines.
+    """
+    reordering = RankReordering(hierarchy, tuple(order), comm_size)
+    comms = [
+        decompose_many(hierarchy, reordering.comm_members(c))
+        for c in range(reordering.n_comms)
+    ]
+    maps: list[dict] = [{} for _ in range(hierarchy.depth)]
+    canon = [_oracle_relabel(maps, comms[0], commit=True)]
+    remaining = comms[1:]
+    while remaining:
+        peeks = [_oracle_relabel(maps, c, commit=False) for c in remaining]
+        i = min(range(len(peeks)), key=peeks.__getitem__)
+        canon.append(_oracle_relabel(maps, remaining.pop(i), commit=True))
+    return tuple(canon)
+
+
+def _groups(key_fn, hierarchy: Hierarchy, comm_size: int) -> list[list]:
+    """Orders grouped by ``key_fn``, groups in first-seen order."""
+    groups: dict = {}
+    for order in all_orders(hierarchy.depth):
+        groups.setdefault(key_fn(hierarchy, order, comm_size), []).append(order)
+    return list(groups.values())
+
+
+def _ragged(hierarchy: Hierarchy, order, comm_size: int) -> bool:
+    """Whether ``comm_size`` fails to factor through ``order``: some
+    level's radix neither divides nor is divided by what remains."""
+    rem = comm_size
+    for level in order:
+        radix = hierarchy.radices[level]
+        if rem % radix == 0:
+            rem //= radix
+        elif radix % rem == 0:
+            return False
+        else:
+            return True
+    return False
+
+
+class TestPlacementKeyOracle:
+    """Same partition of orders, same first-seen representative."""
+
+    @seed(20)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.sampled_from([2, 3, 4, 6]), min_size=1, max_size=4)
+        .filter(lambda radices: math.prod(radices) <= 48)
+        .map(lambda radices: Hierarchy(tuple(radices)))
+    )
+    # Ragged sizes: a radix 3 or 6 against communicators of 2 or 4.
+    @example(Hierarchy((2, 2, 2, 3)))
+    @example(Hierarchy((3, 2, 2, 3)))
+    @example(Hierarchy((6, 4)))
+    def test_partition_matches_greedy_canonical_form(self, h):
+        for comm_size in (d for d in range(1, h.size + 1) if h.size % d == 0):
+            assert _groups(placement_key, h, comm_size) == _groups(
+                oracle_placement_key, h, comm_size
+            ), (h, comm_size)
+
+    def test_ragged_classes_can_merge(self):
+        # [[2,2,2,3]] at comm size 2: the radix-3 level runs fastest, so
+        # comms straddle its triples; the two slowest levels still swap.
+        h = Hierarchy((2, 2, 2, 3))
+        assert _ragged(h, (3, 0, 1, 2), 2)
+        assert placement_key(h, (3, 0, 1, 2), 2) == placement_key(h, (3, 0, 2, 1), 2)
+        assert placement_key(h, (3, 0, 1, 2), 2) != placement_key(h, (3, 1, 0, 2), 2)
+
+    def test_hydra16_classes(self, hydra_hierarchy):
+        # Pinned from the greedy form (1.5 s); 24 orders -> 12 classes.
+        assert len(_groups(placement_key, hydra_hierarchy, 16)) == 12
+
+    def test_lumi16_classes(self):
+        # Pinned from the greedy form (about two minutes for the 120
+        # orders, too slow to rerun here); the closed form takes ~0.3 ms.
+        lumi = Hierarchy((16, 2, 4, 2, 8))
+        assert len(_groups(placement_key, lumi, 16)) == 29
+
+    def test_validates_its_arguments(self, fig1_hierarchy):
+        with pytest.raises(ValueError, match="divide"):
+            placement_key(fig1_hierarchy, (0, 1, 2), 3)
+        with pytest.raises(ValueError, match="permutation"):
+            placement_key(fig1_hierarchy, (0, 1, 1), 4)
