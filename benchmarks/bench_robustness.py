@@ -10,7 +10,7 @@ Measures what the supervised executor costs and proves what it buys:
 - **chaos recovery** -- with injected worker SIGKILLs, hangs, and flaky
   exceptions, the supervised sweep completes with zero quarantines and
   results bitwise-identical to a clean serial run;
-- **resume** -- an interrupted journaled sweep resumed over the same
+- **resume** -- an interrupted sweep resumed from its record log over the same
   grid re-evaluates only the incomplete keys and matches bitwise.
 
 Emits the machine-readable ``BENCH_robustness.json`` artifact CI uploads
@@ -92,12 +92,11 @@ def test_robustness_overhead_chaos_and_resume(once, tmp_path):
         os.environ.pop(CHAOS_ENV, None)
     cs = chaotic_engine.stats
 
-    # -- interrupted + resumed journaled sweep ----------------------------
+    # -- interrupted sweep resumed from its record log -------------------
     cache_dir = tmp_path / "sweep-cache"
     interrupted = SweepEngine(jobs=2, cache_dir=cache_dir)
     interrupted.evaluate_many(reqs[: len(reqs) // 2])
-    if interrupted.journal is not None:
-        interrupted.journal.close()
+    interrupted.cache.close()
     resumed = SweepEngine(jobs=2, cache_dir=cache_dir)
     t0 = time.perf_counter()
     resumed_out = resumed.evaluate_many(reqs)

@@ -233,7 +233,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         [parse_order(o) for o in args.orders.split(",")] if args.orders else None
     )
     if args.resume and not args.cache_dir:
-        raise SystemExit("--resume requires --cache-dir (the journal lives there)")
+        raise SystemExit("--resume requires --cache-dir (the record log lives there)")
     if args.top_k is not None and args.top_k < 1:
         raise SystemExit("--top-k must be >= 1")
     try:
@@ -252,8 +252,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.resume:
         print(
             f"# resume: {engine.stats.journal_replayed} completed key(s) "
-            f"journaled, {engine.stats.tmp_files_removed} stale tmp file(s) "
-            "removed; only incomplete keys will be evaluated",
+            "in the record log; only incomplete keys will be evaluated",
             file=sys.stderr,
         )
     ladder_extra = {}
@@ -720,8 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--resume", action="store_true",
-        help="resume an interrupted sweep from the journal in --cache-dir; "
-        "only keys not yet journaled as complete are re-evaluated",
+        help="resume an interrupted sweep from the record log in --cache-dir; "
+        "only keys without a verified record are re-evaluated",
     )
     p.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
@@ -819,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-dir", default=None,
         help="persistent result cache shared with sweeps and other "
-        "service processes; also enables the completion journal",
+        "service processes: one append-only record log",
     )
     p.add_argument(
         "--lru-size", type=int, default=65536,

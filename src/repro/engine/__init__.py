@@ -3,7 +3,8 @@
 Every figure of the paper is a sweep over candidate mixed-radix orders;
 this package is the substrate that makes those sweeps cheap: canonical
 content-addressed evaluation requests (:mod:`repro.engine.keys`), a
-two-tier LRU + on-disk result cache (:mod:`repro.engine.cache`),
+two-tier LRU + append-only record log result cache
+(:mod:`repro.engine.cache`),
 equivalence-class pruning with an audit mode (:mod:`repro.engine.core`),
 and one supervised dispatcher whose workers are forked locally or join
 over TCP, with deterministic ordering (:mod:`repro.engine.supervisor`).  The
@@ -53,7 +54,6 @@ from repro.engine.fidelity import (
     analytic_order_score,
     default_rungs,
 )
-from repro.engine.journal import SweepJournal
 from repro.engine.keys import (
     CACHE_SCHEMA,
     EvalRequest,
@@ -88,7 +88,6 @@ __all__ = [
     "ResultCache",
     "RungOutcome",
     "SweepEngine",
-    "SweepJournal",
     "TaskAttempt",
     "TaskSupervisor",
     "analytic_order_score",

@@ -57,8 +57,8 @@ class BatchEvaluationError(RuntimeError):
     ranking, advice assembly) raise this instead of an opaque
     ``KeyError``/``TypeError``: :attr:`points` names each failed
     ``(order, payload)`` coordinate with its cause.  Failures are never
-    cached or journaled, so re-running the same grid retries exactly
-    these points.
+    cached or logged, so re-running the same grid retries exactly these
+    points.
     """
 
     def __init__(self, points: Sequence[FailedPoint], context: str = ""):

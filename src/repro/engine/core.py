@@ -6,7 +6,7 @@ into results while exploiting three independent sources of cheapness:
 1. **Memoization** -- every result is stored under its content-addressed
    key in a two-tier cache (:mod:`repro.engine.cache`): repeated points
    inside one sweep, across sweeps, and across processes (with
-   ``cache_dir``) cost one lookup.
+   ``cache_dir``, through one append-only record log) cost one lookup.
 2. **Equivalence pruning** -- requests that differ only in the order, with
    placements that are isomorphic under machine symmetry
    (:func:`repro.core.equivalence.placement_key`), are evaluated once and
@@ -27,11 +27,13 @@ into results while exploiting three independent sources of cheapness:
    so ``jobs=1`` and ``jobs=N`` are bitwise identical -- on healthy
    machines and through every recovery path.
 
-Execution is **crash-safe**: each completed evaluation is cached (and,
-with a ``cache_dir``, journaled to an append-only JSONL manifest,
-:mod:`repro.engine.journal`) the moment it finishes, so an interrupted
-sweep re-run over the same grid re-evaluates only the keys that never
-completed and produces bitwise-identical output.
+Execution is **crash-safe**: with a ``cache_dir``, results that settle
+together -- one worker result, the whole in-process vectorized pass, or
+one pruned-broadcast step -- are appended to the record log as one write
+and synced before the engine reports them complete.  The log's verified
+key set is the sweep's journal: an interrupted sweep re-run over the
+same grid re-evaluates only the keys that never completed and produces
+bitwise-identical output.
 
 The engine keeps running statistics (wall clock, hit rate, evaluations
 saved, recovery counters) and renders them as the machine-readable
@@ -46,14 +48,12 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import repro.engine.evaluators as _evaluators
 from repro.core.equivalence import placement_key
 from repro.engine import chaos
 from repro.engine.cache import ResultCache
-from repro.engine.journal import JOURNAL_NAME, SweepJournal
 from repro.engine.keys import EvalRequest
 from repro.engine.supervisor import (
     EvalFailure,
@@ -107,10 +107,8 @@ class EngineStats:
     quarantined: int = 0  # tasks recorded as EvalFailure results
     workers_respawned: int = 0
     degraded_serial: bool = False  # a pool died; work continued in-process
-    cache_quarantined: int = 0  # corrupt disk records detected & set aside
-    tmp_files_removed: int = 0  # stale writer staging files GC'd at startup
-    journal_replayed: int = 0  # completed keys loaded from the journal
-    journal_missing: int = 0  # journaled keys whose cache record was gone
+    cache_quarantined: int = 0  # corrupt log records detected & set aside
+    journal_replayed: int = 0  # distinct keys the record log held at open
 
     @property
     def cache_hits(self) -> int:
@@ -147,9 +145,7 @@ class EngineStats:
             "workers_respawned": self.workers_respawned,
             "degraded_serial": self.degraded_serial,
             "cache_quarantined": self.cache_quarantined,
-            "tmp_files_removed": self.tmp_files_removed,
             "journal_replayed": self.journal_replayed,
-            "journal_missing": self.journal_missing,
             # The analytic kernels' structure memos (this process's
             # fabrics; workers accumulate their own and are not merged).
             "structure_cache": STRUCTURE_CACHE_STATS.to_jsonable(),
@@ -172,10 +168,10 @@ class SweepEngine:
         Worker processes for independent evaluations; 1 evaluates
         in-process, ``round``/``logp`` as one vectorized pass.
     cache_dir:
-        Optional directory for the persistent JSON result cache.  Also
-        enables the crash-safe completion journal
-        (``<cache_dir>/sweep-journal.jsonl``) and startup GC of stale
-        ``*.tmp`` files from killed writers.
+        Optional directory for the persistent result cache: one
+        append-only, checksummed record log
+        (``<cache_dir>/results.jsonl``) whose keys are also the
+        crash-safe completion journal ``--resume`` replays.
     prune:
         Evaluate one representative per equivalence class and broadcast
         (default).  ``False`` enables the audit mode: every class member
@@ -223,13 +219,9 @@ class SweepEngine:
             timeout=task_timeout,
         )
         self.stats = EngineStats(jobs=jobs, prune=prune)
+        self.stats.journal_replayed = self.cache.replayed
         self.failures: list[EvalFailure] = []
-        self.journal: SweepJournal | None = None
-        if cache_dir is not None:
-            self.stats.tmp_files_removed = self.cache.gc_tmp_files()
-            self.journal = SweepJournal(Path(cache_dir) / JOURNAL_NAME)
-            self.stats.journal_replayed = self.journal.replayed
-        # Engine internals (cache bookkeeping, stats, journal handle) are
+        # Engine internals (cache bookkeeping, stats, the log handle) are
         # not thread-safe; the advisor service shares one engine across
         # request handlers and pre-warm workers, so the whole pipeline
         # runs under one reentrant lock.  Single-threaded callers (CLI
@@ -251,9 +243,10 @@ class SweepEngine:
         configuration picks (see :meth:`_run`).  Tasks that exhaust
         their retry budget come back as structured failure records (see
         :func:`repro.engine.supervisor.is_failure`) instead of aborting
-        the batch; every successful result is cached -- and journaled,
-        with a ``cache_dir`` -- the moment it completes, so partial
-        progress survives crashes and interrupts.
+        the batch; every successful result is cached -- and, with a
+        ``cache_dir``, appended to the record log and synced -- the
+        moment it settles, so partial progress survives crashes and
+        interrupts.
         """
         with self._lock:
             return self._evaluate_locked(requests)
@@ -288,16 +281,16 @@ class SweepEngine:
                 for i in idxs:
                     results[i] = hit
             else:
-                if self.journal is not None and key in self.journal:
-                    # The journal promised this key but the cache lost it
-                    # (corruption, deletion): surface and re-evaluate.
-                    self.stats.journal_missing += 1
                 unresolved.append(idxs[0])
 
-        # 2. Group unresolved requests by equivalence class.
+        # 2. Group unresolved requests by equivalence class.  Each one's
+        # canonical document is built once more here (its key is
+        # memoized, the document is not) for grouping and the log.
+        docs = {i: requests[i].canonical() for i in unresolved}
         groups: dict[tuple, _Group] = {}
         for i in unresolved:
-            groups.setdefault(self._prune_key(requests[i]), _Group()).indices.append(i)
+            group = self._prune_key(requests[i], docs[i])
+            groups.setdefault(group, _Group()).indices.append(i)
 
         # 3. Decide what actually runs.
         to_run: list[int] = []
@@ -308,14 +301,15 @@ class SweepEngine:
                 to_run.extend(group.indices)
         to_run.sort()  # deterministic dispatch order
 
-        # 4. Evaluate, persisting each completion at once.
-        def on_complete(i: int, outcome: dict | EvalFailure) -> None:
-            if isinstance(outcome, EvalFailure):
-                return  # never cache or journal a failure: re-evaluate later
-            self.cache.put(keys[i], outcome, requests[i].canonical())
-            self._journal_record(keys[i])
+        # 4. Evaluate, persisting each group that settles together as one
+        # log append and sync.
+        def on_settled(settled: list[tuple[int, dict | EvalFailure]]) -> None:
+            # Never cache a failure: the next run re-evaluates it.
+            ok = [(i, out) for i, out in settled if not isinstance(out, EvalFailure)]
+            if ok:
+                self.cache.put_many((keys[i], out, docs[i]) for i, out in ok)
 
-        evaluated = self._run(requests, to_run, on_complete)
+        evaluated = self._run(requests, to_run, on_settled)
         for i in to_run:
             outcome = evaluated[i]
             if isinstance(outcome, EvalFailure):
@@ -326,6 +320,7 @@ class SweepEngine:
         self.stats.evaluated += len(to_run)
 
         # 5. Broadcast (or audit) within each class group.
+        broadcast: list[tuple[int, dict | EvalFailure]] = []
         for group in groups.values():
             rep = group.indices[0]
             rest = group.indices[1:]
@@ -339,14 +334,14 @@ class SweepEngine:
                         # is cached, so a later run retries all of them.
                         continue
                     # Store under the member's own key so later direct
-                    # lookups (and other processes via the disk tier) hit.
-                    self.cache.put(keys[i], rep_result, requests[i].canonical())
-                    self._journal_record(keys[i])
+                    # lookups (and other processes via the log) hit.
+                    broadcast.append((i, rep_result))
                     self.stats.pruned += 1
             elif rest:
                 if not any(is_failure(results[i]) for i in group.indices):
                     self._audit(requests, results, group.indices)
                     self.stats.audited += len(rest)
+        on_settled(broadcast)
 
         # 6. Fill remaining duplicates of now-resolved keys.
         for key, idxs in by_key.items():
@@ -382,11 +377,7 @@ class SweepEngine:
 
     # -- internals ---------------------------------------------------------
 
-    def _journal_record(self, key: str) -> None:
-        if self.journal is not None:
-            self.journal.record(key)
-
-    def _prune_key(self, request: EvalRequest) -> tuple:
+    def _prune_key(self, request: EvalRequest, doc: dict) -> tuple:
         """Group key: everything but the order, plus the placement's
         canonical form (:func:`repro.core.equivalence.placement_key`).
 
@@ -402,7 +393,8 @@ class SweepEngine:
 
         The canonical form is an O(depth) closed form over the order,
         cheaper than a memo lookup, so it is computed per request and
-        nothing is kept.
+        nothing is kept.  ``doc`` is the request's canonical document;
+        the order-free base is built from it without mutating it.
         """
         if (
             request.model not in PRUNABLE_MODELS
@@ -411,9 +403,11 @@ class SweepEngine:
             or request.comm_size is None
         ):
             return ("solo", request.key)
-        doc = request.canonical()
-        doc.pop("order", None)
-        base = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        base = json.dumps(
+            {k: v for k, v in doc.items() if k != "order"},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
         cls = placement_key(request.hierarchy, request.order, request.comm_size)
         return ("class", base, cls)
 
@@ -445,11 +439,12 @@ class SweepEngine:
                     )
 
     def _run(
-        self, requests, to_run: list[int], on_complete
+        self, requests, to_run: list[int], on_settled
     ) -> dict[int, dict | EvalFailure]:
         """Evaluate ``requests[i]`` for each ``i`` in ``to_run`` on the
-        path the workers pick; ``on_complete(i, outcome)`` fires as each
-        settles.
+        path the workers pick; ``on_settled([(i, outcome), ...])`` fires
+        once per group that settles together: the whole vectorized pass,
+        or each worker result.
 
         Without workers (``jobs == 1`` and no ``dispatcher``), models
         with a batch evaluator run in-process as one vectorized pass;
@@ -469,14 +464,13 @@ class SweepEngine:
                 self.stats.batch_fallbacks += 1
             else:
                 done = dict(zip(vec, outcomes))
-                for i, outcome in done.items():
-                    on_complete(i, outcome)
+                on_settled(list(done.items()))
                 self.stats.batched += len(vec)
         rest = [i for i in to_run if i not in done]
         if rest:
             outcomes = self._supervise(
                 [requests[i] for i in rest],
-                lambda pos, outcome: on_complete(rest[pos], outcome),
+                lambda pos, outcome: on_settled([(rest[pos], outcome)]),
             )
             done.update(zip(rest, outcomes))
         return done

@@ -82,6 +82,22 @@ def _jsonify(value: Any) -> Any:
     raise TypeError(f"cannot canonicalise {type(value).__name__} in a request")
 
 
+#: The last fingerprint built per kind, with the object it was built from.
+_LAST_FINGERPRINT: dict[str, tuple[Any, Any]] = {}
+
+
+def _shared_fingerprint(kind: str, value: Any, build) -> Any:
+    """``build(value)``, reused while consecutive requests carry the very
+    same object (a sweep's requests share one topology and hierarchy),
+    so their memoized documents share one read-only copy."""
+    last = _LAST_FINGERPRINT.get(kind)
+    if last is not None and last[0] is value:
+        return last[1]
+    doc = build(value)
+    _LAST_FINGERPRINT[kind] = (value, doc)
+    return doc
+
+
 def topology_fingerprint(topology: MachineTopology) -> dict:
     """Every performance-relevant parameter of a machine topology."""
     return {
@@ -172,16 +188,26 @@ class EvalRequest:
         return dict(self.workload_params).get(name, default)
 
     def canonical(self) -> dict:
-        """The deterministic provenance document behind :attr:`key`."""
-        doc: dict[str, Any] = {
+        """The deterministic provenance document behind :attr:`key`.
+
+        Not memoized: a request can outlive its evaluation (the advisor
+        service keeps planned requests), and the document is several
+        times the size of the key.  Topology and hierarchy parts are
+        shared read-only between requests carrying the same objects.
+        """
+        doc = {
             "schema": CACHE_SCHEMA,
             "version": _package_version(),
             "model": self.model,
-            "topology": topology_fingerprint(self.topology),
+            "topology": _shared_fingerprint(
+                "topology", self.topology, topology_fingerprint
+            ),
             "seed": self.seed,
         }
         if self.hierarchy is not None:
-            doc["hierarchy"] = hierarchy_fingerprint(self.hierarchy)
+            doc["hierarchy"] = _shared_fingerprint(
+                "hierarchy", self.hierarchy, hierarchy_fingerprint
+            )
         if self.order is not None:
             doc["order"] = list(self.order)
         if self.comm_size is not None:
@@ -202,8 +228,8 @@ class EvalRequest:
         """SHA-256 hex digest of the canonical document (memoized).
 
         Every field is frozen, so the digest is computed once per
-        instance; the engine, the journal and :meth:`worker_seed` all
-        read the same cached string instead of re-canonicalising.
+        instance; the engine and :meth:`worker_seed` read the same cached
+        string instead of re-canonicalising.
         """
         cached = self.__dict__.get("_key")
         if cached is None:

@@ -130,8 +130,8 @@ class EvalFailure:
         """The structured record stored in the task's result slot.
 
         Marked by :data:`FAILURE_MARKER` so consumers can filter; never
-        written to the cache or the journal, so the key is re-evaluated
-        by the next run.
+        written to the cache or its record log, so the key is
+        re-evaluated by the next run.
         """
         last = self.attempts[-1]
         return {
@@ -555,7 +555,7 @@ class TaskSupervisor:
 
         ``on_complete(index, outcome)`` fires from the supervising
         process the moment each task settles (success dict or
-        :class:`EvalFailure`) -- the engine uses it to cache and journal
+        :class:`EvalFailure`) -- the engine uses it to cache and log
         incrementally, so completed work survives any later crash.
         """
         if self._closed:

@@ -12,8 +12,8 @@ as a long-running query service:
   over one shared :class:`~repro.engine.SweepEngine`, so concurrent
   queries whose grids overlap share in-flight work per content key, and
   every completed point lands in the engine's two-tier cache (the LRU
-  plus, with a ``cache_dir``, the on-disk warm tier sweeps and other
-  service processes also see);
+  plus, with a ``cache_dir``, the append-only record log that sweeps and
+  other service processes also read, synced as each batch settles);
 - **assembly** reuses :func:`repro.core.advisor.advice_from_results`,
   making served rankings bitwise-identical to offline ``advise()`` on
   the same inputs by construction.
@@ -226,7 +226,7 @@ class AdvisorService:
     Parameters
     ----------
     engine:
-        The shared :class:`~repro.engine.SweepEngine` (cache + journal +
+        The shared :class:`~repro.engine.SweepEngine` (cache, record log and
         stats).  Default: a fresh in-process engine with no disk tier.
     default_backend:
         Backend for queries that do not name one.  ``logp`` is the fast
@@ -415,9 +415,9 @@ def build_service(
 ) -> AdvisorService:
     """An :class:`AdvisorService` over a fresh engine.
 
-    ``cache_dir`` enables the on-disk warm tier (shared with
-    ``repro-mrd sweep`` runs and other service processes) and the
-    completion journal.  ``lru_size`` is generous by default: the
+    ``cache_dir`` enables the on-disk warm tier: one append-only record
+    log shared with ``repro-mrd sweep`` runs and other service
+    processes.  ``lru_size`` is generous by default: the
     in-memory tier is the service's serving tier.  The engine has no
     workers, so it scores the ``logp`` frontier in-process.
     """

@@ -8,15 +8,15 @@ points N times before the first result ever reaches the cache.
 
 :class:`KeyCoalescer` closes that window.  Every point of every query is
 registered under its :attr:`EvalRequest.key <repro.engine.keys.EvalRequest.key>`
-— the same SHA-256 content key the engine's two-tier cache and journal
-use — in a single-threaded (event-loop owned) in-flight table:
+— the same SHA-256 content key the engine's two-tier cache and its
+record log use — in a single-threaded (event-loop owned) in-flight table:
 
 - a key nobody is computing and not already warm is **submitted** (the
   caller ships it to the engine for fresh evaluation);
 - a key some other query is already computing is **coalesced** (the
   caller awaits the in-flight future instead of re-submitting);
 - a key appearing twice in one query, or one the ``probe`` reports as
-  already satisfied by the engine's cache/journal, is **deduped** — no
+  already satisfied by the engine's cache or record log, is **deduped** — no
   fresh evaluation happens for it (warm keys still ride the engine
   batch to fetch their cached values, costing one lookup each).
 
@@ -44,7 +44,7 @@ class CoalesceStats:
 
     calls: int = 0  # evaluate() invocations (one per advise/prewarm grid)
     keys: int = 0  # grid points requested, including duplicates
-    deduped: int = 0  # keys needing no evaluation: in-call duplicates + cache/journal-warm
+    deduped: int = 0  # keys needing no evaluation: in-call duplicates + cache-warm
     submitted: int = 0  # cold keys shipped to the engine for fresh evaluation
     coalesced: int = 0  # keys that awaited another call's in-flight work
     peak_inflight: int = 0  # widest concurrent in-flight table
@@ -78,7 +78,7 @@ class KeyCoalescer:
     ``executor`` is where submitted slices run (None: the loop's default
     thread pool).  ``probe`` (normally :meth:`ResultCache.warm
     <repro.engine.cache.ResultCache.warm>`) reports, per content key,
-    whether the engine can satisfy it from its cache/journal without
+    whether the engine can satisfy it from its cache or record log without
     evaluating — such keys count as *deduped*, not *submitted*.  All
     bookkeeping happens on the event loop, so no locks are needed; the
     executor only ever runs the evaluator.

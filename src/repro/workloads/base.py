@@ -12,7 +12,7 @@ same way :mod:`repro.ir.backends` gives execution one:
   CLI face);
 - :func:`canonical_params` validates a parameter mapping against the
   workload's :class:`ParamSpec` schema and returns the sorted, hashable
-  ``(name, value)`` tuple the engine keys cache/journal records on -- two
+  ``(name, value)`` tuple the engine keys cache records on -- two
   call sites that mean the same program produce the same content key by
   construction;
 - :func:`lower_workload` is the one lowering path: canonicalise, lower,

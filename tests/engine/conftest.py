@@ -1,14 +1,16 @@
 """Engine test helpers: the ``pool`` fixture (one dispatcher, either way
-a worker joins) and :func:`swap_evaluator`."""
+a worker joins), :func:`swap_evaluator` and :func:`tear_record`."""
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.engine import evaluators
+from repro.engine.cache import LOG_NAME
 from repro.engine.supervisor import TaskSupervisor, run_worker
 
 
@@ -26,6 +28,28 @@ def swap_evaluator(monkeypatch, model: str, fn) -> None:
     monkeypatch.setitem(
         evaluators.BATCH_EVALUATORS, model, lambda reqs: [fn(r) for r in reqs]
     )
+
+
+def tear_record(cache_dir, key: str, how: str = "truncate") -> str:
+    """Corrupt ``key``'s last record in the cache dir's log, in place.
+
+    ``"truncate"`` keeps the first half of the line (a torn write: the
+    key still reads, the record does not parse); ``"rot"`` changes one
+    hex digit of its checksum (bit rot: the record parses, the checksum
+    fails).  Returns the corrupted line.
+    """
+    log = Path(cache_dir) / LOG_NAME
+    lines = log.read_text().splitlines(keepends=True)
+    n = max(i for i, line in enumerate(lines) if line.startswith(f'{{"key": "{key}"'))
+    line = lines[n]
+    if how == "truncate":
+        line = line[: len(line) // 2] + "\n"
+    else:
+        j = line.index('"checksum": "') + len('"checksum": "')
+        line = line[:j] + ("0" if line[j] != "0" else "f") + line[j + 1 :]
+    lines[n] = line
+    log.write_text("".join(lines))
+    return line
 
 
 class Pools:

@@ -4,25 +4,26 @@ identically to per-request evaluation on workers.
 A worker-less engine (``jobs=1``) scores ``round``/``logp`` points as
 one vectorized pass; a ``jobs=2`` engine sends every point to its
 workers one request at a time.  The cache contract: every point still
-lives under its own content-addressed key, so both paths write
-byte-identical on-disk records over the same grid, a warm run on either
-path evaluates nothing regardless of which path filled the cache, and a
-vectorized run can resume from a journal written by an interrupted run
-on workers (evaluating only the keys that never completed).
+lives under its own content-addressed key, so both paths append
+byte-identical record lines over the same grid (only arrival order
+differs), a warm run on either path evaluates nothing regardless of
+which path filled the cache, and a vectorized run can resume from the
+record log of an interrupted run on workers (evaluating only the keys
+that never completed).
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.core.hierarchy import Hierarchy
 from repro.engine import EvalRequest, SweepEngine
 from repro.engine.evaluators import evaluate_request
-from repro.engine.journal import JOURNAL_NAME
+from repro.engine.cache import LOG_NAME
 from repro.topology.machines import generic_cluster
 from repro.workloads import collective_params
+
+from tests.engine.conftest import tear_record
 
 H = Hierarchy((2, 2, 4), names=("node", "socket", "core"))
 TOPO = generic_cluster((2, 2, 4), names=("node", "socket", "core"))
@@ -46,12 +47,9 @@ def _requests(model: str = "logp") -> list[EvalRequest]:
     ]
 
 
-def _disk_records(cache_dir) -> dict[str, str]:
-    """On-disk record text keyed by relative path (journal excluded)."""
-    return {
-        str(p.relative_to(cache_dir)): p.read_text()
-        for p in sorted(cache_dir.rglob("*.json"))
-    }
+def _log_lines(cache_dir) -> list[str]:
+    """The record log's lines, sorted (arrival order may differ)."""
+    return sorted((cache_dir / LOG_NAME).read_text().splitlines())
 
 
 @pytest.mark.parametrize("model", ["logp", "round"])
@@ -66,20 +64,10 @@ class TestCacheIdentity:
         assert scalar.stats.batched == 0
         assert batch.stats.batched > 0
         assert [repr(r) for r in res_b] == [repr(r) for r in res_s]
-        recs_s = _disk_records(scalar_dir)
-        recs_b = _disk_records(batch_dir)
+        recs_s = _log_lines(scalar_dir)
+        recs_b = _log_lines(batch_dir)
         assert recs_s  # the sweep actually persisted something
         assert recs_b == recs_s  # same keys, byte-identical records
-        # Journals promise the same completed keys in either mode.
-        keys_s = {
-            json.loads(line)["key"]
-            for line in (scalar_dir / JOURNAL_NAME).read_text().splitlines()
-        }
-        keys_b = {
-            json.loads(line)["key"]
-            for line in (batch_dir / JOURNAL_NAME).read_text().splitlines()
-        }
-        assert keys_b == keys_s
 
     def test_warm_batch_after_scalar_evaluates_nothing(self, model, tmp_path):
         cold = SweepEngine(jobs=2, cache_dir=tmp_path)
@@ -107,7 +95,7 @@ class TestResumeFromScalarJournal:
         interrupted = SweepEngine(jobs=2, cache_dir=tmp_path, prune=False)
         interrupted.evaluate_many(prefix)
         done = len({r.key for r in prefix})
-        # A vectorized run over the full grid resumes from that journal.
+        # A vectorized run over the full grid resumes from that log.
         resumed = SweepEngine(cache_dir=tmp_path, prune=False)
         assert resumed.stats.journal_replayed == done
         results = resumed.evaluate_many(requests)
@@ -122,11 +110,11 @@ class TestResumeFromScalarJournal:
         requests = _requests("logp")[:2]
         first = SweepEngine(jobs=2, cache_dir=tmp_path, prune=False)
         first.evaluate_many(requests)
-        lost = requests[0]
-        (tmp_path / lost.key[:2] / f"{lost.key}.json").unlink()
+        tear_record(tmp_path, requests[0].key)
         again = SweepEngine(cache_dir=tmp_path, prune=False)
+        assert again.stats.journal_replayed == 2  # the torn line still names its key
         res = again.evaluate_many(requests)
-        assert again.stats.journal_missing == 1
+        assert again.stats.cache_quarantined == 1
         assert again.stats.evaluated == 1
         reference = [evaluate_request(r) for r in requests]
         assert [repr(r) for r in res] == [repr(r) for r in reference]

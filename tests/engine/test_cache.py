@@ -1,4 +1,4 @@
-"""Two-tier result cache: LRU behavior, disk round-trips, corruption."""
+"""Two-tier result cache: LRU behavior, record-log round-trips, corruption."""
 
 from __future__ import annotations
 
@@ -7,10 +7,11 @@ import json
 import pytest
 
 from repro.engine import CACHE_SCHEMA, ResultCache
-from repro.engine.cache import QUARANTINE_DIR, result_checksum
+from repro.engine.cache import LOG_NAME, QUARANTINE_DIR, result_checksum
+from tests.engine.conftest import tear_record
 
 
-KEY = "ab" + "0" * 62  # fan-out dir "ab"
+KEY = "ab" + "0" * 62
 
 
 class TestMemoryTier:
@@ -59,42 +60,49 @@ class TestDiskTier:
     def test_entry_records_provenance(self, tmp_path):
         c = ResultCache(cache_dir=tmp_path)
         c.put(KEY, {"v": 1.0}, request_doc={"model": "round"})
-        path = tmp_path / KEY[:2] / f"{KEY}.json"
-        doc = json.loads(path.read_text())
+        (line,) = (tmp_path / LOG_NAME).read_text().splitlines()
+        doc = json.loads(line)
+        assert list(doc) == ["key", "schema", "checksum", "result", "request"]
         assert doc["key"] == KEY
         assert doc["result"] == {"v": 1.0}
         assert doc["request"] == {"model": "round"}
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
+        (tmp_path / LOG_NAME).write_text("{not json\n")
         c = ResultCache(cache_dir=tmp_path)
-        path = tmp_path / KEY[:2] / f"{KEY}.json"
-        path.parent.mkdir(parents=True)
-        path.write_text("{not json")
         assert c.get(KEY) is None
-        # The next store overwrites the corrupt entry.
+        # The next store appends a good record after the bad line.
         c.put(KEY, {"v": 2.0})
         assert ResultCache(cache_dir=tmp_path).get(KEY) == {"v": 2.0}
 
     def test_wrong_shape_is_a_miss(self, tmp_path):
+        line = json.dumps({"key": KEY, "schema": CACHE_SCHEMA, "result": [1, 2, 3]})
+        (tmp_path / LOG_NAME).write_text(line + "\n")
         c = ResultCache(cache_dir=tmp_path)
-        path = tmp_path / KEY[:2] / f"{KEY}.json"
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps({"key": KEY, "result": [1, 2, 3]}))
         assert c.get(KEY) is None
+        assert c.quarantined == 1
 
     def test_no_disk_without_cache_dir(self, tmp_path):
         c = ResultCache()
         c.put(KEY, {"v": 1.0})
         assert list(tmp_path.iterdir()) == []
 
+    def test_tail_appended_by_another_process_becomes_visible(self, tmp_path):
+        reader = ResultCache(cache_dir=tmp_path)
+        assert not reader.warm(KEY)
+        ResultCache(cache_dir=tmp_path).put(KEY, {"v": 3.0})
+        assert reader.warm(KEY)  # a miss re-reads the tail
+        assert reader.get(KEY) == {"v": 3.0} and reader.disk_hits == 1
+
 
 class TestIntegrity:
-    """Schema-3 hardening: checksums, quarantine, tmp-file GC."""
+    """Checksums and quarantine: a failed record is never served."""
 
     def _store(self, tmp_path):
         c = ResultCache(cache_dir=tmp_path)
         c.put(KEY, {"duration": 2.5})
-        return tmp_path / KEY[:2] / f"{KEY}.json"
+        c.close()
+        return tmp_path / LOG_NAME
 
     def test_record_carries_schema_and_checksum(self, tmp_path):
         doc = json.loads(self._store(tmp_path).read_text())
@@ -102,59 +110,48 @@ class TestIntegrity:
         assert doc["checksum"] == result_checksum({"duration": 2.5})
 
     def test_truncated_record_quarantined_not_served(self, tmp_path):
-        path = self._store(tmp_path)
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+        self._store(tmp_path)
+        torn = tear_record(tmp_path, KEY, "truncate")
         c = ResultCache(cache_dir=tmp_path)
+        assert c.replayed == 1  # the line still names its key
         assert c.get(KEY) is None
         assert c.quarantined == 1
-        assert not path.exists()  # moved out of the lookup path
-        assert (tmp_path / QUARANTINE_DIR / path.name).exists()
+        assert not c.warm(KEY)  # out of the lookup path
+        (kept,) = (tmp_path / QUARANTINE_DIR).iterdir()
+        assert kept.name.startswith(KEY) and kept.read_text() + "\n" == torn
 
     def test_bit_rot_fails_the_checksum(self, tmp_path):
-        path = self._store(tmp_path)
-        doc = json.loads(path.read_text())
-        doc["result"]["duration"] = 99.0  # silent payload mutation
-        path.write_text(json.dumps(doc))
+        self._store(tmp_path)
+        tear_record(tmp_path, KEY, "rot")
         c = ResultCache(cache_dir=tmp_path)
         assert c.get(KEY) is None
         assert c.quarantined == 1
 
     def test_wrong_key_or_schema_quarantined(self, tmp_path):
-        path = self._store(tmp_path)
-        doc = json.loads(path.read_text())
-        doc["schema"] = CACHE_SCHEMA - 1
-        path.write_text(json.dumps(doc))
+        log = self._store(tmp_path)
+        # A scribbled record whose body names another key: quarantined.
+        doc = json.loads(log.read_text())
+        scribbled = json.dumps(doc)[:-1] + ', "key": "' + "cd" * 32 + '"}'
+        log.write_text(scribbled + "\n")
         c = ResultCache(cache_dir=tmp_path)
         assert c.get(KEY) is None
         assert c.stats()["quarantined"] == 1
+        # Another schema's record is ignored: never served, never failed.
+        doc["schema"] = CACHE_SCHEMA - 1
+        log.write_text(json.dumps(doc) + "\n")
+        c = ResultCache(cache_dir=tmp_path)
+        assert c.replayed == 0 and c.get(KEY) is None
+        assert c.stats()["quarantined"] == 0
 
     def test_quarantined_key_reevaluates_and_restores(self, tmp_path):
-        path = self._store(tmp_path)
-        path.write_text("{torn")
+        self._store(tmp_path)
+        tear_record(tmp_path, KEY, "truncate")
         c = ResultCache(cache_dir=tmp_path)
         assert c.get(KEY) is None
-        c.put(KEY, {"duration": 2.5})  # the re-evaluation
-        assert ResultCache(cache_dir=tmp_path).get(KEY) == {"duration": 2.5}
-
-    def test_gc_removes_stranded_tmp_files(self, tmp_path):
-        self._store(tmp_path)
-        stranded = tmp_path / KEY[:2] / "tmpdead01.tmp"
-        stranded.write_text('{"key": "half a rec')
-        c = ResultCache(cache_dir=tmp_path)
-        assert c.gc_tmp_files() == 1
-        assert not stranded.exists()
-        assert c.get(KEY) is not None  # real records untouched
-
-    def test_gc_age_cutoff_spares_young_files(self, tmp_path):
-        self._store(tmp_path)
-        young = tmp_path / KEY[:2] / "tmplive01.tmp"
-        young.write_text("in flight")
-        c = ResultCache(cache_dir=tmp_path)
-        assert c.gc_tmp_files(max_age_s=3600.0) == 0
-        assert young.exists()
-
-    def test_gc_without_cache_dir_is_noop(self):
-        assert ResultCache().gc_tmp_files() == 0
+        c.put(KEY, {"duration": 2.5})  # the re-evaluation, appended
+        again = ResultCache(cache_dir=tmp_path)
+        assert again.get(KEY) == {"duration": 2.5}  # the later record wins
+        assert again.quarantined == 0
 
 
 class TestStats:

@@ -3,8 +3,8 @@ fault tolerance.
 
 The contract under test is the one the paper's sweeps depend on: moving
 evaluation onto workers changes *where* requests run, never what they
-produce.  Results, journal records, and cache records from a two-worker
-pool must be bitwise identical to a single-process run, and killing a
+produce.  Results and record-log lines from a two-worker pool must be
+bitwise identical to a single-process run's, and killing a
 worker mid-sweep must cost retries, not answers.  The determinism tests
 run with remote workers in :class:`TestDistributedDeterminism` and again
 with local workers in :class:`TestLocalWorkers` (the ``pool`` fixture in
@@ -41,7 +41,7 @@ from repro.engine.supervisor import (
     run_worker,
     send_frame,
 )
-from repro.engine.journal import JOURNAL_NAME
+from repro.engine.cache import LOG_NAME
 from repro.faults.model import FaultSchedule, FaultSpec
 from repro.topology.machines import generic_cluster
 from repro.workloads import collective_params, workload_cell
@@ -260,8 +260,8 @@ class TestDistributedDeterminism:
     JOIN = "remote"
 
     def test_two_worker_pool_matches_single_process_bitwise(self, tmp_path, pool):
-        """Results, journal records, and cache records from a 2-worker
-        run are bitwise identical to a jobs=1 in-process run."""
+        """Results and record-log lines from a 2-worker run are bitwise
+        identical to a jobs=1 in-process run's."""
         requests = _requests(models=("logp", "round"))
         dir_a, dir_b = tmp_path / "socket", tmp_path / "serial"
 
@@ -276,19 +276,12 @@ class TestDistributedDeterminism:
 
         assert socket_results == serial_results
 
-        # Journal: same records; only arrival order may differ.
-        journal_a = sorted((dir_a / JOURNAL_NAME).read_text().splitlines())
-        journal_b = sorted((dir_b / JOURNAL_NAME).read_text().splitlines())
-        assert journal_a == journal_b
-        assert len(journal_a) == len(requests)
-
-        # Cache: every record file exists in both tiers with equal bytes
-        # (records live under two-hex-char shard directories).
-        files_a = sorted(p.relative_to(dir_a) for p in dir_a.glob("*/*.json"))
-        files_b = sorted(p.relative_to(dir_b) for p in dir_b.glob("*/*.json"))
-        assert files_a == files_b and files_a
-        for name in files_a:
-            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+        # Record log: the same lines, byte for byte; only arrival order
+        # may differ.
+        lines_a = sorted((dir_a / LOG_NAME).read_bytes().splitlines())
+        lines_b = sorted((dir_b / LOG_NAME).read_bytes().splitlines())
+        assert lines_a == lines_b
+        assert len(lines_a) == len(requests)
 
     def test_worker_killed_mid_sweep_loses_nothing(self, pool):
         """SIGKILL one worker mid-run: the sweep completes with every

@@ -1,8 +1,11 @@
-"""SweepEngine behavior: memoization, pruning, audit, parallel identity."""
+"""SweepEngine behavior: memoization, pruning, audit, parallel identity,
+and the record log's durability contract."""
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -14,10 +17,13 @@ from repro.engine import (
     is_failure,
     register_evaluator,
 )
+from repro.engine.cache import LOG_NAME
 from repro.engine.evaluators import EVALUATORS
+from repro.engine.keys import CACHE_SCHEMA
+from repro.engine.supervisor import TaskSupervisor
 from repro.topology.machines import generic_cluster
 from repro.workloads import collective_params
-from tests.engine.conftest import swap_evaluator
+from tests.engine.conftest import swap_evaluator, tear_record
 
 
 H = Hierarchy((2, 2, 4), names=("node", "socket", "core"))
@@ -173,6 +179,20 @@ class TestDiskCache:
         assert warm.stats.disk_hits == 2
         assert warm.stats.cache_hit_rate == 1.0
 
+    def test_cold_request_canonicalised_twice_warm_once(self, monkeypatch, tmp_path):
+        """The key's document, then one more for grouping and the log."""
+        calls: list[str] = []
+        real = EvalRequest.canonical
+        monkeypatch.setattr(
+            EvalRequest, "canonical", lambda req: calls.append(req.model) or real(req)
+        )
+        cold = SweepEngine(cache_dir=tmp_path)
+        cold.evaluate_many([_round_req(o) for o in EQUIV_ORDERS])
+        assert cold.stats.pruned == 1 and len(calls) == 2 * len(EQUIV_ORDERS)
+        calls.clear()
+        SweepEngine(cache_dir=tmp_path).evaluate_many([_round_req(o) for o in EQUIV_ORDERS])
+        assert len(calls) == len(EQUIV_ORDERS)  # warm: the key only
+
     def test_pruned_members_persist_to_disk(self, fake_round, tmp_path):
         cold = SweepEngine(cache_dir=tmp_path)
         cold.evaluate_many([_round_req(o) for o in EQUIV_ORDERS])
@@ -206,7 +226,7 @@ class TestBenchJson:
 
 
 class TestRobustness:
-    """Quarantine, crash-safe journaling, and resume at the engine level."""
+    """Quarantine, the crash-safe record log, and resume at the engine level."""
 
     def _boom_on(self, total):
         def eval_or_boom(req: EvalRequest) -> dict:
@@ -235,7 +255,7 @@ class TestRobustness:
         reqs = [_round_req(total=t) for t in (1e6, 2e6)]
         eng.evaluate_many(reqs)
         # The evaluator is "fixed"; a resumed engine retries only the
-        # failed key and serves the journaled one from cache.
+        # failed key and serves the logged one from cache.
         swap_evaluator(monkeypatch, "round", _order_blind_eval)
         eng2 = SweepEngine(cache_dir=tmp_path)
         out = eng2.evaluate_many(reqs)
@@ -269,20 +289,33 @@ class TestRobustness:
         req = _round_req()
         first = SweepEngine(cache_dir=tmp_path)
         first.evaluate(req)
-        # The cache record rots; the journal still promises the key.
-        record = tmp_path / req.key[:2] / f"{req.key}.json"
-        record.write_text(record.read_text()[:30])
+        # The record rots; its line still names the key.
+        tear_record(tmp_path, req.key)
         again = SweepEngine(cache_dir=tmp_path)
+        assert again.stats.journal_replayed == 1
         assert again.evaluate(req) == {"value": 1e6}
         assert again.stats.cache_quarantined == 1
-        assert again.stats.journal_missing == 1
         assert again.stats.evaluated == 1
+        # The fresh record appended after it wins from now on.
+        third = SweepEngine(cache_dir=tmp_path)
+        assert third.evaluate(req) == {"value": 1e6}
+        assert third.stats.evaluated == 0 and third.stats.cache_quarantined == 0
 
-    def test_startup_gc_counts_stale_tmp_files(self, fake_round, tmp_path):
-        (tmp_path / "ab").mkdir()
-        (tmp_path / "ab" / "tmpstranded.tmp").write_text("half a record")
+    def test_old_layout_cache_dir_opens_cold(self, fake_round, tmp_path):
+        """A directory written before the record log (one ``ab/<key>.json``
+        per key plus ``sweep-journal.jsonl``) is ignored, not an error."""
+        req = _round_req()
+        old = tmp_path / req.key[:2] / f"{req.key}.json"
+        old.parent.mkdir()
+        old.write_text(json.dumps({"key": req.key, "schema": CACHE_SCHEMA,
+                                   "checksum": "0", "result": {"value": 1.0}}))
+        journal = tmp_path / "sweep-journal.jsonl"
+        journal.write_text(json.dumps({"key": req.key, "schema": CACHE_SCHEMA}) + "\n")
         eng = SweepEngine(cache_dir=tmp_path)
-        assert eng.stats.tmp_files_removed == 1
+        assert eng.stats.journal_replayed == 0
+        assert eng.evaluate(req) == {"value": 1e6}
+        assert eng.stats.evaluated == 1 and eng.stats.cache_quarantined == 0
+        assert old.exists() and journal.exists()  # left as they were
 
     def test_bench_json_reports_robustness_counters(self, monkeypatch, tmp_path):
         swap_evaluator(monkeypatch, "round", self._boom_on(1e6))
@@ -298,10 +331,80 @@ class TestRobustness:
             "degraded_serial",
             "cache_quarantined",
             "journal_replayed",
-            "journal_missing",
-            "tmp_files_removed",
         ):
             assert field in doc
+        assert not {"journal_missing", "tmp_files_removed"} & set(doc)
+
+
+class TestRecordLog:
+    """Durability of the record log: synced before reported, and a
+    failing disk never fails a sweep."""
+
+    @staticmethod
+    def _spy_syncs(monkeypatch):
+        """Record the synced file's size at every data sync."""
+        synced: list[int] = []
+        name = "fdatasync" if hasattr(os, "fdatasync") else "fsync"
+        real = getattr(os, name)
+
+        def spy(fd):
+            real(fd)
+            synced.append(os.fstat(fd).st_size)
+
+        monkeypatch.setattr(os, name, spy)
+        return synced
+
+    def test_each_worker_result_synced_before_reported(self, monkeypatch, tmp_path):
+        log = tmp_path / LOG_NAME
+        synced = self._spy_syncs(monkeypatch)
+        reported: list[bool] = []
+
+        class Spy(TaskSupervisor):
+            def run(self, requests, on_complete=None):
+                def report(pos, outcome):
+                    on_complete(pos, outcome)
+                    # Reported complete: every byte of the log is synced.
+                    reported.append(synced[-1] == log.stat().st_size)
+
+                return super().run(requests, on_complete=report)
+
+        eng = SweepEngine(cache_dir=tmp_path, dispatcher=Spy(jobs=1))
+        reqs = [_round_req(o, total=t) for o in ((0, 1, 2), (1, 0, 2)) for t in (1e6, 2e6)]
+        eng.evaluate_many(reqs)
+        assert reported == [True] * len(reqs)
+        assert len(synced) == len(reqs)  # one append and sync per result
+
+    def test_vectorized_pass_and_broadcast_sync_once_each(self, monkeypatch, tmp_path):
+        synced = self._spy_syncs(monkeypatch)
+        eng = SweepEngine(cache_dir=tmp_path)
+        eng.evaluate_many([_round_req(o, total=t) for o in EQUIV_ORDERS for t in (1e6, 2e6)])
+        assert eng.stats.batched == 2 and eng.stats.pruned == 2
+        lines = (tmp_path / LOG_NAME).read_text().splitlines()
+        assert len(lines) == 4
+        # The pass settles as one append, the broadcast step as another.
+        assert len(synced) == 2 and synced[-1] == (tmp_path / LOG_NAME).stat().st_size
+
+    @pytest.mark.parametrize("call", ["write", "fsync"])
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EROFS])
+    def test_failing_storage_never_fails_a_sweep(
+        self, monkeypatch, tmp_path, caplog, call, code
+    ):
+        from repro.bench.sweeps import sweep
+
+        grid = dict(comm_sizes=[4], collectives=["alltoall", "allreduce"], sizes=[1e6])
+        healthy = sweep(TOPO, H, cache_dir=tmp_path / "healthy", **grid)
+
+        def fail(*args, **kwargs):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, call, fail)
+        if call == "fsync":
+            monkeypatch.setattr(os, "fdatasync", fail, raising=False)
+        with caplog.at_level("WARNING", logger="repro.engine.cache"):
+            failing = sweep(TOPO, H, cache_dir=tmp_path / "failing", **grid)
+        assert failing == healthy
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and os.strerror(code) in warnings[0].getMessage()
 
 
 class TestRegistry:

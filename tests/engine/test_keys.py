@@ -55,6 +55,16 @@ class TestKeyStability:
         assert len(key) == 64
         int(key, 16)
 
+    def test_key_is_pinned(self, monkeypatch):
+        """Keys name records other processes and older runs wrote: the
+        digest of one request stays byte-identical (at a fixed version)."""
+        import repro
+
+        monkeypatch.setattr(repro, "__version__", "0.0.0+pin")
+        assert _req().key == (
+            "78beee838ae50da3c8e232165828285a5c7d384f993723934497a5881ef50a67"
+        )
+
 
 class TestKeySensitivity:
     @pytest.mark.parametrize(

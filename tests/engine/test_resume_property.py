@@ -2,7 +2,7 @@
 
 The crash-safety contract of :mod:`repro.engine` is that interruption at
 *any* point -- after any prefix of completions, at any jobs count, with
-or without a corrupted survivor record -- changes only how much work the
+or without a torn survivor record in the log -- changes only how much work the
 resumed run repeats, never its results: the resumed sweep re-evaluates
 exactly the keys that never durably completed and reproduces the
 uninterrupted output bit for bit.
@@ -23,7 +23,8 @@ from repro.core.hierarchy import Hierarchy  # noqa: E402
 from repro.engine import EvalRequest, SweepEngine  # noqa: E402
 from repro.engine.evaluators import EVALUATORS  # noqa: E402
 from repro.topology.machines import generic_cluster  # noqa: E402
-from repro.workloads import collective_params
+from repro.workloads import collective_params  # noqa: E402
+from tests.engine.conftest import tear_record  # noqa: E402
 
 
 H = Hierarchy((2, 2, 4), names=("node", "socket", "core"))
@@ -55,7 +56,7 @@ def _requests() -> list[EvalRequest]:
     ]
 
 
-#: The uninterrupted reference: serial, no cache, no journal.
+#: The uninterrupted reference: serial, no cache dir.
 REFERENCE = SweepEngine(jobs=1).evaluate_many(_requests())
 
 
@@ -70,18 +71,15 @@ def test_resume_is_bitwise_identical(interrupt_after, jobs, corrupt_survivor):
     cache_dir = tempfile.mkdtemp(prefix="resume-prop-")
     try:
         # An interrupted sweep: the first `interrupt_after` points
-        # complete (cached + journaled), then the process dies.
+        # complete (logged and synced), then the process dies.
         interrupted = SweepEngine(jobs=jobs, cache_dir=cache_dir)
         interrupted.evaluate_many(reqs[:interrupt_after])
-        if interrupted.journal is not None:
-            interrupted.journal.close()
+        interrupted.cache.close()
 
-        # Optionally one survivor's cache record is torn by the crash.
+        # Optionally one survivor's record is torn by the crash.
         torn = 0
         if corrupt_survivor and interrupt_after > 0:
-            key = reqs[0].key
-            record = interrupted.cache._path(key)
-            record.write_text(record.read_text()[:25])
+            tear_record(cache_dir, reqs[0].key)
             torn = 1
 
         resumed = SweepEngine(jobs=jobs, cache_dir=cache_dir)
@@ -93,7 +91,6 @@ def test_resume_is_bitwise_identical(interrupt_after, jobs, corrupt_survivor):
         assert resumed.stats.journal_replayed == interrupt_after
         assert resumed.stats.evaluated == N_POINTS - interrupt_after + torn
         assert resumed.stats.cache_quarantined == torn
-        assert resumed.stats.journal_missing == torn
 
         # A third run over the repaired cache is pure recall.
         warm = SweepEngine(jobs=jobs, cache_dir=cache_dir)
