@@ -8,9 +8,9 @@ tentpole's contract:
   latency ``<= SERVICE_BENCH_MAX_P50_MS`` (default 50 ms; CI may relax);
 - sustained concurrent load reaches ``>= SERVICE_BENCH_MIN_QPS``
   queries/second (default 20);
-- **coalescing works**: N identical concurrent queries for a grid the
-  cache has never seen cost exactly one grid evaluation, verified
-  through the engine's own ``evaluated`` counter via ``/stats``;
+- **each key is evaluated once**: N identical concurrent queries for a
+  grid the cache has never seen cost exactly one grid evaluation,
+  verified through the engine's own ``evaluated`` counter via ``/stats``;
 - the served ranking is **bitwise identical** to offline
   :func:`repro.core.advisor.advise` on the same inputs, compared after a
   real JSON round-trip over the wire;
@@ -19,7 +19,7 @@ tentpole's contract:
 The workload is the paper's hydra case study (1024-core hydra(16) is the
 sweep scale; the service benches the 256-core hydra(4) advise grid so
 the cold pass stays CI-friendly) plus a lumi grid reserved for the
-coalescing probe.
+cold burst.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ MIN_QPS = float(os.environ.get("SERVICE_BENCH_MIN_QPS", "20.0"))
 N_WARM = 200
 LOAD_CLIENTS = 4
 LOAD_REQUESTS = 50  # per client
-N_COALESCE = 8
+N_BURST = 8
 
 HYDRA_QUERY = {
     "machine": "hydra",
@@ -57,8 +57,8 @@ HYDRA_QUERY = {
     "comm_size": 16,
     "total_bytes": [1e5, 64e6],
 }
-# Reserved for the coalescing probe: never queried before the burst, so
-# its grid is guaranteed cold.
+# Reserved for the cold burst: never queried before it, so its grid is
+# guaranteed cold.
 LUMI_QUERY = {
     "machine": "lumi",
     "hierarchy": "node:2 socket:2 numa:4 l3:2 core:8",
@@ -156,7 +156,7 @@ def _measure():
             load_wall = time.perf_counter() - t0
         qps = LOAD_CLIENTS * LOAD_REQUESTS / load_wall
 
-        # -- coalescing: cold burst costs one grid evaluation ---------------
+        # -- cold burst costs one grid evaluation ----------------------------
         _status, before = client.get("/stats")
 
         def burst(_):
@@ -166,8 +166,8 @@ def _measure():
             finally:
                 c.close()
 
-        with ThreadPoolExecutor(max_workers=N_COALESCE) as pool:
-            burst_docs = list(pool.map(burst, range(N_COALESCE)))
+        with ThreadPoolExecutor(max_workers=N_BURST) as pool:
+            burst_docs = list(pool.map(burst, range(N_BURST)))
         assert all(status == 200 for status, _ in burst_docs)
         _status, after = client.get("/stats")
         grid = burst_docs[0][1]["provenance"]["n_requests"]
@@ -187,14 +187,13 @@ def _measure():
             "grid": grid,
             "evaluated_delta": evaluated_delta,
             "burst_identical": burst_identical,
-            "stats": after,
         }
     finally:
         client.close()
         sut.stop()
 
 
-def test_service_latency_qps_and_coalescing(once):
+def test_service_latency_qps_and_cold_burst(once):
     m = once(_measure)
 
     h = parse_synthetic(HYDRA_QUERY["hierarchy"])
@@ -208,7 +207,7 @@ def test_service_latency_qps_and_coalescing(once):
         f"\nadvisor service: cold {m['cold_ms']:.1f} ms, warm p50 "
         f"{m['p50_ms']:.2f} ms / p99 {m['p99_ms']:.2f} ms over {N_WARM} "
         f"queries, {m['qps']:.0f} qps sustained ({LOAD_CLIENTS} clients), "
-        f"cold {m['grid']}-point burst x{N_COALESCE} -> "
+        f"cold {m['grid']}-point burst x{N_BURST} -> "
         f"{m['evaluated_delta']} evaluations"
     )
 
@@ -216,7 +215,7 @@ def test_service_latency_qps_and_coalescing(once):
         "suite": (
             f"advisor service: hydra(4) advise grid, {N_WARM} warm queries, "
             f"{LOAD_CLIENTS}x{LOAD_REQUESTS} load, "
-            f"{N_COALESCE}-way cold lumi burst"
+            f"{N_BURST}-way cold lumi burst"
         ),
         "cold_ms": m["cold_ms"],
         "warm_p50_ms": m["p50_ms"],
@@ -224,13 +223,12 @@ def test_service_latency_qps_and_coalescing(once):
         "max_p50_ms_required": MAX_P50_MS,
         "qps": m["qps"],
         "min_qps_required": MIN_QPS,
-        "coalescing": {
-            "burst_clients": N_COALESCE,
+        "cold_burst": {
+            "burst_clients": N_BURST,
             "grid_points": m["grid"],
             "evaluations": m["evaluated_delta"],
         },
         "bitwise_identical_to_offline": bitwise,
-        "coalescing_counters": m["stats"]["coalescing"],
     }
     with open(BENCH_JSON, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -253,7 +251,7 @@ def test_service_latency_qps_and_coalescing(once):
             f"{m['qps']:.0f} qps ({LOAD_CLIENTS} keep-alive clients)",
         ),
         check(
-            f"{N_COALESCE} identical concurrent cold queries -> "
+            f"{N_BURST} identical concurrent cold queries -> "
             "one grid evaluation",
             m["evaluated_delta"] == m["grid"],
             f"{m['evaluated_delta']} evaluations for a "
@@ -262,12 +260,12 @@ def test_service_latency_qps_and_coalescing(once):
         check(
             "burst responses identical",
             m["burst_identical"],
-            f"{N_COALESCE} responses compared",
+            f"{N_BURST} responses compared",
         ),
         check(
             "BENCH_service.json written with latency, qps and verdicts",
             BENCH_JSON.exists()
-            and {"warm_p50_ms", "qps", "coalescing", "bitwise_identical_to_offline"}
+            and {"warm_p50_ms", "qps", "cold_burst", "bitwise_identical_to_offline"}
             <= set(json.loads(BENCH_JSON.read_text())),
             str(BENCH_JSON),
         ),

@@ -143,20 +143,12 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 
 
 def _machine_topology(machine: str, h):
-    from repro.topology.machines import generic_cluster, hydra, lumi
+    from repro.topology.machines import topology_for
 
-    if machine == "hydra":
-        topology = hydra(h.radices[0])
-    elif machine == "lumi":
-        topology = lumi(h.radices[0])
-    else:
-        topology = generic_cluster(h.radices, h.names)
-    if topology.hierarchy.radices != h.radices:
-        raise SystemExit(
-            f"hierarchy {h} does not match the {machine} preset "
-            f"{topology.hierarchy}"
-        )
-    return topology
+    try:
+        return topology_for(machine, h)
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
 
 
 def _parse_endpoint(spec: str) -> tuple[str, int]:

@@ -112,8 +112,9 @@ class ResultCache:
         self._writable = False
         self._scanned = 0  # log bytes indexed so far, always at a line start
         self._warned = False
-        # The advisor service peeks (warm) from its event loop while its
-        # executor evaluates: the fd, index and scan offset change together.
+        # The advisor service evaluates on its executor thread while
+        # ``close()`` may run on another: the fd, index and scan offset
+        # change together.
         self._log_lock = threading.RLock()
         self.memory_hits = 0
         self.disk_hits = 0

@@ -444,7 +444,7 @@ class SweepEngine:
         """Evaluate ``requests[i]`` for each ``i`` in ``to_run`` on the
         path the workers pick; ``on_settled([(i, outcome), ...])`` fires
         once per group that settles together: the whole vectorized pass,
-        or each worker result.
+        or the results one supervisor poll receives.
 
         Without workers (``jobs == 1`` and no ``dispatcher``), models
         with a batch evaluator run in-process as one vectorized pass;
@@ -470,7 +470,7 @@ class SweepEngine:
         if rest:
             outcomes = self._supervise(
                 [requests[i] for i in rest],
-                lambda pos, outcome: on_settled([(rest[pos], outcome)]),
+                lambda settled: on_settled([(rest[pos], out) for pos, out in settled]),
             )
             done.update(zip(rest, outcomes))
         return done

@@ -97,7 +97,7 @@ _POLL_S = 0.05
 
 _LEN = struct.Struct(">I")
 
-OnComplete = Callable[[int, "dict | EvalFailure"], None]
+OnComplete = Callable[[list[tuple[int, "dict | EvalFailure"]]], None]
 
 
 def is_failure(result: dict | None) -> bool:
@@ -383,6 +383,7 @@ class _Run:
         self.tasks = [_TaskState(r) for r in requests]
         self.pending = list(range(len(self.tasks)))  # a heap: index order
         self.outcomes: dict[int, dict | EvalFailure] = {}
+        self.settled: list[tuple[int, dict | EvalFailure]] = []  # not yet flushed
         self.policy = policy
         self.stats = stats
         self.on_complete = on_complete
@@ -414,8 +415,13 @@ class _Run:
 
     def complete(self, index: int, outcome: dict | EvalFailure) -> None:
         self.outcomes[index] = outcome
-        if self.on_complete is not None:
-            self.on_complete(index, outcome)
+        self.settled.append((index, outcome))
+
+    def flush(self) -> None:
+        """Report every outcome settled since the last flush as one group."""
+        if self.settled and self.on_complete is not None:
+            settled, self.settled = self.settled, []
+            self.on_complete(settled)
 
     def fail(self, index: int, cause: str, detail: str, digest: str,
              elapsed: float) -> None:
@@ -553,10 +559,13 @@ class TaskSupervisor:
     ) -> list[dict | EvalFailure]:
         """Evaluate ``requests``; results align with the input order.
 
-        ``on_complete(index, outcome)`` fires from the supervising
-        process the moment each task settles (success dict or
-        :class:`EvalFailure`) -- the engine uses it to cache and log
-        incrementally, so completed work survives any later crash.
+        ``on_complete([(index, outcome), ...])`` fires from the
+        supervising process with the tasks that settled (success dict or
+        :class:`EvalFailure`) since it last fired: once per manager poll
+        that settled any, after idle workers are fed again, or once per
+        task in-process.  The engine uses it to cache and log
+        incrementally -- one append and sync per group -- so completed
+        work survives any later crash.
         """
         if self._closed:
             raise RuntimeError("supervisor is closed")
@@ -597,11 +606,19 @@ class TaskSupervisor:
                         self._feed(run, now)
                 self._receive(run, now)
                 self._enforce_deadlines(run)
+                if run.settled:
+                    # Workers this poll freed start their next task before
+                    # the poll's outcomes are reported (and synced).
+                    if self._gathered:
+                        self._feed(run, time.monotonic())
+                    run.flush()
                 if not run.done:
                     local_target = self._fill(local_target, respawn=True)
         finally:
-            # A run aborted by an exception leaves tasks in flight; their
-            # workers would answer the next run with stale replies.
+            # A run aborted by an exception still reports what settled,
+            # and leaves tasks in flight; their workers would answer the
+            # next run with stale replies.
+            run.flush()
             for worker in [w for w in self._workers if w.task is not None]:
                 self._drop(worker, join=0.0)
 
@@ -789,3 +806,4 @@ class TaskSupervisor:
                          time.monotonic() - t0)
             else:
                 run.complete(index, result)
+            run.flush()

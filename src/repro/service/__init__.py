@@ -2,12 +2,12 @@
 
 ``repro.service`` turns the offline :func:`repro.core.advisor.advise`
 pipeline into a long-running query service (``repro-mrd serve``):
-queries are planned with the same code path as the CLI, evaluated
-through a key-coalescing layer over one shared
+queries are planned with the same code path as the CLI, evaluated one
+grid at a time on a single-thread executor over one shared
 :class:`~repro.engine.SweepEngine`, and assembled with the same
 ranking code — so served advice is bitwise-identical to the offline
-answer while concurrent and repeated queries share evaluation work
-through the in-flight table and the engine's two-tier cache.
+answer, and concurrent and repeated queries share evaluation work
+through the engine's two-tier cache: each key is evaluated once.
 """
 
 from repro.service.app import (
@@ -19,7 +19,6 @@ from repro.service.app import (
     known_collectives,
     topology_for,
 )
-from repro.service.coalesce import CallStats, CoalesceStats, KeyCoalescer
 from repro.service.http import (
     MAX_BODY,
     ServiceServer,
@@ -37,10 +36,7 @@ from repro.service.prewarm import (
 
 __all__ = [
     "AdvisorService",
-    "CallStats",
-    "CoalesceStats",
     "DEFAULT_SIZES",
-    "KeyCoalescer",
     "MACHINES",
     "MAX_BODY",
     "PlacementQuery",

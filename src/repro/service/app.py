@@ -8,37 +8,35 @@ as a long-running query service:
   lowers to exactly the equivalence-class request grid the offline
   :func:`~repro.core.advisor.advise` evaluates; plans are memoized per
   query shape (the class enumeration is pure);
-- **evaluation** goes through a :class:`~repro.service.coalesce.KeyCoalescer`
-  over one shared :class:`~repro.engine.SweepEngine`, so concurrent
-  queries whose grids overlap share in-flight work per content key, and
-  every completed point lands in the engine's two-tier cache (the LRU
-  plus, with a ``cache_dir``, the append-only record log that sweeps and
-  other service processes also read, synced as each batch settles);
+- **evaluation** runs every grid on one single-thread executor over one
+  shared :class:`~repro.engine.SweepEngine`.  Grids are evaluated one
+  after another, and the engine caches each result before the next grid
+  is looked up, so a key a concurrent query shares is a cache hit: each
+  key is evaluated once.  Completed points land in the engine's two-tier
+  cache (the LRU plus, with a ``cache_dir``, the append-only record log
+  that sweeps and other service processes also read, synced as each
+  batch settles);
 - **assembly** reuses :func:`repro.core.advisor.advice_from_results`,
   making served rankings bitwise-identical to offline ``advise()`` on
   the same inputs by construction.
 
-The engine runs on a single-threaded executor: the event loop never
-blocks on a simulation, and engine internals see one caller at a time.
+The event loop never blocks on a simulation, and engine internals see
+one caller at a time.
 """
 
 from __future__ import annotations
 
+import asyncio
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable
 
 from repro.core.advisor import QueryPlan, advice_from_results, plan_query
-from repro.core.hierarchy import Hierarchy
 from repro.engine import SweepEngine
-from repro.service.coalesce import CallStats, KeyCoalescer
 from repro.topology.hwloc import parse_synthetic
-from repro.topology.machine import MachineTopology
-
-#: Machine presets a query may name.
-MACHINES = ("generic", "hydra", "lumi")
+from repro.topology.machines import MACHINES, topology_for
 
 
 class QueryError(ValueError):
@@ -49,28 +47,6 @@ def known_collectives() -> tuple[str, ...]:
     from repro.collectives.selector import list_algorithms
 
     return tuple(sorted({c for c, _ in list_algorithms()}))
-
-
-def topology_for(machine: str, hierarchy: Hierarchy) -> MachineTopology:
-    """The queried machine model, validated against the hierarchy."""
-    from repro.topology.machines import generic_cluster, hydra, lumi
-
-    if machine == "hydra":
-        topology = hydra(hierarchy.radices[0])
-    elif machine == "lumi":
-        topology = lumi(hierarchy.radices[0])
-    elif machine == "generic":
-        topology = generic_cluster(hierarchy.radices, hierarchy.names)
-    else:
-        raise QueryError(
-            f"unknown machine {machine!r} (available: {', '.join(MACHINES)})"
-        )
-    if topology.hierarchy.radices != hierarchy.radices:
-        raise QueryError(
-            f"hierarchy {hierarchy} does not match the {machine} preset "
-            f"{topology.hierarchy}"
-        )
-    return topology
 
 
 @dataclass(frozen=True)
@@ -221,7 +197,7 @@ class PlacementQuery:
 
 
 class AdvisorService:
-    """Query planning, coalesced evaluation, and stats for the service.
+    """Query planning, evaluation, and stats for the service.
 
     Parameters
     ----------
@@ -248,13 +224,11 @@ class AdvisorService:
     ):
         self.engine = engine if engine is not None else SweepEngine()
         self.default_backend = default_backend
+        self._evaluate = (
+            evaluate if evaluate is not None else self.engine.evaluate_many
+        )
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-eval"
-        )
-        self.coalescer = KeyCoalescer(
-            evaluate if evaluate is not None else self.engine.evaluate_many,
-            executor=self._executor,
-            probe=self.engine.cache.warm,
         )
         self._plans: OrderedDict[tuple, QueryPlan] = OrderedDict()
         self._plan_cache_size = plan_cache_size
@@ -296,8 +270,8 @@ class AdvisorService:
             hierarchy = parse_synthetic(query.hierarchy)
         except Exception as err:
             raise QueryError(f"bad hierarchy {query.hierarchy!r}: {err}") from None
-        topology = topology_for(query.machine, hierarchy)
         try:
+            topology = topology_for(query.machine, hierarchy)
             plan = plan_query(
                 topology,
                 hierarchy,
@@ -322,7 +296,7 @@ class AdvisorService:
         try:
             query = PlacementQuery.from_doc(doc)
             plan = self.plan(query)
-            results, call = await self.coalescer.evaluate(plan.requests)
+            results, evaluated, cache_hits = await self.evaluate_plan(plan)
             advice = advice_from_results(plan, results)
             self.advise_requests += 1
             return {
@@ -330,38 +304,53 @@ class AdvisorService:
                 "provenance": self._provenance(query, plan),
                 "stats": {
                     "wall_ms": (time.perf_counter() - t0) * 1e3,
-                    "grid_points": call.keys,
-                    "deduped": call.deduped,
-                    "submitted": call.submitted,
-                    "coalesced": call.coalesced,
+                    "grid_points": len(plan.requests),
+                    "evaluated": evaluated,
+                    "cache_hits": cache_hits,
                 },
             }
         finally:
             self._active -= 1
             self.last_activity = time.monotonic()
 
-    async def evaluate_plan(
-        self, plan: QueryPlan
-    ) -> tuple[list[dict], CallStats]:
-        """Evaluate a plan's grid through the coalescer (pre-warm path)."""
-        return await self.coalescer.evaluate(plan.requests)
+    async def evaluate_plan(self, plan: QueryPlan) -> tuple[list[dict], int, int]:
+        """Evaluate a plan's grid; returns ``(results, evaluated,
+        cache_hits)`` (see :meth:`_on_executor`)."""
+        return await self._on_executor(self._evaluate, plan.requests)
 
-    async def evaluate_plan_ladder(self, plan: QueryPlan):
+    async def evaluate_plan_ladder(self, plan: QueryPlan) -> tuple[Any, int, int]:
         """Warm a plan through the multi-fidelity ladder (pre-warm path).
 
-        Runs :func:`repro.core.advisor.ladder_advise` on the engine
-        executor: the screening rungs and the finalists' full-fidelity
-        keys land in the shared cache without evaluating every class at
-        the plan's backend.  Returns ``(advice, ladder_result)``.
+        Runs :func:`repro.core.advisor.ladder_advise`: the screening rungs
+        and the finalists' full-fidelity keys land in the shared cache
+        without evaluating every class at the plan's backend.  Returns
+        ``((advice, ladder_result), evaluated, cache_hits)``.
         """
-        import asyncio
-
         from repro.core.advisor import ladder_advise
 
+        return await self._on_executor(ladder_advise, plan, self.engine)
+
+    async def _on_executor(self, fn: Callable, *args) -> tuple[Any, int, int]:
+        """Run ``fn(*args)`` on the single-thread engine executor.
+
+        Returns its value plus how many keys the engine evaluated and how
+        many it recalled from its cache during the call.  Jobs run one at
+        a time, so both deltas belong to this call alone -- and a key an
+        earlier job evaluated is already cached when this one looks it up.
+        """
+
+        def job():
+            stats = self.engine.stats
+            evaluated, cache_hits = stats.evaluated, stats.cache_hits
+            value = fn(*args)
+            return (
+                value,
+                stats.evaluated - evaluated,
+                stats.cache_hits - cache_hits,
+            )
+
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor, lambda: ladder_advise(plan, engine=self.engine)
-        )
+        return await loop.run_in_executor(self._executor, job)
 
     def _provenance(self, query: PlacementQuery, plan: QueryPlan) -> dict:
         from repro import __version__
@@ -398,7 +387,6 @@ class AdvisorService:
                 "plan_cache_entries": len(self._plans),
                 "plan_cache_hits": self.plan_cache_hits,
             },
-            "coalescing": self.coalescer.stats.to_jsonable(),
             "engine": self.engine.stats.to_jsonable(),
             "cache": self.engine.cache.stats(),
             "prewarm": self.prewarm_state.to_jsonable(),

@@ -6,7 +6,7 @@ implements just enough of HTTP/1.1 over ``asyncio.start_server``:
 
 - ``POST /advise``  — placement query in, ranked advice out
 - ``GET  /healthz`` — liveness (also polled by CI before the smoke run)
-- ``GET  /stats``   — engine / cache / coalescing / pre-warm counters
+- ``GET  /stats``   — service / engine / cache / pre-warm counters
 
 Error mapping keeps client and server faults distinct: malformed JSON
 or an unanswerable query (:class:`~repro.service.app.QueryError`) is a

@@ -4,19 +4,20 @@ A freshly booted advisor service has a cold cache: the first query for
 each (machine, payload) grid pays full evaluation cost.  Pre-warm
 workers remove that first-hit penalty for the machines the service is
 most likely to be asked about (the paper's hydra and LUMI case-study
-topologies) by sweeping their advice grids through the same coalescer
-and engine the query path uses — so warmed keys land in the in-memory
-LRU *and*, when the engine has a ``cache_dir``, in the shared on-disk
-warm tier other service processes and CLI sweeps read.
+topologies) by sweeping their advice grids through the same
+single-thread executor and engine the query path uses — so warmed keys
+land in the in-memory LRU *and*, when the engine has a ``cache_dir``, in
+the shared on-disk warm tier other service processes and CLI sweeps
+read.
 
 The workers are polite by design:
 
 - they only run while the service is **idle** (no in-flight client
   request and none seen for ``idle_s`` seconds), yielding the
   single-threaded engine executor to clients the moment one arrives;
-- they go through the :class:`~repro.service.coalesce.KeyCoalescer`, so
-  a pre-warm grid overlapping a live query coalesces instead of doubling
-  the work;
+- they share the query path's executor, so a pre-warm grid and a live
+  query never evaluate concurrently: whichever runs second finds the
+  keys they share in the engine cache instead of doubling the work;
 - a failing spec is recorded in :class:`PrewarmState` and retried next
   cycle; it never takes the service down.
 
@@ -102,7 +103,7 @@ class PrewarmState:
     specs: tuple[str, ...] = ()
     cycles: int = 0  # completed passes over all specs
     grids_warmed: int = 0  # spec grids evaluated (incl. all-cache-hit passes)
-    keys_submitted: int = 0  # grid points that reached the engine
+    keys_submitted: int = 0  # keys the engine evaluated fresh for pre-warm
     errors: int = 0
     last_error: str | None = None
     warm: set = field(default_factory=set)  # spec labels warmed at least once
@@ -125,16 +126,15 @@ class PrewarmState:
 
 
 async def prewarm_once(service: "AdvisorService", spec: PrewarmSpec) -> int:
-    """Warm one spec's grid; returns the number of keys submitted."""
+    """Warm one spec's grid; returns the number of keys the engine
+    evaluated fresh (0 once the grid is warm)."""
     from repro.service.app import PlacementQuery
 
     query = PlacementQuery.from_doc(spec.query_doc())
     plan = service.plan(query)
-    if spec.ladder:
-        _, result = await service.evaluate_plan_ladder(plan)
-        return result.n_requests
-    _, call = await service.evaluate_plan(plan)
-    return call.submitted
+    warm = service.evaluate_plan_ladder if spec.ladder else service.evaluate_plan
+    _, evaluated, _ = await warm(plan)
+    return evaluated
 
 
 async def prewarm_worker(

@@ -11,9 +11,17 @@ experiments can recalibrate them.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.topology.machine import LevelParams, MachineTopology
 
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.core.hierarchy import Hierarchy
+
 GB = 1e9
+
+#: Machine presets a query or a CLI ``--machine`` may name.
+MACHINES = ("generic", "hydra", "lumi")
 
 
 def hydra(n_nodes: int = 16, nics: int = 1, fake_split: bool = True) -> MachineTopology:
@@ -106,3 +114,28 @@ def generic_cluster(
             )
         )
     return MachineTopology(name="generic-" + "x".join(map(str, radices)), levels=tuple(levels))
+
+
+def topology_for(machine: str, hierarchy: "Hierarchy") -> MachineTopology:
+    """The named preset sized to ``hierarchy`` (level 0 is the node
+    count for ``hydra`` and ``lumi``).
+
+    Raises ``ValueError`` for an unknown machine or a hierarchy whose
+    radices the preset does not have.
+    """
+    if machine == "hydra":
+        topology = hydra(hierarchy.radices[0])
+    elif machine == "lumi":
+        topology = lumi(hierarchy.radices[0])
+    elif machine == "generic":
+        topology = generic_cluster(hierarchy.radices, hierarchy.names)
+    else:
+        raise ValueError(
+            f"unknown machine {machine!r} (available: {', '.join(MACHINES)})"
+        )
+    if topology.hierarchy.radices != hierarchy.radices:
+        raise ValueError(
+            f"hierarchy {hierarchy} does not match the {machine} preset "
+            f"{topology.hierarchy}"
+        )
+    return topology

@@ -293,7 +293,7 @@ class TestDistributedDeterminism:
 
         killed = threading.Event()
         with pool(2) as disp:
-            def assassin(index, result):
+            def assassin(settled):
                 if not killed.is_set() and pool.pids(disp):
                     killed.set()
                     os.kill(pool.pids(disp)[0], signal.SIGKILL)

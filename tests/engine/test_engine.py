@@ -357,22 +357,28 @@ class TestRecordLog:
     def test_each_worker_result_synced_before_reported(self, monkeypatch, tmp_path):
         log = tmp_path / LOG_NAME
         synced = self._spy_syncs(monkeypatch)
+        groups: list[int] = []
         reported: list[bool] = []
 
         class Spy(TaskSupervisor):
             def run(self, requests, on_complete=None):
-                def report(pos, outcome):
-                    on_complete(pos, outcome)
+                def report(settled):
+                    on_complete(settled)
                     # Reported complete: every byte of the log is synced.
                     reported.append(synced[-1] == log.stat().st_size)
+                    groups.append(len(settled))
 
                 return super().run(requests, on_complete=report)
 
-        eng = SweepEngine(cache_dir=tmp_path, dispatcher=Spy(jobs=1))
-        reqs = [_round_req(o, total=t) for o in ((0, 1, 2), (1, 0, 2)) for t in (1e6, 2e6)]
-        eng.evaluate_many(reqs)
-        assert reported == [True] * len(reqs)
-        assert len(synced) == len(reqs)  # one append and sync per result
+        with Spy(jobs=2) as spy:
+            eng = SweepEngine(cache_dir=tmp_path, dispatcher=spy)
+            reqs = [
+                _round_req(o, total=t) for o in ((0, 1, 2), (1, 0, 2)) for t in (1e6, 2e6)
+            ]
+            eng.evaluate_many(reqs)
+        assert sum(groups) == len(reqs)
+        assert reported == [True] * len(groups)
+        assert len(synced) == len(groups)  # one append and sync per group
 
     def test_vectorized_pass_and_broadcast_sync_once_each(self, monkeypatch, tmp_path):
         synced = self._spy_syncs(monkeypatch)

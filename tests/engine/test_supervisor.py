@@ -64,9 +64,13 @@ class TestHealthyPath:
 
     def test_on_complete_fires_once_per_task(self, cheap_round):
         reqs = _reqs(4)
-        seen: list[int] = []
-        TaskSupervisor(jobs=2).run(reqs, on_complete=lambda i, out: seen.append(i))
-        assert sorted(seen) == [0, 1, 2, 3]
+        groups: list[list[int]] = []
+        with TaskSupervisor(jobs=2) as sup:
+            sup.run(reqs, on_complete=lambda settled: groups.append([i for i, _ in settled]))
+        # Results arrive in groups (one per manager poll), never empty,
+        # and each task is reported exactly once.
+        assert all(groups)
+        assert sorted(i for group in groups for i in group) == [0, 1, 2, 3]
 
     def test_empty_batch(self):
         assert TaskSupervisor(jobs=2).run([]) == []

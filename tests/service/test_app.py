@@ -4,6 +4,7 @@ served advice matching the offline pipeline bit for bit."""
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -130,12 +131,30 @@ class TestTopologyFor:
         assert g.hierarchy.radices == (2, 4)
 
     def test_mismatched_hierarchy_is_a_query_error(self):
-        with pytest.raises(QueryError, match="does not match"):
+        with pytest.raises(ValueError, match="does not match"):
             topology_for("hydra", parse_synthetic("node:2 core:4"))
+        svc = AdvisorService()
+        try:
+            query = PlacementQuery.from_doc(
+                {"machine": "hydra", "hierarchy": "node:2 core:4", "comm_size": 8}
+            )
+            with pytest.raises(QueryError, match="does not match"):
+                svc.plan(query)
+        finally:
+            svc.close()
 
     def test_unknown_machine(self):
-        with pytest.raises(QueryError, match="unknown machine"):
+        with pytest.raises(ValueError, match="unknown machine"):
             topology_for("cray", parse_synthetic("node:2 core:4"))
+
+    def test_one_preset_lookup(self):
+        """The service and the CLI name machines through one function."""
+        from repro import cli
+        from repro.topology import machines
+
+        assert topology_for is machines.topology_for
+        with pytest.raises(SystemExit, match="unknown machine 'cray'"):
+            cli._machine_topology("cray", parse_synthetic("node:2 core:4"))
 
 
 class TestAdvise:
@@ -238,13 +257,66 @@ class TestAdvise:
         finally:
             svc.close()
 
+    def test_per_query_stats_are_engine_deltas(self):
+        svc = AdvisorService()
+        try:
+            cold = asyncio.run(svc.advise(dict(GOOD)))["stats"]
+            warm = asyncio.run(svc.advise(dict(GOOD)))["stats"]
+            assert set(cold) == {"wall_ms", "grid_points", "evaluated", "cache_hits"}
+            grid = cold["grid_points"]
+            assert (cold["evaluated"], cold["cache_hits"]) == (grid, 0)
+            assert (warm["evaluated"], warm["cache_hits"]) == (0, grid)
+            assert svc.engine.stats.evaluated == grid
+        finally:
+            svc.close()
+
+    def test_cancelled_query_does_not_stop_the_others(self):
+        """A client that goes away mid-evaluation takes only its own
+        answer with it: the evaluation completes, lands in the cache, and
+        the concurrent identical query is answered from it."""
+        engine = SweepEngine()
+        release = threading.Event()
+
+        def gated(requests):
+            assert release.wait(30), "test never released the evaluator"
+            return engine.evaluate_many(requests)
+
+        svc = AdvisorService(engine=engine, evaluate=gated)
+
+        async def main():
+            first = asyncio.create_task(svc.advise(dict(GOOD)))
+            second = asyncio.create_task(svc.advise(dict(GOOD)))
+            for _ in range(2000):
+                if svc.active_requests == 2:
+                    break
+                await asyncio.sleep(0.005)
+            assert svc.active_requests == 2
+            first.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await first
+            release.set()
+            return await second
+
+        try:
+            answer = asyncio.run(main())
+            grid = answer["stats"]["grid_points"]
+            assert answer["stats"]["cache_hits"] == grid
+            assert svc.engine.stats.evaluated == grid
+            h = parse_synthetic(GOOD["hierarchy"])
+            offline = advise(
+                topology_for("generic", h), h, GOOD["comm_size"], backend="logp"
+            )
+            assert answer["advice"] == offline.to_jsonable()
+        finally:
+            svc.close()
+
     def test_stats_doc_shape(self):
         svc = AdvisorService()
         try:
             asyncio.run(svc.advise(dict(GOOD)))
             doc = svc.stats_doc()
+            assert set(doc) == {"service", "engine", "cache", "prewarm"}
             assert doc["service"]["advise_requests"] == 1
-            assert doc["coalescing"]["calls"] == 1
             assert doc["engine"]["requests"] > 0
             assert doc["engine"]["structure_cache"]["misses"] > 0
             assert "memory_hits" in doc["cache"]

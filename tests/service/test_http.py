@@ -1,5 +1,6 @@
-"""End-to-end HTTP tests: real sockets, concurrent clients, coalescing
-observed through the engine's own counters, and error mapping."""
+"""End-to-end HTTP tests: real sockets, concurrent clients evaluating
+each key once (observed through the engine's own counters), and error
+mapping."""
 
 from __future__ import annotations
 
@@ -9,8 +10,6 @@ import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-
-import pytest
 
 from repro.core.advisor import advise
 from repro.engine import SweepEngine
@@ -80,7 +79,7 @@ class TestRoutes:
             status, stats = await asyncio.to_thread(_get, port, "/stats")
             assert status == 200
             assert stats["service"]["advise_requests"] == 1
-            assert stats["coalescing"]["calls"] == 1
+            assert stats["engine"]["evaluated"] == served["stats"]["evaluated"] > 0
             return served
 
         served = _serve(svc, scenario)
@@ -145,20 +144,59 @@ class TestRoutes:
         assert svc.engine.stats.requests == 0
 
 
+def _advice_bytes(doc: dict) -> bytes:
+    return json.dumps(doc["advice"], sort_keys=True).encode()
+
+
+def _offline_advice(total_bytes=QUERY["total_bytes"]) -> dict:
+    h = parse_synthetic(QUERY["hierarchy"])
+    return advise(
+        generic_cluster(h.radices, h.names),
+        h,
+        QUERY["comm_size"],
+        total_bytes=tuple(total_bytes),
+        backend="logp",
+    ).to_jsonable()
+
+
+class Gate:
+    """A grid evaluator the test releases explicitly, so 'in flight' is a
+    controlled state rather than a race.  Every call goes on to the real
+    engine."""
+
+    def __init__(self, engine: SweepEngine):
+        self.engine = engine
+        self.release = threading.Event()
+        self.calls: list[int] = []
+
+    def __call__(self, requests):
+        self.calls.append(len(requests))
+        assert self.release.wait(30), "test never released the evaluator"
+        return self.engine.evaluate_many(requests)
+
+
+async def _until_active(svc: AdvisorService, n: int) -> None:
+    """Yield until ``n`` queries are in flight.  A query is planned and
+    queued on the engine executor before it first yields, so every one
+    counted here is waiting behind the gate."""
+    for _ in range(2000):
+        if svc.active_requests >= n:
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError(f"never saw {n} queries in flight")
+
+
 class TestCoalescingEndToEnd:
+    """Concurrent queries share evaluation work through the engine cache:
+    the single-thread executor runs their grids one after another."""
+
     def test_identical_concurrent_queries_evaluate_once(self):
-        """N identical in-flight /advise requests cost exactly one grid
-        evaluation -- asserted through the engine's own counters."""
+        """N identical in-flight /advise requests evaluate each key once
+        -- asserted through the engine's own counters -- and answer with
+        byte-identical advice equal to offline advise()."""
         engine = SweepEngine()
-        release = threading.Event()
-        underlying: list[int] = []
-
-        def gated(requests):
-            underlying.append(len(requests))
-            assert release.wait(30)
-            return engine.evaluate_many(requests)
-
-        svc = AdvisorService(engine=engine, evaluate=gated)
+        gate = Gate(engine)
+        svc = AdvisorService(engine=engine, evaluate=gate)
         n = 6
 
         async def scenario(port):
@@ -171,65 +209,104 @@ class TestCoalescingEndToEnd:
                 loop.run_in_executor(pool, _post, port, "/advise", QUERY)
                 for _ in range(n)
             ]
-            # Wait until every request has registered with the coalescer
-            # (the first holds the evaluator, the rest are coalesced).
-            for _ in range(2000):
-                if svc.coalescer.stats.calls >= n:
-                    break
-                await asyncio.sleep(0.005)
-            assert svc.coalescer.stats.calls == n
-            release.set()
+            await _until_active(svc, n)
+            gate.release.set()
             outcomes = await asyncio.gather(*posts)
             pool.shutdown(wait=True)
             return outcomes
 
         outcomes = _serve(svc, scenario)
         assert all(status == 200 for status, _ in outcomes)
-        advices = [doc["advice"] for _, doc in outcomes]
-        assert all(a == advices[0] for a in advices)
-        grid = outcomes[0][1]["provenance"]["n_requests"]
-        # One underlying evaluation of one grid; every point evaluated once.
-        assert underlying == [grid]
+        docs = [doc for _, doc in outcomes]
+        assert len({_advice_bytes(doc) for doc in docs}) == 1
+        assert docs[0]["advice"] == _offline_advice()
+        grid = docs[0]["provenance"]["n_requests"]
+        # Every query reached the engine; only the first evaluated.
+        assert gate.calls == [grid] * n
         assert svc.engine.stats.evaluated == grid
-        assert svc.coalescer.stats.submitted == grid
-        assert svc.coalescer.stats.coalesced == (n - 1) * grid
+        per_query = sorted((d["stats"]["evaluated"], d["stats"]["cache_hits"]) for d in docs)
+        assert per_query == [(0, grid)] * (n - 1) + [(grid, 0)]
 
     def test_mixed_queries_share_only_overlapping_keys(self):
-        """Two different payload grids in flight share exactly the
-        points they have in common."""
+        """A query overlapping an in-flight grid evaluates only the
+        points the two do not have in common."""
         engine = SweepEngine()
-        release = threading.Event()
-
-        def gated(requests):
-            assert release.wait(30)
-            return engine.evaluate_many(requests)
-
-        svc = AdvisorService(engine=engine, evaluate=gated)
+        gate = Gate(engine)
+        svc = AdvisorService(engine=engine, evaluate=gate)
         a_doc = {**QUERY, "total_bytes": [1e5, 1e6]}
         b_doc = {**QUERY, "total_bytes": [1e6, 64e6]}  # shares the 1e6 column
 
         async def scenario(port):
             a = asyncio.create_task(asyncio.to_thread(_post, port, "/advise", a_doc))
-            for _ in range(2000):
-                if svc.coalescer.stats.calls >= 1:
-                    break
-                await asyncio.sleep(0.005)
+            await _until_active(svc, 1)
             b = asyncio.create_task(asyncio.to_thread(_post, port, "/advise", b_doc))
-            for _ in range(2000):
-                if svc.coalescer.stats.calls >= 2:
-                    break
-                await asyncio.sleep(0.005)
-            release.set()
+            await _until_active(svc, 2)
+            gate.release.set()
             return await asyncio.gather(a, b)
 
         (status_a, doc_a), (status_b, doc_b) = _serve(svc, scenario)
         assert status_a == 200 and status_b == 200
         n_classes = doc_a["provenance"]["n_classes"]
         assert doc_b["provenance"]["n_classes"] == n_classes
-        # B coalesced exactly the shared 1e6 column, one point per class.
-        assert svc.coalescer.stats.coalesced == n_classes
-        assert svc.coalescer.stats.submitted == 3 * n_classes
+        # B recalled exactly the shared 1e6 column, one point per class.
+        assert doc_a["stats"]["evaluated"] == 2 * n_classes
+        assert doc_b["stats"]["evaluated"] == n_classes
+        assert doc_b["stats"]["cache_hits"] == n_classes
         assert svc.engine.stats.evaluated == 3 * n_classes
+        assert doc_b["advice"] == _offline_advice(b_doc["total_bytes"])
+
+    def test_failure_reaches_every_query_and_the_next_one_retries(
+        self, monkeypatch
+    ):
+        """An evaluator failure answers every concurrent query with a
+        structured 500; failures are never cached, so the next query
+        evaluates the grid afresh."""
+        import repro.engine.evaluators as evaluators
+
+        failing = threading.Event()
+        failing.set()
+
+        def breakable(fn):
+            def call(*args):
+                if failing.is_set():
+                    raise RuntimeError("injected evaluator failure")
+                return fn(*args)
+
+            return call
+
+        for name in ("evaluate_request", "evaluate_requests_batch"):
+            monkeypatch.setattr(
+                evaluators, name, breakable(getattr(evaluators, name))
+            )
+        engine = SweepEngine(max_attempts=1)
+        gate = Gate(engine)
+        svc = AdvisorService(engine=engine, evaluate=gate)
+        n = 3
+
+        async def scenario(port):
+            pool = ThreadPoolExecutor(max_workers=n)
+            loop = asyncio.get_running_loop()
+            posts = [
+                loop.run_in_executor(pool, _post, port, "/advise", QUERY)
+                for _ in range(n)
+            ]
+            await _until_active(svc, n)
+            gate.release.set()
+            failed = await asyncio.gather(*posts)
+            pool.shutdown(wait=True)
+            failing.clear()
+            retried = await asyncio.to_thread(_post, port, "/advise", QUERY)
+            return failed, retried
+
+        failed, (status, doc) = _serve(svc, scenario)
+        grid = doc["provenance"]["n_requests"]
+        for fail_status, body in failed:
+            assert fail_status == 500
+            assert "injected evaluator failure" in body["error"]
+            assert len(body["failed_points"]) == grid
+        assert status == 200
+        assert doc["stats"]["evaluated"] == grid
+        assert doc["advice"] == _offline_advice()
 
 
 class TestPrewarm:
@@ -247,11 +324,10 @@ class TestPrewarm:
             submitted = await prewarm_once(svc, self.SPEC)
             assert submitted > 0
             # The matching client query is now fully warm: every key is
-            # reported deduped (cache-satisfied), none submitted, and the
-            # engine evaluates nothing new.
+            # a cache hit, and the engine evaluates nothing new.
             response = await svc.advise(dict(QUERY))
-            assert response["stats"]["submitted"] == 0
-            assert response["stats"]["deduped"] == submitted
+            assert response["stats"]["evaluated"] == 0
+            assert response["stats"]["cache_hits"] == submitted
             assert svc.engine.stats.evaluated == submitted
 
         try:
