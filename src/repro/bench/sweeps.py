@@ -239,10 +239,11 @@ def sweep(
     ``backend`` selects the execution backend per point: ``round`` (the
     default), ``logp`` (fast advisory rankings) or ``des`` (exact flow
     simulation; the all-communicators scenario is simulated too, so
-    expect DES-scale runtimes).  Where the points run follows from the
-    engine's workers: without them, ``round`` and ``logp`` points are
-    scored in-process as one vectorized pass; with them, every point is
-    a worker task.  Results are bitwise identical either way.
+    expect DES-scale runtimes).  ``round`` and ``logp`` points are
+    scored in chunks of whole placement groups, one batch-kernel call
+    per model and chunk: one chunk in-process without workers, about
+    four per worker with them; ``des`` points run one by one.  Results
+    are bitwise identical either way.
     """
     engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir, prune=prune)
     cells = collective_cells(comm_sizes, collectives, sizes, algorithm)

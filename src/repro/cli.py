@@ -162,11 +162,16 @@ def _parse_endpoint(spec: str) -> tuple[str, int]:
 
 
 def _sweep_dispatcher(args: argparse.Namespace, engine):
-    """A supervisor that accepts remote workers, or None without ``--listen``."""
-    if not args.listen:
-        return None
+    """The sweep's one worker pool: a supervisor that accepts remote
+    workers with ``--listen``, else one of ``--jobs`` local workers kept
+    for every evaluation of the sweep (a ladder's rungs included), or
+    None without workers."""
     from repro.engine import TaskSupervisor
 
+    if not args.listen:
+        if args.jobs == 1:
+            return None
+        return TaskSupervisor(args.jobs, policy=engine.retry_policy)
     dispatcher = TaskSupervisor(
         jobs=args.jobs,
         policy=engine.retry_policy,
@@ -693,8 +698,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", "-j", "--workers", type=int, default=1, dest="jobs",
         metavar="N",
-        help="local worker processes (default 1: none, so round/logp "
-        "points are scored in-process as one vectorized pass)",
+        help="local worker processes (default 1: none).  round/logp "
+        "points are scored in chunks of whole placement groups, one "
+        "batch kernel call per chunk: about 4 chunks per worker, or one "
+        "in-process",
     )
     p.add_argument(
         "--cache-dir", default=None,

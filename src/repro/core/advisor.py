@@ -394,8 +394,8 @@ def advise(
     Every class representative is scored through a
     :class:`~repro.engine.SweepEngine` (pass ``engine`` to share its
     cache across calls; otherwise a private worker-less one is used).
-    The engine's workers decide where the frontier runs: in-process as
-    one vectorized pass without workers, on the workers with them.
+    The frontier runs as the engine's chunks: one in-process chunk
+    without workers, chunks on the workers with them.
     ``batch`` is accepted and ignored.
 
     ``ladder`` routes the ranking through the multi-fidelity search

@@ -39,6 +39,7 @@ from repro.engine.core import (
 from repro.engine.evaluators import (
     BATCH_EVALUATORS,
     EVALUATORS,
+    evaluate_chunk,
     evaluate_request,
     evaluate_requests_batch,
     register_batch_evaluator,
@@ -92,6 +93,7 @@ __all__ = [
     "TaskSupervisor",
     "analytic_order_score",
     "default_rungs",
+    "evaluate_chunk",
     "evaluate_request",
     "evaluate_requests_batch",
     "failed_point",

@@ -6,7 +6,7 @@ environment), and CI shells -- without any API plumbing:
 
     REPRO_ENGINE_CHAOS="crash=0.1,hang=0.05,flaky=0.2,corrupt=0.1,hang_s=30"
 
-Modes (all rates are per-task probabilities in ``[0, 1]``):
+Modes (all rates are per-request probabilities in ``[0, 1]``):
 
 - ``crash``    the worker SIGKILLs itself mid-task (a hard worker death
   the supervisor must detect and recover from);
@@ -26,11 +26,16 @@ attempts`` (default: the first attempt only) -- a supervised sweep with
 ``max_attempts >= 2`` always recovers and its results stay bitwise
 identical to a clean run.
 
+The supervisor evaluates chunks of requests, and a chunk is one attempt
+for all of its members: a hit on any member's draw fails the whole
+chunk.  A failed chunk of several requests is split into one-request
+chunks at the same attempt, where each key's own draw decides again, so
+the retries a chaos run costs are the keys whose draws hit, whatever
+chunks they shared.
+
 In serial (in-process) execution only ``flaky`` fires: crashing or
 hanging the sole process is the operator's domain (``timeout -s KILL``),
-not the harness's.  The engine's in-process vectorized pass is one
-attempt 0 for all its requests: a ``flaky`` hit on any of them fails the
-whole pass, which falls back to the supervisor (:func:`maybe_fail_pass`).
+not the harness's.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 #: The environment variable the harness reads, e.g.
 #: ``crash=0.1,hang=0.05,flaky=0.2,corrupt=0.1,hang_s=30,attempts=1``.
@@ -107,35 +113,28 @@ def _uniform(key: str, mode: str, attempt: int) -> float:
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
-def maybe_inject(key: str, attempt: int, serial: bool = False) -> None:
-    """Fire at most one execution fault for this (task, attempt).
+def maybe_inject(keys: Iterable[str], attempt: int, serial: bool = False) -> None:
+    """Fire at most one execution fault for this chunk attempt.
 
-    Called by the supervisor's worker loop (and its serial fallback) right
-    before evaluation.  ``key`` is the request's content key; ``attempt``
-    is 0-based.  Precedence: crash > hang > flaky.
+    Called by the supervisor's worker loop (and its serial path) right
+    before a chunk is evaluated.  ``keys`` are its requests' content
+    keys, read only while chaos is on; ``attempt`` is 0-based.  The
+    first key whose draw hits fires, with precedence crash > hang >
+    flaky per key.
     """
     spec = active_spec()
     if spec is None or not spec.active or attempt >= spec.attempts:
         return
-    if not serial:
-        if spec.crash > 0 and _uniform(key, "crash", attempt) < spec.crash:
-            os.kill(os.getpid(), signal.SIGKILL)  # never returns
-        if spec.hang > 0 and _uniform(key, "hang", attempt) < spec.hang:
-            time.sleep(spec.hang_s)
-    if spec.flaky > 0 and _uniform(key, "flaky", attempt) < spec.flaky:
-        raise ChaosInjectedError(
-            f"injected flaky failure (attempt {attempt}, key {key[:12]})"
-        )
-
-
-def maybe_fail_pass(keys) -> None:
-    """Flaky mode for a vectorized pass, one attempt 0 for all ``keys``:
-    raise if any key's draw hits.  Reads the spec once per pass."""
-    spec = active_spec()
-    if spec is not None and spec.flaky > 0 and spec.attempts >= 1:
-        for key in keys:
-            if _uniform(key, "flaky", 0) < spec.flaky:
-                raise ChaosInjectedError(f"injected flaky failure (pass, key {key[:12]})")
+    for key in keys:
+        if not serial:
+            if spec.crash > 0 and _uniform(key, "crash", attempt) < spec.crash:
+                os.kill(os.getpid(), signal.SIGKILL)  # never returns
+            if spec.hang > 0 and _uniform(key, "hang", attempt) < spec.hang:
+                time.sleep(spec.hang_s)
+        if spec.flaky > 0 and _uniform(key, "flaky", attempt) < spec.flaky:
+            raise ChaosInjectedError(
+                f"injected flaky failure (attempt {attempt}, key {key[:12]})"
+            )
 
 
 def maybe_corrupt_payload(key: str, payload: str) -> str:

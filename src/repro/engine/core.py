@@ -14,26 +14,30 @@ into results while exploiting three independent sources of cheapness:
    insight turned into compute savings, restricted to the provably sound
    subset.  The opt-in audit mode (``prune=False``) re-simulates every
    class member and asserts the broadcast would have been sound.
-3. **One evaluation path, placed by the workers** -- without workers,
-   the ``round``/``logp`` frontier runs in-process as one vectorized
-   pass; with workers (``jobs > 1`` or a ``dispatcher``), independent
-   evaluations run on the one supervised dispatcher
-   (:mod:`repro.engine.supervisor`), whose workers are forked locally
-   or join over TCP: per-task dispatch with deadlines, crash detection
-   and worker respawn, retry with exponential backoff, quarantine of
-   tasks that exhaust their attempt budget, and graceful degradation to
+3. **One evaluation path, whatever the worker count** -- every
+   evaluation runs on the one supervised dispatcher
+   (:mod:`repro.engine.supervisor`) as part of a chunk: whole placement
+   groups of ``round``/``logp`` requests scored by one batch-kernel
+   call per model, every other request alone.  Without workers
+   (``jobs=1`` and no ``dispatcher``) the whole batchable frontier is
+   one chunk, run in-process; with workers (``jobs > 1`` or a
+   ``dispatcher``, forked locally or joined over TCP) it is about four
+   chunks per worker: per-chunk dispatch with deadlines, crash
+   detection and worker respawn, a failed chunk split into one-request
+   chunks, retry with exponential backoff, quarantine of requests that
+   exhaust their attempt budget, and graceful degradation to
    in-process execution if the pool dies.
    Results keep deterministic ordering and per-request worker seeding,
    so ``jobs=1`` and ``jobs=N`` are bitwise identical -- on healthy
    machines and through every recovery path.
 
 Execution is **crash-safe**: with a ``cache_dir``, results that settle
-together -- one worker result, the whole in-process vectorized pass, or
-one pruned-broadcast step -- are appended to the record log as one write
-and synced before the engine reports them complete.  The log's verified
-key set is the sweep's journal: an interrupted sweep re-run over the
-same grid re-evaluates only the keys that never completed and produces
-bitwise-identical output.
+together -- the chunks one supervisor poll receives, the in-process
+chunk, or one pruned-broadcast step -- are appended to the record log as
+one write and synced before the engine reports them complete.  The
+log's verified key set is the sweep's journal: an interrupted sweep
+re-run over the same grid re-evaluates only the keys that never
+completed and produces bitwise-identical output.
 
 The engine keeps running statistics (wall clock, hit rate, evaluations
 saved, recovery counters) and renders them as the machine-readable
@@ -52,7 +56,6 @@ from typing import Sequence
 
 import repro.engine.evaluators as _evaluators
 from repro.core.equivalence import placement_key
-from repro.engine import chaos
 from repro.engine.cache import ResultCache
 from repro.engine.keys import EvalRequest
 from repro.engine.supervisor import (
@@ -95,8 +98,8 @@ class EngineStats:
     evaluated: int = 0
     pruned: int = 0  # evaluations skipped via class broadcast
     audited: int = 0  # class members re-simulated in audit mode
-    batched: int = 0  # evaluations served by a vectorized batch pass
-    batch_fallbacks: int = 0  # batch passes that fell back to the pool
+    batched: int = 0  # evaluations settled by a chunk of placement groups
+    batch_fallbacks: int = 0  # chunks of several requests split after a failure
     memory_hits: int = 0
     disk_hits: int = 0
     # -- robustness counters (the supervised executor & cache integrity) --
@@ -166,7 +169,7 @@ class SweepEngine:
     ----------
     jobs:
         Worker processes for independent evaluations; 1 evaluates
-        in-process, ``round``/``logp`` as one vectorized pass.
+        in-process, the ``round``/``logp`` frontier as one chunk.
     cache_dir:
         Optional directory for the persistent result cache: one
         append-only, checksummed record log
@@ -190,10 +193,10 @@ class SweepEngine:
     dispatcher:
         Optional persistent :class:`~repro.engine.supervisor.TaskSupervisor`
         (or anything with its ``run(requests, on_complete)``/``stats``
-        shape), e.g. one listening for remote workers.  When set, every
-        evaluation fans out through it instead of a per-batch pool of
-        ``jobs`` local workers; its lifecycle (``close()``) belongs to
-        the caller.
+        shape), e.g. one listening for remote workers or a local pool
+        kept across calls.  When set, every evaluation fans out through
+        it instead of a per-call supervisor of ``jobs`` local workers;
+        its lifecycle (``close()``) belongs to the caller.
     """
 
     def __init__(
@@ -239,9 +242,9 @@ class SweepEngine:
 
         Duplicate and cached requests are recalled, equivalence classes
         are collapsed (or audited), and the remaining distinct
-        evaluations run in deterministic order on the path the worker
-        configuration picks (see :meth:`_run`).  Tasks that exhaust
-        their retry budget come back as structured failure records (see
+        evaluations run in deterministic order under the task supervisor
+        (see :meth:`_run`).  Tasks that exhaust their retry budget come
+        back as structured failure records (see
         :func:`repro.engine.supervisor.is_failure`) instead of aborting
         the batch; every successful result is cached -- and, with a
         ``cache_dir``, appended to the record log and synced -- the
@@ -309,9 +312,11 @@ class SweepEngine:
             if ok:
                 self.cache.put_many((keys[i], out, docs[i]) for i, out in ok)
 
-        evaluated = self._run(requests, to_run, on_settled)
-        for i in to_run:
-            outcome = evaluated[i]
+        evaluated = self._run(
+            [requests[i] for i in to_run],
+            lambda settled: on_settled([(to_run[pos], out) for pos, out in settled]),
+        )
+        for i, outcome in zip(to_run, evaluated):
             if isinstance(outcome, EvalFailure):
                 self.failures.append(outcome)
                 results[i] = outcome.to_result()
@@ -438,51 +443,15 @@ class SweepEngine:
                         f"({a!r} vs {b!r}, rtol={AUDIT_RTOL})"
                     )
 
-    def _run(
-        self, requests, to_run: list[int], on_settled
-    ) -> dict[int, dict | EvalFailure]:
-        """Evaluate ``requests[i]`` for each ``i`` in ``to_run`` on the
-        path the workers pick; ``on_settled([(i, outcome), ...])`` fires
-        once per group that settles together: the whole vectorized pass,
-        or the results one supervisor poll receives.
-
-        Without workers (``jobs == 1`` and no ``dispatcher``), models
-        with a batch evaluator run in-process as one vectorized pass;
-        everything else -- and the whole vectorized slice, should its
-        pass raise -- runs under :meth:`_supervise`.  With workers,
-        every request goes to the supervisor.
-        """
-        done: dict[int, dict | EvalFailure] = {}
-        if self.jobs == 1 and self.dispatcher is None:
-            vec = [i for i in to_run if requests[i].model in _evaluators.BATCH_EVALUATORS]
-            try:
-                chaos.maybe_fail_pass(requests[i].key for i in vec)
-                outcomes = _evaluators.evaluate_requests_batch(
-                    [requests[i] for i in vec]
-                )
-            except Exception:
-                self.stats.batch_fallbacks += 1
-            else:
-                done = dict(zip(vec, outcomes))
-                on_settled(list(done.items()))
-                self.stats.batched += len(vec)
-        rest = [i for i in to_run if i not in done]
-        if rest:
-            outcomes = self._supervise(
-                [requests[i] for i in rest],
-                lambda settled: on_settled([(rest[pos], out) for pos, out in settled]),
-            )
-            done.update(zip(rest, outcomes))
-        return done
-
-    def _supervise(self, requests, on_complete) -> list[dict | EvalFailure]:
-        """Evaluate distinct requests under the task supervisor.
+    def _run(self, requests, on_complete) -> list[dict | EvalFailure]:
+        """Evaluate distinct requests under the task supervisor, in
+        chunks (:func:`repro.engine.supervisor.plan_chunks`).
 
         With a ``dispatcher`` configured, the batch runs on that
         caller-owned pool (e.g. one accepting remote workers); otherwise
-        on a supervisor with ``jobs`` local workers that lives for this
-        batch.  Either way the per-run stats deltas are merged into the
-        engine's.
+        on a supervisor with ``jobs`` local workers (none for ``jobs=1``:
+        one in-process chunk) that lives for this batch.  Either way the
+        per-run stats deltas are merged into the engine's.
         """
         supervisor = self.dispatcher or TaskSupervisor(
             jobs=self.jobs, policy=self.retry_policy
@@ -493,6 +462,8 @@ class SweepEngine:
             if supervisor is not self.dispatcher:
                 supervisor.close()
             s = supervisor.stats
+            self.stats.batched += s.batched
+            self.stats.batch_fallbacks += s.batch_fallbacks
             self.stats.retries += s.retries
             self.stats.crashes += s.crashes
             self.stats.timeouts += s.timeouts

@@ -92,7 +92,7 @@ def evaluate_requests_batch(requests: Sequence[EvalRequest]) -> list[dict]:
     the per-request key derivation :func:`seed_worker` needs is pure
     scalar-path overhead the batch path gets to skip.  Raises
     ``ValueError`` for any model without a batch evaluator -- callers
-    (the engine) are expected to partition first.
+    (the supervisor's chunk plan) are expected to partition first.
     """
     requests = list(requests)
     out: list[dict | None] = [None] * len(requests)
@@ -112,6 +112,19 @@ def evaluate_requests_batch(requests: Sequence[EvalRequest]) -> list[dict]:
             out[i] = res
     assert all(r is not None for r in out)
     return out  # type: ignore[return-value]
+
+
+def evaluate_chunk(requests: Sequence[EvalRequest]) -> list[dict]:
+    """Evaluate one supervised chunk; results align with ``requests``.
+
+    A chunk of one request goes through :func:`evaluate_request`, the
+    seeded scalar oracle; a larger chunk -- whole placement groups of
+    batchable models, see :func:`repro.engine.supervisor.plan_chunks` --
+    through :func:`evaluate_requests_batch`.  Both give the same dicts.
+    """
+    if len(requests) == 1:
+        return [evaluate_request(requests[0])]
+    return evaluate_requests_batch(requests)
 
 
 # -- workload frontends -------------------------------------------------------

@@ -246,8 +246,8 @@ class FidelityLadder:
     (its cache makes probe evaluations free on promotion and lets the
     ladder share warmth with plain sweeps).  Engine rungs go through
     :meth:`evaluate_many <repro.engine.core.SweepEngine.evaluate_many>`,
-    so the engine's workers decide where they run: in-process as one
-    vectorized pass without workers, on the workers with them.
+    so they run as the engine's chunks: one in-process chunk without
+    workers, chunks on the workers with them.
     """
 
     def __init__(self, engine, config: LadderConfig | None = None):

@@ -291,18 +291,38 @@ def request_to_wire(request: EvalRequest) -> dict:
     return doc
 
 
-def request_from_wire(doc: dict) -> EvalRequest:
-    """Reconstruct an :class:`EvalRequest` from its wire form."""
-    t = doc["topology"]
-    topology = MachineTopology(
+def _topology_from_wire(t: dict) -> MachineTopology:
+    return MachineTopology(
         **{**t, "levels": tuple(LevelParams(**lv) for lv in t["levels"])}
     )
+
+
+def _hierarchy_from_wire(h: dict) -> Hierarchy:
+    return Hierarchy(tuple(h["radices"]), tuple(h["names"]), masked=h["masked"])
+
+
+def _decoded(memo: dict | None, part: dict, build):
+    """``build(part)``, once per distinct document when ``memo`` is set."""
+    if memo is None:
+        return build(part)
+    tag = (build, json.dumps(part, sort_keys=True))
+    value = memo.get(tag)
+    if value is None:
+        value = memo[tag] = build(part)
+    return value
+
+
+def request_from_wire(doc: dict, memo: dict | None = None) -> EvalRequest:
+    """Reconstruct an :class:`EvalRequest` from its wire form.
+
+    Requests decoded with the same ``memo`` dict share one topology and
+    one hierarchy object per distinct document (see
+    :func:`requests_from_wire`).
+    """
+    topology = _decoded(memo, doc["topology"], _topology_from_wire)
     hierarchy = None
     if "hierarchy" in doc:
-        h = doc["hierarchy"]
-        hierarchy = Hierarchy(
-            tuple(h["radices"]), tuple(h["names"]), masked=h["masked"]
-        )
+        hierarchy = _decoded(memo, doc["hierarchy"], _hierarchy_from_wire)
     schedule = None
     if "schedule" in doc:
         from repro.faults.model import FaultSchedule, FaultSpec
@@ -322,6 +342,15 @@ def request_from_wire(doc: dict) -> EvalRequest:
             (k, _unlist(v)) for k, v in doc.get("workload_params", [])
         ),
     )
+
+
+def requests_from_wire(docs: list[dict]) -> list[EvalRequest]:
+    """Reconstruct a chunk of requests, decoding each distinct topology
+    and hierarchy document once: the chunk's requests share those
+    objects, and with them what is memoized on them (properties, key
+    fingerprints)."""
+    memo: dict = {}
+    return [request_from_wire(doc, memo) for doc in docs]
 
 
 def _unlist(value):

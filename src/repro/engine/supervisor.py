@@ -13,6 +13,15 @@ A worker joins its pool in one of two ways:
 Either way the worker runs :func:`serve`, and the manager drives every
 worker through the same loop and the same frames.
 
+**Chunks.**  The unit of work is a *chunk* of requests
+(:func:`plan_chunks`).  Whole placement groups of models with a batch
+evaluator (``round``, ``logp``) are packed in index order into about
+:data:`CHUNKS_PER_WORKER` chunks per worker -- one chunk for the whole
+frontier when nothing runs on workers -- and every other request is a
+chunk of one.  A worker scores a chunk through
+:func:`repro.engine.evaluators.evaluate_chunk`: one batch kernel per
+model, whatever the worker count.
+
 **Framing.**  Every message is a 4-byte big-endian length followed by
 that many bytes of UTF-8 JSON encoding one object with a ``type``:
 
@@ -20,10 +29,12 @@ that many bytes of UTF-8 JSON encoding one object with a ``type``:
   version and :data:`~repro.engine.keys.CACHE_SCHEMA`; a mismatched
   worker is dropped before it can compute anything under stale
   semantics;
-- ``task``      manager -> worker: ``{index, attempt, request}`` where
-  ``request`` is the wire form of an :class:`EvalRequest`
+- ``task``      manager -> worker: ``{index, attempt, requests}`` where
+  ``index`` is the chunk's lowest task index and ``requests`` the wire
+  forms of its :class:`EvalRequest` members
   (:func:`repro.engine.keys.request_to_wire`);
-- ``result``    worker -> manager: ``{index, status: "ok", result}`` or
+- ``result``    worker -> manager: ``{index, status: "ok", results}``
+  (one result dict per member, in order) or
   ``{index, status: "error", detail, digest}``;
 - ``shutdown``  manager -> worker: exit.
 
@@ -34,9 +45,15 @@ dead one.
 **Supervision.**  One loop, whatever the transport:
 
 - a worker whose socket reaches EOF (SIGKILL, segfault, OOM kill, a
-  closed connection) fails only its current task, as a ``crash``;
-- a task that outlives ``policy.timeout`` wall seconds fails as a
+  closed connection) fails only its current chunk, as a ``crash``;
+- a chunk that outlives ``policy.timeout`` wall seconds (the
+  per-evaluation deadline, whatever the chunk's size) fails as a
   ``timeout``, and its worker is killed (local) or dropped (remote);
+- a failed chunk of several requests -- exception, crash, missed
+  deadline, or a reply that is not one dict per member -- is split:
+  each member re-enters the queue as a chunk of one at its current
+  attempt, charged nothing (``batch_fallbacks`` counts the split), and
+  the rules below apply to it alone;
 - failed attempts re-enter the queue after the shared
   :class:`repro.util.retry.RetryPolicy` backoff while other tasks keep
   flowing; a task that fails ``max_attempts`` times yields a structured
@@ -73,8 +90,8 @@ from repro.engine import chaos
 from repro.engine.keys import (
     CACHE_SCHEMA,
     EvalRequest,
-    request_from_wire,
     request_to_wire,
+    requests_from_wire,
 )
 from repro.util.retry import RetryPolicy
 
@@ -84,8 +101,15 @@ FAILURE_MARKER = "engine_failure"
 #: Bump when the message layout changes; hello frames carry it and the
 #: manager drops workers that disagree.
 #: History: 1 -> 2 when requests gained one shape and the workload
-#: fields joined the wire form (version-1 peers dropped them).
-PROTOCOL_VERSION = 2
+#: fields joined the wire form (version-1 peers dropped them); 2 -> 3
+#: when tasks became chunks (``requests``/``results`` lists replaced
+#: the single ``request``/``result``).
+PROTOCOL_VERSION = 3
+
+#: Chunks planned per worker: enough that a worker finishing early
+#: finds more work, few enough that each chunk amortizes its frame and
+#: its kernel calls over whole placement groups.
+CHUNKS_PER_WORKER = 4
 
 #: Upper bound on one frame; anything larger is a protocol violation
 #: (results are small dicts of floats, requests a few KiB of topology).
@@ -166,7 +190,9 @@ class EvalFailure:
 class SupervisorStats:
     """Counters one :meth:`TaskSupervisor.run` call accumulates."""
 
-    dispatched: int = 0  # task attempts sent to workers (or run inline)
+    dispatched: int = 0  # chunks sent to workers (or run inline)
+    batched: int = 0  # requests settled by a planned chunk of placement groups
+    batch_fallbacks: int = 0  # chunks of several requests split after a failure
     retries: int = 0  # failed attempts that re-entered the queue
     crashes: int = 0  # attempts lost to worker death
     timeouts: int = 0  # attempts lost to the task deadline
@@ -186,6 +212,66 @@ def _traceback_digest(text: str) -> str:
 
 class ProtocolError(RuntimeError):
     """A malformed or oversized frame, or a version/schema mismatch."""
+
+
+def plan_chunks(
+    requests: Sequence[EvalRequest], n_chunks: int
+) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
+    """Pack request indices into the chunks a run dispatches.
+
+    Requests of a model with a batch evaluator that share ``(model,
+    topology, hierarchy, order, comm_size)`` -- the key the batch
+    evaluator groups by -- form a placement group.  Groups are packed
+    whole, in order of their first index, into about ``n_chunks``
+    chunks; every other request is a chunk of its own.  Returns every
+    chunk (each sorted, the list ordered by first index) and the set of
+    the packed ones, whose settled members count as ``batched``.
+    """
+    from repro.engine.evaluators import BATCH_EVALUATORS
+
+    groups: dict[tuple, list[int]] = {}
+    chunks: list[tuple[int, ...]] = []
+    for i, r in enumerate(requests):
+        if r.model in BATCH_EVALUATORS:
+            place = (r.model, r.topology, r.hierarchy, r.order, r.comm_size)
+            groups.setdefault(place, []).append(i)
+        else:
+            chunks.append((i,))
+    total = sum(map(len, groups.values()))
+    packed: set[tuple[int, ...]] = set()
+    members: list[int] = []
+    seen = 0
+    for group in groups.values():
+        members.extend(group)
+        seen += len(group)
+        # Chunk k closes once k/n_chunks of the requests are packed, so
+        # sizes stay even and the last group closes the last chunk.
+        if seen * n_chunks >= (len(packed) + 1) * total:
+            packed.add(tuple(sorted(members)))
+            members = []
+    return sorted([*chunks, *packed]), packed
+
+
+def _bad_results(results: Any, n: int) -> str | None:
+    """Why ``results`` is not one result dict per chunk member (or None)."""
+    if not isinstance(results, list):
+        return f"chunk returned a {type(results).__name__}, not a list"
+    if len(results) != n:
+        return f"chunk returned {len(results)} result(s) for {n} request(s)"
+    for r in results:
+        if not isinstance(r, dict):
+            return f"chunk returned a {type(r).__name__}, not a dict"
+    return None
+
+
+def _evaluate(requests: list[EvalRequest], attempt: int,
+              serial: bool = False) -> list[dict]:
+    """One chunk attempt: chaos injection (:mod:`repro.engine.chaos`),
+    then :func:`repro.engine.evaluators.evaluate_chunk`."""
+    import repro.engine.evaluators as evaluators
+
+    chaos.maybe_inject((r.key for r in requests), attempt, serial=serial)
+    return evaluators.evaluate_chunk(requests)
 
 
 # -- framing -----------------------------------------------------------------
@@ -247,7 +333,7 @@ def recv_frame(sock: socket.socket) -> dict | None:
 
 
 def serve(sock: socket.socket) -> int:
-    """The worker loop: say hello, then evaluate tasks until shutdown.
+    """The worker loop: say hello, then evaluate chunks until shutdown.
 
     Every worker runs this, local or remote.  Chaos injection
     (:mod:`repro.engine.chaos`) fires here, so a ``crash``-mode hit
@@ -255,8 +341,6 @@ def serve(sock: socket.socket) -> int:
     code: 0 after a ``shutdown`` frame or a clean EOF, 1 when the
     manager hung up mid-frame or refused a reply, or on an interrupt.
     """
-    import repro.engine.evaluators as evaluators
-
     try:
         send_frame(
             sock,
@@ -270,11 +354,11 @@ def serve(sock: socket.socket) -> int:
                 continue  # future message types are ignorable by design
             index = msg.get("index")
             try:
-                request = request_from_wire(msg["request"])
-                chaos.maybe_inject(request.key, int(msg["attempt"]))
-                result = evaluators.evaluate_request(request)
+                results = _evaluate(
+                    requests_from_wire(msg["requests"]), int(msg["attempt"])
+                )
                 reply = _encode(
-                    {"type": "result", "index": index, "status": "ok", "result": result}
+                    {"type": "result", "index": index, "status": "ok", "results": results}
                 )
             except Exception as err:  # the evaluator's failure is the task's
                 reply = _encode(
@@ -336,13 +420,13 @@ def _local_main(sock: socket.socket, inherited: list[socket.socket]) -> None:
 
 @dataclass(eq=False)
 class _Worker:
-    """One pool member: its socket, parse buffer and task state."""
+    """One pool member: its socket, parse buffer and chunk in flight."""
 
     sock: socket.socket
     proc: Any = None  # the forked process of a local worker; None if remote
     ready: bool = False  # hello received and accepted
     buf: bytes = b""
-    task: int | None = None
+    task: tuple[int, ...] | None = None  # the chunk's task indices
     started: float = 0.0
     deadline: float | None = None
 
@@ -375,13 +459,14 @@ class _TaskState:
 
 
 class _Run:
-    """The task table of one :meth:`TaskSupervisor.run`: the queue, the
-    outcomes, and the one rule that charges a failed attempt."""
+    """The task table of one :meth:`TaskSupervisor.run`: the chunk queue,
+    the outcomes, and the rules that charge a failed chunk."""
 
-    def __init__(self, requests, policy: RetryPolicy, stats: SupervisorStats,
-                 on_complete: OnComplete | None):
+    def __init__(self, requests, n_chunks: int, policy: RetryPolicy,
+                 stats: SupervisorStats, on_complete: OnComplete | None):
         self.tasks = [_TaskState(r) for r in requests]
-        self.pending = list(range(len(self.tasks)))  # a heap: index order
+        # A heap of chunks: the lowest first index goes first.
+        self.pending, self.packed = plan_chunks(requests, n_chunks)
         self.outcomes: dict[int, dict | EvalFailure] = {}
         self.settled: list[tuple[int, dict | EvalFailure]] = []  # not yet flushed
         self.policy = policy
@@ -392,30 +477,44 @@ class _Run:
     def done(self) -> bool:
         return len(self.outcomes) == len(self.tasks)
 
-    def take(self, now: float) -> int | None:
-        """Pop the lowest pending index whose backoff has expired."""
+    def _not_before(self, chunk: tuple[int, ...]) -> float:
+        return max(self.tasks[i].not_before for i in chunk)
+
+    def take(self, now: float) -> tuple[int, ...] | None:
+        """Pop the lowest pending chunk whose backoff has expired."""
         backing_off = []
         found = None
         while self.pending:
-            index = heapq.heappop(self.pending)
-            if self.tasks[index].not_before <= now:
-                found = index
+            chunk = heapq.heappop(self.pending)
+            if self._not_before(chunk) <= now:
+                found = chunk
                 break
-            backing_off.append(index)
-        for index in backing_off:
-            heapq.heappush(self.pending, index)
+            backing_off.append(chunk)
+        for chunk in backing_off:
+            heapq.heappush(self.pending, chunk)
         return found
 
     def wake(self) -> float:
-        """When the earliest pending task's backoff expires."""
-        return min(self.tasks[i].not_before for i in self.pending)
+        """When the earliest pending chunk's backoff expires."""
+        return min(self._not_before(c) for c in self.pending)
 
-    def requeue(self, index: int) -> None:
-        heapq.heappush(self.pending, index)
+    def requeue(self, chunk: tuple[int, ...]) -> None:
+        heapq.heappush(self.pending, chunk)
+
+    def attempt(self, chunk: tuple[int, ...]) -> int:
+        """The chunk's attempt number.  Only a one-request chunk is ever
+        charged an attempt, so all members of a larger one are at 0."""
+        return len(self.tasks[chunk[0]].attempts)
 
     def complete(self, index: int, outcome: dict | EvalFailure) -> None:
         self.outcomes[index] = outcome
         self.settled.append((index, outcome))
+
+    def settle(self, chunk: tuple[int, ...], results: list[dict]) -> None:
+        if chunk in self.packed:
+            self.stats.batched += len(chunk)
+        for index, result in zip(chunk, results):
+            self.complete(index, result)
 
     def flush(self) -> None:
         """Report every outcome settled since the last flush as one group."""
@@ -423,9 +522,18 @@ class _Run:
             settled, self.settled = self.settled, []
             self.on_complete(settled)
 
-    def fail(self, index: int, cause: str, detail: str, digest: str,
-             elapsed: float) -> None:
-        """Charge one failed attempt: retry after backoff, or quarantine."""
+    def fail(self, chunk: tuple[int, ...], cause: str, detail: str,
+             digest: str, elapsed: float) -> None:
+        """A chunk attempt failed.  A chunk of several requests splits
+        into chunks of one at the same attempt, charged nothing; a chunk
+        of one is charged the attempt: retry after backoff, or
+        quarantine."""
+        if len(chunk) > 1:
+            self.stats.batch_fallbacks += 1
+            for index in chunk:
+                self.requeue((index,))
+            return
+        (index,) = chunk
         state = self.tasks[index]
         attempt_no = len(state.attempts)
         counter = _CAUSE_COUNTER[cause]
@@ -448,7 +556,7 @@ class _Run:
             )
             state.not_before = time.monotonic() + backoff
             self.stats.retries += 1
-            self.requeue(index)
+            self.requeue(chunk)
 
     def results(self) -> list[dict | EvalFailure]:
         return [self.outcomes[i] for i in range(len(self.tasks))]
@@ -461,12 +569,12 @@ class TaskSupervisor:
     ----------
     jobs:
         Local worker processes to fork (respawned on death).  1 forks
-        none: without ``listen`` everything runs serially in-process
-        (retries and quarantine still apply, crash/hang supervision does
-        not).
+        none: without ``listen`` everything runs serially in-process, the
+        whole batchable frontier as one chunk (retries and quarantine
+        still apply, crash/hang supervision does not).
     policy:
         Shared :class:`~repro.util.retry.RetryPolicy`: attempt budget,
-        wall-clock backoff, and the per-task ``timeout`` deadline.
+        wall-clock backoff, and the ``timeout`` deadline of each chunk.
     listen:
         ``(host, port)`` to accept remote ``repro-mrd worker --connect``
         workers on.  Port 0 picks an ephemeral port; read
@@ -559,28 +667,33 @@ class TaskSupervisor:
     ) -> list[dict | EvalFailure]:
         """Evaluate ``requests``; results align with the input order.
 
-        ``on_complete([(index, outcome), ...])`` fires from the
-        supervising process with the tasks that settled (success dict or
-        :class:`EvalFailure`) since it last fired: once per manager poll
-        that settled any, after idle workers are fed again, or once per
-        task in-process.  The engine uses it to cache and log
-        incrementally -- one append and sync per group -- so completed
-        work survives any later crash.
+        The requests run as the chunks :func:`plan_chunks` packs: about
+        :data:`CHUNKS_PER_WORKER` per worker, or one batchable chunk
+        in-process.  ``on_complete([(index, outcome), ...])`` fires from
+        the supervising process with the tasks that settled (success
+        dict or :class:`EvalFailure`) since it last fired: once per
+        manager poll that settled any, after idle workers are fed again,
+        or once per chunk in-process.  The engine uses it to cache and
+        log incrementally -- one append and sync per group -- so
+        completed work survives any later crash.
         """
         if self._closed:
             raise RuntimeError("supervisor is closed")
         self.stats = SupervisorStats()
         if not requests:
             return []
-        run = _Run(requests, self.policy, self.stats, on_complete)
-        if self._server is None and (self.jobs == 1 or len(requests) == 1):
+        serial = self._server is None and (self.jobs == 1 or len(requests) == 1)
+        workers = max(self.jobs, self.min_workers, self.n_connected)
+        run = _Run(requests, 1 if serial else CHUNKS_PER_WORKER * workers,
+                   self.policy, self.stats, on_complete)
+        if serial:
             self._run_serial(run)
         else:
             self._manage(run)
         return run.results()
 
     def _manage(self, run: _Run) -> None:
-        local_target = min(self.jobs, len(run.tasks)) if self.jobs > 1 else 0
+        local_target = min(self.jobs, len(run.pending)) if self.jobs > 1 else 0
         local_target = self._fill(local_target, respawn=False)
         empty_since: float | None = None
         try:
@@ -659,25 +772,24 @@ class TaskSupervisor:
             self._workers.append(_Worker(sock))
 
     def _feed(self, run: _Run, now: float) -> None:
-        """Send every ready task to an idle worker, lowest index first."""
+        """Send every ready chunk to an idle worker, lowest index first."""
         for worker in [w for w in self._workers if w.idle]:
-            index = run.take(now)
-            if index is None:
+            chunk = run.take(now)
+            if chunk is None:
                 return
-            state = run.tasks[index]
             try:
                 send_frame(worker.sock, {
                     "type": "task",
-                    "index": index,
-                    "attempt": len(state.attempts),
-                    "request": request_to_wire(state.request),
+                    "index": chunk[0],
+                    "attempt": run.attempt(chunk),
+                    "requests": [request_to_wire(run.tasks[i].request) for i in chunk],
                 })
             except OSError:
                 # Never started: requeue without charging an attempt.
-                run.requeue(index)
+                run.requeue(chunk)
                 self._fail_worker(run, worker, "crash", "dispatch failed")
                 return
-            worker.task = index
+            worker.task = chunk
             worker.started = now
             timeout = self.policy.timeout
             worker.deadline = now + timeout if timeout is not None else None
@@ -737,22 +849,21 @@ class TaskSupervisor:
                 )
             worker.ready = True
             return
-        index = msg.get("index")
-        if kind != "result" or worker.task is None or worker.task != index:
-            return  # stale reply from a task this worker was failed off
+        chunk = worker.task
+        if kind != "result" or chunk is None or chunk[0] != msg.get("index"):
+            return  # stale reply from a chunk this worker was failed off
         elapsed = time.monotonic() - worker.started
         worker.task = worker.deadline = None
         if msg.get("status") != "ok":
-            run.fail(index, "exception", str(msg.get("detail", "worker error")),
+            run.fail(chunk, "exception", str(msg.get("detail", "worker error")),
                      str(msg.get("digest", "")), elapsed)
             return
-        result = msg.get("result")
-        if not isinstance(result, dict):
-            run.fail(index, "exception",
-                     f"worker returned a {type(result).__name__}, not a dict",
-                     "", elapsed)
+        results = msg.get("results")
+        problem = _bad_results(results, len(chunk))
+        if problem is not None:
+            run.fail(chunk, "exception", problem, "", elapsed)
             return
-        run.complete(index, result)
+        run.settle(chunk, results)
 
     def _enforce_deadlines(self, run: _Run) -> None:
         now = time.monotonic()
@@ -760,12 +871,12 @@ class TaskSupervisor:
             if worker.deadline is not None and now > worker.deadline:
                 self._fail_worker(
                     run, worker, "timeout",
-                    f"task exceeded {self.policy.timeout}s deadline",
+                    f"chunk exceeded {self.policy.timeout}s deadline",
                 )
 
     def _fail_worker(self, run: _Run, worker: _Worker, cause: str,
                      detail: str) -> None:
-        """Drop a worker from the pool; charge its in-flight task, if any."""
+        """Drop a worker from the pool; fail its in-flight chunk, if any."""
         if worker.task is not None:
             run.fail(worker.task, cause, detail, "",
                      time.monotonic() - worker.started)
@@ -786,24 +897,26 @@ class TaskSupervisor:
 
     def _run_serial(self, run: _Run) -> None:
         """In-process execution with retries and quarantine (no deadlines)."""
-        import repro.engine.evaluators as evaluators
-
         while not run.done:
             now = time.monotonic()
-            index = run.take(now)
-            if index is None:
+            chunk = run.take(now)
+            if chunk is None:
                 time.sleep(max(0.0, run.wake() - now))
                 continue
-            state = run.tasks[index]
             t0 = time.monotonic()
             self.stats.dispatched += 1
+            digest = ""
             try:
-                chaos.maybe_inject(state.request.key, len(state.attempts), serial=True)
-                result = evaluators.evaluate_request(state.request)
+                results = _evaluate(
+                    [run.tasks[i].request for i in chunk], run.attempt(chunk),
+                    serial=True,
+                )
+                problem = _bad_results(results, len(chunk))
             except Exception as err:
-                run.fail(index, "exception", repr(err),
-                         _traceback_digest(traceback.format_exc()),
-                         time.monotonic() - t0)
+                problem = repr(err)
+                digest = _traceback_digest(traceback.format_exc())
+            if problem is None:
+                run.settle(chunk, results)
             else:
-                run.complete(index, result)
+                run.fail(chunk, "exception", problem, digest, time.monotonic() - t0)
             run.flush()

@@ -17,12 +17,12 @@ from repro.engine.supervisor import TaskSupervisor, run_worker
 def swap_evaluator(monkeypatch, model: str, fn) -> None:
     """Make ``fn`` the evaluator of ``model`` on both registries.
 
-    A worker-less engine scores ``round``/``logp`` through the batch
-    registry and every other path through the per-request one, so a fake
-    swapped into only one of them would be bypassed.  The batch stand-in
-    applies ``fn`` request by request; if it raises, the engine's
-    vectorized pass falls back to the supervisor, which calls ``fn``
-    per request with retries and quarantine.
+    The supervisor scores a chunk of several ``round``/``logp`` requests
+    through the batch registry and a chunk of one through the
+    per-request one, so a fake swapped into only one of them would be
+    bypassed.  The batch stand-in applies ``fn`` request by request; if
+    it raises, the chunk splits into chunks of one, which call ``fn``
+    with retries and quarantine.
     """
     monkeypatch.setitem(evaluators.EVALUATORS, model, fn)
     monkeypatch.setitem(

@@ -1,15 +1,17 @@
-"""The in-process vectorized path hits and populates the ResultCache
-identically to per-request evaluation on workers.
+"""Chunked evaluation hits and populates the ResultCache identically to
+per-request evaluation, in-process and on workers.
 
-A worker-less engine (``jobs=1``) scores ``round``/``logp`` points as
-one vectorized pass; a ``jobs=2`` engine sends every point to its
-workers one request at a time.  The cache contract: every point still
-lives under its own content-addressed key, so both paths append
-byte-identical record lines over the same grid (only arrival order
-differs), a warm run on either path evaluates nothing regardless of
-which path filled the cache, and a vectorized run can resume from the
-record log of an interrupted run on workers (evaluating only the keys
-that never completed).
+Every engine scores ``round``/``logp`` points in chunks of whole
+placement groups: a worker-less engine (``jobs=1``) as one in-process
+chunk, a ``jobs=2`` engine as several chunks on its workers; a request
+evaluated on its own is a chunk of one, scored by the seeded scalar
+oracle.  The cache contract: every point still lives under its own
+content-addressed key, so every path appends byte-identical record
+lines over the same grid (only arrival order differs), a warm run on
+either worker count evaluates nothing regardless of which one filled
+the cache, and an in-process run can resume from the record log of an
+interrupted run on workers (evaluating only the keys that never
+completed).
 """
 
 from __future__ import annotations
@@ -57,12 +59,14 @@ class TestCacheIdentity:
     def test_batch_writes_identical_disk_records(self, model, tmp_path):
         scalar_dir = tmp_path / "scalar"
         batch_dir = tmp_path / "batch"
-        scalar = SweepEngine(jobs=2, cache_dir=scalar_dir)
-        res_s = scalar.evaluate_many(_requests(model))
+        scalar = SweepEngine(cache_dir=scalar_dir)
+        # One request per call: each is a chunk of one, scored by the
+        # seeded scalar oracle.
+        res_s = [scalar.evaluate(r) for r in _requests(model)]
         batch = SweepEngine(cache_dir=batch_dir)
         res_b = batch.evaluate_many(_requests(model))
-        assert scalar.stats.batched == 0
-        assert batch.stats.batched > 0
+        assert scalar.stats.evaluated == len(res_s)
+        assert batch.stats.batched == batch.stats.evaluated == len(res_b)
         assert [repr(r) for r in res_b] == [repr(r) for r in res_s]
         recs_s = _log_lines(scalar_dir)
         recs_b = _log_lines(batch_dir)
@@ -122,8 +126,7 @@ class TestResumeFromScalarJournal:
 
 class TestBatchFallback:
     def test_non_batchable_model_falls_back_to_pool(self, tmp_path):
-        # "verify" has no batch evaluator; a worker-less engine must
-        # still evaluate it, under its serial supervisor.
+        # "verify" has no batch evaluator; it runs as a chunk of one.
         req = EvalRequest(
             model="verify",
             topology=TOPO,
@@ -192,7 +195,8 @@ class TestMachineSpanningCommunicator:
 
 
 class TestPathRule:
-    """The worker configuration picks the path; results never change."""
+    """Every worker configuration scores the same chunks of placement
+    groups; results never change."""
 
     def test_workers_pick_the_path(self):
         from repro.engine import TaskSupervisor
@@ -207,8 +211,8 @@ class TestPathRule:
                 for engine in (worker_less, on_workers, caller_owned)
             ]
         assert worker_less.stats.batched == len(requests)
-        assert on_workers.stats.batched == 0
-        assert caller_owned.stats.batched == 0
+        assert on_workers.stats.batched == len(requests)
+        assert caller_owned.stats.batched == len(requests)
         assert [repr(r) for r in results[1]] == [repr(r) for r in results[0]]
         assert [repr(r) for r in results[2]] == [repr(r) for r in results[0]]
 

@@ -255,6 +255,31 @@ def test_malformed_frame_drops_only_that_worker(body):
     assert not sup.stats.degraded_serial
 
 
+def test_version_2_worker_dropped_at_hello():
+    """A worker speaking protocol 2 (one request per task) is dropped at
+    hello, before any chunk reaches it; the run finishes on an honest
+    worker and nothing is charged."""
+    requests = _requests(radices=(2, 2), models=("logp",))
+    expected = TaskSupervisor(jobs=1).run(requests)
+    assert PROTOCOL_VERSION == 3
+    with TaskSupervisor(listen=("127.0.0.1", 0), min_workers=2,
+                        worker_wait=1.0) as sup:
+        stale = socket.create_connection(sup.address)
+        stale.settimeout(10.0)
+        send_frame(stale, {"type": "hello", "version": 2, "schema": CACHE_SCHEMA})
+        honest = mp.get_context("fork").Process(
+            target=run_worker, args=sup.address, daemon=True
+        )
+        honest.start()
+        results = sup.run(requests)
+        assert stale.recv(1 << 16) == b""  # hung up on, never sent a task
+        stale.close()
+    honest.join(timeout=10.0)
+    assert honest.exitcode == 0
+    assert results == expected
+    assert sup.stats.crashes == 0 and sup.stats.retries == 0
+
+
 @pytest.mark.slow
 class TestDistributedDeterminism:
     JOIN = "remote"

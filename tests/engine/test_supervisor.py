@@ -16,11 +16,11 @@ from repro.core.hierarchy import Hierarchy
 from repro.engine import EvalRequest, is_failure
 from repro.engine import supervisor as sup_mod
 from repro.engine.chaos import CHAOS_ENV, ChaosSpec, parse_spec
-from repro.engine.evaluators import EVALUATORS
 from repro.engine.supervisor import EvalFailure, TaskSupervisor
 from repro.topology.machines import generic_cluster
 from repro.util.retry import RetryPolicy
 from repro.workloads import collective_params
+from tests.engine.conftest import swap_evaluator
 
 
 H = Hierarchy((2, 2, 4), names=("node", "socket", "core"))
@@ -48,7 +48,9 @@ def _cheap_eval(req: EvalRequest) -> dict:
 
 @pytest.fixture
 def cheap_round(monkeypatch):
-    monkeypatch.setitem(EVALUATORS, "round", _cheap_eval)
+    # ``_reqs`` is one placement group, so it runs as one chunk through
+    # the batch registry until a failure splits it.
+    swap_evaluator(monkeypatch, "round", _cheap_eval)
 
 
 def _expected(reqs):
@@ -163,7 +165,7 @@ class TestQuarantine:
                 raise RuntimeError("permanently broken cell")
             return _cheap_eval(req)
 
-        monkeypatch.setitem(EVALUATORS, "round", eval_or_boom)
+        swap_evaluator(monkeypatch, "round", eval_or_boom)
         reqs = _reqs(3)
         sup = pool(2, policy=RetryPolicy(max_attempts=2))
         out = sup.run(reqs)

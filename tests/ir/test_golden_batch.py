@@ -1,10 +1,10 @@
 """Golden lock: the batch path reproduces the fig3 golden exactly.
 
 ``tests/ir/golden_fig3.json`` pins the seed round-model durations of the
-fig3 grid.  ``tests/ir/test_golden_fig3.py`` holds the per-request path
-(on engine workers) to it; this module holds the in-process vectorized
-path to the same fixture, so a batch kernel regression cannot hide
-behind a matching per-request/vectorized comparison:
+fig3 grid.  ``tests/ir/test_golden_fig3.py`` holds chunks on engine
+workers to it; this module holds the in-process chunk to the same
+fixture, so a batch kernel regression cannot hide behind a matching
+in-process/worker comparison:
 
 - the ``round`` backend through ``fig3_data()`` (no engine workers, so
   the grid is one in-process vectorized pass) must stay

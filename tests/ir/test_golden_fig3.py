@@ -5,9 +5,9 @@ fig3 grid (6 orders x 9 sizes, both scenarios) as ``repr`` strings.  The
 ``round`` backend must stay *bitwise* identical to it; the ``logp``
 backend is advisory, so it is held to ranking fidelity instead: the
 per-size Kendall tau between its order ranking and the golden ranking
-must average >= 0.9.  Both run the per-request path, one task per point
-on two engine workers (``tests/ir/test_golden_batch.py`` holds the
-in-process vectorized path to the same fixture).  (The ``des``
+must average >= 0.9.  Both run on two engine workers, as chunks of
+placement groups (``tests/ir/test_golden_batch.py`` holds the
+in-process chunk to the same fixture).  (The ``des``
 backend's bitwise contract is pinned
 separately by ``tests/verify/golden_differential.json`` -- fig3's 512
 ranks are DES-prohibitive in unit tests.)

@@ -132,6 +132,35 @@ class TestSweep:
 
         assert json.loads(path.read_text())["jobs"] == 2
 
+    def test_one_pool_per_sweep(self, capsys, monkeypatch):
+        """A ladder evaluates rung by rung; with ``--workers 2`` every rung
+        runs on the same two forked workers."""
+        from repro.engine import supervisor
+        from repro.engine.core import SweepEngine
+
+        forks, calls = [], []
+        spawn = supervisor._spawn_local
+        evaluate_many = SweepEngine.evaluate_many
+
+        def counting_spawn(ctx, inherited):
+            forks.append(1)
+            return spawn(ctx, inherited)
+
+        def counting_evaluate(self, requests):
+            calls.append(len(requests))
+            return evaluate_many(self, requests)
+
+        monkeypatch.setattr(supervisor, "_spawn_local", counting_spawn)
+        monkeypatch.setattr(SweepEngine, "evaluate_many", counting_evaluate)
+        args = ("sweep", "-H", "[[2,2,4]]", "--comm-sizes", "4",
+                "--sizes", "1e6,16e6", "--ladder", "--top-k", "2")
+        rc, pooled = run_cli(capsys, *args, "--workers", "2")
+        assert rc == 0
+        assert len([n for n in calls if n > 1]) >= 2  # several rungs ran
+        assert len(forks) == 2
+        rc, serial = run_cli(capsys, *args)
+        assert rc == 0 and pooled == serial
+
     @pytest.mark.parametrize(
         "flags",
         [
