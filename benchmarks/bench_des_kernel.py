@@ -21,9 +21,9 @@ and the round model, so the 5x gate is on the *kernel path*: both modes'
 shorter -- lazy deferral absorbs same-timestamp event and completion
 bursts, the lockstep round memo answers repeated rounds, and those
 savings are legitimately counted) and
-replayed against persistent networks, one cold pass plus ``WARM_REPS - 1``
-warm passes, exactly the steady state a long differential/chaos campaign
-sees.  End-to-end walls for both modes are reported alongside.
+replayed against persistent networks, one cold pass (the per-topology
+rate memo cleared first) plus ``WARM_REPS - 1`` warm passes, exactly the
+steady state a long differential/chaos campaign sees.  End-to-end walls for both modes are reported alongside.
 """
 
 from __future__ import annotations
@@ -117,6 +117,9 @@ def test_des_kernel_speedup_and_identity(once):
     t_ref_kernel = min(_replay(net_ref, ref_calls) for _ in range(3))
 
     KERNEL_STATS.reset()
+    # The rate memo is per topology too, and the suite and audit runs
+    # above filled it: clear it, or the cold pass would replay warm.
+    FlowNetwork(topology).rate_memo.clear()
     net_inc = FlowNetwork(topology, incremental=True)
     t_cold = once(_replay, net_inc, inc_calls)
     t_warms = [_replay(net_inc, inc_calls) for _ in range(WARM_REPS - 1)]

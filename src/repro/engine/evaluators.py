@@ -239,9 +239,10 @@ def _eval_des(req: EvalRequest) -> dict:
     incremental = bool(req.extra("incremental", True))
     audit_rates = bool(req.extra("audit_rates", False))
     backend = get_backend("des")
+    # The records are not part of the result: build none.
     des = backend.run(
         program, req.topology, [cores],
-        mode=mode, incremental=incremental, audit=audit_rates,
+        mode=mode, incremental=incremental, audit=audit_rates, detail=False,
     )
     if mode == "lockstep":
         t_round = round_total(des.per_round, model=True)
@@ -259,7 +260,7 @@ def _eval_des(req: EvalRequest) -> dict:
         members = reordering.all_comm_members()
         out["duration_all"] = backend.run(
             program, req.topology, list(members),
-            mode=mode, incremental=incremental, audit=audit_rates,
+            mode=mode, incremental=incremental, audit=audit_rates, detail=False,
         ).time
     return out
 

@@ -539,12 +539,16 @@ class DESBackend:
     ``lockstep`` mode (the default) times each round on a fresh clock
     with the direct round kernel (:func:`repro.netsim.lockstep.run_round`),
     which equals a per-round :class:`~repro.simmpi.runtime.Simulator` bit
-    for bit.  Every round shares one :class:`FlowNetwork`, so its path
-    caches and rate memo carry across rounds, and healthy rounds are
-    memoized per topology.  Records are shifted onto the accumulated
-    timeline.  ``pipelined`` mode runs the whole program, repeats
-    unrolled, in one simulator; only it accepts a fault schedule, which
-    runs on a network of its own.
+    for bit.  Every round shares one :class:`FlowNetwork`; its path
+    caches, rate memo and round memo are per topology, so they also
+    carry across runs on one machine.  Records are shifted onto the
+    accumulated timeline.  ``pipelined`` mode runs the whole program,
+    repeats unrolled, in one simulator; only it accepts a fault schedule,
+    which runs on a network of its own.
+
+    ``detail=False`` builds no flow records of its own (``records`` comes
+    back empty); listeners still get every record.  Times and the
+    per-round breakdown are unaffected.
     """
 
     name = "des"
@@ -589,7 +593,8 @@ class DESBackend:
         if cores.size and (cores.min() < 0 or cores.max() >= topology.n_cores):
             raise ValueError("rank_to_core refers to cores outside the machine")
         records: list = []
-        sinks = [records.append, *listeners]
+        detail = bool(options.get("detail", True))
+        sinks = [records.append, *listeners] if detail else list(listeners)
         net = None if faults else (
             network or FlowNetwork(topology, incremental=incremental, audit=audit)
         )
@@ -663,7 +668,7 @@ def _lockstep(
     completed flow goes to ``sinks`` as a
     :class:`~repro.simmpi.runtime.FlowRecord` shifted onto the
     accumulated timeline, keyed like the simulator keys it:
-    ``(communicator id, flow index)``.
+    ``(communicator id, flow index)``; with no sinks no record is built.
     """
     from repro.netsim.lockstep import post_order, run_round
     from repro.simmpi.communicator import new_comm_id
@@ -679,7 +684,8 @@ def _lockstep(
         run = run_round(network, src[order], dst[order], nbytes[order], spec.compute)
         # Shift the round's records onto the accumulated timeline.
         start = (spec.compute if spec.compute > 0.0 else 0.0) + total
-        for i, end in zip(order[run.order].tolist(), run.ends.tolist()):
+        completed = zip(order[run.order].tolist(), run.ends.tolist()) if sinks else ()
+        for i, end in completed:
             record = FlowRecord(
                 src_rank=int(spec.src[i]),
                 dst_rank=int(spec.dst[i]),

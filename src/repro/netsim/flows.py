@@ -1,4 +1,4 @@
-"""Exact max-min fair flow rates: incremental, vectorized progressive filling.
+"""Exact max-min fair flow rates: incremental progressive filling.
 
 The discrete-event MPI runtime keeps a set of *active flows* that start and
 finish asynchronously.  Whenever the set changes, rates are recomputed with
@@ -15,38 +15,42 @@ CI run can afford.  This module now keeps the *same exact allocation*
 (bit-identical floats, locked by golden regressions) but computes it
 through three layers of reuse:
 
-1. **CSR-style incidence, cached paths.**  Paths are pure functions of the
-   topology, so per-(src, dst) edge-ID arrays and base latencies are
-   computed once and cached; collective phases hit the same few hundred
-   pairs over and over.  A recompute concatenates cached arrays instead of
-   rebuilding Python lists.
-2. **Vectorized fixpoint.**  The progressive-filling loop is NumPy end to
-   end: fair shares are one vectorized divide over edges, the bottleneck
-   edge is an argmin (with the seed's insertion-order tie-breaking
-   replicated so float trajectories match bit for bit), and all flows on
-   the saturated edge are frozen in one batch through the incidence
-   arrays.
+1. **Cached paths, per machine.**  Paths are pure functions of the
+   topology, so per-(src, dst) edge-ID arrays and lists and base
+   latencies are computed once per machine and shared by every network
+   on it; collective phases hit the same few hundred pairs over and over.
+2. **Two exact solvers.**  Small active sets (under
+   :data:`VECTOR_MIN_FLOWS`) run progressive filling on plain Python
+   floats over per-edge flow lists; larger ones run a NumPy fixpoint:
+   fair shares are one vectorized divide over edges, the bottleneck edge
+   is an argmin, and all flows on the saturated edge are frozen in one
+   batch through CSR incidence arrays.  Both renumber edges by first
+   appearance to replicate the seed's insertion-order tie-breaking, so
+   float trajectories match bit for bit.
 3. **Lazy, memoized recomputation.**  :meth:`FlowNetwork.apply_rates`
    keys the active set by its (fault-state, flow-pair sequence) signature:
    an unchanged signature skips the recompute outright, and a previously
    seen signature replays the memoized rate vector (repeated phases --
-   ring rounds, barriers, retry loops -- pay for one solve).  Fault
-   installation via :meth:`set_link_faults` rotates the signature token,
-   so memo entries never leak across capacity states, and restoring the
-   healthy state revalidates the healthy memo entries.
+   ring rounds, barriers, retry loops -- pay for one solve).  The memo is
+   per machine, so the networks of successive DES evaluations reuse each
+   other's solves.  Fault installation via :meth:`set_link_faults` rotates
+   the signature token to the canonical fault tuple, which fixes the
+   capacities, so memo entries never leak across capacity states, and
+   restoring the healthy state revalidates the healthy memo entries.
 
 An opt-in audit mode (``audit=True``, surfaced as ``--no-incremental`` on
 the CLI, mirroring the sweep engine's ``--no-prune``) cross-checks every
-memoized/vectorized allocation against the retained reference
+memoized or freshly solved allocation against the retained reference
 implementation (:meth:`FlowNetwork.max_min_rates_reference`) at
 ``rtol=1e-12`` and raises :class:`RateAuditError` on any divergence.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,17 +61,20 @@ from repro.topology.machine import MachineTopology
 #: anything past a few ulps means the kernel broke.
 AUDIT_RTOL = 1e-12
 
-#: Memoized rate vectors kept per network (LRU).  Keys embed the active
+#: Memoized rate vectors kept per machine (LRU).  Keys embed the active
 #: flow pairs, so unbounded growth would cost real memory on fuzz
 #: campaigns that visit millions of distinct phases.
 RATE_MEMO_LIMIT = 8192
 
-#: Flow-count threshold below which a fresh solve runs the scalar
-#: progressive-filling loop instead of the vectorized fixpoint.  The two
-#: are bit-identical; this is purely a constant-factor dispatch.  NumPy
-#: call overhead (~5-10us per ufunc) dominates the vectorized kernel's
-#: setup on small active sets, while the scalar loop's O(links x flows)
-#: interpreter cost only wins out past a few dozen flows.
+#: Flow-count threshold below which a fresh solve runs the plain-float
+#: solver (:meth:`FlowNetwork._solve_small`) instead of the vectorized
+#: fixpoint.  The two are bit-identical; this is purely a constant-factor
+#: dispatch.  NumPy call overhead (~5-10us per ufunc) dominates the
+#: vectorized kernel's setup on small active sets, while the plain-float
+#: loop's O(iterations x touched edges) interpreter cost wins out past a
+#: few dozen flows.  Where exactly depends on the machine and the set:
+#: measured, drawn sets cross over near 24-32 flows on a 2048-core LUMI
+#: and past 64-128 on hydra(4); 48 sits between.
 VECTOR_MIN_FLOWS = 48
 
 
@@ -143,19 +150,31 @@ class Flow:
             self.remaining = float(self.nbytes)
 
 
-#: Shared per-topology caches.  Paths and base latencies are pure
-#: functions of the (frozen, hashable) topology, and so is a lockstep
-#: round on the healthy machine, so every FlowNetwork on the same machine
-#: -- e.g. the networks of successive DES evaluations -- shares them.
-_TOPO_CACHES: dict[MachineTopology, tuple[dict, dict, dict, OrderedDict]] = {}
+class _TopoCaches(NamedTuple):
+    """Shared per-topology caches.
+
+    Paths and base latencies are pure functions of the (frozen, hashable)
+    topology; a rate vector is a pure function of the topology, the
+    canonical fault tuple and the active pair sequence; a lockstep round
+    on the healthy machine is a pure function of its flows.  So every
+    FlowNetwork on the same machine -- e.g. the networks of successive
+    DES evaluations -- shares them.
+    """
+
+    paths: dict  # (src, dst) -> read-only edge-ID array
+    path_lists: dict  # (src, dst) -> edge-ID list
+    base_lat: dict  # (src, dst) -> healthy latency
+    rate_memo: OrderedDict  # (fault token, pairs) -> rate vector (LRU)
+    round_memo: OrderedDict  # lockstep round results (LRU)
 
 
-def _topo_caches(topology: MachineTopology) -> tuple[dict, dict, dict, OrderedDict]:
+_TOPO_CACHES: dict[MachineTopology, _TopoCaches] = {}
+
+
+def _topo_caches(topology: MachineTopology) -> _TopoCaches:
     hit = _TOPO_CACHES.get(topology)
     if hit is None:
-        # (path arrays, path lists, base latencies) keyed by (src, dst),
-        # then the lockstep round memo (see repro.netsim.lockstep)
-        hit = ({}, {}, {}, OrderedDict())
+        hit = _TopoCaches({}, {}, {}, OrderedDict(), OrderedDict())
         _TOPO_CACHES[topology] = hit
     return hit
 
@@ -168,10 +187,10 @@ class FlowNetwork:
     topology:
         Machine model providing link structure and latencies.
     incremental:
-        Use the vectorized kernel with signature skipping and rate
-        memoization (default).  ``False`` recomputes from scratch with the
-        reference progressive-filling loop on every call -- the seed
-        behavior, kept as the benchmark baseline.
+        Use the kernel's solvers with signature skipping and the
+        per-machine rate memo (default).  ``False`` recomputes from
+        scratch with the reference progressive-filling loop on every call
+        -- the seed behavior, kept as the benchmark baseline.
     audit:
         Cross-check every incremental allocation against the reference at
         ``rtol=1e-12`` and raise :class:`RateAuditError` on divergence.
@@ -203,6 +222,8 @@ class FlowNetwork:
             self._root_edge = self._capacity.size - 1
         # Healthy capacities; fault injection rescales _capacity from these.
         self._base_capacity = self._capacity.copy()
+        # The same capacities as Python floats, for the small-set solver.
+        self._capacity_list: list[float] = self._capacity.tolist()
         #: Largest and smallest current link capacity.  The largest bounds
         #: any flow's rate and the smallest tells whether a link is stalled;
         #: the simulator's lazy-reprice deferral proofs use both.
@@ -211,17 +232,22 @@ class FlowNetwork:
         self._lat_faults: dict[tuple[int, int], float] = {}
         # -- incremental-kernel state -------------------------------------
         caches = _topo_caches(topology)
-        self._path_cache, self._path_list_cache, self._base_lat_cache = caches[:3]
+        self._path_cache = caches.paths
+        self._path_list_cache = caches.path_lists
+        self._base_lat_cache = caches.base_lat
         #: Per-topology LRU of healthy lockstep round results, shared by
         #: every network on the machine (see :mod:`repro.netsim.lockstep`).
-        self.round_memo = caches[3]
+        self.round_memo = caches.round_memo
         #: Latency cache valid for the *current* fault state only.
         self._lat_cache: dict[tuple[int, int], float] = {}
         #: Distinguishes capacity states in memo keys.  () is the healthy
         #: machine; a non-empty token is the canonical active-fault tuple,
         #: so revisiting an identical fault state reuses its memo entries.
         self._fault_token: tuple = ()
-        self._rate_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        #: Per-topology LRU of solved rate vectors, shared by every network
+        #: on the machine: its keys carry the fault token, and capacities
+        #: are a pure function of the topology and that token.
+        self.rate_memo: OrderedDict[tuple, np.ndarray] = caches.rate_memo
         self._last_key: tuple | None = None
         self._last_rates: np.ndarray | None = None
 
@@ -268,6 +294,7 @@ class FlowNetwork:
             (int(lv), int(comp), float(bw), float(lat))
             for lv, comp, bw, lat in faults
         )
+        self._capacity_list = self._capacity.tolist()
         self.max_capacity = float(self._capacity.max(initial=0.0))
         self.min_capacity = float(self._capacity.min(initial=np.inf))
         # Latencies depend on the active latency-fault set; the base cache
@@ -367,24 +394,25 @@ class FlowNetwork:
     # -- max-min kernel -------------------------------------------------------
 
     def max_min_rates(self, flows: Sequence[Flow]) -> np.ndarray:
-        """Exact max-min fair rate per flow (vectorized progressive filling).
+        """Exact max-min fair rate per flow (progressive filling).
 
-        Dispatches to the scalar reference loop below
-        :data:`VECTOR_MIN_FLOWS` active flows, where interpreter overhead
-        beats NumPy call overhead; the allocation is identical either way.
+        Below :data:`VECTOR_MIN_FLOWS` active flows the plain-float solver
+        (:meth:`_solve_small`) runs, where NumPy call overhead would
+        dominate; past it the vectorized fixpoint (:meth:`_solve`).  The
+        allocation is bitwise the reference's either way.
         """
         n = len(flows)
         if n == 0:
             return np.zeros(0)
         if n < VECTOR_MIN_FLOWS:
-            return self.max_min_rates_reference(flows)
+            return self._solve_small(flows)
         paths = [self._path_array(f.src, f.dst) for f in flows]
         return self._solve(paths)
 
     def max_min_rates_reference(self, flows: Sequence[Flow]) -> np.ndarray:
         """The seed's dict/set progressive-filling loop, kept verbatim.
 
-        This is the semantic ground truth the vectorized kernel is audited
+        This is the semantic ground truth both kernel solvers are audited
         against (and the baseline the DES-kernel benchmark measures the
         speedup from).  O(links x flows) per call.
         """
@@ -428,6 +456,72 @@ class FlowNetwork:
                     edge_flows[e].discard(i)
                 cap[best_edge] = max(cap[best_edge], 0.0)
         return rates
+
+    def _solve_small(self, flows: Sequence[Flow]) -> np.ndarray:
+        """Progressive filling on plain Python floats, for small active sets.
+
+        The reference's loop without its numpy scalars and sets: edges are
+        renumbered by first appearance in (flow order, path order), which
+        is the reference's ``edge_flows`` insertion order, so its strict-<
+        first-minimum scan picks the same bottleneck, and each frozen flow
+        subtracts the share from its edges, as in the reference.  Python
+        floats are IEEE doubles like ``np.float64``, so every intermediate
+        value, and the result, is bitwise the reference's.  The
+        reference's clamp of the bottleneck at 0 is left out: once its
+        flows are frozen that edge is never scanned again.
+        """
+        capacity = self._capacity_list
+        path_lists = self._path_list_cache
+        n = len(flows)
+        rates = [0.0] * n
+        slot_of: dict[int, int] = {}
+        cap: list[float] = []  # remaining capacity per compact edge
+        count: list[int] = []  # unfrozen flows per compact edge
+        members: list[list[int]] = []  # flows per compact edge, ascending
+        flow_slots: list[list[int]] = []
+        live = 0
+        for i, f in enumerate(flows):
+            path = path_lists.get((f.src, f.dst))
+            if path is None:
+                path = self.path_edges(f.src, f.dst)
+            slots = []
+            for e in path:
+                s = slot_of.get(e)
+                if s is None:
+                    s = slot_of[e] = len(cap)
+                    cap.append(capacity[e])
+                    count.append(0)
+                    members.append([])
+                count[s] += 1
+                members[s].append(i)
+                slots.append(s)
+            flow_slots.append(slots)
+            if slots:
+                live += 1
+            else:  # a self-flow is instantaneous
+                rates[i] = math.inf
+        frozen = [False] * n
+        while live:
+            best_share = math.inf
+            best = -1
+            for s, c in enumerate(count):
+                if c:
+                    share = cap[s] / c
+                    if share < best_share:
+                        best_share = share
+                        best = s
+            if best < 0:  # pragma: no cover - defensive, as in the reference
+                break
+            for i in members[best]:
+                if frozen[i]:
+                    continue
+                frozen[i] = True
+                rates[i] = best_share
+                live -= 1
+                for s in flow_slots[i]:
+                    cap[s] -= best_share
+                    count[s] -= 1
+        return np.array(rates)
 
     def _solve(self, paths: list[np.ndarray]) -> np.ndarray:
         """Vectorized progressive filling over cached path arrays.
@@ -541,16 +635,16 @@ class FlowNetwork:
             rates = self._last_rates
             KERNEL_STATS.signature_skips += 1
         else:
-            rates = self._rate_memo.get(key)
+            rates = self.rate_memo.get(key)
             if rates is not None:
-                self._rate_memo.move_to_end(key)
+                self.rate_memo.move_to_end(key)
                 KERNEL_STATS.memo_hits += 1
             else:
                 rates = self.max_min_rates(flows)
                 rates.setflags(write=False)
-                self._rate_memo[key] = rates
-                if len(self._rate_memo) > RATE_MEMO_LIMIT:
-                    self._rate_memo.popitem(last=False)
+                self.rate_memo[key] = rates
+                if len(self.rate_memo) > RATE_MEMO_LIMIT:
+                    self.rate_memo.popitem(last=False)
                 KERNEL_STATS.solves += 1
             self._last_key = key
             self._last_rates = rates

@@ -422,3 +422,25 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_evaluator("round", _order_blind_eval)
+
+
+def test_des_evaluation_is_pinned():
+    """The des evaluator's output on one request, as the records-building
+    replay gave it: building no records changes no time."""
+    req = EvalRequest(
+        model="des",
+        topology=TOPO,
+        hierarchy=H,
+        order=(2, 0, 1),
+        comm_size=8,
+        workload="collective",
+        workload_params=collective_params("alltoall", 8, 1e6),
+        extras=(("des_all", True),),
+    )
+    assert EVALUATORS["des"](req) == {
+        "duration_des": 3.246428571428571e-05,
+        "duration_round": 3.246428571428572e-05,
+        "duration_single": 3.246428571428571e-05,
+        "n_rounds": 7.0,
+        "duration_all": 5.050000000000001e-05,
+    }

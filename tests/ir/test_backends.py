@@ -177,6 +177,31 @@ class TestDESBackend:
             )
             assert empty.time == plain.time
 
+    @pytest.mark.parametrize("mode", ["lockstep", "pipelined"])
+    def test_detail_false_builds_no_records(self, mode):
+        from repro.verify.invariants import check_trace
+
+        prog = collective_program("alltoall", 8, 1e6, "pairwise")
+        cores = np.arange(0, 16, 2)  # both nodes
+        des = get_backend("des")
+        full = des.run(prog, TOPO, [cores], mode=mode)
+        lean = des.run(prog, TOPO, [cores], mode=mode, detail=False)
+        assert lean.records == []
+        assert lean.time == full.time
+        assert lean.per_round == full.per_round
+        assert full.records and check_trace(TOPO, full.records, cores).ok
+        # Listeners still get every record.
+        heard = []
+        des.run(prog, TOPO, [cores], mode=mode, detail=False, listeners=[heard.append])
+
+        def fields(recs):
+            return [
+                (r.src_rank, r.dst_rank, r.src_core, r.dst_core, r.nbytes, r.start, r.end)
+                for r in recs
+            ]
+
+        assert fields(heard) == fields(full.records)
+
     def test_concurrent_placements_offset_concatenated(self):
         prog = collective_program("alltoall", 4, 1e5, "pairwise")
         eng = get_backend("des")

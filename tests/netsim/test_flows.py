@@ -158,23 +158,43 @@ class TestIncrementalKernel:
     def test_non_incremental_mode_runs_the_reference(self):
         net = FlowNetwork(_topo(), incremental=False)
         flows = [Flow(0, 8, 1e6)]
+        # The rate memo is shared per topology, so earlier networks may
+        # have filled it: drop this active set's entry, then check the
+        # reference solves put none back.
+        net.rate_memo.pop(net._signature(flows), None)
+        entries = len(net.rate_memo)
         refs = KERNEL_STATS.reference_solves
         net.apply_rates(flows)
         net.apply_rates(flows)
         assert KERNEL_STATS.reference_solves == refs + 2
-        assert not net._rate_memo
+        assert len(net.rate_memo) == entries
+        assert net._signature(flows) not in net.rate_memo
+
+    def test_rate_memo_is_shared_per_topology(self):
+        flows = [Flow(0, 9, 1e6), Flow(1, 8, 1e6)]
+        first = FlowNetwork(_topo())
+        first.rate_memo.pop(first._signature(flows), None)
+        first.apply_rates(flows)
+        hits = KERNEL_STATS.memo_hits
+        FlowNetwork(_topo()).apply_rates(flows)
+        assert KERNEL_STATS.memo_hits == hits + 1
 
     def test_audit_mode_raises_on_divergence(self):
         net = FlowNetwork(_topo(), audit=True)
         flows = [Flow(0, 8, 1e6)]
         net.apply_rates(flows)  # also audits; must pass
         # Poison the memo entry and force the memo path: the audit must
-        # catch the (synthetic) divergence.
-        ((key, rates),) = net._rate_memo.items()
-        net._rate_memo[key] = rates * 0.5
-        net._last_key = None
-        with pytest.raises(RateAuditError, match="diverge"):
-            net.apply_rates(flows)
+        # catch the (synthetic) divergence.  The memo outlives this
+        # network, so the entry is restored whatever happens.
+        key = net._signature(flows)
+        rates = net.rate_memo[key]
+        try:
+            net.rate_memo[key] = rates * 0.5
+            net._last_key = None
+            with pytest.raises(RateAuditError, match="diverge"):
+                net.apply_rates(flows)
+        finally:
+            net.rate_memo[key] = rates
 
     def test_path_edges_returns_a_private_copy(self):
         net = FlowNetwork(_topo())

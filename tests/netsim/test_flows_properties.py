@@ -2,9 +2,10 @@
 reference.
 
 The golden regressions lock specific trajectories; these properties lock
-the general contract on random inputs: the vectorized solver, the
-memoized ``apply_rates`` path (through arbitrary fault sequences), and
-the lazily-repriced DES are all *bitwise* interchangeable with the
+the general contract on random inputs: the small-set and vectorized
+solvers, the memoized ``apply_rates`` path (through arbitrary fault
+sequences, with the per-topology memo shared between networks), and the
+lazily-repriced DES are all *bitwise* interchangeable with the
 from-scratch reference loop, and the allocation itself is the max-min
 fixpoint (order-invariant as a multiset).
 """
@@ -12,7 +13,7 @@ fixpoint (order-invariant as a multiset).
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.netsim.flows import VECTOR_MIN_FLOWS, Flow, FlowNetwork
@@ -44,6 +45,32 @@ def permuted_flow_sets(draw, min_flows=2, max_flows=10):
     topo, pairs = draw(flow_sets(min_flows=min_flows, max_flows=max_flows))
     perm = draw(st.permutations(range(len(pairs))))
     return topo, pairs, perm
+
+
+@st.composite
+def fault_sets(draw, topo):
+    """An active-fault set to install; ``bw_factor`` 0 stalls a link."""
+    faults = []
+    for _ in range(draw(st.integers(0, 3))):
+        level = draw(st.integers(0, topo.depth - 1))
+        comp = draw(st.integers(0, topo.component_counts[level] - 1))
+        bw = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.05, 1.0))
+        faults.append((level, comp, bw, draw(st.floats(1.0, 3.0))))
+    return faults
+
+
+@st.composite
+def small_active_sets(draw):
+    """Active sets below the dispatch floor, with self-flows, duplicate
+    pairs and an installed fault set."""
+    topo = TOPOS[draw(st.integers(0, len(TOPOS) - 1))]
+    core = st.integers(0, topo.n_cores - 1)
+    pair = st.tuples(core, core) | core.map(lambda c: (c, c))
+    # Sizes drawn flat: tie-breaking only shows on sets of a dozen or more.
+    pairs = [draw(pair) for _ in range(draw(st.integers(1, VECTOR_MIN_FLOWS - 5)))]
+    pairs += [pairs[i] for i in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=4))]
+    pairs = draw(st.permutations(pairs))
+    return topo, pairs, draw(fault_sets(topo))
 
 
 @st.composite
@@ -91,6 +118,66 @@ def test_public_kernel_bitwise_matches_reference_above_dispatch_floor(case):
     assert np.array_equal(
         net.max_min_rates(flows), net.max_min_rates_reference(flows)
     )
+
+
+@seed(20241018)
+@given(small_active_sets())
+@settings(max_examples=60, deadline=None)
+def test_public_kernel_bitwise_matches_reference_below_dispatch_floor(case):
+    """Below the dispatch floor ``max_min_rates`` takes the plain-float
+    solver; its rates are the reference's bit for bit (``tobytes`` tells
+    ``-0.0`` from ``0.0``), stalled links included."""
+    topo, pairs, faults = case
+    assert len(pairs) < VECTOR_MIN_FLOWS
+    net = FlowNetwork(topo)
+    net.set_link_faults(faults)
+    flows = _flows(pairs)
+    got = net.max_min_rates(flows)
+    assert got.tobytes() == net.max_min_rates_reference(flows).tobytes()
+
+
+@st.composite
+def shared_memo_histories(draw):
+    """Two networks' interleaved steps on one topology: fault installs
+    and repricings drawn from a small pool of pair sequences, so both
+    networks ask the shared memo for the same sequences under different
+    capacity states."""
+    topo = TOPOS[draw(st.integers(0, len(TOPOS) - 1))]
+    core = st.integers(0, topo.n_cores - 1)
+    pool = draw(
+        st.lists(st.lists(st.tuples(core, core), min_size=1, max_size=8),
+                 min_size=1, max_size=3)
+    )
+    steps = []
+    for _ in range(draw(st.integers(2, 10))):
+        who = draw(st.integers(0, 1))
+        if draw(st.booleans()):
+            steps.append((who, "faults", draw(fault_sets(topo))))
+        else:
+            steps.append((who, "apply", draw(st.sampled_from(pool))))
+    return topo, steps
+
+
+@seed(20241019)
+@given(shared_memo_histories())
+@settings(max_examples=40, deadline=None)
+def test_shared_rate_memo_never_leaks_across_capacity_states(case):
+    """Networks on one machine share the rate memo; each still matches
+    its own ``incremental=False`` twin bit for bit, whatever faults the
+    other network installed."""
+    topo, steps = case
+    nets = [FlowNetwork(topo) for _ in range(2)]
+    twins = [FlowNetwork(topo, incremental=False) for _ in range(2)]
+    for who, kind, payload in steps:
+        if kind == "faults":
+            nets[who].set_link_faults(payload)
+            twins[who].set_link_faults(payload)
+            continue
+        fi, fr = _flows(payload), _flows(payload)
+        nets[who].apply_rates(fi)
+        twins[who].apply_rates(fr)
+        got = np.array([f.rate for f in fi])
+        assert got.tobytes() == np.array([f.rate for f in fr]).tobytes()
 
 
 @given(apply_sequences())
