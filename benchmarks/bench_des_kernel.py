@@ -23,7 +23,10 @@ bursts, the lockstep round memo answers repeated rounds, and those
 savings are legitimately counted) and
 replayed against persistent networks, one cold pass (the per-topology
 rate memo cleared first) plus ``WARM_REPS - 1`` warm passes, exactly the
-steady state a long differential/chaos campaign sees.  End-to-end walls for both modes are reported alongside.
+steady state a long differential/chaos campaign sees.  End-to-end walls
+for both modes are reported alongside, both warm: an untimed reference
+pass runs first, so neither timed suite pays the process's one-time
+costs.
 """
 
 from __future__ import annotations
@@ -84,10 +87,18 @@ def test_des_kernel_speedup_and_identity(once):
     from repro.topology.machines import generic_cluster
 
     topology = generic_cluster((2, 2, 4), names=("node", "socket", "core"))
-    # Start the recorded run from a cold lockstep round memo, which is
-    # per topology and outlives networks: whatever ran earlier in this
-    # process must not answer the suite's rounds before they are recorded.
-    FlowNetwork(topology).round_memo.clear()
+    # One untimed reference pass first: it pays the suite's one-time
+    # costs (imports, lowering, placement) that would otherwise land on
+    # whichever timed suite runs first.  The reference mode reads and
+    # fills no memo.
+    seed_benchmark_suite(incremental=False)
+    # Start the recorded run from cold lockstep round and rate memos,
+    # which are per topology and outlive networks: whatever ran earlier
+    # in this process must not answer the suite's rounds or solves
+    # before they are recorded.
+    memos = FlowNetwork(topology)
+    memos.round_memo.clear()
+    memos.rate_memo.clear()
 
     # -- end-to-end walls + recorded repricing workloads ----------------------
     KERNEL_STATS.reset()

@@ -32,9 +32,9 @@ with ``plan.requests`` therefore produces rankings bitwise-identical to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.core.equivalence import equivalence_classes
 from repro.core.hierarchy import Hierarchy
@@ -44,32 +44,91 @@ from repro.launcher.slurm import order_to_distribution
 from repro.topology.machine import MachineTopology
 
 
+class ClassText(NamedTuple):
+    """A :class:`Recommendation`'s fields and rendered text, save its
+    duration.
+
+    Built once per class set beside :func:`_order_classes`, so a query
+    pairs each class with its total instead of re-rendering it.
+    """
+
+    order: Order
+    equivalent_orders: tuple[Order, ...]
+    signature: OrderSignature
+    slurm_distribution: str | None
+    order_name: str
+    equivalent_names: tuple[str, ...]
+    legend_prefix: str  # "<signature legend>[ [slurm]] "
+
+    @classmethod
+    def render(
+        cls,
+        order: Order,
+        equivalent_orders: tuple[Order, ...],
+        signature: OrderSignature,
+        slurm_distribution: str | None,
+    ) -> "ClassText":
+        slurm = f" [{slurm_distribution}]" if slurm_distribution else ""
+        return cls(
+            order,
+            equivalent_orders,
+            signature,
+            slurm_distribution,
+            format_order(order),
+            tuple(format_order(o) for o in equivalent_orders),
+            f"{signature.legend()}{slurm} ",
+        )
+
+    @classmethod
+    def of(cls, hierarchy: Hierarchy, sigs: tuple[OrderSignature, ...]) -> "ClassText":
+        """The text of one equivalence class (representative first)."""
+        rep = sigs[0]
+        return cls.render(
+            rep.order,
+            tuple(s.order for s in sigs),
+            rep,
+            order_to_distribution(hierarchy, rep.order),
+        )
+
+
 @dataclass(frozen=True)
 class Recommendation:
-    """One scored equivalence class of orders."""
+    """One scored equivalence class of orders.
+
+    ``text`` is the class's pre-rendered :class:`ClassText`, shared by
+    every answer over the same class set; text built for other fields
+    (say, after :func:`dataclasses.replace`) is ignored and the fields
+    are rendered instead.
+    """
 
     order: Order  # representative
     equivalent_orders: tuple[Order, ...]
     signature: OrderSignature
     predicted_seconds: float
     slurm_distribution: str | None
+    text: ClassText | None = field(default=None, compare=False, repr=False)
+
+    def _text(self) -> ClassText:
+        fields = (
+            self.order, self.equivalent_orders, self.signature, self.slurm_distribution
+        )
+        if self.text is not None and self.text[:4] == fields:
+            return self.text
+        return ClassText.render(*fields)
 
     def legend(self) -> str:
-        slurm = f" [{self.slurm_distribution}]" if self.slurm_distribution else ""
-        return (
-            f"{self.signature.legend()}{slurm} "
-            f"-> {self.predicted_seconds * 1e3:.3f} ms"
-        )
+        return f"{self._text().legend_prefix}-> {self.predicted_seconds * 1e3:.3f} ms"
 
     def to_jsonable(self) -> dict:
         """JSON-safe form (floats round-trip exactly through ``json``)."""
+        text = self._text()
         return {
             "order": list(self.order),
-            "order_name": format_order(self.order),
-            "equivalent_orders": [format_order(o) for o in self.equivalent_orders],
+            "order_name": text.order_name,
+            "equivalent_orders": list(text.equivalent_names),
             "predicted_seconds": self.predicted_seconds,
             "slurm_distribution": self.slurm_distribution,
-            "legend": self.legend(),
+            "legend": f"{text.legend_prefix}-> {self.predicted_seconds * 1e3:.3f} ms",
         }
 
 
@@ -91,8 +150,15 @@ class Advice:
         return self.recommendations[-1]
 
     def spread_factor(self) -> float:
-        """Predicted worst/best duration ratio — how much the choice matters."""
-        return self.worst.predicted_seconds / self.best.predicted_seconds
+        """Predicted worst/best duration ratio — how much the choice matters.
+
+        1.0 when every predicted time is 0 (e.g. one-rank communicators
+        move no data): no choice matters.
+        """
+        best = self.best.predicted_seconds
+        if best == 0 and all(r.predicted_seconds == 0 for r in self.recommendations):
+            return 1.0
+        return self.worst.predicted_seconds / best
 
     def report(self) -> str:
         lines = [
@@ -127,6 +193,8 @@ class QueryPlan:
     -- aligned with ``requests`` -- :func:`advice_from_results`
     assembles into an :class:`Advice`.  Index arithmetic: request ``i``
     scores class ``i // len(cells)`` on cell ``cells[i % len(cells)]``.
+    ``texts`` holds each class's :class:`ClassText`, aligned with
+    ``classes`` (the memo's, shared by every plan over the class set).
     """
 
     topology: MachineTopology
@@ -136,6 +204,7 @@ class QueryPlan:
     backend: str
     classes: tuple[tuple[OrderSignature, ...], ...]
     requests: tuple = ()
+    texts: tuple[ClassText, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def comm_size(self) -> int:
@@ -186,7 +255,7 @@ def plan_query(
             f"{sorted({c.comm_size for c in cells})}"
         )
     check_grid(topology, hierarchy, cells, backend)
-    classes = _order_classes(
+    classes, texts = _order_classes(
         hierarchy,
         hierarchy.masked,
         comm_size,
@@ -205,6 +274,7 @@ def plan_query(
         backend=backend,
         classes=classes,
         requests=requests,
+        texts=texts,
     )
 
 
@@ -214,18 +284,22 @@ def _order_classes(
     masked: bool,
     comm_size: int,
     orders: tuple[Order, ...] | None,
-) -> tuple[tuple[OrderSignature, ...], ...]:
-    """:func:`equivalence_classes` as immutable tuples, memoized.
+) -> tuple[tuple[tuple[OrderSignature, ...], ...], tuple[ClassText, ...]]:
+    """:func:`equivalence_classes` as immutable tuples, plus each class's
+    :class:`ClassText`, memoized.
 
-    A query's classes depend only on these arguments, not on its
-    payloads, so a service plan-memo miss for a novel payload reuses
-    them.  ``masked`` is passed apart because :class:`Hierarchy`
-    equality ignores it while it switches the grouping key.
+    A query's classes, and everything its answer shows of them but their
+    durations (Slurm string, order names, legend prefix), depend only on
+    these arguments, not on its payloads, so a service plan-memo miss
+    for a novel payload reuses them.  ``masked`` is passed apart because
+    :class:`Hierarchy` equality ignores it while it switches the
+    grouping key.
     """
-    return tuple(
+    classes = tuple(
         tuple(sigs)
         for sigs in equivalence_classes(hierarchy, comm_size, orders=orders).values()
     )
+    return classes, tuple(ClassText.of(hierarchy, sigs) for sigs in classes)
 
 
 def advice_from_results(plan: QueryPlan, results: Sequence[dict]) -> Advice:
@@ -267,20 +341,34 @@ def advice_from_results(plan: QueryPlan, results: Sequence[dict]) -> Advice:
     return _assemble(plan, totals)
 
 
+def _class_texts(plan: QueryPlan) -> tuple[ClassText, ...]:
+    """``plan.texts``, or the classes rendered afresh when the plan
+    carries none for them (a plan built or ``replace``-d by hand)."""
+    texts = plan.texts
+    if len(texts) == len(plan.classes) and all(
+        t.signature is sigs[0] for t, sigs in zip(texts, plan.classes)
+    ):
+        return texts
+    return tuple(ClassText.of(plan.hierarchy, sigs) for sigs in plan.classes)
+
+
 def _assemble(plan: QueryPlan, totals: Sequence[float]) -> Advice:
-    """Ranked advice from one summed duration per equivalence class."""
-    recs = []
-    for sigs, total in zip(plan.classes, totals):
-        rep = sigs[0]
-        recs.append(
-            Recommendation(
-                order=rep.order,
-                equivalent_orders=tuple(s.order for s in sigs),
-                signature=rep,
-                predicted_seconds=total,
-                slurm_distribution=order_to_distribution(plan.hierarchy, rep.order),
-            )
+    """Ranked advice from one summed duration per equivalence class.
+
+    Pairs each total with the class's memoized :class:`ClassText`, so
+    nothing is rendered or looked up per query.
+    """
+    recs = [
+        Recommendation(
+            order=t.order,
+            equivalent_orders=t.equivalent_orders,
+            signature=t.signature,
+            predicted_seconds=total,
+            slurm_distribution=t.slurm_distribution,
+            text=t,
         )
+        for t, total in zip(_class_texts(plan), totals)
+    ]
     recs.sort(key=lambda r: r.predicted_seconds)
     return Advice(
         recommendations=tuple(recs),
@@ -351,10 +439,12 @@ def ladder_advise(
             "failed)"
         )
     finalists = tuple(result.ranking)
+    texts = _class_texts(plan)
     reduced = dataclasses.replace(
         plan,
         classes=tuple(plan.classes[ci] for ci in finalists),
         requests=(),
+        texts=tuple(texts[ci] for ci in finalists),
     )
     totals = [result.scores[ci] for ci in finalists]
     return _assemble(reduced, totals), result

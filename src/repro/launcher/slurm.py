@@ -17,6 +17,7 @@ canonical within-socket order).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -110,12 +111,25 @@ def order_to_distribution(hierarchy: Hierarchy, order: Sequence[int]) -> str | N
     """The ``--distribution`` value realizing ``order``, or ``None``.
 
     Figure 2's captions: orders without a Slurm equivalent return None.
+    One dict lookup in :func:`_distribution_of`, the reverse of
+    :func:`expressible_distributions` built once per radix tuple.
     """
-    order = tuple(order)
-    for value, candidate in expressible_distributions(hierarchy).items():
-        if candidate == order:
-            return value
-    return None
+    return _distribution_of(hierarchy.radices).get(tuple(order))
+
+
+@lru_cache(maxsize=256)
+def _distribution_of(radices: tuple[int, ...]) -> dict[Order, str]:
+    """Order -> the first ``--distribution`` value (in
+    :func:`expressible_distributions` order) that realizes it.
+
+    Only the radices shape the orders, so level names and masking share
+    one map.  Bounded like the advisor's class memo, whose class sets
+    each name one radix tuple.
+    """
+    out: dict[Order, str] = {}
+    for value, order in expressible_distributions(Hierarchy(radices)).items():
+        out.setdefault(order, value)
+    return out
 
 
 DEFAULT_DISTRIBUTION = "block:cyclic"

@@ -13,7 +13,10 @@ or an unanswerable query (:class:`~repro.service.app.QueryError`) is a
 400, an unknown route a 404, a wrong method a 405, an oversized body a
 413, and an evaluation failure
 (:class:`~repro.engine.batch.BatchEvaluationError`, which names the
-failed grid points) a 500 with the structured detail in the body.
+failed grid points) a 500 with the structured detail in the body.  Any
+other exception while answering a request is logged and answered with a
+500 naming it, and the connection is then closed; every error status is
+counted in ``/stats`` ``errors``.
 
 Connections are keep-alive by default (HTTP/1.1 semantics); the bench
 harness leans on that to measure steady-state query latency rather than
@@ -184,6 +187,11 @@ class ServiceServer:
                 except _HttpError as err:
                     self.service.errors += 1
                     status, doc = err.status, err.doc
+                except Exception as err:  # noqa: BLE001 - answer, then drop
+                    log.exception("unhandled error answering a request")
+                    self.service.errors += 1
+                    status, doc = 500, {"error": f"internal error: {err!r}"}
+                    keep_alive = False
                 writer.write(_encode(status, doc, keep_alive))
                 await writer.drain()
                 if not keep_alive:

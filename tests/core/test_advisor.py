@@ -1,5 +1,6 @@
 """Unit tests for the order advisor."""
 
+import dataclasses
 import re
 
 import pytest
@@ -46,6 +47,23 @@ class TestAdvise:
     def test_spread_factor_above_one(self):
         advice = advise(TOPO, H, 16, "alltoall")
         assert advice.spread_factor() > 1.0
+
+    def test_replaced_recommendation_renders_its_own_fields(self):
+        rec = advise(TOPO, H, 16, "alltoall", backend="logp").best
+        moved = dataclasses.replace(
+            rec, slurm_distribution="plane=99", predicted_seconds=1.0
+        )
+        assert moved.legend() == f"{rec.signature.legend()} [plane=99] -> 1000.000 ms"
+        assert moved.to_jsonable()["slurm_distribution"] == "plane=99"
+        assert moved.to_jsonable()["order_name"] == rec.to_jsonable()["order_name"]
+
+    def test_spread_factor_of_all_zero_times_is_one(self):
+        # One-rank communicators move no data: every class predicts 0 s.
+        advice = advise(TOPO, H, 1, "alltoall", backend="logp")
+        assert {r.predicted_seconds for r in advice.recommendations} == {0.0}
+        assert advice.spread_factor() == 1.0
+        assert advice.report().endswith("worst/best factor: 1.00x")
+        assert advice.to_jsonable()["spread_factor"] == 1.0
 
     def test_report_mentions_slurm_equivalents(self):
         advice = advise(TOPO, H, 16, "alltoall")

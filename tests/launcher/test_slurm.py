@@ -1,6 +1,8 @@
 """Unit tests for Slurm --distribution emulation (Figure 2 captions)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.hierarchy import Hierarchy
 from repro.core.orders import all_orders
@@ -78,6 +80,61 @@ class TestOrderToDistribution:
             o for o in all_orders(5) if order_to_distribution(LUMI, o)
         }
         assert len(expressible_3) / 6 > len(expressible_5) / 120
+
+    @staticmethod
+    def scan(hierarchy, order):
+        """The lookup as a linear scan: the first expressible value wins."""
+        for value, candidate in expressible_distributions(hierarchy).items():
+            if candidate == tuple(order):
+                return value
+        return None
+
+    @pytest.mark.parametrize(
+        "hierarchy",
+        [FIG1, HYDRA, LUMI, Hierarchy((4, 2, 2, 8)), Hierarchy((3, 5)),
+         Hierarchy((2, 3, 2, 2, 3, 2))],
+        ids=str,
+    )
+    def test_lookup_equals_scan(self, hierarchy):
+        for order in all_orders(hierarchy.depth):
+            assert order_to_distribution(hierarchy, order) == self.scan(
+                hierarchy, order
+            ), order
+
+    def test_block_block_wins_over_whole_node_plane(self):
+        # plane=<node size> realizes the same order as block:block; the
+        # value listed first in expressible_distributions is reported.
+        dists = expressible_distributions(FIG1)
+        assert dists["plane=8"] == dists["block:block"] == (2, 1, 0)
+        assert order_to_distribution(FIG1, (2, 1, 0)) == "block:block"
+        # At depth 2 the socket policy is moot: block:cyclic is
+        # block:block and cyclic:cyclic is cyclic:block.
+        flat = Hierarchy((4, 8))
+        assert order_to_distribution(flat, (1, 0)) == "block:block"
+        assert order_to_distribution(flat, (0, 1)) == "cyclic:block"
+
+    def test_lookup_ignores_names_and_element_types(self):
+        import numpy as np
+
+        unnamed = Hierarchy(FIG1.radices)
+        for order in all_orders(3):
+            assert order_to_distribution(unnamed, order) == self.scan(FIG1, order)
+            assert order_to_distribution(FIG1, list(np.array(order))) == self.scan(
+                FIG1, order
+            )
+
+    def test_single_level_still_refused(self):
+        with pytest.raises(ValueError):
+            order_to_distribution(Hierarchy((4,)), (0,))
+
+
+@given(radices=st.lists(st.integers(2, 6), min_size=2, max_size=6))
+def test_lookup_equals_scan_on_drawn_hierarchies(radices):
+    h = Hierarchy(tuple(radices))
+    for order in all_orders(h.depth):
+        assert order_to_distribution(h, order) == TestOrderToDistribution.scan(
+            h, order
+        ), order
 
 
 class TestSlurmJob:

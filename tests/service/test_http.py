@@ -143,6 +143,53 @@ class TestRoutes:
         assert svc.errors == 5
         assert svc.engine.stats.requests == 0
 
+    def test_one_rank_communicators_answer_200(self):
+        # Every class predicts 0 s when no data moves; the answer is a
+        # ranking with spread factor 1, not a server error.
+        svc = AdvisorService()
+        query = {
+            "machine": "hydra",
+            "hierarchy": "node:4 socket:2 group:2 core:8",
+            "comm_size": 1,
+        }
+
+        async def scenario(port):
+            return await asyncio.to_thread(_post, port, "/advise", query)
+
+        status, doc = _serve(svc, scenario)
+        assert status == 200
+        assert doc["advice"]["spread_factor"] == 1.0
+        assert {r["predicted_seconds"] for r in doc["advice"]["recommendations"]} == {0.0}
+        assert svc.errors == 0
+
+    def test_unexpected_error_answers_500_and_closes(self):
+        def broken(requests):
+            raise RuntimeError("evaluator exploded")
+
+        svc = AdvisorService(evaluate=broken)
+
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            body = json.dumps(QUERY).encode()
+            writer.write(
+                b"POST /advise HTTP/1.1\r\nHost: x\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                + body
+            )
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), 30)  # until close
+            writer.close()
+            stats = await asyncio.to_thread(_get, port, "/stats")
+            return raw, stats
+
+        raw, (_, stats) = _serve(svc, scenario)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 500 ")
+        assert b"Connection: close" in head
+        assert "evaluator exploded" in json.loads(body)["error"]
+        assert stats["service"]["errors"] == 1
+        assert svc.errors == 1
+
 
 def _advice_bytes(doc: dict) -> bytes:
     return json.dumps(doc["advice"], sort_keys=True).encode()
