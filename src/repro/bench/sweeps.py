@@ -390,251 +390,3 @@ def to_csv(records: Sequence) -> str:
     for rec in records:
         writer.writerow(asdict(rec))
     return buf.getvalue()
-
-
-def best_per_group(
-    records: Sequence[SweepRecord],
-    scenario: str = "all",
-) -> dict[tuple, SweepRecord]:
-    """Fastest record per (comm_size, collective, total_bytes) group."""
-    key_attr = "duration_all" if scenario == "all" else "duration_single"
-    best: dict[tuple, SweepRecord] = {}
-    for rec in records:
-        key = (rec.comm_size, rec.collective, rec.total_bytes)
-        if key not in best or getattr(rec, key_attr) < getattr(best[key], key_attr):
-            best[key] = rec
-    return best
-
-
-# -- verification sweeps -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VerifyRecord:
-    """One (collective, algorithm, comm size) verification cell."""
-
-    machine: str
-    collective: str
-    algorithm: str
-    comm_size: int
-    total_bytes: float
-    n_rounds: int
-    semantic_ok: bool
-    differential_ok: bool
-    differential_rel_err: float
-    invariants_ok: bool
-    n_violations: int
-
-    @property
-    def ok(self) -> bool:
-        return self.semantic_ok and self.differential_ok and self.invariants_ok
-
-
-def verify_sweep(
-    comm_sizes: Sequence[int],
-    collectives: Sequence[str] | None = None,
-    total_bytes: float = 65536.0,
-    topology: MachineTopology | None = None,
-    tolerance: float | None = None,
-    engine: SweepEngine | None = None,
-    jobs: int = 1,
-    cache_dir=None,
-) -> list[VerifyRecord]:
-    """Run the verification stack over a grid of collectives x sizes.
-
-    For every registered algorithm valid at each communicator size, runs
-    the semantic checker on its round schedule, the round-model/DES
-    differential on a packed placement, and the trace-invariant audit of
-    the replay.  With no ``topology`` each size gets a flat single-switch
-    machine (the differential is then exact); pass a real machine to sweep
-    hierarchical placements.
-
-    Cells run through the sweep engine: the expensive DES replays are
-    memoized (repeated campaigns over the same cells become cache hits)
-    and independent cells fan out over ``jobs`` workers.
-    """
-    from repro.topology.machines import generic_cluster
-    from repro.verify import DEFAULT_TOLERANCE, checkable_algorithms
-
-    tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
-    engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir)
-    cells = []
-    for p in comm_sizes:
-        topo = topology or generic_cluster((max(p, 2),))
-        if p > topo.n_cores:
-            raise ValueError(f"comm size {p} exceeds {topo.n_cores} cores")
-        for collective, algorithm in checkable_algorithms(p):
-            if collectives is not None and collective not in collectives:
-                continue
-            (cell,) = collective_cells([p], [collective], [total_bytes], algorithm)
-            cells.append((topo, cell))
-    results = engine.evaluate_many(
-        [
-            EvalRequest(
-                model="verify",
-                topology=topo,
-                comm_size=cell.comm_size,
-                workload=cell.workload,
-                workload_params=cell.params,
-                extras=(("tolerance", tol),),
-            )
-            for topo, cell in cells
-        ]
-    )
-    return [
-        VerifyRecord(
-            machine=topo.name,
-            collective=cell.name,
-            algorithm=dict(cell.params)["algorithm"],
-            comm_size=cell.comm_size,
-            total_bytes=total_bytes,
-            n_rounds=int(out["n_rounds"]),
-            semantic_ok=bool(out["semantic_ok"]),
-            differential_ok=bool(out["differential_ok"]),
-            differential_rel_err=out["differential_rel_err"],
-            invariants_ok=bool(out["invariants_ok"]),
-            n_violations=int(out["n_violations"]),
-        )
-        for (topo, cell), out in zip(cells, results)
-        if not is_failure(out)  # quarantined cells stay on engine.failures
-    ]
-
-
-# -- chaos sweeps ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChaosRecord:
-    """One (order, fault class) cell of a chaos sweep."""
-
-    machine: str
-    order: str
-    fault_kind: str
-    seed: int
-    n_faults: int
-    n_ranks: int
-    survivors: int
-    n_attempts: int
-    total_backoff: float
-    healthy_time: float
-    faulty_time: float
-    slowdown: float  # faulty / healthy makespan (inf when never completed)
-
-
-#: Fault classes :class:`~repro.faults.ChaosGenerator` can sample.
-CHAOS_KINDS = ("node_crash", "nic_fail", "link_degrade", "straggler")
-
-
-def chaos_sweep(
-    topology: MachineTopology,
-    orders: Sequence[Order] | None = None,
-    fault_kinds: Sequence[str] = CHAOS_KINDS,
-    count: int = 8,
-    seed: int = 0,
-    rate: float = 1.0,
-    n_ranks: int | None = None,
-    compute: float = 1e-6,
-    engine: SweepEngine | None = None,
-    jobs: int = 1,
-    cache_dir=None,
-) -> list[ChaosRecord]:
-    """Quantify how each fault class degrades an alltoall, per order.
-
-    For every enumeration order and fault class, runs a pairwise alltoall
-    (``count`` doubles per block, preceded by ``compute`` seconds of local
-    work so stragglers have something to slow down) on the event-driven
-    simulator twice: once healthy, once under a
-    :class:`~repro.faults.ChaosGenerator` schedule (``rate`` expected
-    faults of that class over the healthy makespan) with ULFM-style
-    shrink-and-retry recovery.  The same seed is used for every order, so
-    a cell differs between orders only through placement -- the
-    ``slowdown`` column directly measures how much the order's locality
-    structure shields the collective from that fault class.
-
-    The sweep runs as two engine batches: the per-order healthy baselines
-    first (their makespans parameterize the fault schedules), then the
-    (order, fault kind) chaos cells.  Both batches are memoized and fan
-    out over ``jobs`` workers.
-    """
-    if orders is None:
-        orders = all_orders(topology.hierarchy.depth)
-    orders = [tuple(order) for order in orders]
-    for kind in fault_kinds:
-        if kind not in CHAOS_KINDS:
-            raise ValueError(f"unknown chaos fault kind {kind!r}")
-    if n_ranks is None:
-        n_ranks = topology.n_cores
-    engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir)
-    workload = (
-        ("n_ranks", n_ranks),
-        ("count", count),
-        ("compute", compute),
-    )
-    healthy_results = engine.evaluate_many(
-        [
-            EvalRequest(
-                model="chaos_healthy",
-                topology=topology,
-                order=order,
-                extras=workload,
-            )
-            for order in orders
-        ]
-    )
-    healthy_of = {
-        order: out["healthy_time"]
-        for order, out in zip(orders, healthy_results)
-        if not is_failure(out)  # orders whose baseline failed are skipped
-    }
-    cells = [
-        (order, kind)
-        for order in orders
-        if order in healthy_of
-        for kind in fault_kinds
-    ]
-    results = engine.evaluate_many(
-        [
-            EvalRequest(
-                model="chaos_cell",
-                topology=topology,
-                order=order,
-                seed=seed,
-                extras=workload
-                + (
-                    ("kind", kind),
-                    ("rate", rate),
-                    ("healthy", healthy_of[order]),
-                ),
-            )
-            for order, kind in cells
-        ]
-    )
-    return [
-        ChaosRecord(
-            machine=topology.name,
-            order=format_order(order),
-            fault_kind=kind,
-            seed=seed,
-            n_faults=int(out["n_faults"]),
-            n_ranks=n_ranks,
-            survivors=int(out["survivors"]),
-            n_attempts=int(out["n_attempts"]),
-            total_backoff=out["total_backoff"],
-            healthy_time=out["healthy_time"],
-            faulty_time=out["faulty_time"],
-            slowdown=out["slowdown"],
-        )
-        for (order, kind), out in zip(cells, results)
-        if not is_failure(out)  # quarantined cells stay on engine.failures
-    ]
-
-
-def chaos_best_per_fault(
-    records: Sequence[ChaosRecord],
-) -> dict[str, ChaosRecord]:
-    """Least-degraded record per fault class (the reordering benefit)."""
-    best: dict[str, ChaosRecord] = {}
-    for rec in records:
-        if rec.fault_kind not in best or rec.slowdown < best[rec.fault_kind].slowdown:
-            best[rec.fault_kind] = rec
-    return best

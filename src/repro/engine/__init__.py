@@ -9,7 +9,7 @@ equivalence-class pruning with an audit mode (:mod:`repro.engine.core`),
 and one supervised dispatcher whose workers are forked locally or join
 over TCP, with deterministic ordering (:mod:`repro.engine.supervisor`).  The
 registered evaluators (:mod:`repro.engine.evaluators`) cover the round
-model, the DES, verification cells and chaos cells.
+and logp models and the DES.
 
 Quick start::
 

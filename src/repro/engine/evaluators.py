@@ -5,9 +5,8 @@ model name; workers receive requests in their wire form and look the
 evaluator up here (forked workers inherit the registry, remote ones
 import it).  Results are flat ``{str: float}`` dicts -- JSON-serializable
 by construction, so the disk cache, the workers' result frames and
-``BENCH_sweep.json`` need no custom encoders (booleans are stored as
-0.0/1.0, counts as floats; ``inf`` is allowed and survives Python's JSON
-round-trip).
+``BENCH_sweep.json`` need no custom encoders (counts are stored as
+floats; ``inf`` is allowed and survives Python's JSON round-trip).
 
 Determinism contract: an evaluator may only depend on its request.  Any
 incidental RNG use is pinned by :func:`seed_worker` before dispatch, with
@@ -266,167 +265,3 @@ def _eval_des(req: EvalRequest) -> dict:
 
 
 register_evaluator("des", _eval_des)
-
-
-# -- verification cells -------------------------------------------------------
-
-
-def _eval_verify(req: EvalRequest) -> dict:
-    """One (collective, algorithm, comm size) cell of a verify sweep.
-
-    The cell is a ``collective`` workload request with a pinned
-    algorithm.  Runs the semantic checker, the round-vs-DES differential
-    and the trace-invariant audit; the DES replay is the expensive part,
-    which is exactly what engine memoization amortizes across repeated
-    campaigns.
-    """
-    from repro.collectives.selector import rounds_for
-    from repro.verify import (
-        DEFAULT_TOLERANCE,
-        check_schedule,
-        check_trace,
-        compare_schedule,
-        replay_rounds_des,
-    )
-
-    collective, algorithm, total_bytes, p = (
-        req.param(k) for k in ("collective", "algorithm", "total_bytes", "p")
-    )
-    tol = req.extra("tolerance")
-    tol = DEFAULT_TOLERANCE if tol is None else float(tol)
-    incremental = bool(req.extra("incremental", True))
-    audit_rates = bool(req.extra("audit_rates", False))
-    rounds = rounds_for(collective, p, total_bytes, algorithm)
-    sem = check_schedule(collective, rounds, p, total_bytes, algorithm=algorithm)
-    if p >= 2:
-        cores = np.arange(p, dtype=np.int64)
-        diff = compare_schedule(
-            req.topology,
-            cores,
-            rounds,
-            label=f"{collective}/{algorithm}",
-            total_bytes=total_bytes,
-            tolerance=tol,
-            incremental=incremental,
-            audit=audit_rates,
-        )
-        _t, _timings, trace = replay_rounds_des(
-            req.topology, cores, rounds,
-            incremental=incremental, audit=audit_rates,
-        )
-        inv = check_trace(req.topology, trace)
-        diff_ok, diff_err = diff.ok, diff.rel_err
-        inv_ok, n_viol = inv.ok, len(inv.violations)
-    else:
-        diff_ok, diff_err, inv_ok, n_viol = True, 0.0, True, 0
-    return {
-        "n_rounds": float(len(rounds)),
-        "semantic_ok": float(sem.ok),
-        "differential_ok": float(diff_ok),
-        "differential_rel_err": float(diff_err),
-        "invariants_ok": float(inv_ok),
-        "n_violations": float(n_viol),
-    }
-
-
-register_evaluator("verify", _eval_verify)
-
-
-# -- chaos cells --------------------------------------------------------------
-
-
-def _pairwise_program(comm, buf, compute: float):
-    """Pairwise exchange with ``compute`` seconds of local work spread
-    over the rounds, so stragglers are active during the run."""
-    from repro.simmpi.ops import Compute
-
-    p = comm.size
-    recvbuf = buf.copy()
-    nbytes = buf[0].nbytes
-    per_round = compute / max(p - 1, 1)
-    for r in range(1, p):
-        if per_round > 0:
-            yield Compute(per_round)
-        to = (comm.rank + r) % p
-        frm = (comm.rank - r) % p
-        recvbuf[frm] = yield comm.sendrecv(to, nbytes, buf[to], frm, tag=r)
-    return recvbuf
-
-
-def pairwise_factory(comms, count: int = 8, compute: float = 1e-6):
-    """Program factory for the chaos workload (module-level: picklable)."""
-    p = len(comms)
-    buf = np.zeros((p, count))
-    return {c.rank: _pairwise_program(c, buf, compute) for c in comms}
-
-
-def _eval_chaos_healthy(req: EvalRequest) -> dict:
-    """Healthy-machine makespan of the chaos workload for one order."""
-    from repro.launcher.mapping import ProcessMapping
-    from repro.simmpi.communicator import Comm
-    from repro.simmpi.runtime import Simulator
-
-    n_ranks = int(req.extra("n_ranks", req.topology.n_cores))
-    count = int(req.extra("count", 8))
-    compute = float(req.extra("compute", 1e-6))
-    mapping = ProcessMapping.from_order(req.topology.hierarchy, req.order)
-    core_of = mapping.core_of[:n_ranks]
-    sim = Simulator(req.topology, core_of)
-    sim.run(pairwise_factory(Comm.world(n_ranks), count=count, compute=compute))
-    return {"healthy_time": max(sim.finish_times.values())}
-
-
-register_evaluator("chaos_healthy", _eval_chaos_healthy)
-
-
-def _eval_chaos_cell(req: EvalRequest) -> dict:
-    """One (order, fault kind) cell: run under chaos with shrink-and-retry."""
-    from repro.faults import (
-        ChaosGenerator,
-        RetryExhaustedError,
-        RetryPolicy,
-        run_with_retry,
-    )
-
-    kind = str(req.extra("kind"))
-    rate = float(req.extra("rate", 1.0))
-    healthy = float(req.extra("healthy"))
-    n_ranks = int(req.extra("n_ranks", req.topology.n_cores))
-    count = int(req.extra("count", 8))
-    compute = float(req.extra("compute", 1e-6))
-
-    schedule = ChaosGenerator(req.seed).schedule(
-        req.topology, horizon=healthy, **{f"{kind}_rate": rate}
-    )
-    policy = RetryPolicy(max_attempts=4, base_backoff=healthy, timeout=20 * healthy)
-    factory = partial(pairwise_factory, count=count, compute=compute)
-    try:
-        result = run_with_retry(
-            req.topology,
-            req.order,
-            factory,
-            schedule=schedule,
-            n_ranks=n_ranks,
-            policy=policy,
-        )
-        attempts = result.attempts
-        survivors = result.survivors
-        faulty = sum(a.sim_time + a.backoff for a in attempts)
-        slow = faulty / healthy
-    except RetryExhaustedError as err:
-        attempts = err.attempts
-        survivors = 0
-        faulty = sum(a.sim_time + a.backoff for a in attempts)
-        slow = float("inf")
-    return {
-        "n_faults": float(len(schedule)),
-        "survivors": float(survivors),
-        "n_attempts": float(len(attempts)),
-        "total_backoff": float(sum(a.backoff for a in attempts)),
-        "healthy_time": healthy,
-        "faulty_time": float(faulty),
-        "slowdown": float(slow),
-    }
-
-
-register_evaluator("chaos_cell", _eval_chaos_cell)

@@ -1,11 +1,11 @@
 """Canonical, content-addressed evaluation requests.
 
-Every simulation the sweep layer runs -- a round-model micro-benchmark
-point, a DES schedule replay, a verification cell, a chaos cell -- is
-described by an :class:`EvalRequest`.  The request canonicalises all
-inputs that influence the result (hierarchy, order, communicator size,
-the workload and its canonical parameters, fault schedule, seed, *and*
-every performance parameter of the machine topology) into a
+Every simulation the sweep layer runs -- a round-model or logp
+micro-benchmark point, a DES replay -- is described by an
+:class:`EvalRequest`.  The request canonicalises all inputs that
+influence the result (hierarchy, order, communicator size, the workload
+and its canonical parameters, seed, *and* every performance parameter
+of the machine topology) into a
 deterministic JSON document, whose SHA-256 digest is the cache key.
 This module also owns the request's JSON wire form
 (:func:`request_to_wire` / :func:`request_from_wire`), so the field
@@ -125,29 +125,12 @@ def hierarchy_fingerprint(hierarchy: Hierarchy) -> dict:
     }
 
 
-def schedule_fingerprint(schedule) -> list[dict]:
-    """Canonical form of a :class:`repro.faults.FaultSchedule`."""
-    return [
-        {
-            "kind": s.kind,
-            "start": _jsonify(s.start),
-            "target": s.target,
-            "level": s.level,
-            "end": _jsonify(s.end),
-            "bw_factor": _jsonify(s.bw_factor),
-            "lat_factor": _jsonify(s.lat_factor),
-            "slowdown": _jsonify(s.slowdown),
-        }
-        for s in schedule
-    ]
-
-
 @dataclass(frozen=True)
 class EvalRequest:
     """One memoizable simulation, with its full provenance.
 
-    ``model`` names the registered evaluator (``round``, ``des``,
-    ``verify``, ``chaos_healthy``, ``chaos_cell``, ...); ``extras`` holds
+    ``model`` names the registered evaluator (``round``, ``logp``,
+    ``des``, ...); ``extras`` holds
     model-specific knobs as a sorted tuple of ``(name, value)`` pairs so
     the dataclass stays hashable and canonicalisation stays stable.
 
@@ -163,7 +146,6 @@ class EvalRequest:
     order: tuple[int, ...] | None = None
     comm_size: int | None = None
     seed: int = 0
-    schedule: Any = None  # FaultSchedule | None (kept loose to avoid a cycle)
     extras: tuple[tuple[str, Any], ...] = field(default=())
     workload: str | None = None
     workload_params: tuple[tuple[str, Any], ...] = field(default=())
@@ -212,11 +194,9 @@ class EvalRequest:
             doc["order"] = list(self.order)
         if self.comm_size is not None:
             doc["comm_size"] = self.comm_size
-        if self.schedule is not None and len(self.schedule):
-            doc["schedule"] = schedule_fingerprint(self.schedule)
         if self.extras:
             doc["extras"] = {k: _jsonify(v) for k, v in self.extras}
-        if self.workload:  # chaos cells carry no traffic workload
+        if self.workload:
             doc["workload"] = self.workload
             doc["workload_params"] = {
                 k: _jsonify(v) for k, v in self.workload_params
@@ -265,10 +245,9 @@ def request_to_wire(request: EvalRequest) -> dict:
     Floats ride as raw JSON numbers: Python serializes them via their
     ``repr`` shortest form and parses that back to the identical double,
     so the reconstructed request canonicalises -- and therefore hashes --
-    exactly like the original.  Topology, hierarchy and fault specs
-    travel as their dataclass fields.  The topology and hierarchy
-    documents are shared between calls for equal values: treat the
-    returned document as read-only.
+    exactly like the original.  Topology and hierarchy travel as their
+    dataclass fields, in documents shared between calls for equal
+    values: treat the returned document as read-only.
     """
     doc: dict = {
         "model": request.model,
@@ -281,8 +260,6 @@ def request_to_wire(request: EvalRequest) -> dict:
         doc["order"] = list(request.order)
     if request.comm_size is not None:
         doc["comm_size"] = request.comm_size
-    if request.schedule is not None and len(request.schedule):
-        doc["schedule"] = [dataclasses.asdict(s) for s in request.schedule]
     if request.extras:
         doc["extras"] = [[k, v] for k, v in request.extras]
     if request.workload:
@@ -323,11 +300,6 @@ def request_from_wire(doc: dict, memo: dict | None = None) -> EvalRequest:
     hierarchy = None
     if "hierarchy" in doc:
         hierarchy = _decoded(memo, doc["hierarchy"], _hierarchy_from_wire)
-    schedule = None
-    if "schedule" in doc:
-        from repro.faults.model import FaultSchedule, FaultSpec
-
-        schedule = FaultSchedule(tuple(FaultSpec(**s) for s in doc["schedule"]))
     return EvalRequest(
         model=doc["model"],
         topology=topology,
@@ -335,7 +307,6 @@ def request_from_wire(doc: dict, memo: dict | None = None) -> EvalRequest:
         order=tuple(doc["order"]) if "order" in doc else None,
         comm_size=doc.get("comm_size"),
         seed=int(doc["seed"]),
-        schedule=schedule,
         extras=tuple((k, _unlist(v)) for k, v in doc.get("extras", [])),
         workload=doc.get("workload"),
         workload_params=tuple(

@@ -89,9 +89,12 @@ def expressible_distributions(hierarchy: Hierarchy) -> dict[str, Order]:
 
     The complement of this dict's values (within all ``depth!`` orders) is
     exactly the paper's point: mappings only mixed-radix enumeration can
-    express.
+    express.  A one-level hierarchy has no node and core levels to
+    distribute over, so it has none.
     """
     out: dict[str, Order] = {}
+    if hierarchy.depth < 2:
+        return out
     for node_pol in _POLICIES:
         for socket_pol in _POLICIES:
             value = f"{node_pol}:{socket_pol}"

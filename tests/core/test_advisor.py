@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.advisor import advise
 from repro.core.hierarchy import Hierarchy
-from repro.topology.machines import hydra
+from repro.topology.machines import generic_cluster, hydra
 from repro.workloads import collective_cells
 
 H = Hierarchy((4, 2, 2, 8), ("node", "socket", "group", "core"))
@@ -79,6 +79,13 @@ class TestAdvise:
     def test_world_size_checked(self):
         with pytest.raises(ValueError):
             advise(TOPO, Hierarchy((2, 2, 8)), 16)
+
+    def test_one_level_machine_has_no_slurm_equivalent(self):
+        flat = Hierarchy((8,), ("core",))
+        advice = advise(generic_cluster((8,), ("core",)), flat, 4, "alltoall")
+        assert [r.order for r in advice.recommendations] == [(0,)]
+        assert advice.best.slurm_distribution is None
+        assert advice.report().splitlines()[1] == "  1. 0 (3 - 100.0) -> 1.750 ms"
 
     def test_explicit_order_subset(self):
         advice = advise(TOPO, H, 16, orders=[(0, 1, 2, 3), (3, 2, 1, 0)])

@@ -16,11 +16,12 @@ completed).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.hierarchy import Hierarchy
 from repro.engine import EvalRequest, SweepEngine
-from repro.engine.evaluators import evaluate_request
+from repro.engine.evaluators import EVALUATORS, evaluate_request
 from repro.engine.cache import LOG_NAME
 from repro.topology.machines import generic_cluster
 from repro.workloads import collective_params
@@ -125,10 +126,15 @@ class TestResumeFromScalarJournal:
 
 
 class TestBatchFallback:
-    def test_non_batchable_model_falls_back_to_pool(self, tmp_path):
-        # "verify" has no batch evaluator; it runs as a chunk of one.
+    def test_non_batchable_model_falls_back_to_pool(self, tmp_path, monkeypatch):
+        # A model with no batch evaluator, registered for this test only,
+        # runs as a chunk of one, seeded like a direct evaluation.
+        def scalar_only(req: EvalRequest) -> dict:
+            return {"draw": float(np.random.random())}
+
+        monkeypatch.setitem(EVALUATORS, "scalar_only", scalar_only)
         req = EvalRequest(
-            model="verify",
+            model="scalar_only",
             topology=TOPO,
             comm_size=4,
             workload="collective",

@@ -42,7 +42,6 @@ from repro.engine.supervisor import (
     send_frame,
 )
 from repro.engine.cache import LOG_NAME
-from repro.faults.model import FaultSchedule, FaultSpec
 from repro.topology.machines import generic_cluster
 from repro.workloads import collective_params, workload_cell
 
@@ -66,27 +65,19 @@ def _requests(radices=(2, 2, 4), comm_size=4, models=("round",), sizes=(1e6,)):
 
 
 class TestWireFormat:
-    def test_round_trip_preserves_key_with_schedule_and_extras(self):
+    def test_round_trip_preserves_key_with_extras(self):
         h = Hierarchy((2, 2), names=("node", "core"))
         topo = generic_cluster((2, 2), names=("node", "core"))
-        schedule = FaultSchedule(
-            (
-                FaultSpec(kind="link_degrade", start=0.5, target=1, level=1,
-                          end=2.5, bw_factor=0.25, lat_factor=3.0),
-                FaultSpec(kind="straggler", start=0.0, target=3, slowdown=2.0),
-            )
-        )
         request = EvalRequest(
             model="des", topology=topo, hierarchy=h, order=(1, 0),
             comm_size=4, workload="collective",
             workload_params=collective_params("allreduce", 4, 12345.678),
-            seed=7, schedule=schedule,
+            seed=7,
             extras=(("des_all", True), ("nested", (1, (2, 3)))),
         )
         wired = request_from_wire(json.loads(json.dumps(request_to_wire(request))))
         assert wired.key == request.key
         assert wired.extras == request.extras  # tuples restored, hashable
-        assert wired.schedule.specs == schedule.specs
 
     def test_permanent_fault_end_inf_survives_json(self):
         h = Hierarchy((2,), names=("node",))
@@ -95,12 +86,10 @@ class TestWireFormat:
             model="des", topology=topo, hierarchy=h, order=(0,),
             comm_size=2, workload="collective",
             workload_params=collective_params("allgather", 2, 1e6),
-            schedule=FaultSchedule(
-                (FaultSpec(kind="node_crash", start=1.0, target=0),)
-            ),
+            extras=(("end", float("inf")),),
         )
         wired = request_from_wire(json.loads(json.dumps(request_to_wire(request))))
-        assert wired.schedule.specs[0].end == float("inf")
+        assert wired.extra("end") == float("inf")
         assert wired.key == request.key
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -110,9 +110,12 @@ class TestPruning:
         assert eng.stats.pruned == 0
 
     def test_non_prunable_models_are_solo(self, fake_round, monkeypatch):
-        monkeypatch.setitem(EVALUATORS, "verify", _order_blind_eval)
+        # A model outside PRUNABLE_MODELS, registered for this test only.
+        monkeypatch.setitem(EVALUATORS, "order_blind", _order_blind_eval)
         eng = SweepEngine()
-        eng.evaluate_many([_round_req(o, model="verify") for o in EQUIV_ORDERS])
+        eng.evaluate_many(
+            [_round_req(o, model="order_blind") for o in EQUIV_ORDERS]
+        )
         assert eng.stats.evaluated == 2
         assert eng.stats.pruned == 0
 

@@ -8,7 +8,7 @@ from repro.core.hierarchy import Hierarchy
 from repro.engine import CACHE_SCHEMA, EvalRequest
 from repro.engine.keys import _jsonify, topology_fingerprint
 from repro.topology.machines import generic_cluster
-from repro.workloads import collective_params
+from repro.workloads import collective_params, workload_cell
 
 
 H = Hierarchy((2, 2, 4), names=("node", "socket", "core"))
@@ -64,6 +64,37 @@ class TestKeyStability:
         assert _req().key == (
             "78beee838ae50da3c8e232165828285a5c7d384f993723934497a5881ef50a67"
         )
+
+    @pytest.mark.parametrize(
+        "model, cell, key",
+        [
+            (
+                "round",
+                ("collective", collective_params("alltoall", 8, 1e6)),
+                "c6b2db2f74d3c28e1818f3ca3ae1b62dfcfffaca1a23882fbea5798e6610a3a2",
+            ),
+            (
+                "logp",
+                ("dnn", {"dp": 2, "tp": 2, "pp": 4}),
+                "64a347c6097202ba6b393fc5577f206daf5f033f2aeb5bd1d7227ba3dcbf53b9",
+            ),
+            (
+                "des",
+                ("collective", collective_params("allgather", 4, 65536.0, "ring")),
+                "619c3ecf8c1d30fb791f43b8be7373c05e55c07da8f26e2a8a6acb45ce5eccad",
+            ),
+        ],
+    )
+    def test_cell_request_keys_are_pinned(self, monkeypatch, model, cell, key):
+        """The requests sweeps and the advisor build (``Cell.request``:
+        workload params, plus ``des_all`` for ``des``) keep their digests."""
+        import repro
+
+        monkeypatch.setattr(repro, "__version__", "0.0.0+pin")
+        request = workload_cell(*cell).request(
+            model, _req().topology, H, (0, 2, 1)
+        )
+        assert request.key == key
 
 
 class TestKeySensitivity:

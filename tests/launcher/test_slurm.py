@@ -124,8 +124,15 @@ class TestOrderToDistribution:
             )
 
     def test_single_level_still_refused(self):
-        with pytest.raises(ValueError):
-            order_to_distribution(Hierarchy((4,)), (0,))
+        # An explicit --distribution needs node and core levels ...
+        with pytest.raises(ValueError, match="node and core levels"):
+            distribution_to_order(Hierarchy((4,)), "block:block")
+
+    def test_single_level_has_no_distribution(self):
+        # ... so a one-level machine expresses no order with one.
+        flat = Hierarchy((8,), ("core",))
+        assert expressible_distributions(flat) == {}
+        assert order_to_distribution(flat, (0,)) is None
 
 
 @given(radices=st.lists(st.integers(2, 6), min_size=2, max_size=6))

@@ -162,6 +162,22 @@ class TestRoutes:
         assert {r["predicted_seconds"] for r in doc["advice"]["recommendations"]} == {0.0}
         assert svc.errors == 0
 
+    def test_one_level_machine_answers_200(self):
+        # A one-level machine has no --distribution for any order: the
+        # answer names none instead of failing the query.
+        svc = AdvisorService()
+        query = {"machine": "generic", "hierarchy": "core:8", "comm_size": 4}
+
+        async def scenario(port):
+            return await asyncio.to_thread(_post, port, "/advise", query)
+
+        status, doc = _serve(svc, scenario)
+        assert status == 200
+        (rec,) = doc["advice"]["recommendations"]
+        assert rec["order"] == [0]
+        assert rec["slurm_distribution"] is None
+        assert svc.errors == 0
+
     def test_unexpected_error_answers_500_and_closes(self):
         def broken(requests):
             raise RuntimeError("evaluator exploded")

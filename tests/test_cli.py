@@ -241,6 +241,25 @@ class TestAdvise:
                 ]
             )
 
+    def test_one_level_machine(self, capsys):
+        rc, out = run_cli(
+            capsys,
+            "advise", "--machine", "generic", "-H", "core:8", "--comm-size", "4",
+        )
+        assert rc == 0
+        assert "  1. 0 (3 - 100.0) -> 1.750 ms" in out
+
+    @pytest.mark.parametrize("command, flag", [
+        ("advise", "--comm-size"), ("sweep", "--comm-sizes"),
+    ])
+    @pytest.mark.parametrize("size", ["0", "-4"])
+    def test_refuses_comm_size_below_one(self, command, flag, size):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-H", "node:2 core:4", flag, size])
+        assert exc.value.code == (
+            f"alltoall needs {size} ranks; a communicator needs at least 1"
+        )
+
 
 class TestBackends:
     def test_list_prints_capability_table(self, capsys):
