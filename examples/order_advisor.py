@@ -5,7 +5,7 @@ The paper's conclusion asks for exactly this workflow: predict the most
 suitable enumeration order for a system and application instead of
 benchmarking all ``h!`` of them.  This example
 
-1. asks the advisor to rank order-equivalence classes for concurrent
+1. asks the advisor to rank placement classes of orders for concurrent
    16-rank alltoalls on a simulated 8-node Hydra,
 2. renders the round-by-round timeline of the best and worst classes to
    show *where* the time goes (which hierarchy level bottlenecks), and

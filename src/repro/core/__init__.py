@@ -15,7 +15,8 @@ This subpackage implements Section 3 of the paper:
 - :mod:`repro.core.coreselect` -- use case 2 (Section 3.4): Algorithm 3,
   generating ``--cpu-bind=map_cpu`` core lists for partial-node jobs.
 - :mod:`repro.core.equivalence` -- grouping orders with identical mapping
-  signatures to prune redundant evaluations (Section 3.3).
+  signatures (Section 3.3), and the finer placement key that prunes
+  redundant evaluations.
 """
 
 from repro.core.hierarchy import Hierarchy
@@ -49,7 +50,7 @@ from repro.core.reorder import (
     subcommunicator_members,
 )
 from repro.core.coreselect import CoreSelection, map_cpu_list, distinct_core_sets
-from repro.core.equivalence import equivalence_classes, representative_orders
+from repro.core.equivalence import equivalence_classes
 
 __all__ = [
     "Hierarchy",
@@ -78,5 +79,4 @@ __all__ = [
     "map_cpu_list",
     "distinct_core_sets",
     "equivalence_classes",
-    "representative_orders",
 ]

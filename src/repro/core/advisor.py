@@ -5,8 +5,10 @@ could help to predict which order is the most suitable for the used system
 and applications."*  The advisor operationalizes it with the machinery this
 library already has:
 
-1. prune the ``depth!`` orders to one representative per equivalence class
-   (Section 3.3's metrics);
+1. prune the ``depth!`` orders to one representative per placement class
+   (:func:`~repro.core.equivalence.placement_key`, which the sweep engine
+   reuses results on: members run isomorphic simulations).  Section
+   3.3's signature only labels each class in its legend;
 2. score each representative on the fast contention model for the user's
    workload — collective, subcommunicator size, data sizes, and whether
    communicators run alone or concurrently;
@@ -22,7 +24,7 @@ placement-advisor service, :mod:`repro.service`) can interpose their own
 evaluation step without forking the ranking logic: :func:`plan_query`
 lowers a placement question (one or more workload cells, see
 :class:`repro.workloads.Cell`) to a :class:`QueryPlan` — the
-equivalence classes plus the flattened ``(representative, cell)``
+placement classes plus the flattened ``(representative, cell)``
 :class:`~repro.engine.keys.EvalRequest` grid — and
 :func:`advice_from_results` assembles the grid's results back into an
 :class:`Advice`.  Any evaluator that returns the grid's results aligned
@@ -36,10 +38,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from repro.core.equivalence import equivalence_classes
+from repro.core.equivalence import placement_key
 from repro.core.hierarchy import Hierarchy
-from repro.core.metrics import OrderSignature
-from repro.core.orders import Order, format_order
+from repro.core.metrics import OrderSignature, signature
+from repro.core.orders import Order, all_orders, format_order
 from repro.launcher.slurm import order_to_distribution
 from repro.topology.machine import MachineTopology
 
@@ -80,20 +82,21 @@ class ClassText(NamedTuple):
         )
 
     @classmethod
-    def of(cls, hierarchy: Hierarchy, sigs: tuple[OrderSignature, ...]) -> "ClassText":
-        """The text of one equivalence class (representative first)."""
-        rep = sigs[0]
+    def of(cls, hierarchy: Hierarchy, comm_size: int, members: tuple[Order, ...]) -> "ClassText":
+        """The text of one placement class (representative first); its
+        legend shows the representative's signature."""
+        rep = members[0]
         return cls.render(
-            rep.order,
-            tuple(s.order for s in sigs),
             rep,
-            order_to_distribution(hierarchy, rep.order),
+            members,
+            signature(hierarchy, rep, comm_size),
+            order_to_distribution(hierarchy, rep),
         )
 
 
 @dataclass(frozen=True)
 class Recommendation:
-    """One scored equivalence class of orders.
+    """One scored placement class of orders.
 
     ``text`` is the class's pre-rendered :class:`ClassText`, shared by
     every answer over the same class set; text built for other fields
@@ -187,8 +190,8 @@ class QueryPlan:
     """A placement query lowered to its evaluable request grid.
 
     ``cells`` is the query's traffic (workload cells sharing one
-    communicator size); ``classes`` holds the order equivalence classes
-    (representative first); ``requests`` is the flattened
+    communicator size); ``classes`` holds the placement classes, each a
+    tuple of orders (representative first); ``requests`` is the flattened
     representative-major ``(representative, cell)`` grid whose results
     -- aligned with ``requests`` -- :func:`advice_from_results`
     assembles into an :class:`Advice`.  Index arithmetic: request ``i``
@@ -202,7 +205,7 @@ class QueryPlan:
     cells: tuple
     scenario: str
     backend: str
-    classes: tuple[tuple[OrderSignature, ...], ...]
+    classes: tuple[tuple[Order, ...], ...]
     requests: tuple = ()
     texts: tuple[ClassText, ...] = field(default=(), compare=False, repr=False)
 
@@ -257,13 +260,12 @@ def plan_query(
     check_grid(topology, hierarchy, cells, backend)
     classes, texts = _order_classes(
         hierarchy,
-        hierarchy.masked,
         comm_size,
         None if orders is None else tuple(tuple(o) for o in orders),
     )
     requests = tuple(
-        cell.request(backend, topology, hierarchy, tuple(sigs[0].order))
-        for sigs in classes
+        cell.request(backend, topology, hierarchy, members[0])
+        for members in classes
         for cell in cells
     )
     return QueryPlan(
@@ -281,25 +283,25 @@ def plan_query(
 @lru_cache(maxsize=256)
 def _order_classes(
     hierarchy: Hierarchy,
-    masked: bool,
     comm_size: int,
     orders: tuple[Order, ...] | None,
-) -> tuple[tuple[tuple[OrderSignature, ...], ...], tuple[ClassText, ...]]:
-    """:func:`equivalence_classes` as immutable tuples, plus each class's
-    :class:`ClassText`, memoized.
+) -> tuple[tuple[tuple[Order, ...], ...], tuple[ClassText, ...]]:
+    """``orders`` (default :func:`all_orders`) grouped by
+    :func:`~repro.core.equivalence.placement_key`, classes and members in
+    input order, plus each class's :class:`ClassText`, memoized.
 
     A query's classes, and everything its answer shows of them but their
     durations (Slurm string, order names, legend prefix), depend only on
     these arguments, not on its payloads, so a service plan-memo miss
-    for a novel payload reuses them.  ``masked`` is passed apart because
-    :class:`Hierarchy` equality ignores it while it switches the
-    grouping key.
+    for a novel payload reuses them.
     """
-    classes = tuple(
-        tuple(sigs)
-        for sigs in equivalence_classes(hierarchy, comm_size, orders=orders).values()
+    groups: dict[tuple[int, ...], list[Order]] = {}
+    for order in all_orders(hierarchy.depth) if orders is None else orders:
+        groups.setdefault(placement_key(hierarchy, order, comm_size), []).append(order)
+    classes = tuple(tuple(members) for members in groups.values())
+    return classes, tuple(
+        ClassText.of(hierarchy, comm_size, members) for members in classes
     )
-    return classes, tuple(ClassText.of(hierarchy, sigs) for sigs in classes)
 
 
 def advice_from_results(plan: QueryPlan, results: Sequence[dict]) -> Advice:
@@ -323,7 +325,7 @@ def advice_from_results(plan: QueryPlan, results: Sequence[dict]) -> Advice:
     failed = [
         failed_point(
             results[i],
-            order=tuple(plan.classes[i // n_cells][0].order),
+            order=plan.classes[i // n_cells][0],
             total_bytes=plan.cells[i % n_cells].total_bytes,
         )
         for i in range(len(results))
@@ -346,14 +348,17 @@ def _class_texts(plan: QueryPlan) -> tuple[ClassText, ...]:
     carries none for them (a plan built or ``replace``-d by hand)."""
     texts = plan.texts
     if len(texts) == len(plan.classes) and all(
-        t.signature is sigs[0] for t, sigs in zip(texts, plan.classes)
+        t.equivalent_orders is members for t, members in zip(texts, plan.classes)
     ):
         return texts
-    return tuple(ClassText.of(plan.hierarchy, sigs) for sigs in plan.classes)
+    return tuple(
+        ClassText.of(plan.hierarchy, plan.comm_size, members)
+        for members in plan.classes
+    )
 
 
 def _assemble(plan: QueryPlan, totals: Sequence[float]) -> Advice:
-    """Ranked advice from one summed duration per equivalence class.
+    """Ranked advice from one summed duration per placement class.
 
     Pairs each total with the class's memoized :class:`ClassText`, so
     nothing is rendered or looked up per query.
@@ -384,7 +389,7 @@ def ladder_advise(
     config=None,
     exhaustive_audit: bool = False,
 ):
-    """Rank a plan's equivalence classes through the fidelity ladder.
+    """Rank a plan's placement classes through the fidelity ladder.
 
     Instead of scoring every class representative at the plan's backend
     like :func:`advice_from_results`, runs the error-calibrated
@@ -430,7 +435,7 @@ def ladder_advise(
         plan.topology,
         plan.hierarchy,
         plan.cells,
-        order_of=lambda ci: tuple(plan.classes[ci][0].order),
+        order_of=lambda ci: plan.classes[ci][0],
         exhaustive_audit=exhaustive_audit,
     )
     if not result.ranking:
@@ -465,7 +470,7 @@ def advise(
     ladder=False,
     cells: Sequence | None = None,
 ) -> Advice:
-    """Rank order equivalence classes by predicted duration.
+    """Rank the orders' placement classes by predicted duration.
 
     The query is either a collective -- ``comm_size``, ``collective``
     (default ``alltoall``), the payload sizes ``total_bytes`` (default

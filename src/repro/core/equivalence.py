@@ -21,8 +21,13 @@ Keys are built on the exact integer pair counts, never on rounded
 percentages: two near-boundary pair ratios that round to the same float
 (or straddle a rounding boundary) must not merge (or split) a class.
 
-The sweep engine reuses results on the finer :func:`placement_key`
-instead, an O(depth) closed form over the order alone.
+These signature classes are the paper's explanatory notion (the CLI's
+``classes`` listing prints them).  Every answer groups on the finer
+:func:`placement_key` instead, an O(depth) closed form over the order
+alone: the sweep engine reuses results on it, and the advisor ranks and
+lists its classes, labelling each with its representative's signature.
+Equal signatures do not imply equal time once levels have different
+link parameters or communicators share links (the ``all`` scenario).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Iterable, Sequence
 from repro.core.hierarchy import Hierarchy, _check_order
 from repro.core.metrics import OrderSignature, signature, signature_of_coords
 from repro.core.mixed_radix import decompose_many
-from repro.core.orders import Order, all_orders
+from repro.core.orders import all_orders
 from repro.core.reorder import RankReordering
 
 
@@ -111,22 +116,6 @@ def equivalence_classes(
     return classes
 
 
-def class_key(
-    hierarchy: Hierarchy, order: Sequence[int], comm_size: int
-) -> tuple:
-    """The strict (all-communicator) signature key of one order.
-
-    Orders sharing it place every subcommunicator on resources with the
-    same ring cost and pair-level distribution -- the paper's Section 3.3
-    notion of equivalence.  Note this is an *analytic* grouping: on
-    machines whose levels have different link parameters, two orders with
-    equal signatures can still differ (which physical level a pair
-    crosses, and the internal rank labeling, both move the simulated
-    duration).  Result-reuse must key on :func:`placement_key` instead.
-    """
-    return tuple(sorted(_comm_signatures(hierarchy, tuple(order), comm_size)))
-
-
 def placement_key(
     hierarchy: Hierarchy, order: Sequence[int], comm_size: int
 ) -> tuple[int, ...]:
@@ -139,9 +128,10 @@ def placement_key(
     schedule is comm-order-blind; comm 0 is pinned because the
     single-communicator scenario measures it specifically).  This is the
     sound result-reuse key: placements sharing it run isomorphic
-    simulations.  It is strictly finer than :func:`class_key` -- equal
-    signatures do not imply equal keys here (e.g. same-shaped orders
-    spanning different physical levels).
+    simulations.  It is strictly finer than the all-communicator
+    signature key of :func:`equivalence_classes` -- equal signatures do
+    not imply equal keys here (e.g. same-shaped orders spanning
+    different physical levels).
 
     Closed form, O(depth): the key is the shortest prefix of ``order``
     (fastest level first) whose levels' radices multiply to a multiple
@@ -173,25 +163,3 @@ def placement_key(
             return order[:k]
         block *= hierarchy.radices[level]
     return order
-
-
-def representative_orders(
-    hierarchy: Hierarchy,
-    comm_size: int,
-    orders: Iterable[Sequence[int]] | None = None,
-) -> list[Order]:
-    """One order per equivalence class (the first seen in each class).
-
-    This is the pruned search space the paper suggests: for the Figure 3
-    setup it reduces 24 orders to a handful of genuinely distinct mappings.
-    """
-    classes = equivalence_classes(hierarchy, comm_size, orders)
-    return [sigs[0].order for sigs in classes.values()]
-
-
-def pruning_factor(hierarchy: Hierarchy, comm_size: int) -> float:
-    """``depth! / #classes`` -- how much dedup shrinks the search space."""
-    import math
-
-    classes = equivalence_classes(hierarchy, comm_size)
-    return math.factorial(hierarchy.depth) / len(classes)

@@ -32,7 +32,7 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.engine import chaos
 from repro.engine.keys import CACHE_SCHEMA
@@ -57,6 +57,10 @@ _CURRENT = _SCHEMA_AT + str(CACHE_SCHEMA).encode() + b","
 
 #: Bytes read per ``pread`` while streaming the log.
 _CHUNK = 1 << 16
+
+#: A record's request provenance: the canonical document, a callable
+#: building it, or None.
+RequestDoc = dict | Callable[[], dict] | None
 
 
 def result_checksum(result: dict) -> str:
@@ -166,17 +170,18 @@ class ResultCache:
 
     # -- store -------------------------------------------------------------
 
-    def put(self, key: str, result: dict, request_doc: dict | None = None) -> None:
+    def put(self, key: str, result: dict, request_doc: RequestDoc = None) -> None:
         """Store one result; see :meth:`put_many`."""
         self.put_many([(key, result, request_doc)])
 
-    def put_many(self, records: Iterable[tuple[str, dict, dict | None]]) -> None:
+    def put_many(self, records: Iterable[tuple[str, dict, RequestDoc]]) -> None:
         """Store ``(key, result, request_doc)`` records in both tiers.
 
         With a ``cache_dir`` the records of keys the log does not hold
         yet are appended as one write and synced before this returns.
-        ``request_doc`` (the canonical request) is written next to the
-        result for provenance; it is not kept in memory.
+        ``request_doc`` (the canonical request, or a callable building
+        it, called only for a record the log appends) is written next to
+        the result for provenance; it is not kept in memory.
         """
         records = list(records)
         for key, result, _ in records:
@@ -193,6 +198,8 @@ class ResultCache:
                 "checksum": result_checksum(result),
                 "result": result,
             }
+            if callable(request_doc):
+                request_doc = request_doc()
             if request_doc is not None:
                 doc["request"] = request_doc
             line = chaos.maybe_corrupt_payload(key, json.dumps(doc)) + "\n"

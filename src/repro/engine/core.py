@@ -286,13 +286,10 @@ class SweepEngine:
             else:
                 unresolved.append(idxs[0])
 
-        # 2. Group unresolved requests by equivalence class.  Each one's
-        # canonical document is built once more here (its key is
-        # memoized, the document is not) for grouping and the log.
-        docs = {i: requests[i].canonical() for i in unresolved}
+        # 2. Group unresolved requests by equivalence class.
         groups: dict[tuple, _Group] = {}
         for i in unresolved:
-            group = self._prune_key(requests[i], docs[i])
+            group = self._prune_key(requests[i])
             groups.setdefault(group, _Group()).indices.append(i)
 
         # 3. Decide what actually runs.
@@ -305,12 +302,15 @@ class SweepEngine:
         to_run.sort()  # deterministic dispatch order
 
         # 4. Evaluate, persisting each group that settles together as one
-        # log append and sync.
+        # log append and sync.  The log builds a request's canonical
+        # document only for a record it appends.
         def on_settled(settled: list[tuple[int, dict | EvalFailure]]) -> None:
             # Never cache a failure: the next run re-evaluates it.
             ok = [(i, out) for i, out in settled if not isinstance(out, EvalFailure)]
             if ok:
-                self.cache.put_many((keys[i], out, docs[i]) for i, out in ok)
+                self.cache.put_many(
+                    (keys[i], out, requests[i].canonical) for i, out in ok
+                )
 
         evaluated = self._run(
             [requests[i] for i in to_run],
@@ -382,7 +382,7 @@ class SweepEngine:
 
     # -- internals ---------------------------------------------------------
 
-    def _prune_key(self, request: EvalRequest, doc: dict) -> tuple:
+    def _prune_key(self, request: EvalRequest) -> tuple:
         """Group key: everything but the order, plus the placement's
         canonical form (:func:`repro.core.equivalence.placement_key`).
 
@@ -398,8 +398,10 @@ class SweepEngine:
 
         The canonical form is an O(depth) closed form over the order,
         cheaper than a memo lookup, so it is computed per request and
-        nothing is kept.  ``doc`` is the request's canonical document;
-        the order-free base is built from it without mutating it.
+        nothing is kept.  The rest of the key is the request's own
+        frozen fields, the ones its canonical document holds;
+        ``hierarchy.masked`` is named apart because :class:`Hierarchy`
+        equality ignores it.
         """
         if (
             request.model not in PRUNABLE_MODELS
@@ -408,13 +410,12 @@ class SweepEngine:
             or request.comm_size is None
         ):
             return ("solo", request.key)
-        base = json.dumps(
-            {k: v for k, v in doc.items() if k != "order"},
-            sort_keys=True,
-            separators=(",", ":"),
+        return (
+            "class", request.model, request.topology, request.hierarchy,
+            request.hierarchy.masked, request.comm_size, request.seed,
+            request.extras, request.workload, request.workload_params,
+            placement_key(request.hierarchy, request.order, request.comm_size),
         )
-        cls = placement_key(request.hierarchy, request.order, request.comm_size)
-        return ("class", base, cls)
 
     def _audit(
         self,

@@ -5,7 +5,7 @@ rank order should this (machine, communicator structure, payload) use? —
 as a long-running query service:
 
 - **planning** reuses :func:`repro.core.advisor.plan_query`, so a query
-  lowers to exactly the equivalence-class request grid the offline
+  lowers to exactly the placement-class request grid the offline
   :func:`~repro.core.advisor.advise` evaluates; plans are memoized per
   query shape (the class enumeration is pure);
 - **evaluation** runs every grid on one single-thread executor over one
@@ -208,7 +208,7 @@ class AdvisorService:
         Backend for queries that do not name one.  ``logp`` is the fast
         path the service exists to serve.
     plan_cache_size:
-        Memoized query plans kept (equivalence-class enumeration and the
+        Memoized query plans kept (placement-class enumeration and the
         request grid are pure functions of the query shape).
     evaluate:
         Override for the blocking grid evaluator (tests use this to

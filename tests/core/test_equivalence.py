@@ -6,13 +6,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from repro.core.equivalence import (
-    class_key,
-    equivalence_classes,
-    placement_key,
-    pruning_factor,
-    representative_orders,
-)
+from repro.core.equivalence import equivalence_classes, placement_key
 from repro.core.hierarchy import Hierarchy
 from repro.core.metrics import OrderSignature
 from repro.core.mixed_radix import decompose_many
@@ -90,21 +84,6 @@ class TestClasses:
         assert sorted(members) == sorted(subset)
 
 
-class TestRepresentatives:
-    def test_one_per_class(self, hydra_hierarchy):
-        classes = equivalence_classes(hydra_hierarchy, 16)
-        reps = representative_orders(hydra_hierarchy, 16)
-        assert len(reps) == len(classes)
-        assert len(set(reps)) == len(reps)
-
-    def test_pruning_factor_above_one(self, hydra_hierarchy):
-        assert pruning_factor(hydra_hierarchy, 16) > 1.0
-
-    def test_pruning_factor_formula(self, fig1_hierarchy):
-        classes = equivalence_classes(fig1_hierarchy, 4)
-        assert pruning_factor(fig1_hierarchy, 4) == math.factorial(3) / len(classes)
-
-
 class TestExactKeys:
     """Regression: keys must be exact rationals, not ``round(p, 6)``."""
 
@@ -180,16 +159,25 @@ class TestMaskedHierarchies:
         assert auto.keys() == fast.keys()
 
 
+def strict_class_of(hierarchy: Hierarchy, comm_size: int) -> dict:
+    """Order -> its strict (all-communicator) signature class, the
+    members of its ``equivalence_classes(..., check_all_comms=True)``
+    group."""
+    classes = equivalence_classes(hierarchy, comm_size, check_all_comms=True)
+    return {
+        s.order: tuple(m.order for m in sigs)
+        for sigs in classes.values()
+        for s in sigs
+    }
+
+
 class TestClassKey:
     def test_strict_key_groups_equivalent_orders(self, fig1_hierarchy):
+        class_of = strict_class_of(fig1_hierarchy, 4)
         # Section 3.3's merged pair shares the strict key...
-        assert class_key(fig1_hierarchy, (2, 0, 1), 4) == class_key(
-            fig1_hierarchy, (2, 1, 0), 4
-        )
+        assert class_of[(2, 0, 1)] == class_of[(2, 1, 0)]
         # ...and distinct mappings do not.
-        assert class_key(fig1_hierarchy, (0, 1, 2), 4) != class_key(
-            fig1_hierarchy, (1, 0, 2), 4
-        )
+        assert class_of[(0, 1, 2)] != class_of[(1, 0, 2)]
 
 
 class TestPlacementKey:
@@ -229,7 +217,8 @@ class TestPlacementKey:
         # gradient their simulated durations genuinely differ, so the
         # placement key must keep them apart.
         h = Hierarchy((4, 2, 2, 8), ("node", "socket", "group", "core"))
-        assert class_key(h, (0, 1, 2, 3), 16) == class_key(h, (0, 2, 1, 3), 16)
+        class_of = strict_class_of(h, 16)
+        assert class_of[(0, 1, 2, 3)] == class_of[(0, 2, 1, 3)]
         assert placement_key(h, (0, 1, 2, 3), 16) != placement_key(
             h, (0, 2, 1, 3), 16
         )
@@ -245,15 +234,15 @@ class TestPlacementKey:
 
     def test_finer_than_signature_key(self, hydra_hierarchy):
         # Placement classes refine signature classes: members of one
-        # placement class always share the signature key.
+        # placement class always share the strict signature key.
+        class_of = strict_class_of(hydra_hierarchy, 16)
         by_placement = {}
         for order in all_orders(4):
             by_placement.setdefault(
                 placement_key(hydra_hierarchy, order, 16), []
             ).append(order)
         for members in by_placement.values():
-            keys = {class_key(hydra_hierarchy, o, 16) for o in members}
-            assert len(keys) == 1
+            assert len({class_of[o] for o in members}) == 1
 
     def test_internal_rank_order_is_kept_apart(self):
         # Same core set, different rank labeling: round structure (who

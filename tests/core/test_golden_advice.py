@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core.advisor import _assemble, advise, ladder_advise, plan_query
 from repro.core.hierarchy import Hierarchy
+from repro.core.metrics import signature
 from repro.core.orders import all_orders, format_order
 from repro.launcher.slurm import expressible_distributions
 from repro.topology.hwloc import parse_synthetic
@@ -121,18 +122,19 @@ def reference_slurm(hierarchy: Hierarchy, order) -> str | None:
 
 def _reference_recs(plan, totals) -> list[dict]:
     recs = []
-    for sigs, total in zip(plan.classes, totals):
-        rep = sigs[0]
-        slurm = reference_slurm(plan.hierarchy, rep.order)
+    for members, total in zip(plan.classes, totals):
+        rep = members[0]
+        slurm = reference_slurm(plan.hierarchy, rep)
         tag = f" [{slurm}]" if slurm else ""
+        legend = signature(plan.hierarchy, rep, plan.comm_size).legend()
         recs.append(
             {
-                "order": list(rep.order),
-                "order_name": format_order(rep.order),
-                "equivalent_orders": [format_order(s.order) for s in sigs],
+                "order": list(rep),
+                "order_name": format_order(rep),
+                "equivalent_orders": [format_order(o) for o in members],
                 "predicted_seconds": total,
                 "slurm_distribution": slurm,
-                "legend": f"{rep.legend()}{tag} -> {total * 1e3:.3f} ms",
+                "legend": f"{legend}{tag} -> {total * 1e3:.3f} ms",
             }
         )
     recs.sort(key=lambda r: r["predicted_seconds"])

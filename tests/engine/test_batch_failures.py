@@ -30,7 +30,7 @@ def _plan():
 
 
 def _representatives(plan) -> list[tuple[int, ...]]:
-    return [tuple(sigs[0].order) for sigs in plan.classes]
+    return [members[0] for members in plan.classes]
 
 
 class TestStackWithFailures:

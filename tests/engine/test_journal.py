@@ -53,6 +53,23 @@ class TestRoundTrip:
         assert len(_lines(tmp_path)) == 1
         assert ResultCache(cache_dir=tmp_path).replayed == 1
 
+    def test_request_doc_built_only_for_appended_records(self, tmp_path):
+        built = []
+
+        def doc(key):
+            return lambda: built.append(key) or {"key": key}
+
+        ResultCache().put_many([(K1, _result(K1), doc(K1))])  # no log
+        c = ResultCache(cache_dir=tmp_path)
+        c.put_many([(K1, _result(K1), doc(K1)), (K2, _result(K2), doc(K2))])
+        c.put_many([(K1, _result(K1), doc(K1))])  # already logged
+        c.close()
+        assert built == [K1, K2]
+        assert [json.loads(line)["request"] for line in _lines(tmp_path)] == [
+            {"key": K1},
+            {"key": K2},
+        ]
+
     def test_resume_appends_not_rewrites(self, tmp_path):
         c = ResultCache(cache_dir=tmp_path)
         c.put(K1, _result(K1))
