@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -71,6 +72,20 @@ class Hierarchy:
                 f"got {len(names)} level names for {len(radices)} levels"
             )
         object.__setattr__(self, "names", names)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields equality compares (``masked`` is not
+        one), worked out once: engine groups and prune keys look
+        hierarchies up per request."""
+        return hash((self.radices, self.names))
+
+    def __getstate__(self) -> dict:
+        # String hashes are salted per process: a copy hashes afresh.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     # -- basic properties -------------------------------------------------
 

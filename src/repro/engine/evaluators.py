@@ -155,13 +155,16 @@ def _eval_microbench_batch(
     sweeps, figures and the advisor consume either interchangeably (its
     fidelity is advisory: order rankings, not absolute durations).
 
-    Requests sharing (topology, hierarchy, order, comm_size) share a
-    placement, so their programs stack into one ``run_batch`` call per
-    scenario; the backend's structure memo persists across groups, so
-    orders whose placements coincide (unpruned equivalence classes)
-    analyse each round pattern exactly once for the whole frontier.
-    The scalar evaluator is this function on a one-request frontier, so
-    a point's result does not depend on the frontier it was batched in.
+    Requests sharing (topology, hierarchy, comm_size) stack: each
+    distinct order's placement is one placement set, each distinct
+    ``(workload, params)`` is lowered once, and the group makes one
+    ``run_batch`` call per scenario (``single``, then ``all``) that
+    prices every set against every program.  Every set of a call has one
+    comm size and one instance count.  A (set, program) cell no request
+    asked for is priced and dropped.  The scalar evaluator is this
+    function on a one-request frontier, and no entry of a stacked call
+    depends on the rest of it, so a point's result does not depend on
+    the frontier it was batched in.
     """
     from repro.bench.microbench import comm_members
     from repro.ir import get_backend
@@ -170,28 +173,37 @@ def _eval_microbench_batch(
     out: list[dict | None] = [None] * len(reqs)
     groups: dict[tuple, list[int]] = {}
     for i, r in enumerate(reqs):
-        groups.setdefault(
-            (r.topology, r.hierarchy, r.order, r.comm_size), []
-        ).append(i)
-    for (topology, hierarchy, order, comm_size), idxs in groups.items():
+        groups.setdefault((r.topology, r.hierarchy, r.comm_size), []).append(i)
+    for (topology, hierarchy, comm_size), idxs in groups.items():
         hierarchy.check_process_count(topology.n_cores)
-        members = comm_members(hierarchy, order, comm_size)
-        programs = [_program(reqs[i]) for i in idxs]
+        orders: dict[tuple, int] = {}
+        cells: dict[tuple, int] = {}
+        programs = []
+        for i in idxs:
+            r = reqs[i]
+            orders.setdefault(r.order, len(orders))
+            cell = (r.workload, r.workload_params)
+            if cell not in cells:
+                cells[cell] = len(programs)
+                programs.append(_program(r))
+        members = [comm_members(hierarchy, order, comm_size) for order in orders]
         # Microbench points only read total times; skip the per-round
         # RoundCost breakdown (``detail=False`` leaves times bit-exact).
         options = {"detail": False}
-        single = engine.run_batch(programs, topology, [members[0]], **options)
+        single = engine.run_batch(programs, topology, [[m[0]] for m in members], **options)
         # A communicator spanning the machine is its only instance: the
         # all-instances scenario is the single one.
         both = (
             single
-            if len(members) == 1
-            else engine.run_batch(programs, topology, list(members), **options)
+            if len(members[0]) == 1
+            else engine.run_batch(programs, topology, [list(m) for m in members], **options)
         )
-        for j, i in enumerate(idxs):
+        for i in idxs:
+            r = reqs[i]
+            s, j = orders[r.order], cells[(r.workload, r.workload_params)]
             out[i] = {
-                "duration_single": single[j].time,
-                "duration_all": both[j].time,
+                "duration_single": single[s][j].time,
+                "duration_all": both[s][j].time,
             }
     assert all(r is not None for r in out)
     return out  # type: ignore[return-value]

@@ -220,9 +220,11 @@ def plan_chunks(
     """Pack request indices into the chunks a run dispatches.
 
     Requests of a model with a batch evaluator that share ``(model,
-    topology, hierarchy, order, comm_size)`` -- the key the batch
-    evaluator groups by -- form a placement group.  Groups are packed
-    whole, in order of their first index, into about ``n_chunks``
+    topology, hierarchy, order, comm_size)`` -- one order's placement --
+    form a placement group; the batch evaluator stacks a chunk's groups
+    of one ``(topology, hierarchy, comm_size)`` into one kernel call per
+    scenario.  Groups are packed whole, in order of their first index,
+    into about ``n_chunks``
     chunks; every other request is a chunk of its own.  Returns every
     chunk (each sorted, the list ordered by first index) and the set of
     the packed ones, whose settled members count as ``batched``.

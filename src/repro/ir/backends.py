@@ -23,10 +23,10 @@ backends register at import time:
     fair share -- each flow's busiest up/down link (and the root
     capacity) priced exactly as the round model prices it, but with the
     latency and bandwidth maxima decoupled into a closed form.  Only
-    that ``(alpha, rate_coeff)`` pair is memoized per (placement,
-    pattern), in the per-topology fabric beside the round model's
-    structures, so a warm memo covers many more placements in the same
-    memory; the model is advisory (ranking) fidelity.
+    that ``(alpha, rate_coeff)`` pair is memoized, one array of pairs per
+    (placement, pattern table), in the per-topology fabric beside the
+    round model's structures, so a warm memo covers many more placements
+    in the same memory; the model is advisory (ranking) fidelity.
 
 Backends are looked up by name through the registry
 (:func:`get_backend` for a shared per-process instance whose caches
@@ -54,7 +54,7 @@ from repro.ir.program import CommProgram, CommRound
 from repro.topology.machine import MachineTopology
 
 if TYPE_CHECKING:
-    from repro.netsim.fabric import Fabric
+    from repro.netsim.fabric import Fabric, RoundStructure
     from repro.simmpi.communicator import Comm
     from repro.simmpi.runtime import Simulator
 
@@ -292,19 +292,58 @@ def describe_backends() -> list[tuple[str, BackendCapabilities]]:
 
 # -- analytic kernels: shared batch driver ---------------------------------
 
+#: Elements one stacked ``(placement set, cell, flow)`` pricing pass of a
+#: pattern holds at most (2 MiB per float64 temporary); a pattern whose
+#: ``(cell, flow)`` block under one set is larger is priced one set at a
+#: time, as large as an unstacked pass.
+STACK_CELLS = 1 << 18
+
+
+def _stacks(
+    per_set: Sequence[RoundStructure], cells: int
+) -> Iterator[tuple[np.ndarray, RoundStructure]]:
+    """One pattern's ``(live, lat, share)`` under many placement sets, stacked.
+
+    Sets whose structures share a live mask (hence a flow count) stack
+    into ``(sets, flows)`` ``lat``/``share`` arrays, in runs of at most
+    :data:`STACK_CELLS` elements when priced at ``cells`` cells each;
+    yields each run's set indices with its stacked structure.
+    """
+    runs: Dict[Any, list[int]] = {}
+    for s, (live, lat, _) in enumerate(per_set):
+        runs.setdefault(lat.size if isinstance(live, slice) else live.tobytes(), []).append(s)
+    for sets in runs.values():
+        live, lat, _ = per_set[sets[0]]
+        step = max(1, STACK_CELLS // max(1, cells * lat.size))
+        for a in range(0, len(sets), step):
+            run = sets[a : a + step]
+            yield np.array(run), (
+                live,
+                np.stack([per_set[s][1] for s in run]),
+                np.stack([per_set[s][2] for s in run]),
+            )
+
+
+def _stacked_shape(lat: np.ndarray, payload: np.ndarray) -> tuple[int, ...]:
+    """Shape that lines stacked ``(sets, flows)`` structures up with a
+    ``(..., flows)`` payload, leading with the set axis."""
+    return (lat.shape[0],) + (1,) * (payload.ndim - 1) + (lat.shape[1],)
+
 
 class _AnalyticBackend:
     """Whole-program pricing shared by the ``round`` and ``logp`` kernels.
 
-    Per alignment group and placement, each distinct round pattern gets
-    one memoized structural analysis, and the ``(n_programs, R)`` time
-    matrix fills with vector ops over whole patterns rather than one
-    round at a time.  A kernel supplies the memoized structures (what
-    scalar payloads need per pattern), the ``(live, lat, share)`` of the
-    patterns carrying per-flow payloads, their pricing, and the
-    summation of the time matrix, which runs along the round axis with
-    ``np.add.accumulate``: its strictly sequential additions keep the
-    round-by-round ``total += t * repeat`` order bit for bit.
+    One call prices S placement sets x N programs.  Per alignment group,
+    each distinct round pattern gets one memoized structural analysis
+    per placement set, and the ``(S, N, R)`` time array fills with
+    vector ops over whole patterns and every placement set at once
+    rather than one round, or one placement, at a time.  A kernel
+    supplies the structures (what scalar payloads need per pattern and
+    set), the ``(live, lat, share)`` of the patterns carrying per-flow
+    payloads, their pricing, and the summation of the time array, which
+    runs along the round axis with ``np.add.accumulate``: its strictly
+    sequential additions keep the round-by-round ``total += t * repeat``
+    order bit for bit.
     """
 
     name: str
@@ -333,49 +372,55 @@ class _AnalyticBackend:
         placements: Placements,
         **options: Any,
     ) -> ExecutionResult:
-        return self.run_batch([program], topology, placements, **options)[0]
+        return self.run_batch([program], topology, [placements], **options)[0][0]
 
     def run_batch(
         self,
         programs: Sequence[CommProgram],
         topology: MachineTopology,
-        placements: Placements,
+        placement_sets: Sequence[Placements],
         **options: Any,
-    ) -> list[ExecutionResult]:
-        """Score a stack of programs, one vectorized pass per alignment group.
+    ) -> list[list[ExecutionResult]]:
+        """Score every program under every placement set, one vectorized
+        pass per alignment group.
 
-        ``run(program, ...)`` is ``run_batch([program], ...)[0]``, and
-        entry ``j`` does not depend on the rest of the batch: every
-        vector op is elementwise over the program axis.
+        ``placement_sets[s]`` is one placement (the core arrays of the
+        communicator instances that run at once); entry ``[s][j]`` is
+        program ``j`` under set ``s``.  ``run(program, topology,
+        placements)`` is ``run_batch([program], topology,
+        [placements])[0][0]``, and no entry depends on the rest of the
+        batch: every vector op is elementwise over the set and program
+        axes.
 
         ``detail=False`` skips the per-round :class:`RoundCost` breakdown
         (``per_round`` comes back empty); total times are unaffected.
         """
         detail = bool(options.get("detail", True))
         programs = list(programs)
-        cores_list = _as_placements(placements)
-        copies = len(cores_list) if self._merged_flow_counts else 1
-        results: Dict[int, ExecutionResult] = {}
-        for idxs in _aligned_groups(programs):
+        sets = [_as_placements(p) for p in placement_sets]
+        results: list[Dict[int, ExecutionResult]] = [{} for _ in sets]
+        for idxs in _aligned_groups(programs) if sets else ():
             group = [programs[j] for j in idxs]
             tables = [_pattern_table(p) for p in group]
             ref = tables[0]
-            structs = self._pattern_structures(ref, topology, cores_list, options)
-            times = self._times(group, tables, structs, topology, cores_list)
+            structs = self._pattern_structures(ref, topology, sets)
+            times = self._times(group, tables, structs, topology, sets)
             totals = self._totals(times, tables).tolist()
-            per_round: list[tuple] = [()] * len(idxs)
-            if detail:
-                n_flows = [r.n_flows * copies for r in ref.patterns]
-                flows = [n_flows[p] for p in ref.ids.tolist()]
-                index = range(len(flows))
-                repeats = ref.repeat.tolist()
-                per_round = [
-                    tuple(map(RoundCost, index, repeats, flows, row))
-                    for row in times.tolist()
-                ]
-            for jj, j in enumerate(idxs):
-                results[j] = ExecutionResult(self.name, totals[jj], per_round[jj])
-        return [results[j] for j in range(len(programs))]
+            index = range(len(ref.ids))
+            repeats = ref.repeat.tolist()
+            for s, cores_list in enumerate(sets):
+                per_round: list[tuple] = [()] * len(idxs)
+                if detail:
+                    copies = len(cores_list) if self._merged_flow_counts else 1
+                    n_flows = [r.n_flows * copies for r in ref.patterns]
+                    flows = [n_flows[p] for p in ref.ids.tolist()]
+                    per_round = [
+                        tuple(map(RoundCost, index, repeats, flows, row))
+                        for row in times[s].tolist()
+                    ]
+                for jj, j in enumerate(idxs):
+                    results[s][j] = ExecutionResult(self.name, totals[s][jj], per_round[jj])
+        return [[out[j] for j in range(len(programs))] for out in results]
 
     # -- kernel hooks ----------------------------------------------------
 
@@ -383,35 +428,36 @@ class _AnalyticBackend:
         self,
         table: _PatternTable,
         topology: MachineTopology,
-        cores_list: list[np.ndarray],
-        options: dict[str, Any],
-    ) -> Sequence[tuple]:
-        """One memoized structure per pattern of ``table``: what the
-        kernel needs to price scalar payloads."""
+        sets: list[list[np.ndarray]],
+    ) -> Any:
+        """The memoized structures of every pattern of ``table`` under
+        every placement set: what the kernel needs to price scalar
+        payloads."""
         raise NotImplementedError
 
     def _flow_structures(
         self,
-        structs: Sequence[tuple],
+        structs: Any,
         table: _PatternTable,
         topology: MachineTopology,
-        cores_list: list[np.ndarray],
+        sets: list[list[np.ndarray]],
         which: list[int],
-    ) -> Sequence[tuple]:
-        """``(live, lat, share)`` of patterns ``which``, for per-flow
-        payloads (``structs`` are :meth:`_pattern_structures`)."""
+    ) -> list[list[RoundStructure]]:
+        """Per set, the ``(live, lat, share)`` of patterns ``which``, for
+        per-flow payloads (``structs`` are :meth:`_pattern_structures`)."""
         raise NotImplementedError
 
     @staticmethod
-    def _scalar_times(
-        structs: Sequence[tuple], table: _PatternTable, nbytes: np.ndarray
-    ) -> np.ndarray:
-        """``(n_programs, R)`` durations at scalar payloads; ``0.0`` in
-        rounds without live flows, anything in per-flow-array cells."""
+    def _scalar_times(structs: Any, table: _PatternTable, nbytes: np.ndarray) -> np.ndarray:
+        """``(n_sets, n_programs, R)`` durations at scalar payloads; ``0.0``
+        in rounds without live flows, anything in per-flow-array cells."""
         raise NotImplementedError
 
     @staticmethod
-    def _flow_times(struct: tuple, payload: np.ndarray) -> np.ndarray:
+    def _flow_times(lat: np.ndarray, share: np.ndarray, payload: np.ndarray) -> np.ndarray:
+        """Per set and cell, the slowest flow's time: stacked ``(sets,
+        flows)`` structures against a ``(..., flows)`` (or ``(..., 1)``)
+        payload, giving ``(sets, ...)``."""
         raise NotImplementedError
 
     @staticmethod
@@ -422,18 +468,19 @@ class _AnalyticBackend:
         self,
         group: list[CommProgram],
         tables: list[_PatternTable],
-        structs: Sequence[tuple],
+        structs: Any,
         topology: MachineTopology,
-        cores_list: list[np.ndarray],
+        sets: list[list[np.ndarray]],
     ) -> np.ndarray:
-        """The ``(len(group), R)`` matrix of per-round durations.
+        """The ``(n_sets, len(group), R)`` array of per-round durations.
 
         The kernel prices every scalar-payload cell at once
         (:meth:`_scalar_times`).  Per pattern, the cells carrying
         per-flow payload arrays then stack into one ``(cells, live
         flows)`` matrix, each row the round's payload tiled once per
         placement (the merged round's flow order) and cut to live flows,
-        and price against the pattern's :meth:`_flow_structures`.
+        and price against the pattern's :meth:`_flow_structures`, stacked
+        over the sets that share its live mask.
         """
         ref = tables[0]
         times = self._scalar_times(structs, ref, np.array([t.nbytes for t in tables]))
@@ -442,21 +489,22 @@ class _AnalyticBackend:
             return times
         cols = list(ref.cols())
         which = [p for p, c in enumerate(cols) if per_flow[:, c].any()]
-        flow_structs = self._flow_structures(structs, ref, topology, cores_list, which)
-        k = len(cores_list)
-        for p, struct in zip(which, flow_structs):
-            live, lat = struct[:2]
-            if not lat.size:
-                continue
+        flow_structs = self._flow_structures(structs, ref, topology, sets, which)
+        for w, p in enumerate(which):
             rows, at = np.nonzero(per_flow[:, cols[p]])
             at = cols[p][at]
-            payload = np.stack(
-                [
-                    np.tile(group[j].rounds[r].nbytes_per_flow(), k)[live]
-                    for j, r in zip(rows.tolist(), at.tolist())
-                ]
-            )
-            times[rows, at] = self._flow_times(struct, payload)
+            per_set = [structs_of_set[w] for structs_of_set in flow_structs]
+            for run, (live, lat, share) in _stacks(per_set, rows.size):
+                if not lat.shape[1]:
+                    continue
+                k = len(sets[run[0]])
+                payload = np.stack(
+                    [
+                        np.tile(group[j].rounds[r].nbytes_per_flow(), k)[live]
+                        for j, r in zip(rows.tolist(), at.tolist())
+                    ]
+                )
+                times[run[:, None], rows, at] = self._flow_times(lat, share, payload)
         return times
 
 
@@ -475,7 +523,8 @@ class RoundBackend(_AnalyticBackend):
     each round, price it with :meth:`Fabric.round_structures` and
     ``max(lat + nbytes / share)``, add ``t * repeat``) that this backend
     equals bit for bit.  Scalar payloads price all of a pattern's rounds
-    in one ``(program, round, flow)`` pass.
+    under many placement sets in one ``(set, program, round, flow)``
+    pass.
     """
 
     name = "round"
@@ -488,45 +537,56 @@ class RoundBackend(_AnalyticBackend):
         self,
         table: _PatternTable,
         topology: MachineTopology,
-        cores_list: list[np.ndarray],
-        options: dict[str, Any],
-    ) -> Sequence[tuple]:
+        sets: list[list[np.ndarray]],
+    ) -> list[list[RoundStructure]]:
+        """Per set, one structure per pattern from the fabric's
+        per-pattern memo.  Each set's placed patterns are looked up (and
+        dropped) before the next set's are placed: together they would
+        weigh as much as the memo entries they key."""
+        fabric = self.fabric(topology)
         which = range(len(table.patterns))
-        placed = list(_placed_patterns(table, cores_list, which))
-        return self.fabric(topology).round_structures(placed)
+        return [
+            fabric.round_structures(list(_placed_patterns(table, cores_list, which)))
+            for cores_list in sets
+        ]
 
     def _flow_structures(
         self,
-        structs: Sequence[tuple],
+        structs: list[list[RoundStructure]],
         table: _PatternTable,
         topology: MachineTopology,
-        cores_list: list[np.ndarray],
+        sets: list[list[np.ndarray]],
         which: list[int],
-    ) -> Sequence[tuple]:
-        return [structs[p] for p in which]
+    ) -> list[list[RoundStructure]]:
+        return [[per_set[p] for p in which] for per_set in structs]
 
     @staticmethod
     def _scalar_times(
-        structs: Sequence[tuple], table: _PatternTable, nbytes: np.ndarray
+        structs: list[list[RoundStructure]], table: _PatternTable, nbytes: np.ndarray
     ) -> np.ndarray:
-        times = np.zeros(nbytes.shape)
-        for cols, struct in zip(table.cols(), structs):
-            if struct[1].size:
-                times[:, cols] = RoundBackend._flow_times(struct, nbytes[:, cols, None])
+        times = np.zeros((len(structs), *nbytes.shape))
+        rows = np.arange(nbytes.shape[0])[:, None]
+        for p, cols in enumerate(table.cols()):
+            per_set = [structs_of_set[p] for structs_of_set in structs]
+            for run, (_, lat, share) in _stacks(per_set, rows.size * cols.size):
+                if lat.shape[1]:
+                    times[run[:, None, None], rows, cols] = RoundBackend._flow_times(
+                        lat, share, nbytes[:, cols, None]
+                    )
         return times
 
     @staticmethod
-    def _flow_times(struct: tuple, payload: np.ndarray) -> np.ndarray:
-        _, lat, share = struct
-        times: np.ndarray = (lat + payload / share).max(axis=-1)
+    def _flow_times(lat: np.ndarray, share: np.ndarray, payload: np.ndarray) -> np.ndarray:
+        shape = _stacked_shape(lat, payload)
+        times: np.ndarray = (lat.reshape(shape) + payload / share.reshape(shape)).max(axis=-1)
         return times
 
     @staticmethod
     def _totals(times: np.ndarray, tables: list[_PatternTable]) -> np.ndarray:
-        steps = np.zeros((times.shape[0], times.shape[1] + 1))
-        steps[:, 1:] = times * tables[0].repeat
+        steps = np.zeros((*times.shape[:-1], times.shape[-1] + 1))
+        np.multiply(times, tables[0].repeat, out=steps[..., 1:])
         compute = np.array([t.compute_total for t in tables])
-        totals: np.ndarray = np.add.accumulate(steps, axis=1)[:, -1]
+        totals: np.ndarray = np.add.accumulate(steps, axis=-1, out=steps)[..., -1]
         return totals + compute
 
 
@@ -758,13 +818,14 @@ class LogPBackend(_AnalyticBackend):
     analysis per (placement, pattern) serves every payload size and
     every round the pattern recurs in.  The per-topology
     :class:`~repro.netsim.fabric.Fabric` memoizes only the
-    ``(alpha, rate_coeff)`` pair
-    (:meth:`~repro.netsim.fabric.Fabric.logp_coefficients`), so scalar
-    payloads cost one multiply per (program, round) -- the Hockney
-    ``alpha + n * beta`` form.  Per-flow payload arrays need the
+    ``(alpha, rate_coeff)`` pairs, one ``(P, 2)`` array per (placement,
+    pattern table) (:meth:`~repro.netsim.fabric.Fabric.logp_coefficients`),
+    so a placement set costs one memo lookup per alignment group and
+    scalar payloads one multiply per (set, program, round) -- the
+    Hockney ``alpha + n * beta`` form.  Per-flow payload arrays need the
     per-flow shares, which one uncached stacked pass re-derives for just
-    the patterns those cells use; pricing them is one ``(cell, flow)``
-    pass.  Decoupling the latency and bandwidth maxima makes the model
+    the patterns those cells use; pricing them is one ``(set, cell,
+    flow)`` pass.  Decoupling the latency and bandwidth maxima makes the model
     an upper bound of the round model up to float rounding (the shares
     are built as ``count * (1 / bw)``, the round model's as
     ``bw / count``); its fidelity contract is order *rankings*, not
@@ -781,56 +842,66 @@ class LogPBackend(_AnalyticBackend):
         self,
         table: _PatternTable,
         topology: MachineTopology,
-        cores_list: list[np.ndarray],
-        options: dict[str, Any],
-    ) -> Sequence[tuple]:
-        """The ``(alpha, rate_coeff)`` of every pattern of ``table`` under
-        this placement, from the fabric's memo; its misses are analysed
-        together in stacked passes."""
-        return self.fabric(topology).logp_coefficients(
-            tuple(c.tobytes() for c in cores_list),
+        sets: list[list[np.ndarray]],
+    ) -> np.ndarray:
+        """``(n_sets, P, 2)``: the ``(alpha, rate_coeff)`` of every
+        pattern of ``table`` under each placement set, from the fabric's
+        per-table memo; the missing sets are analysed together in one
+        stacked pass."""
+        which = range(len(table.patterns))
+        coefficients = self.fabric(topology).logp_coefficients(
+            [tuple(c.tobytes() for c in cores_list) for cores_list in sets],
             table.keys,
-            lambda missing: _placed_patterns(table, cores_list, missing),
+            lambda missing: (
+                pattern for s in missing for pattern in _placed_patterns(table, sets[s], which)
+            ),
         )
+        return np.stack(coefficients)
 
     def _flow_structures(
         self,
-        structs: Sequence[tuple],
+        structs: np.ndarray,
         table: _PatternTable,
         topology: MachineTopology,
-        cores_list: list[np.ndarray],
+        sets: list[list[np.ndarray]],
         which: list[int],
-    ) -> Sequence[tuple]:
-        placed = _placed_patterns(table, cores_list, which)
-        return list(self.fabric(topology).fair_shares(placed, inverse=True))
+    ) -> list[list[RoundStructure]]:
+        placed = [
+            pattern
+            for cores_list in sets
+            for pattern in _placed_patterns(table, cores_list, which)
+        ]
+        flat = list(self.fabric(topology).fair_shares(placed, inverse=True))
+        n = len(which)
+        return [flat[s * n : (s + 1) * n] for s in range(len(sets))]
 
     @staticmethod
-    def _scalar_times(
-        structs: Sequence[tuple], table: _PatternTable, nbytes: np.ndarray
-    ) -> np.ndarray:
+    def _scalar_times(structs: np.ndarray, table: _PatternTable, nbytes: np.ndarray) -> np.ndarray:
         # One elementwise ``alpha + nbytes * rate_coeff`` over every
-        # (program, round) cell, each round reading its pattern's pair.
-        alpha, rate_coeff = np.array(structs).reshape(-1, 2)[table.ids].T
-        times: np.ndarray = alpha + nbytes * rate_coeff
-        times[:, np.isnan(alpha)] = 0.0  # patterns without live flows
+        # (set, program, round) cell, each round reading its pattern's pair.
+        coefficients = structs[:, None, table.ids]
+        alpha, rate_coeff = coefficients[..., 0], coefficients[..., 1]
+        times: np.ndarray = nbytes * rate_coeff
+        times += alpha
+        times[np.broadcast_to(np.isnan(alpha), times.shape)] = 0.0  # no live flows
         return times
 
     @staticmethod
-    def _flow_times(struct: tuple, payload: np.ndarray) -> np.ndarray:
-        _, lat, inv_share = struct
-        times: np.ndarray = (lat + payload * inv_share).max(axis=1)
+    def _flow_times(lat: np.ndarray, inv_share: np.ndarray, payload: np.ndarray) -> np.ndarray:
+        shape = _stacked_shape(lat, payload)
+        times: np.ndarray = (lat.reshape(shape) + payload * inv_share.reshape(shape)).max(axis=-1)
         return times
 
     @staticmethod
     def _totals(times: np.ndarray, tables: list[_PatternTable]) -> np.ndarray:
         # ``[t * repeat, compute * repeat]`` per round, interleaved: the
         # accumulation adds them in the per-round order of a scalar loop.
-        n, n_rounds = times.shape
+        *lead, n_rounds = times.shape
         repeat = tables[0].repeat
-        steps = np.zeros((n, 2 * n_rounds + 1))
-        steps[:, 1::2] = times * repeat
-        steps[:, 2::2] = np.array([t.compute for t in tables]) * repeat
-        totals: np.ndarray = np.add.accumulate(steps, axis=1)[:, -1]
+        steps = np.zeros((*lead, 2 * n_rounds + 1))
+        np.multiply(times, repeat, out=steps[..., 1::2])
+        steps[..., 2::2] = np.array([t.compute for t in tables]) * repeat
+        totals: np.ndarray = np.add.accumulate(steps, axis=-1, out=steps)[..., -1]
         return totals
 
 

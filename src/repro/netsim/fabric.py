@@ -18,12 +18,13 @@ in :mod:`repro.netsim.flows` (they agree exactly whenever every flow in the
 round carries equal bytes, which round-structured collectives guarantee).
 
 A :class:`Fabric` holds the payload-independent half of that formula for
-one machine: per placed ``(src, dst)`` pattern, each live flow's latency
-and fair share (:meth:`Fabric.round_structures`), plus the logp model's
-``(alpha, rate_coeff)`` pairs, each in an LRU memo.  It prices nothing
-itself: the ``round`` and ``logp`` backends of :mod:`repro.ir.backends`
-own one fabric per topology and evaluate whole programs against it, so
-every caller of the round model goes through
+one machine, in two LRU memos: per placed ``(src, dst)`` pattern, each
+live flow's latency and fair share (:meth:`Fabric.round_structures`),
+and per (placement, pattern table), the logp model's ``(alpha,
+rate_coeff)`` pair of every pattern (:meth:`Fabric.logp_coefficients`).
+It prices nothing itself: the ``round`` and ``logp`` backends of
+:mod:`repro.ir.backends` own one fabric per topology and evaluate whole
+programs against it, so every caller of the round model goes through
 ``get_backend("round").run(program, topology, placements)``.  A pattern
 is analysed in ~10 NumPy passes even at 2048 ranks, and a 255-round ring
 allgather has one distinct pattern.
@@ -85,33 +86,37 @@ RoundStructure = tuple["np.ndarray | slice", np.ndarray, np.ndarray]
 #: spares the structure memo one mask per entry.
 ALL_FLOWS = slice(None)
 
-#: What the logp model keeps of one placed round pattern:
-#: ``(alpha, rate_coeff)``, the largest first-hop latency and the largest
-#: inverse fair share over the pattern's live flows.
-LogPCoefficients = tuple[float, float]
-
-#: ``(alpha, rate_coeff)`` of a pattern whose flows are all self-flows;
-#: NaN marks it, and its rounds price at ``0.0``.
-NO_FLOWS: LogPCoefficients = (float("nan"), float("nan"))
+#: The logp model's ``(alpha, rate_coeff)`` of a pattern whose flows are
+#: all self-flows (elsewhere the largest first-hop latency and the
+#: largest inverse fair share over its live flows); NaN marks it, and
+#: its rounds price at ``0.0``.
+NO_FLOWS = (float("nan"), float("nan"))
 
 
 class Fabric:
     """Memoized fair-share structures of placed round patterns on one
-    machine topology (built by the analytic backends, one per topology)."""
+    machine topology (built by the analytic backends, one per topology).
+
+    The round kernel's memo holds one structure per placed pattern; the
+    logp kernel's one array of pairs per (placement, pattern table), so
+    a placement costs it one lookup per alignment group of a call.
+    """
 
     #: Pattern structures kept per fabric; each key embeds the
     #: pattern's src/dst arrays, so unbounded growth would cost real memory
     #: on studies that evaluate thousands of distinct patterns.
     CACHE_LIMIT = 4096
 
-    #: logp ``(alpha, rate_coeff)`` pairs kept per fabric.  One pass over
-    #: the served advise shape set adds 15,340 pairs, 10,392 of them on the
-    #: lumi(2) fabric and 4,948 on hydra(4), so the set stays warm with 2x
-    #: headroom even on one fabric.  An entry measures ~310 bytes: key
-    #: tuple, float pair and ordered-dict slot, plus its share of the
-    #: pattern bytes, which every placement of a program shares.  A full
-    #: memo holds ~10 MB.
-    COEFFICIENT_LIMIT = 1 << 15
+    #: logp entries kept per fabric, one ``(P, 2)`` array per (placement,
+    #: pattern table).  One pass over the served advise shape set adds
+    #: 1,208 entries (22,780 pattern pairs), 700 of them on the hydra(4)
+    #: fabric and 508 on lumi(2), so the set stays warm with 3x headroom
+    #: even on one fabric.  An entry measures ~1.7 KB on that set: the
+    #: placement's core bytes (8 per core of every instance, 2 KB for a
+    #: lumi(2) all-instances placement), the pair array, the key tuple
+    #: and the ordered-dict slot; the pattern keys are the program's
+    #: table's own.  A full memo holds ~7 MB.
+    COEFFICIENT_LIMIT = 1 << 12
 
     #: Flows plus tally cells one stacked structural pass holds.  A
     #: pattern weighs its flow count plus the machine's core count (the
@@ -123,7 +128,7 @@ class Fabric:
     def __init__(self, topology: MachineTopology):
         self.topology = topology
         self._structures: OrderedDict[tuple, RoundStructure] = OrderedDict()
-        self._coefficients: OrderedDict[tuple, LogPCoefficients] = OrderedDict()
+        self._coefficients: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
     def round_structures(
         self, patterns: Sequence[tuple[np.ndarray, np.ndarray]]
@@ -148,29 +153,43 @@ class Fabric:
 
     def logp_coefficients(
         self,
-        placement: tuple[bytes, ...],
-        keys: Sequence[tuple[bytes, bytes]],
+        placements: Sequence[tuple[bytes, ...]],
+        patterns: tuple[tuple[bytes, bytes], ...],
         placed: Callable[[list[int]], Iterable[tuple[np.ndarray, np.ndarray]]],
-    ) -> list[LogPCoefficients]:
-        """The logp model's ``(alpha, rate_coeff)`` of rank-space patterns.
+    ) -> list[np.ndarray]:
+        """The logp model's ``(alpha, rate_coeff)`` of one pattern table
+        under many placements.
 
-        ``keys`` are the patterns' ``(src bytes, dst bytes)`` and
-        ``placement`` the bytes of their placement's core arrays; the
-        fabric's topology is the rest of the identity, so it stays out of
-        the key.  ``placed(missing)`` yields the core-space ``(src, dst)``
-        of the patterns at positions ``missing``, which the LRU memo's
-        misses share one stacked :meth:`fair_shares` pass over.  Only the
-        two maxima are kept: per-flow payloads re-derive the per-flow
-        shares uncached.
+        ``patterns`` are the table's rank-space ``(src bytes, dst
+        bytes)`` pattern keys and each of ``placements`` the bytes of one
+        placement's core arrays; the fabric's topology is the rest of the
+        identity, so it stays out of the key.  Each memo entry holds one
+        read-only ``(P, 2)`` array, row ``p`` pattern ``p``'s pair
+        (:data:`NO_FLOWS` when it has no live flows).  ``placed(missing)``
+        yields the core-space ``(src, dst)`` of every pattern under the
+        placements at positions ``missing``, placement-major, which the
+        memo's misses share one stacked :meth:`fair_shares` pass over.
+        Only the two maxima are kept: per-flow payloads re-derive the
+        per-flow shares uncached.
         """
+        n = len(patterns)
 
-        def analyse(missing: list[int]) -> Iterator[LogPCoefficients]:
-            for _, lat, inv_share in self.fair_shares(placed(missing), inverse=True):
-                yield (float(lat.max()), float(inv_share.max())) if lat.size else NO_FLOWS
+        def analyse(missing: list[int]) -> list[np.ndarray]:
+            pairs = [
+                (lat.max(), inv_share.max()) if lat.size else NO_FLOWS
+                for _, lat, inv_share in self.fair_shares(placed(missing), inverse=True)
+            ]
+            stacked = np.array(pairs, dtype=float).reshape(len(missing), n, 2)
+            out = []
+            for coefficients in stacked:
+                coefficients = coefficients.copy()  # owned: must not pin the stack
+                coefficients.setflags(write=False)
+                out.append(coefficients)
+            return out
 
         return lru_structures(
             self._coefficients,
-            [(placement, *key) for key in keys],
+            [(placement, patterns) for placement in placements],
             self.COEFFICIENT_LIMIT,
             analyse,
         )

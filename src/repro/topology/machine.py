@@ -55,6 +55,20 @@ class MachineTopology:
         if not self.levels:
             raise ValueError("topology needs at least one level")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields equality compares, worked out once:
+        fabrics, evaluator groups and prune keys look topologies up per
+        request, and the generated hash re-walks every level."""
+        return hash((self.name, self.levels, self.flop_rate, self.root_bw))
+
+    def __getstate__(self) -> dict:
+        # String hashes are salted per process: a copy hashes afresh.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     # -- structure ---------------------------------------------------------
 
     @cached_property

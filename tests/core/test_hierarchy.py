@@ -88,6 +88,32 @@ class TestDerived:
         assert Hierarchy((16, 2, 2, 8)).strides() == (32, 16, 8, 1)
 
 
+class TestHash:
+    def test_equal_hierarchies_hash_equal(self):
+        a = Hierarchy((2, 2, 4), names=("node", "socket", "core"))
+        b = Hierarchy([2, 2, 4], names=["node", "socket", "core"])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert Hierarchy((2, 2, 4)) != a
+
+    def test_masked_keeps_equality_and_hash(self):
+        h = Hierarchy((3, 2, 4))
+        masked = h.without_cores(range(8))
+        assert masked.masked
+        plain = Hierarchy((2, 2, 4))
+        assert masked == plain and hash(masked) == hash(plain)
+        assert hash(masked) == hash((masked.radices, masked.names))
+
+    def test_pickled_copy_hashes_afresh(self):
+        import pickle
+
+        h = Hierarchy((2, 4))
+        hash(h)
+        copy = pickle.loads(pickle.dumps(h))
+        assert "_hash" not in copy.__dict__
+        assert copy == h and hash(copy) == hash(h)
+
+
 class TestValidation:
     def test_check_process_count_accepts_exact(self):
         Hierarchy((2, 2, 4)).check_process_count(16)

@@ -165,8 +165,10 @@ class TestBatchFallback:
 @pytest.mark.parametrize("model", ["logp", "round"])
 class TestMachineSpanningCommunicator:
     """A communicator spanning the whole machine is its only instance, so
-    the batch evaluator prices it once per placement group: the
-    all-instances duration is the single-instance one, bit for bit."""
+    the batch evaluator prices its (topology, hierarchy, comm_size)
+    group in one stacked call, every order's placement against every
+    program: the all-instances duration is the single-instance one, bit
+    for bit."""
 
     def test_one_pass_per_group(self, model, monkeypatch):
         from repro.engine.evaluators import BATCH_EVALUATORS
@@ -176,9 +178,10 @@ class TestMachineSpanningCommunicator:
         calls = []
         run_batch = backend.run_batch
 
-        def counting(programs, topology, placements, **options):
-            calls.append(len(placements))
-            return run_batch(programs, topology, placements, **options)
+        def counting(programs, topology, placement_sets, **options):
+            instances = sorted({len(p) for p in placement_sets})
+            calls.append((len(placement_sets), len(programs), instances))
+            return run_batch(programs, topology, placement_sets, **options)
 
         monkeypatch.setattr(backend, "run_batch", counting)
         requests = [
@@ -195,7 +198,7 @@ class TestMachineSpanningCommunicator:
             for s in SIZES
         ]
         results = BATCH_EVALUATORS[model](requests)
-        assert calls == [1] * len(ORDERS)
+        assert calls == [(len(ORDERS), len(SIZES), [1])]
         for res in results:
             assert repr(res["duration_all"]) == repr(res["duration_single"])
 

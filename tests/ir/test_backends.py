@@ -226,13 +226,19 @@ class TestLogPBackend:
         assert times[0] < times[1] < times[2]
 
     def test_structure_cached_across_sizes(self):
+        from repro.netsim.fabric import STRUCTURE_CACHE_STATS as stats
+
         eng = create_backend("logp")
         cores = np.arange(8)
+        before = stats.hits, stats.misses
         for s in (1e4, 1e5, 1e6):
             eng.run(collective_program("alltoall", 8, s, "pairwise"), TOPO, [cores])
-        # pairwise alltoall on 8 ranks: 7 distinct patterns, cached once
-        # each despite 3 payload sizes, in the topology's fabric.
-        assert len(eng.fabric(TOPO)._coefficients) == 7
+        # pairwise alltoall on 8 ranks: one pattern table of 7 distinct
+        # patterns, analysed once despite 3 payload sizes and kept as one
+        # (7, 2) entry in the topology's fabric; the later sizes hit it.
+        (entry,) = eng.fabric(TOPO)._coefficients.values()
+        assert entry.shape == (7, 2)
+        assert (stats.hits - before[0], stats.misses - before[1]) == (2, 1)
 
     def test_self_flows_cost_nothing(self):
         prog = CommProgram(2, (CommRound([0, 1], [0, 1], 1e6),))

@@ -138,7 +138,7 @@ class TestRunBatchDifferential:
             for total_bytes in cfg["sizes"]
         ]
         for placements in ([members[0]], list(members)):
-            batched = be.run_batch(programs, topo, placements)
+            (batched,) = be.run_batch(programs, topo, [placements])
             assert len(batched) == len(programs)
             for program, got in zip(programs, batched):
                 ref = be.run(program, topo, placements)
@@ -263,7 +263,7 @@ def _assert_batch_matches(backend, topo, programs, members):
     for placements in ([members[0]], list(members)):
         for detail in (True, False):
             be = create_backend(backend)
-            batched = be.run_batch(programs, topo, placements, detail=detail)
+            (batched,) = be.run_batch(programs, topo, [placements], detail=detail)
             scalar = create_backend(backend)
             for program, got in zip(programs, batched):
                 ref = scalar.run(program, topo, placements, detail=detail)
@@ -361,13 +361,14 @@ def test_logp_scalar_and_per_flow_share_one_instance(cfg):
                 assert repr(shared.run(program, topo, placements)) == repr(ref)
                 assert repr(ref.time) == repr(_logp_reference(program, topo, placements))
             # Aligned scalar and per-flow programs also price in one pass.
-            batched = shared.run_batch(programs, topo, placements)
+            (batched,) = shared.run_batch(programs, topo, [placements])
             assert [repr(r) for r in batched] == [repr(r) for r in fresh]
 
 
 def test_dnn_step_analyses_each_pattern_once():
     """The 256-rank dnn step repeats 73 src/dst patterns over 390 rounds:
-    one placement adds one structure per pattern to each kernel's memo."""
+    one placement adds one structure per pattern to the round kernel's
+    memo, and one entry holding every pattern's pair to the logp one."""
     program = lower_workload(
         "dnn",
         {"dp": 4, "tp": 8, "pp": 8, "layers": 16, "hidden": 1024, "seq": 512},
@@ -377,8 +378,9 @@ def test_dnn_step_analyses_each_pattern_once():
     topo = generic_cluster(radices)
     members = comm_members(Hierarchy(radices), all_orders(len(radices))[7], 256)
     logp = create_backend("logp")
-    logp.run_batch([program], topo, [members[0]])
-    assert len(logp.fabric(topo)._coefficients) == 73
+    logp.run_batch([program], topo, [[members[0]]])
+    (entry,) = logp.fabric(topo)._coefficients.values()
+    assert entry.shape == (73, 2)
     rnd = create_backend("round")
-    rnd.run_batch([program], topo, [members[0]])
+    rnd.run_batch([program], topo, [[members[0]]])
     assert len(rnd.fabric(topo)._structures) == 73

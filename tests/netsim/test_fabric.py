@@ -224,19 +224,28 @@ class TestLogPCoefficients:
         (np.array([2, 3]), np.array([2, 3])),  # self-flows only
     ]
 
-    def _coefficients(self, f, j):
-        src, dst = self.PATTERNS[j]
+    def _table(self, which):
+        return tuple((self.PATTERNS[j][0].tobytes(), self.PATTERNS[j][1].tobytes()) for j in which)
+
+    def _coefficients(self, f, placements, which):
+        """One entry per placement for the table of patterns ``which``
+        (every placement places them at the same cores)."""
+        placed = [self.PATTERNS[j] for j in which]
         return f.logp_coefficients(
-            (b"placement",), [(src.tobytes(), dst.tobytes())], lambda _: [(src, dst)]
-        )[0]
+            [(p,) for p in placements],
+            self._table(which),
+            lambda missing: [pattern for _ in missing for pattern in placed],
+        )
 
     def test_pairs_are_the_fair_share_maxima(self):
-        from repro.netsim.fabric import NO_FLOWS
-
         f = Fabric(_topo())
         _, lat, inv_share = next(f.fair_shares([self.PATTERNS[0]], inverse=True))
-        assert self._coefficients(f, 0) == (float(lat.max()), float(inv_share.max()))
-        assert self._coefficients(f, 1) is NO_FLOWS
+        a, b = self._coefficients(f, [b"a", b"b"], [0, 1])
+        for entry in (a, b):
+            assert entry.shape == (2, 2) and not entry.flags.writeable
+            assert entry[0].tolist() == [float(lat.max()), float(inv_share.max())]
+            assert np.isnan(entry[1]).all()  # self-flows only
+        assert len(f._coefficients) == 2  # one entry per (placement, table)
 
     def test_structure_memo_counts_hits_misses_and_evictions(self):
         stats = STRUCTURE_CACHE_STATS
@@ -244,7 +253,7 @@ class TestLogPCoefficients:
         f.COEFFICIENT_LIMIT = 1
         before = (stats.hits, stats.misses, stats.evictions)
         for j in (0, 0, 1, 0):  # miss, hit, miss + evict, miss + evict
-            self._coefficients(f, j)
+            self._coefficients(f, [b"placement"], [j])
         after = (stats.hits, stats.misses, stats.evictions)
         assert tuple(a - b for a, b in zip(after, before)) == (1, 3, 2)
         assert len(f._coefficients) == 1

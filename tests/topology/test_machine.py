@@ -38,6 +38,24 @@ class TestStructure:
         assert t.component_of(cores, 2).tolist() == [0, 3, 4, 8, 15]
 
 
+class TestHash:
+    def test_separately_built_topologies_hash_equal(self):
+        a, b = _toy(), _toy()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert hash(a) == hash((a.name, a.levels, a.flop_rate, a.root_bw))
+        assert _toy((2, 4)) != a
+
+    def test_pickled_copy_hashes_afresh(self):
+        import pickle
+
+        t = _toy()
+        hash(t)
+        copy = pickle.loads(pickle.dumps(t))
+        assert "_hash" not in copy.__dict__
+        assert copy == t and hash(copy) == hash(t)
+
+
 class TestLCA:
     def test_lca_levels(self):
         t = _toy()
