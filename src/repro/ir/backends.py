@@ -36,13 +36,13 @@ amortize across calls, :func:`create_backend` for a cold instance).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
     Iterator,
-    NamedTuple,
     Protocol,
     Sequence,
     runtime_checkable,
@@ -54,7 +54,7 @@ from repro.ir.program import CommProgram, CommRound
 from repro.topology.machine import MachineTopology
 
 if TYPE_CHECKING:
-    from repro.netsim.fabric import Fabric, RoundStructure
+    from repro.netsim.fabric import Fabric, FlowChunk, RoundStructure
     from repro.simmpi.communicator import Comm
     from repro.simmpi.runtime import Simulator
 
@@ -137,7 +137,8 @@ def _as_placements(placements: Placements | np.ndarray) -> list[np.ndarray]:
     return out
 
 
-class _PatternTable(NamedTuple):
+@dataclass(frozen=True)
+class _PatternTable:
     """A program's rounds grouped by flow pattern (see :func:`_pattern_table`)."""
 
     #: Payload-alignment key: programs sharing it have, round for round,
@@ -159,6 +160,19 @@ class _PatternTable(NamedTuple):
         """The round indices of each pattern, in pattern order."""
         b = self.bounds
         return (self.by_pattern[b[p] : b[p + 1]] for p in range(len(self.patterns)))
+
+    @cached_property
+    def flows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(src, dst, pattern)``: every pattern's rank-space flows,
+        concatenated in pattern order, and each flow's pattern index.
+        Built on the table's first logp coefficient miss, so the tables
+        of programs that only hit the memo never hold them."""
+        src = np.concatenate([np.empty(0, np.int64), *(r.src for r in self.patterns)])
+        dst = np.concatenate([np.empty(0, np.int64), *(r.dst for r in self.patterns)])
+        pattern = np.repeat(np.arange(len(self.patterns)), [r.n_flows for r in self.patterns])
+        for a in (src, dst, pattern):
+            a.setflags(write=False)
+        return src, dst, pattern
 
 
 def _pattern_table(program: CommProgram) -> _PatternTable:
@@ -207,7 +221,7 @@ def _pattern_table(program: CommProgram) -> _PatternTable:
         compute_total=sum(r.compute * r.repeat for r in rounds),
         rank_range=(int(ranks.min()), int(ranks.max())) if ranks.size else (0, -1),
     )
-    for value in table:
+    for value in vars(table).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
     object.__setattr__(program, "_pattern_table", table)
@@ -229,6 +243,20 @@ def _aligned_groups(programs: Sequence[CommProgram]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _instances(
+    table: _PatternTable, cores_list: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated cores of a placement's instances and each
+    instance's ``(k, 1)`` offset into them: instance ``k``'s core of rank
+    ``r`` is ``flat[starts[k] + r]``."""
+    lo, hi = table.rank_range
+    if lo < 0 or hi >= min(c.size for c in cores_list):
+        raise ValueError("round refers to ranks outside the communicator")
+    flat = np.concatenate(cores_list)
+    starts = np.cumsum([0] + [c.size for c in cores_list[:-1]])[:, None]
+    return flat, starts
+
+
 def _placed_patterns(
     table: _PatternTable, cores_list: list[np.ndarray], which: Sequence[int]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -238,18 +266,48 @@ def _placed_patterns(
     ``k``'s flows follow instance ``k - 1``'s) -- the merged round of
     the "all subcommunicators at once" scenario.
     """
-    lo, hi = table.rank_range
-    if lo < 0 or hi >= min(c.size for c in cores_list):
-        raise ValueError("round refers to ranks outside the communicator")
-    if not which:
-        return
-    # Row ``k`` of ``starts + ranks`` indexes instance ``k``'s cores in the
-    # concatenated placements; the row-major ravel is instance-major.
-    flat = np.concatenate(cores_list)
-    starts = np.cumsum([0] + [c.size for c in cores_list[:-1]])[:, None]
+    flat, starts = _instances(table, cores_list)
+    # Row ``k`` of ``starts + ranks`` indexes instance ``k``'s cores; the
+    # row-major ravel is instance-major.
     for p in which:
         rnd = table.patterns[p]
         yield flat[starts + rnd.src].ravel(), flat[starts + rnd.dst].ravel()
+
+
+def _placed_flows(
+    table: _PatternTable, sets: list[list[np.ndarray]], weight: int, limit: int
+) -> Iterator[FlowChunk]:
+    """Core-space flows of every pattern of ``table`` under each of
+    ``sets``, in tally chunks.
+
+    A unit is one (set, pattern) pair, numbered placement-major, and
+    weighs its flows over every instance plus ``weight`` tally cells (the
+    machine's core count, the most one level can add).  Chunks take
+    whole units, at most ``limit`` of weight (a heavier unit alone), and
+    number their units from 0.  A set inside one chunk is placed with
+    one gather over the table's concatenated flows
+    (:attr:`_PatternTable.flows`).
+    """
+    n = len(table.patterns)
+    placed = [_instances(table, cores_list) for cores_list in sets]
+    table_src, table_dst, pattern = table.flows
+    n_flows = np.bincount(pattern, minlength=n)
+    offsets = np.concatenate(([0], np.cumsum(n_flows))).tolist()
+    copies = np.array([starts.shape[0] for _, starts in placed])
+    ends = np.concatenate(([0], np.cumsum(np.outer(copies, n_flows) + weight)))
+    start = 0
+    while start < ends.size - 1:
+        stop = int(np.searchsorted(ends, ends[start] + limit, side="right")) - 1
+        stop = max(stop, start + 1)
+        src, dst, units = [], [], []
+        for s in range(start // n, (stop - 1) // n + 1):
+            flat, starts = placed[s]
+            a, b = offsets[max(start - s * n, 0)], offsets[min(stop - s * n, n)]
+            src.append(flat[starts + table_src[a:b]].ravel())
+            dst.append(flat[starts + table_dst[a:b]].ravel())
+            units.append(np.tile(pattern[a:b] + (s * n - start), starts.shape[0]))
+        yield np.concatenate(src), np.concatenate(dst), np.concatenate(units), stop - start
+        start = stop
 
 
 # -- registry ----------------------------------------------------------------
@@ -822,14 +880,18 @@ class LogPBackend(_AnalyticBackend):
     pattern table) (:meth:`~repro.netsim.fabric.Fabric.logp_coefficients`),
     so a placement set costs one memo lookup per alignment group and
     scalar payloads one multiply per (set, program, round) -- the
-    Hockney ``alpha + n * beta`` form.  Per-flow payload arrays need the
-    per-flow shares, which one uncached stacked pass re-derives for just
-    the patterns those cells use; pricing them is one ``(set, cell,
-    flow)`` pass.  Decoupling the latency and bandwidth maxima makes the model
-    an upper bound of the round model up to float rounding (the shares
-    are built as ``count * (1 / bw)``, the round model's as
-    ``bw / count``); its fidelity contract is order *rankings*, not
-    absolute durations.
+    Hockney ``alpha + n * beta`` form.  A miss derives the pairs
+    straight from each pattern's per-component link tallies (the
+    busiest link per level, the first-crossed levels' latencies), with
+    no per-flow share
+    (:meth:`~repro.netsim.fabric.Fabric.tally_coefficients`).  Per-flow
+    payload arrays need the per-flow shares, which one uncached stacked
+    pass re-derives for just the patterns those cells use; pricing them
+    is one ``(set, cell, flow)`` pass.  Decoupling the latency and
+    bandwidth maxima makes the model an upper bound of the round model
+    up to float rounding (the shares are built as ``count * (1 / bw)``,
+    the round model's as ``bw / count``); its fidelity contract is order
+    *rankings*, not absolute durations.
     """
 
     name = "logp"
@@ -846,14 +908,14 @@ class LogPBackend(_AnalyticBackend):
     ) -> np.ndarray:
         """``(n_sets, P, 2)``: the ``(alpha, rate_coeff)`` of every
         pattern of ``table`` under each placement set, from the fabric's
-        per-table memo; the missing sets are analysed together in one
-        stacked pass."""
-        which = range(len(table.patterns))
-        coefficients = self.fabric(topology).logp_coefficients(
+        per-table memo; the missing sets are tallied together, in
+        chunks (:func:`_placed_flows`)."""
+        fabric = self.fabric(topology)
+        coefficients = fabric.logp_coefficients(
             [tuple(c.tobytes() for c in cores_list) for cores_list in sets],
             table.keys,
-            lambda missing: (
-                pattern for s in missing for pattern in _placed_patterns(table, sets[s], which)
+            lambda missing: _placed_flows(
+                table, [sets[s] for s in missing], topology.n_cores, fabric.STACK_FLOWS
             ),
         )
         return np.stack(coefficients)

@@ -36,6 +36,7 @@ with problems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,11 +102,18 @@ def validate_program(program: CommProgram) -> ValidationReport:
     # the vectorized array checks can fail; overridden op views get the
     # full endpoint scan.
     derived_ops = type(program)._round_ops is CommProgram._round_ops
+    # Rounds mostly repeat a few patterns: each distinct pattern's rank
+    # range is checked once, and every round of a bad one is reported.
+    out_of_range: dict[tuple[bytes, bytes], bool] = {}
     for index, rnd in enumerate(program.rounds):
-        src, dst = rnd.src, rnd.dst
-        if src.size and (
-            src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n
-        ):
+        key = rnd.structure_key()
+        bad = out_of_range.get(key)
+        if bad is None:
+            src, dst = rnd.src, rnd.dst
+            bad = out_of_range[key] = bool(src.size) and bool(
+                src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n
+            )
+        if bad:
             report.issues.append(
                 ValidationIssue(
                     index,
@@ -115,8 +123,7 @@ def validate_program(program: CommProgram) -> ValidationReport:
                 )
             )
             continue  # endpoint checks below would index out of range
-        nb = rnd.nbytes_per_flow()
-        if nb.size and (not np.all(np.isfinite(nb)) or nb.min() < 0):
+        if rnd.src.size and not _payload_ok(rnd):
             report.issues.append(
                 ValidationIssue(
                     index, "payload", "payloads must be finite and >= 0"
@@ -126,6 +133,16 @@ def validate_program(program: CommProgram) -> ValidationReport:
         if not derived_ops:
             _check_endpoints(program, report, index, rnd)
     return report
+
+
+def _payload_ok(rnd: CommRound) -> bool:
+    """Finite, non-negative byte counts: a scalar payload is checked as
+    one number, a per-flow array element by element."""
+    nbytes = rnd.nbytes
+    if isinstance(nbytes, (float, int)):
+        return math.isfinite(nbytes) and nbytes >= 0
+    nb = rnd.nbytes_per_flow()
+    return bool(np.all(np.isfinite(nb)) and nb.min() >= 0)
 
 
 def _check_endpoints(

@@ -22,6 +22,9 @@ one machine, in two LRU memos: per placed ``(src, dst)`` pattern, each
 live flow's latency and fair share (:meth:`Fabric.round_structures`),
 and per (placement, pattern table), the logp model's ``(alpha,
 rate_coeff)`` pair of every pattern (:meth:`Fabric.logp_coefficients`).
+The pair is the maximum of the per-flow latencies and inverse shares,
+but a miss never builds those: it reduces each pattern's per-component
+link tallies to their maxima (:meth:`Fabric.tally_coefficients`).
 It prices nothing itself: the ``round`` and ``logp`` backends of
 :mod:`repro.ir.backends` own one fabric per topology and evaluate whole
 programs against it, so every caller of the round model goes through
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -86,6 +90,10 @@ RoundStructure = tuple["np.ndarray | slice", np.ndarray, np.ndarray]
 #: spares the structure memo one mask per entry.
 ALL_FLOWS = slice(None)
 
+#: Core-space flows of many tally units: ``(src, dst, units, n_units)``,
+#: ``units[f]`` numbering flow ``f``'s unit in ``range(n_units)``.
+FlowChunk = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
 #: The logp model's ``(alpha, rate_coeff)`` of a pattern whose flows are
 #: all self-flows (elsewhere the largest first-hop latency and the
 #: largest inverse fair share over its live flows); NaN marks it, and
@@ -118,12 +126,16 @@ class Fabric:
     #: table's own.  A full memo holds ~7 MB.
     COEFFICIENT_LIMIT = 1 << 12
 
-    #: Flows plus tally cells one stacked structural pass holds.  A
-    #: pattern weighs its flow count plus the machine's core count (the
-    #: most ``(pattern, component)`` tally cells it can add at one
-    #: level), which bounds the transient arrays of a large miss set; a
-    #: heavier pattern is analysed on its own.
-    STACK_FLOWS = 1 << 12
+    #: Flows plus tally cells one stacked structural pass holds, in
+    #: both passes: the round kernel's :meth:`fair_shares` and the logp
+    #: kernel's :meth:`tally_coefficients`.  A placed pattern weighs its
+    #: flow count plus the machine's core count (the most ``(pattern,
+    #: component)`` tally cells it can add at one level), which bounds
+    #: the transient arrays of a large miss set; a heavier pattern is
+    #: analysed on its own.  On the 256-rank dnn ladder (2-vCPU host),
+    #: 4096 left the logp misses about twice as slow as 16384, and 65536
+    #: added ~0.5 MB of peak RSS over 16384 for no measurable time.
+    STACK_FLOWS = 1 << 14
 
     def __init__(self, topology: MachineTopology):
         self.topology = topology
@@ -155,7 +167,7 @@ class Fabric:
         self,
         placements: Sequence[tuple[bytes, ...]],
         patterns: tuple[tuple[bytes, bytes], ...],
-        placed: Callable[[list[int]], Iterable[tuple[np.ndarray, np.ndarray]]],
+        placed: Callable[[list[int]], Iterable[FlowChunk]],
     ) -> list[np.ndarray]:
         """The logp model's ``(alpha, rate_coeff)`` of one pattern table
         under many placements.
@@ -166,20 +178,19 @@ class Fabric:
         identity, so it stays out of the key.  Each memo entry holds one
         read-only ``(P, 2)`` array, row ``p`` pattern ``p``'s pair
         (:data:`NO_FLOWS` when it has no live flows).  ``placed(missing)``
-        yields the core-space ``(src, dst)`` of every pattern under the
-        placements at positions ``missing``, placement-major, which the
-        memo's misses share one stacked :meth:`fair_shares` pass over.
-        Only the two maxima are kept: per-flow payloads re-derive the
-        per-flow shares uncached.
+        yields the core-space flows of every pattern under the placements
+        at positions ``missing``, in :data:`FlowChunk` form with one unit
+        per (placement, pattern), placement-major; each chunk's
+        pairs come straight from its link tallies
+        (:meth:`tally_coefficients`), with no per-flow shares.  Per-flow
+        payloads re-derive the per-flow shares uncached
+        (:meth:`fair_shares`).
         """
         n = len(patterns)
 
         def analyse(missing: list[int]) -> list[np.ndarray]:
-            pairs = [
-                (lat.max(), inv_share.max()) if lat.size else NO_FLOWS
-                for _, lat, inv_share in self.fair_shares(placed(missing), inverse=True)
-            ]
-            stacked = np.array(pairs, dtype=float).reshape(len(missing), n, 2)
+            rows = [self.tally_coefficients(*chunk) for chunk in placed(missing)]
+            stacked = np.concatenate([np.empty((0, 2)), *rows]).reshape(len(missing), n, 2)
             out = []
             for coefficients in stacked:
                 coefficients = coefficients.copy()  # owned: must not pin the stack
@@ -193,6 +204,69 @@ class Fabric:
             self.COEFFICIENT_LIMIT,
             analyse,
         )
+
+    @cached_property
+    def _components(self) -> list[np.ndarray]:
+        """Per level, the component index of every core (``cores //
+        strides[level]``), so the tallies gather instead of dividing."""
+        cores = np.arange(self.topology.n_cores)
+        return [cores // stride for stride in self.topology.strides]
+
+    def tally_coefficients(
+        self, src: np.ndarray, dst: np.ndarray, units: np.ndarray, n_units: int
+    ) -> np.ndarray:
+        """``(n_units, 2)``: the logp ``(alpha, rate_coeff)`` of each unit
+        of core-space flows (``units[f]`` is flow ``f``'s unit).
+
+        The pairs equal the maxima of ``fair_shares(..., inverse=True)``
+        over each unit's live flows, bit for bit, without a per-flow
+        share.  At level ``L`` a flow crosses iff its cores'
+        level-``L`` components differ, and the crossing sets nest
+        outward, so the loop walks the levels from the innermost and
+        keeps only the flows still crossing.  ``rate_coeff`` is the
+        largest, over levels, of the unit's busiest up- or down-link
+        tally times ``1 / link_bw`` (and its root-crossing flows over
+        ``root_bw``): rounding ``x * c`` is monotone for ``c > 0``, so
+        the maximum of the products is the product of the maximum
+        tally.  ``alpha`` is the largest ``link_lat`` of a level some
+        flow of the unit first crosses at.  A unit without live flows
+        gets :data:`NO_FLOWS`.
+        """
+        topo = self.topology
+        first = np.zeros((topo.depth, n_units), dtype=bool)
+        live = np.zeros(n_units, dtype=bool)
+        rate = np.zeros(n_units)
+        for level in range(topo.depth - 1, -1, -1):
+            comp = self._components[level]
+            up, down = comp[src], comp[dst]
+            cross = up != down
+            if not cross.all():
+                if level + 1 < topo.depth:  # else self-flows
+                    first[level + 1, units[~cross]] = True  # they first cross one level in
+                src, dst, units, up, down = (a[cross] for a in (src, dst, units, up, down))
+            if level == topo.depth - 1:
+                live[units] = True
+            if not units.size:
+                break
+            width = topo.component_counts[level]
+            cells = n_units * width
+            base = units * width
+            up += base
+            down += base
+            load = np.maximum(
+                np.bincount(up, minlength=cells).reshape(n_units, width).max(axis=1),
+                np.bincount(down, minlength=cells).reshape(n_units, width).max(axis=1),
+            )
+            np.maximum(rate, load * (1.0 / topo.link_bw[level]), out=rate)
+        first[0, units] = True
+        if topo.root_bw > 0 and units.size:
+            n_root = np.bincount(units, minlength=n_units)
+            np.maximum(rate, n_root / topo.root_bw, out=rate)
+        out = np.empty((n_units, 2))
+        out[:, 0] = np.where(first, topo.link_lat[:, None], -np.inf).max(axis=0)
+        out[:, 1] = rate
+        out[~live] = NO_FLOWS
+        return out
 
     def fair_shares(
         self,

@@ -229,13 +229,22 @@ class TestLogPCoefficients:
 
     def _coefficients(self, f, placements, which):
         """One entry per placement for the table of patterns ``which``
-        (every placement places them at the same cores)."""
+        (every placement places them at the same cores), the missing
+        placements' flows in one chunk of ``(placement, pattern)`` units."""
         placed = [self.PATTERNS[j] for j in which]
-        return f.logp_coefficients(
-            [(p,) for p in placements],
-            self._table(which),
-            lambda missing: [pattern for _ in missing for pattern in placed],
-        )
+
+        def chunks(missing):
+            flows = [pattern for _ in missing for pattern in placed]
+            sizes = [src.size for src, _ in flows]
+            units = np.repeat(np.arange(len(flows)), sizes)
+            yield (
+                np.concatenate([src for src, _ in flows]),
+                np.concatenate([dst for _, dst in flows]),
+                units,
+                len(flows),
+            )
+
+        return f.logp_coefficients([(p,) for p in placements], self._table(which), chunks)
 
     def test_pairs_are_the_fair_share_maxima(self):
         f = Fabric(_topo())
