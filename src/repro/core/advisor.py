@@ -24,8 +24,8 @@ placement-advisor service, :mod:`repro.service`) can interpose their own
 evaluation step without forking the ranking logic: :func:`plan_query`
 lowers a placement question (one or more workload cells, see
 :class:`repro.workloads.Cell`) to a :class:`QueryPlan` — the
-placement classes plus the flattened ``(representative, cell)``
-:class:`~repro.engine.keys.EvalRequest` grid — and
+placement classes, whose flattened ``(representative, cell)``
+:class:`~repro.engine.keys.EvalRequest` grid is ``plan.requests`` — and
 :func:`advice_from_results` assembles the grid's results back into an
 :class:`Advice`.  Any evaluator that returns the grid's results aligned
 with ``plan.requests`` therefore produces rankings bitwise-identical to
@@ -34,9 +34,9 @@ with ``plan.requests`` therefore produces rankings bitwise-identical to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 from repro.core.equivalence import placement_key
 from repro.core.hierarchy import Hierarchy
@@ -46,92 +46,85 @@ from repro.launcher.slurm import order_to_distribution
 from repro.topology.machine import MachineTopology
 
 
-class ClassText(NamedTuple):
-    """A :class:`Recommendation`'s fields and rendered text, save its
-    duration.
+@dataclass(frozen=True)
+class PlacementClass:
+    """One placement class of orders: ``members`` share a
+    :func:`~repro.core.equivalence.placement_key`, representative first.
 
-    Built once per class set beside :func:`_order_classes`, so a query
-    pairs each class with its total instead of re-rendering it.
+    Everything an answer shows of the class but its duration renders
+    from the representative on first use and is kept, so every answer
+    over a memoized class set shares one rendering and a class no answer
+    shows is never rendered.
     """
 
-    order: Order
-    equivalent_orders: tuple[Order, ...]
-    signature: OrderSignature
-    slurm_distribution: str | None
-    order_name: str
-    equivalent_names: tuple[str, ...]
-    legend_prefix: str  # "<signature legend>[ [slurm]] "
+    hierarchy: Hierarchy
+    comm_size: int
+    members: tuple[Order, ...]
 
-    @classmethod
-    def render(
-        cls,
-        order: Order,
-        equivalent_orders: tuple[Order, ...],
-        signature: OrderSignature,
-        slurm_distribution: str | None,
-    ) -> "ClassText":
-        slurm = f" [{slurm_distribution}]" if slurm_distribution else ""
-        return cls(
-            order,
-            equivalent_orders,
-            signature,
-            slurm_distribution,
-            format_order(order),
-            tuple(format_order(o) for o in equivalent_orders),
-            f"{signature.legend()}{slurm} ",
-        )
+    @property
+    def order(self) -> Order:
+        """The representative."""
+        return self.members[0]
 
-    @classmethod
-    def of(cls, hierarchy: Hierarchy, comm_size: int, members: tuple[Order, ...]) -> "ClassText":
-        """The text of one placement class (representative first); its
-        legend shows the representative's signature."""
-        rep = members[0]
-        return cls.render(
-            rep,
-            members,
-            signature(hierarchy, rep, comm_size),
-            order_to_distribution(hierarchy, rep),
-        )
+    @cached_property
+    def signature(self) -> OrderSignature:
+        return signature(self.hierarchy, self.order, self.comm_size)
+
+    @cached_property
+    def slurm_distribution(self) -> str | None:
+        return order_to_distribution(self.hierarchy, self.order)
+
+    @cached_property
+    def order_names(self) -> tuple[str, ...]:
+        return tuple(format_order(o) for o in self.members)
+
+    @cached_property
+    def legend_prefix(self) -> str:
+        """``"<signature legend>[ [slurm]] "``."""
+        slurm = f" [{self.slurm_distribution}]" if self.slurm_distribution else ""
+        return f"{self.signature.legend()}{slurm} "
 
 
 @dataclass(frozen=True)
 class Recommendation:
-    """One scored placement class of orders.
+    """One scored placement class of orders."""
 
-    ``text`` is the class's pre-rendered :class:`ClassText`, shared by
-    every answer over the same class set; text built for other fields
-    (say, after :func:`dataclasses.replace`) is ignored and the fields
-    are rendered instead.
-    """
-
-    order: Order  # representative
-    equivalent_orders: tuple[Order, ...]
-    signature: OrderSignature
+    placement_class: PlacementClass
     predicted_seconds: float
-    slurm_distribution: str | None
-    text: ClassText | None = field(default=None, compare=False, repr=False)
 
-    def _text(self) -> ClassText:
-        fields = (
-            self.order, self.equivalent_orders, self.signature, self.slurm_distribution
-        )
-        if self.text is not None and self.text[:4] == fields:
-            return self.text
-        return ClassText.render(*fields)
+    @property
+    def order(self) -> Order:
+        """The class representative."""
+        return self.placement_class.order
+
+    @property
+    def equivalent_orders(self) -> tuple[Order, ...]:
+        return self.placement_class.members
+
+    @property
+    def signature(self) -> OrderSignature:
+        return self.placement_class.signature
+
+    @property
+    def slurm_distribution(self) -> str | None:
+        return self.placement_class.slurm_distribution
 
     def legend(self) -> str:
-        return f"{self._text().legend_prefix}-> {self.predicted_seconds * 1e3:.3f} ms"
+        return (
+            f"{self.placement_class.legend_prefix}-> "
+            f"{self.predicted_seconds * 1e3:.3f} ms"
+        )
 
     def to_jsonable(self) -> dict:
         """JSON-safe form (floats round-trip exactly through ``json``)."""
-        text = self._text()
+        names = self.placement_class.order_names
         return {
             "order": list(self.order),
-            "order_name": text.order_name,
-            "equivalent_orders": list(text.equivalent_names),
+            "order_name": names[0],
+            "equivalent_orders": list(names),
             "predicted_seconds": self.predicted_seconds,
             "slurm_distribution": self.slurm_distribution,
-            "legend": f"{text.legend_prefix}-> {self.predicted_seconds * 1e3:.3f} ms",
+            "legend": self.legend(),
         }
 
 
@@ -187,17 +180,12 @@ class Advice:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """A placement query lowered to its evaluable request grid.
+    """A placement query lowered to its placement classes.
 
     ``cells`` is the query's traffic (workload cells sharing one
-    communicator size); ``classes`` holds the placement classes, each a
-    tuple of orders (representative first); ``requests`` is the flattened
-    representative-major ``(representative, cell)`` grid whose results
-    -- aligned with ``requests`` -- :func:`advice_from_results`
-    assembles into an :class:`Advice`.  Index arithmetic: request ``i``
-    scores class ``i // len(cells)`` on cell ``cells[i % len(cells)]``.
-    ``texts`` holds each class's :class:`ClassText`, aligned with
-    ``classes`` (the memo's, shared by every plan over the class set).
+    communicator size); ``classes`` are the memo's
+    :class:`PlacementClass` objects, shared by every plan over the class
+    set.  :attr:`requests` is the evaluable grid.
     """
 
     topology: MachineTopology
@@ -205,9 +193,7 @@ class QueryPlan:
     cells: tuple
     scenario: str
     backend: str
-    classes: tuple[tuple[Order, ...], ...]
-    requests: tuple = ()
-    texts: tuple[ClassText, ...] = field(default=(), compare=False, repr=False)
+    classes: tuple[PlacementClass, ...]
 
     @property
     def comm_size(self) -> int:
@@ -222,8 +208,21 @@ class QueryPlan:
     def duration_key(self) -> str:
         return "duration_all" if self.scenario == "all" else "duration_single"
 
+    @cached_property
+    def requests(self) -> tuple:
+        """The flattened representative-major ``(representative, cell)``
+        grid whose results -- aligned with it --
+        :func:`advice_from_results` assembles into an :class:`Advice`.
+        Request ``i`` scores class ``i // len(cells)`` on cell
+        ``cells[i % len(cells)]``."""
+        return tuple(
+            cell.request(self.backend, self.topology, self.hierarchy, c.order)
+            for c in self.classes
+            for cell in self.cells
+        )
+
     def __len__(self) -> int:
-        return len(self.requests)
+        return len(self.classes) * len(self.cells)
 
 
 def plan_query(
@@ -258,25 +257,17 @@ def plan_query(
             f"{sorted({c.comm_size for c in cells})}"
         )
     check_grid(topology, hierarchy, cells, backend)
-    classes, texts = _order_classes(
-        hierarchy,
-        comm_size,
-        None if orders is None else tuple(tuple(o) for o in orders),
-    )
-    requests = tuple(
-        cell.request(backend, topology, hierarchy, members[0])
-        for members in classes
-        for cell in cells
-    )
     return QueryPlan(
         topology=topology,
         hierarchy=hierarchy,
         cells=cells,
         scenario=scenario,
         backend=backend,
-        classes=classes,
-        requests=requests,
-        texts=texts,
+        classes=_order_classes(
+            hierarchy,
+            comm_size,
+            None if orders is None else tuple(tuple(o) for o in orders),
+        ),
     )
 
 
@@ -285,22 +276,22 @@ def _order_classes(
     hierarchy: Hierarchy,
     comm_size: int,
     orders: tuple[Order, ...] | None,
-) -> tuple[tuple[tuple[Order, ...], ...], tuple[ClassText, ...]]:
+) -> tuple[PlacementClass, ...]:
     """``orders`` (default :func:`all_orders`) grouped by
     :func:`~repro.core.equivalence.placement_key`, classes and members in
-    input order, plus each class's :class:`ClassText`, memoized.
+    input order, memoized.
 
     A query's classes, and everything its answer shows of them but their
-    durations (Slurm string, order names, legend prefix), depend only on
-    these arguments, not on its payloads, so a service plan-memo miss
-    for a novel payload reuses them.
+    durations, depend only on these arguments, not on its payloads, so a
+    service plan-memo miss for a novel payload reuses them and their
+    renderings.
     """
     groups: dict[tuple[int, ...], list[Order]] = {}
     for order in all_orders(hierarchy.depth) if orders is None else orders:
         groups.setdefault(placement_key(hierarchy, order, comm_size), []).append(order)
-    classes = tuple(tuple(members) for members in groups.values())
-    return classes, tuple(
-        ClassText.of(hierarchy, comm_size, members) for members in classes
+    return tuple(
+        PlacementClass(hierarchy, comm_size, tuple(members))
+        for members in groups.values()
     )
 
 
@@ -316,16 +307,16 @@ def advice_from_results(plan: QueryPlan, results: Sequence[dict]) -> Advice:
     from repro.engine.batch import BatchEvaluationError, failed_point
     from repro.engine.supervisor import is_failure
 
-    if len(results) != len(plan.requests):
+    if len(results) != len(plan):
         raise ValueError(
-            f"expected {len(plan.requests)} results for the plan's grid, "
+            f"expected {len(plan)} results for the plan's grid, "
             f"got {len(results)}"
         )
     n_cells = len(plan.cells)
     failed = [
         failed_point(
             results[i],
-            order=plan.classes[i // n_cells][0],
+            order=plan.classes[i // n_cells].order,
             total_bytes=plan.cells[i % n_cells].total_bytes,
         )
         for i in range(len(results))
@@ -343,38 +334,12 @@ def advice_from_results(plan: QueryPlan, results: Sequence[dict]) -> Advice:
     return _assemble(plan, totals)
 
 
-def _class_texts(plan: QueryPlan) -> tuple[ClassText, ...]:
-    """``plan.texts``, or the classes rendered afresh when the plan
-    carries none for them (a plan built or ``replace``-d by hand)."""
-    texts = plan.texts
-    if len(texts) == len(plan.classes) and all(
-        t.equivalent_orders is members for t, members in zip(texts, plan.classes)
-    ):
-        return texts
-    return tuple(
-        ClassText.of(plan.hierarchy, plan.comm_size, members)
-        for members in plan.classes
-    )
-
-
 def _assemble(plan: QueryPlan, totals: Sequence[float]) -> Advice:
-    """Ranked advice from one summed duration per placement class.
-
-    Pairs each total with the class's memoized :class:`ClassText`, so
-    nothing is rendered or looked up per query.
-    """
-    recs = [
-        Recommendation(
-            order=t.order,
-            equivalent_orders=t.equivalent_orders,
-            signature=t.signature,
-            predicted_seconds=total,
-            slurm_distribution=t.slurm_distribution,
-            text=t,
-        )
-        for t, total in zip(_class_texts(plan), totals)
-    ]
-    recs.sort(key=lambda r: r.predicted_seconds)
+    """Ranked advice from one summed duration per placement class."""
+    recs = sorted(
+        (Recommendation(c, total) for c, total in zip(plan.classes, totals)),
+        key=lambda r: r.predicted_seconds,
+    )
     return Advice(
         recommendations=tuple(recs),
         collective=plan.name,
@@ -402,8 +367,8 @@ def ladder_advise(
     classes only (eliminated classes carry no duration to report) and
     the :class:`~repro.engine.fidelity.LadderResult` audit trail.
     Finalist durations are bitwise-identical to a full :func:`advise`
-    at the same backend: the final rung issues the exact request keys
-    ``plan.requests`` holds.
+    at the same backend: the final rung issues the same request keys
+    as ``plan.requests``.
 
     ``config`` defaults to the stock ladder toward ``plan.backend`` with
     the plan's scenario duration key; a custom config must agree with
@@ -435,7 +400,7 @@ def ladder_advise(
         plan.topology,
         plan.hierarchy,
         plan.cells,
-        order_of=lambda ci: plan.classes[ci][0],
+        order_of=lambda ci: plan.classes[ci].order,
         exhaustive_audit=exhaustive_audit,
     )
     if not result.ranking:
@@ -443,16 +408,10 @@ def ladder_advise(
             "ladder search produced no finalists (every class evaluation "
             "failed)"
         )
-    finalists = tuple(result.ranking)
-    texts = _class_texts(plan)
-    reduced = dataclasses.replace(
-        plan,
-        classes=tuple(plan.classes[ci] for ci in finalists),
-        requests=(),
-        texts=tuple(texts[ci] for ci in finalists),
+    finalists = dataclasses.replace(
+        plan, classes=tuple(plan.classes[ci] for ci in result.ranking)
     )
-    totals = [result.scores[ci] for ci in finalists]
-    return _assemble(reduced, totals), result
+    return _assemble(finalists, [result.scores[ci] for ci in result.ranking]), result
 
 
 def advise(

@@ -229,9 +229,11 @@ def _probe_rank(seed: int, candidate: Any) -> str:
     return hashlib.sha256(f"{seed}:{candidate!r}".encode()).hexdigest()
 
 
-def _tie(candidate: Any) -> str:
-    """Total deterministic order over candidates of any hashable type."""
-    return repr(candidate)
+def _tie(candidate: Any) -> tuple:
+    """Total deterministic order over candidates of any hashable type:
+    integers (the advisor's class indices) numerically, so tied classes
+    keep the order plain advice lists them in, anything else by ``repr``."""
+    return (0, candidate) if isinstance(candidate, int) else (1, repr(candidate))
 
 
 def _n_distinct(scores: dict, candidates: Sequence[Any]) -> int:

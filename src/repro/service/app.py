@@ -155,8 +155,14 @@ class PlacementQuery:
         if "workload_params" in doc:
             raise QueryError("workload_params requires a workload")
 
+        raw_size = doc["comm_size"]
         try:
-            comm_size = int(doc["comm_size"])
+            # int() would truncate a fraction and read a boolean as 0 or 1.
+            if isinstance(raw_size, bool) or (
+                isinstance(raw_size, float) and not raw_size.is_integer()
+            ):
+                raise ValueError(raw_size)
+            comm_size = int(raw_size)
         except (TypeError, ValueError):
             raise QueryError("comm_size must be an integer") from None
         if comm_size < 1:
@@ -173,6 +179,8 @@ class PlacementQuery:
         if not isinstance(raw_sizes, list) or not raw_sizes:
             raise QueryError("total_bytes must be a non-empty list of byte sizes")
         try:
+            if any(isinstance(s, bool) for s in raw_sizes):  # float(True) is 1.0
+                raise ValueError(raw_sizes)
             sizes = tuple(float(s) for s in raw_sizes)
         except (TypeError, ValueError):
             raise QueryError("total_bytes entries must be numbers") from None

@@ -8,7 +8,9 @@ an :func:`~repro.core.advisor.advise` answer lists, asked about alone
 (``orders=[o]``, a fresh engine, nothing to share a result with), must
 come back with its class's ``predicted_seconds`` bitwise, and a plain
 :func:`~repro.bench.sweeps.sweep` over every order must give it the
-same summed time.  The classes must partition the orders.
+same summed time.  The classes must partition the orders, and a
+fidelity ladder that eliminates nothing (``eta=1``, one rung at the
+backend) must answer with the same bytes.
 
 Drawn over the hydra and lumi presets and a generic machine whose
 levels all have different link parameters, every communicator size
@@ -21,12 +23,15 @@ reported.
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.bench.sweeps import sweep
 from repro.core.advisor import advise
 from repro.core.orders import all_orders, format_order
+from repro.engine.fidelity import LadderConfig
 from repro.topology.hwloc import parse_synthetic
 from repro.topology.machines import topology_for
 
@@ -63,6 +68,7 @@ def _queries(draw):
 @settings(max_examples=12, deadline=None)
 @given(_queries())
 @example(("lumi", MACHINES[1][1], 64, "allreduce", "all", "round"))
+@example(("lumi", MACHINES[1][1], 64, "allreduce", "single", "round"))
 def test_listed_orders_take_their_class_time(query):
     machine, text, comm_size, collective, scenario, backend = query
     h = parse_synthetic(text)
@@ -74,7 +80,13 @@ def test_listed_orders_take_their_class_time(query):
     assert sorted(listed) == sorted(all_orders(h.depth))
     assert len(set(listed)) == len(listed)
 
+    # A ladder that eliminates nothing answers like plain advice, ties
+    # included.
     key = "duration_all" if scenario == "all" else "duration_single"
+    ladder = LadderConfig(rungs=(backend,), eta=1, top_k=10**6, duration_key=key)
+    laddered = advise(topo, h, comm_size, collective, ladder=ladder, **ask)
+    assert json.dumps(laddered.to_jsonable()) == json.dumps(advice.to_jsonable())
+
     swept: dict[str, list[float]] = {}
     for record in sweep(topo, h, [comm_size], [collective], SIZES, backend=backend):
         swept.setdefault(record.order, []).append(getattr(record, key))

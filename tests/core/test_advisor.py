@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from repro.core.advisor import advise
+from repro.core import advisor
+from repro.core.advisor import advise, ladder_advise, plan_query
 from repro.core.hierarchy import Hierarchy
 from repro.topology.machines import generic_cluster, hydra
 from repro.workloads import collective_cells
@@ -49,13 +50,17 @@ class TestAdvise:
         assert advice.spread_factor() > 1.0
 
     def test_replaced_recommendation_renders_its_own_fields(self):
-        rec = advise(TOPO, H, 16, "alltoall", backend="logp").best
+        advice = advise(TOPO, H, 16, "alltoall", backend="logp")
+        rec, other = advice.recommendations[:2]
         moved = dataclasses.replace(
-            rec, slurm_distribution="plane=99", predicted_seconds=1.0
+            rec, placement_class=other.placement_class, predicted_seconds=1.0
         )
-        assert moved.legend() == f"{rec.signature.legend()} [plane=99] -> 1000.000 ms"
-        assert moved.to_jsonable()["slurm_distribution"] == "plane=99"
-        assert moved.to_jsonable()["order_name"] == rec.to_jsonable()["order_name"]
+        slurm = f" [{other.slurm_distribution}]" if other.slurm_distribution else ""
+        assert moved.legend() == f"{other.signature.legend()}{slurm} -> 1000.000 ms"
+        assert moved.to_jsonable() == {
+            **other.to_jsonable(), "predicted_seconds": 1.0, "legend": moved.legend()
+        }
+        assert moved.equivalent_orders == other.equivalent_orders
 
     def test_spread_factor_of_all_zero_times_is_one(self):
         # One-rank communicators move no data: every class predicts 0 s.
@@ -126,3 +131,45 @@ class TestAdvise:
         via_cells = advise(TOPO, H, cells=cells, backend="logp")
         via_args = advise(TOPO, H, 16, backend="logp")
         assert via_cells.to_jsonable() == via_args.to_jsonable()
+
+
+class TestDeepMachine:
+    """Depth 8, 40,320 orders in 806 classes: a class renders only when
+    an answer shows it, and once."""
+
+    RADICES = (2, 2, 2, 2, 4, 2, 4, 2)
+
+    def test_only_shown_classes_render(self, monkeypatch):
+        calls = dict.fromkeys(("signature", "order_to_distribution", "format_order"), 0)
+
+        def counted(name):
+            fn = getattr(advisor, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(advisor, name, counted(name))
+        advisor._order_classes.cache_clear()
+        h = Hierarchy(self.RADICES)
+        plan = plan_query(
+            generic_cluster(self.RADICES), h,
+            collective_cells([16], ["alltoall"], [1e6, 64e6]),
+        )
+        assert len(plan.classes) == 806
+        assert calls == dict.fromkeys(calls, 0)
+
+        advice, result = ladder_advise(plan)
+        for _ in range(2):
+            advice.report()
+            advice.to_jsonable()
+        finalists = len(result.ranking)
+        assert finalists < len(plan.classes)
+        assert calls == {
+            "signature": finalists,
+            "order_to_distribution": finalists,
+            "format_order": sum(len(r.equivalent_orders) for r in advice.recommendations),
+        }

@@ -30,7 +30,7 @@ def _plan():
 
 
 def _representatives(plan) -> list[tuple[int, ...]]:
-    return [members[0] for members in plan.classes]
+    return [c.order for c in plan.classes]
 
 
 class TestStackWithFailures:

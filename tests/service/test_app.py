@@ -43,6 +43,10 @@ class TestQueryParsing:
         assert q.scenario == "all"
         assert q.backend is None
 
+    def test_integral_float_comm_size_accepted(self):
+        q = PlacementQuery.from_doc({**GOOD, "comm_size": 8.0})
+        assert q.cells == PlacementQuery.from_doc(dict(GOOD)).cells
+
     def test_scalar_total_bytes_promoted(self):
         q = PlacementQuery.from_doc({**GOOD, "total_bytes": 4096})
         assert [c.total_bytes for c in q.cells] == [4096.0]
@@ -64,6 +68,11 @@ class TestQueryParsing:
             ({**GOOD, "scenario": "some"}, "scenario"),
             ({**GOOD, "algorithm": "magic"}, "unknown algorithm"),
             ({**GOOD, "total_bytes": [1e6, 1e6]}, "duplicate sizes"),
+            ({**GOOD, "comm_size": 16.7}, "comm_size must be an integer"),
+            ({**GOOD, "comm_size": True}, "comm_size must be an integer"),
+            ({**GOOD, "comm_size": float("inf")}, "comm_size must be an integer"),
+            ({**GOOD, "total_bytes": [True]}, "total_bytes entries must be numbers"),
+            ({**GOOD, "total_bytes": False}, "total_bytes entries must be numbers"),
         ],
     )
     def test_rejects_bad_docs(self, doc, match):
