@@ -24,52 +24,29 @@ Quick start::
     ring_cost(h, (0, 1, 2), 4)      # -> 9  (Figure 2 discussion)
 """
 
-from repro.core import (
-    CoreSelection,
-    Hierarchy,
-    MixedRadix,
-    OrderSignature,
-    RankReordering,
-    all_orders,
-    decompose,
-    equivalence_classes,
-    identity_order,
-    inverse_order,
-    map_cpu_list,
-    pair_level_percentages,
-    recompose,
-    reorder_ranks,
-    ring_cost,
-    signature,
-)
-from repro.topology import MachineTopology, hydra, lumi, lumi_node
-from repro.launcher import ProcessMapping, SlurmJob, distribution_to_order
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CoreSelection",
-    "Hierarchy",
-    "MixedRadix",
-    "OrderSignature",
-    "RankReordering",
-    "all_orders",
-    "decompose",
-    "equivalence_classes",
-    "identity_order",
-    "inverse_order",
-    "map_cpu_list",
-    "pair_level_percentages",
-    "recompose",
-    "reorder_ranks",
-    "ring_cost",
-    "signature",
-    "MachineTopology",
-    "hydra",
-    "lumi",
-    "lumi_node",
-    "ProcessMapping",
-    "SlurmJob",
-    "distribution_to_order",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.coreselect": ("CoreSelection", "map_cpu_list"),
+        "repro.core.hierarchy": ("Hierarchy",),
+        "repro.core.mixed_radix": ("MixedRadix", "decompose", "recompose"),
+        "repro.core.metrics": (
+            "OrderSignature",
+            "pair_level_percentages",
+            "ring_cost",
+            "signature",
+        ),
+        "repro.core.reorder": ("RankReordering", "reorder_ranks"),
+        "repro.core.orders": ("all_orders", "identity_order", "inverse_order"),
+        "repro.core.equivalence": ("equivalence_classes",),
+        "repro.topology.machine": ("MachineTopology",),
+        "repro.topology.machines": ("hydra", "lumi", "lumi_node"),
+        "repro.launcher.mapping": ("ProcessMapping",),
+        "repro.launcher.slurm": ("SlurmJob", "distribution_to_order"),
+    },
+)
+__all__ += ["__version__"]

@@ -10,16 +10,16 @@
   ("who wins, by what factor") used by EXPERIMENTS.md.
 """
 
-from repro.bench.microbench import (
-    MicrobenchPoint,
-    MicrobenchSeries,
-    run_microbench,
-    size_sweep,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MicrobenchPoint",
-    "MicrobenchSeries",
-    "run_microbench",
-    "size_sweep",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.bench.microbench": (
+            "MicrobenchPoint",
+            "MicrobenchSeries",
+            "run_microbench",
+            "size_sweep",
+        ),
+    },
+)

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from repro.core.hierarchy import Hierarchy
-from repro.core.metrics import signature
+from repro.core.metrics import ring_cost
 from repro.core.orders import Order, all_orders, format_order
 from repro.engine import EvalRequest, SweepEngine, is_failure
 from repro.workloads import collective_cells, lower_workload, workload_cell
@@ -165,15 +165,11 @@ def _ladder_cells(
 def _collective_records(topology, hierarchy, rows) -> list[SweepRecord]:
     from repro.collectives.selector import select_algorithm
 
-    sigs = {
-        key: signature(hierarchy, key[1], key[0])
-        for key in dict.fromkeys((cell.comm_size, order) for order, cell, _ in rows)
-    }
     return [
         SweepRecord(
             machine=topology.name,
             order=format_order(order),
-            ring_cost=sigs[cell.comm_size, order].ring_cost,
+            ring_cost=ring_cost(hierarchy, order, cell.comm_size),
             comm_size=cell.comm_size,
             n_comms=hierarchy.size // cell.comm_size,
             collective=cell.name,
@@ -199,7 +195,7 @@ def _workload_records(topology, hierarchy, rows) -> list[WorkloadRecord]:
         WorkloadRecord(
             machine=topology.name,
             order=format_order(order),
-            ring_cost=signature(hierarchy, order, cell.comm_size).ring_cost,
+            ring_cost=ring_cost(hierarchy, order, cell.comm_size),
             workload=cell.workload,
             label=labels[cell],
             comm_size=cell.comm_size,
@@ -384,9 +380,9 @@ def to_csv(records: Sequence) -> str:
     """Render dataclass records as CSV (header + one row per record)."""
     if not records:
         return ""
+    names = [f.name for f in fields(records[0])]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(asdict(records[0])))
-    writer.writeheader()
-    for rec in records:
-        writer.writerow(asdict(rec))
+    writer = csv.writer(buf)
+    writer.writerow(names)
+    writer.writerows([getattr(rec, name) for name in names] for rec in records)
     return buf.getvalue()

@@ -43,14 +43,8 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.core.coreselect import map_cpu_list
 from repro.core.equivalence import equivalence_classes
-from repro.core.metrics import signature
-from repro.core.mixed_radix import MixedRadix
 from repro.core.orders import all_orders, format_order, parse_order
-from repro.core.reorder import reorder_ranks
-from repro.launcher.rankfile import rankfile_for_order
-from repro.launcher.slurm import expressible_distributions
 from repro.topology.hwloc import parse_synthetic
 
 
@@ -64,7 +58,7 @@ def _add_hierarchy_arg(p: argparse.ArgumentParser) -> None:
 
 
 def _add_backend_arg(p: argparse.ArgumentParser, default: str = "round") -> None:
-    from repro.ir import backend_names
+    from repro.ir.registry import backend_names
 
     p.add_argument(
         "--backend", default=default, choices=list(backend_names()),
@@ -74,6 +68,8 @@ def _add_backend_arg(p: argparse.ArgumentParser, default: str = "round") -> None
 
 
 def _cmd_orders(args: argparse.Namespace) -> int:
+    from repro.core.metrics import signature
+
     h = parse_synthetic(args.hierarchy)
     comm_size = args.comm_size or h.size
     for order in all_orders(h.depth):
@@ -83,6 +79,9 @@ def _cmd_orders(args: argparse.Namespace) -> int:
 
 
 def _cmd_reorder(args: argparse.Namespace) -> int:
+    from repro.core.mixed_radix import MixedRadix
+    from repro.core.reorder import reorder_ranks
+
     h = parse_synthetic(args.hierarchy)
     order = parse_order(args.order)
     if args.rank is not None:
@@ -97,6 +96,8 @@ def _cmd_reorder(args: argparse.Namespace) -> int:
 
 
 def _cmd_rankfile(args: argparse.Namespace) -> int:
+    from repro.launcher.rankfile import rankfile_for_order
+
     h = parse_synthetic(args.hierarchy)
     order = parse_order(args.order)
     sys.stdout.write(rankfile_for_order(h, order))
@@ -104,6 +105,8 @@ def _cmd_rankfile(args: argparse.Namespace) -> int:
 
 
 def _cmd_map_cpu(args: argparse.Namespace) -> int:
+    from repro.core.coreselect import map_cpu_list
+
     h = parse_synthetic(args.hierarchy)
     order = parse_order(args.order)
     cores = map_cpu_list(h, order, args.n)
@@ -112,6 +115,8 @@ def _cmd_map_cpu(args: argparse.Namespace) -> int:
 
 
 def _cmd_distributions(args: argparse.Namespace) -> int:
+    from repro.launcher.slurm import expressible_distributions
+
     h = parse_synthetic(args.hierarchy)
     expressible = expressible_distributions(h)
     by_order = {}
@@ -471,7 +476,7 @@ def _workload_query(
 
 
 def _cmd_backends_list(args: argparse.Namespace) -> int:
-    from repro.ir import describe_backends
+    from repro.ir.registry import describe_backends
 
     rows = [
         (

@@ -27,12 +27,16 @@ paper lets the MPI library pick and notes fixed algorithms show the same
 trends, which the ablation benchmark verifies.
 """
 
-from repro.collectives.base import RoundSpec
-from repro.collectives.selector import get_algorithm, select_algorithm, list_algorithms
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RoundSpec",
-    "get_algorithm",
-    "select_algorithm",
-    "list_algorithms",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.collectives.base": ("RoundSpec",),
+        "repro.collectives.selector": (
+            "get_algorithm",
+            "select_algorithm",
+            "list_algorithms",
+        ),
+    },
+)

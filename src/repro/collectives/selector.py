@@ -11,42 +11,67 @@ the choice matters per mapping.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.collectives import allgather, allreduce, alltoall, misc, rooted
-from repro.collectives.base import RoundSpec
+if TYPE_CHECKING:
+    from repro.collectives.base import RoundSpec
 
-RoundsFn = Callable[[int, float], list[RoundSpec]]
+RoundsFn = Callable[[int, float], "list[RoundSpec]"]
 
-#: Registry of every rounds-face algorithm: ``(collective, name) -> fn``.
-_REGISTRY: dict[tuple[str, str], RoundsFn] = {}
-for _name, _fn in alltoall.ROUNDS.items():
-    _REGISTRY[("alltoall", _name)] = _fn
-for _name, _fn in allgather.ROUNDS.items():
-    _REGISTRY[("allgather", _name)] = _fn
-for _name, _fn in allreduce.ROUNDS.items():
-    _REGISTRY[("allreduce", _name)] = _fn
-for _name, _fn in rooted.ROUNDS.items():
-    _collective, _algo = _name.rsplit("_", 1)
-    _REGISTRY[(_collective, _algo)] = _fn
-_REGISTRY[("bcast", "scatter_allgather")] = rooted.bcast_scatter_allgather_rounds
-_REGISTRY[("barrier", "dissemination")] = misc.barrier_rounds
-_REGISTRY[("scan", "recursive_doubling")] = misc.scan_rounds
-_REGISTRY[("reduce_scatter", "halving")] = misc.reduce_scatter_halving_rounds
-_REGISTRY[("reduce_scatter", "ring")] = misc.reduce_scatter_ring_rounds
+
+#: Every rounds-face algorithm: ``(collective, name) -> fn``.  Bound on
+#: first lookup, not at import: choosing an algorithm by name
+#: (:func:`select_algorithm`) must not load the algorithm modules, and
+#: numpy with them.  Until then the module ``__getattr__`` below binds it
+#: for outside readers too (tests patch it in place).
+_REGISTRY: dict[tuple[str, str], RoundsFn]
+
+
+def _registry() -> dict[tuple[str, str], RoundsFn]:
+    global _REGISTRY
+    try:
+        return _REGISTRY
+    except NameError:
+        pass
+    from repro.collectives import allgather, allreduce, alltoall, misc, rooted
+
+    registry: dict[tuple[str, str], RoundsFn] = {}
+    for collective, module in (
+        ("alltoall", alltoall),
+        ("allgather", allgather),
+        ("allreduce", allreduce),
+    ):
+        for name, fn in module.ROUNDS.items():
+            registry[(collective, name)] = fn
+    for name, fn in rooted.ROUNDS.items():
+        collective, algo = name.rsplit("_", 1)
+        registry[(collective, algo)] = fn
+    registry[("bcast", "scatter_allgather")] = rooted.bcast_scatter_allgather_rounds
+    registry[("barrier", "dissemination")] = misc.barrier_rounds
+    registry[("scan", "recursive_doubling")] = misc.scan_rounds
+    registry[("reduce_scatter", "halving")] = misc.reduce_scatter_halving_rounds
+    registry[("reduce_scatter", "ring")] = misc.reduce_scatter_ring_rounds
+    _REGISTRY = registry
+    return registry
+
+
+def __getattr__(name: str) -> Any:
+    if name == "_REGISTRY":
+        return _registry()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def list_algorithms(collective: str | None = None) -> list[tuple[str, str]]:
     """All registered ``(collective, algorithm)`` pairs."""
     return sorted(
-        key for key in _REGISTRY if collective is None or key[0] == collective
+        key for key in _registry() if collective is None or key[0] == collective
     )
 
 
 def get_algorithm(collective: str, algorithm: str) -> RoundsFn:
     """Look up a rounds-face algorithm by name."""
     try:
-        return _REGISTRY[(collective, algorithm)]
+        return _registry()[(collective, algorithm)]
     except KeyError:
         known = ", ".join(a for c, a in list_algorithms(collective))
         raise KeyError(

@@ -19,64 +19,42 @@ This subpackage implements Section 3 of the paper:
   redundant evaluations.
 """
 
-from repro.core.hierarchy import Hierarchy
-from repro.core.mixed_radix import (
-    MixedRadix,
-    decompose,
-    decompose_many,
-    recompose,
-    recompose_many,
-)
-from repro.core.orders import (
-    Order,
-    all_orders,
-    heap_permutations,
-    identity_order,
-    inverse_order,
-    order_from_lehmer,
-    order_to_lehmer,
-)
-from repro.core.metrics import (
-    OrderSignature,
-    hop_cost,
-    pair_level_percentages,
-    ring_cost,
-    signature,
-)
-from repro.core.reorder import (
-    RankReordering,
-    reorder_rank,
-    reorder_ranks,
-    subcommunicator_members,
-)
-from repro.core.coreselect import CoreSelection, map_cpu_list, distinct_core_sets
-from repro.core.equivalence import equivalence_classes
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Hierarchy",
-    "MixedRadix",
-    "decompose",
-    "decompose_many",
-    "recompose",
-    "recompose_many",
-    "Order",
-    "all_orders",
-    "heap_permutations",
-    "identity_order",
-    "inverse_order",
-    "order_from_lehmer",
-    "order_to_lehmer",
-    "OrderSignature",
-    "hop_cost",
-    "pair_level_percentages",
-    "ring_cost",
-    "signature",
-    "RankReordering",
-    "reorder_rank",
-    "reorder_ranks",
-    "subcommunicator_members",
-    "CoreSelection",
-    "map_cpu_list",
-    "distinct_core_sets",
-    "equivalence_classes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.hierarchy": ("Hierarchy",),
+        "repro.core.mixed_radix": (
+            "MixedRadix",
+            "decompose",
+            "decompose_many",
+            "recompose",
+            "recompose_many",
+        ),
+        "repro.core.orders": (
+            "Order",
+            "all_orders",
+            "heap_permutations",
+            "identity_order",
+            "inverse_order",
+            "order_from_lehmer",
+            "order_to_lehmer",
+        ),
+        "repro.core.metrics": (
+            "OrderSignature",
+            "hop_cost",
+            "pair_level_percentages",
+            "ring_cost",
+            "signature",
+        ),
+        "repro.core.reorder": (
+            "RankReordering",
+            "reorder_rank",
+            "reorder_ranks",
+            "subcommunicator_members",
+        ),
+        "repro.core.coreselect": ("CoreSelection", "map_cpu_list", "distinct_core_sets"),
+        "repro.core.equivalence": ("equivalence_classes",),
+    },
+)

@@ -32,13 +32,12 @@ link parameters or communicators share links (the ``all`` scenario).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.hierarchy import Hierarchy, _check_order
-from repro.core.metrics import OrderSignature, signature, signature_of_coords
-from repro.core.mixed_radix import decompose_many
-from repro.core.orders import all_orders
-from repro.core.reorder import RankReordering
+
+if TYPE_CHECKING:
+    from repro.core.metrics import OrderSignature
 
 
 def _comm_signatures(
@@ -51,6 +50,10 @@ def _comm_signatures(
     comparable rationals, immune to the float rounding that used to merge
     or split percentages near a ``1e-6`` bucket boundary.
     """
+    from repro.core.metrics import signature_of_coords
+    from repro.core.mixed_radix import decompose_many
+    from repro.core.reorder import RankReordering
+
     reordering = RankReordering(hierarchy, tuple(order), comm_size)
     keys = []
     for c in range(reordering.n_comms):
@@ -101,6 +104,9 @@ def equivalence_classes(
     decomposes comm 0's ranks directly in O(comm_size * depth); only the
     all-communicator key reorders the whole machine.
     """
+    from repro.core.metrics import signature
+    from repro.core.orders import all_orders
+
     check_all = resolve_check_all_comms(hierarchy, check_all_comms)
     if orders is None:
         orders = all_orders(hierarchy.depth)

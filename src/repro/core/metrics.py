@@ -21,11 +21,12 @@ combined into an :class:`OrderSignature` to detect redundant orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.hierarchy import Hierarchy, _check_order
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def hop_cost(coords_a: Sequence[int], coords_b: Sequence[int]) -> int:
@@ -44,6 +45,14 @@ def hop_cost(coords_a: Sequence[int], coords_b: Sequence[int]) -> int:
     return 0
 
 
+def _check_comm(hierarchy: Hierarchy, order: Sequence[int], comm_size: int) -> None:
+    if comm_size < 1 or hierarchy.size % comm_size != 0:
+        raise ValueError(
+            f"communicator size {comm_size} must divide {hierarchy.size}"
+        )
+    _check_order(order, hierarchy.depth)
+
+
 def _first_comm_coords(
     hierarchy: Hierarchy, order: Sequence[int], comm_size: int
 ) -> np.ndarray:
@@ -55,12 +64,10 @@ def _first_comm_coords(
     is peeled into digits fastest level (``order[0]``) first, so the cost
     is O(comm_size * depth), independent of the machine size.
     """
-    if comm_size < 1 or hierarchy.size % comm_size != 0:
-        raise ValueError(
-            f"communicator size {comm_size} must divide {hierarchy.size}"
-        )
+    import numpy as np
+
+    _check_comm(hierarchy, order, comm_size)
     radices = hierarchy.radices
-    _check_order(order, len(radices))
     coords = np.zeros((comm_size, len(radices)), dtype=np.int64)
     rest = np.arange(comm_size, dtype=np.int64)
     for level in order:
@@ -71,6 +78,8 @@ def _first_comm_coords(
 
 def ring_cost_of_coords(coords: np.ndarray) -> int:
     """Ring cost of a communicator given member coordinates in rank order."""
+    import numpy as np
+
     depth = coords.shape[1]
     if coords.shape[0] < 2:
         return 0
@@ -87,8 +96,30 @@ def ring_cost_of_coords(coords: np.ndarray) -> int:
 def ring_cost(
     hierarchy: Hierarchy, order: Sequence[int], comm_size: int
 ) -> int:
-    """Ring cost of the first subcommunicator under ``order``."""
-    return ring_cost_of_coords(_first_comm_coords(hierarchy, order, comm_size))
+    """Ring cost of the first subcommunicator under ``order``.
+
+    Closed form in O(depth), with no rank decomposed (:func:`signature`
+    computes the same number from comm 0's coordinates).  Comm 0's ranks
+    count through the order's levels, fastest first.  With ``R_i`` the
+    product of the radices of ``order[:i]``, the hop from rank ``k`` to
+    ``k + 1`` changes exactly the levels ``order[:i + 1]`` for the
+    largest ``i`` with ``R_i`` dividing ``k + 1``, and costs ``depth -
+    min(order[:i + 1])``.  Of the ``comm_size - 1`` hops, ``(comm_size -
+    1) // R_i`` carry at least that far.
+    """
+    _check_comm(hierarchy, order, comm_size)
+    hops = comm_size - 1
+    total = 0
+    block = 1  # R_i
+    outermost = hierarchy.depth
+    for level in order:
+        if block > hops:
+            break
+        outermost = min(outermost, level)
+        carried = block * hierarchy.radices[level]
+        total += (hops // block - hops // carried) * (hierarchy.depth - outermost)
+        block = carried
+    return total
 
 
 def pair_level_counts_of_coords(coords: np.ndarray) -> tuple[tuple[int, ...], int]:
@@ -110,6 +141,8 @@ def pair_level_counts_of_coords(coords: np.ndarray) -> tuple[tuple[int, ...], in
     prefix, so they land in no bucket.  Coordinates may be any integers;
     nothing assumes they are bounded by a hierarchy's radices.
     """
+    import numpy as np
+
     n, depth = coords.shape
     total = n * (n - 1) // 2
     if n < 2 or depth == 0:

@@ -23,84 +23,51 @@ Quick start::
     engine.stats.cache_hit_rate
 """
 
-from repro.engine.batch import (
-    BatchEvaluationError,
-    FailedPoint,
-    failed_point,
-)
-from repro.engine.cache import ResultCache
-from repro.engine.core import (
-    AUDIT_RTOL,
-    EngineAuditError,
-    EngineStats,
-    PRUNABLE_MODELS,
-    SweepEngine,
-)
-from repro.engine.evaluators import (
-    BATCH_EVALUATORS,
-    EVALUATORS,
-    evaluate_chunk,
-    evaluate_request,
-    evaluate_requests_batch,
-    register_batch_evaluator,
-    register_evaluator,
-)
-from repro.engine.fidelity import (
-    FidelityLadder,
-    LadderAuditError,
-    LadderConfig,
-    LadderConfigError,
-    LadderResult,
-    RungOutcome,
-    analytic_order_score,
-    default_rungs,
-)
-from repro.engine.keys import (
-    CACHE_SCHEMA,
-    EvalRequest,
-    request_from_wire,
-    request_to_wire,
-)
-from repro.engine.supervisor import (
-    EvalFailure,
-    TaskAttempt,
-    TaskSupervisor,
-    is_failure,
-    run_worker,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AUDIT_RTOL",
-    "BATCH_EVALUATORS",
-    "BatchEvaluationError",
-    "CACHE_SCHEMA",
-    "FailedPoint",
-    "FidelityLadder",
-    "EVALUATORS",
-    "EngineAuditError",
-    "EngineStats",
-    "EvalFailure",
-    "EvalRequest",
-    "LadderAuditError",
-    "LadderConfig",
-    "LadderConfigError",
-    "LadderResult",
-    "PRUNABLE_MODELS",
-    "ResultCache",
-    "RungOutcome",
-    "SweepEngine",
-    "TaskAttempt",
-    "TaskSupervisor",
-    "analytic_order_score",
-    "default_rungs",
-    "evaluate_chunk",
-    "evaluate_request",
-    "evaluate_requests_batch",
-    "failed_point",
-    "is_failure",
-    "register_batch_evaluator",
-    "register_evaluator",
-    "request_from_wire",
-    "request_to_wire",
-    "run_worker",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.engine.batch": ("BatchEvaluationError", "FailedPoint", "failed_point"),
+        "repro.engine.cache": ("ResultCache",),
+        "repro.engine.core": (
+            "AUDIT_RTOL",
+            "EngineAuditError",
+            "EngineStats",
+            "PRUNABLE_MODELS",
+            "SweepEngine",
+        ),
+        "repro.engine.evaluators": (
+            "BATCH_EVALUATORS",
+            "EVALUATORS",
+            "evaluate_chunk",
+            "evaluate_request",
+            "evaluate_requests_batch",
+            "register_batch_evaluator",
+            "register_evaluator",
+        ),
+        "repro.engine.fidelity": (
+            "FidelityLadder",
+            "LadderAuditError",
+            "LadderConfig",
+            "LadderConfigError",
+            "LadderResult",
+            "RungOutcome",
+            "analytic_order_score",
+            "default_rungs",
+        ),
+        "repro.engine.keys": (
+            "CACHE_SCHEMA",
+            "EvalRequest",
+            "request_from_wire",
+            "request_to_wire",
+        ),
+        "repro.engine.supervisor": (
+            "EvalFailure",
+            "TaskAttempt",
+            "TaskSupervisor",
+            "is_failure",
+            "run_worker",
+        ),
+    },
+)

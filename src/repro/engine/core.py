@@ -123,7 +123,7 @@ class EngineStats:
 
     def to_jsonable(self) -> dict:
         from repro import __version__
-        from repro.netsim.fabric import STRUCTURE_CACHE_STATS
+        from repro.netsim.cachestats import STRUCTURE_CACHE_STATS
 
         return {
             "version": __version__,

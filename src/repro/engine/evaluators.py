@@ -20,8 +20,6 @@ import random
 from functools import partial
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro.engine.keys import EvalRequest
 
 #: model name -> evaluator.  Populated at import; engines and workers
@@ -62,6 +60,8 @@ def register_batch_evaluator(
 
 def seed_worker(request: EvalRequest) -> None:
     """Pin every ambient RNG an evaluator might touch."""
+    import numpy as np
+
     seed = request.worker_seed()
     random.seed(seed)
     np.random.seed(seed)
@@ -124,6 +124,26 @@ def evaluate_chunk(requests: Sequence[EvalRequest]) -> list[dict]:
     if len(requests) == 1:
         return [evaluate_request(requests[0])]
     return evaluate_requests_batch(requests)
+
+
+def import_evaluation_stack() -> None:
+    """Import every module the registered evaluators run: the backends
+    and their kernels, lowering and validation, the simulators and the
+    collectives' rounds registry.  The supervisor calls it before it
+    forks its first local worker, so workers inherit the stack instead of
+    each importing it after the fork."""
+    import repro.bench.microbench  # noqa: F401
+    import repro.core.reorder  # noqa: F401
+    import repro.ir.backends  # noqa: F401
+    import repro.ir.lower  # noqa: F401
+    import repro.ir.validate  # noqa: F401
+    import repro.netsim.fabric  # noqa: F401
+    import repro.netsim.flows  # noqa: F401
+    import repro.netsim.lockstep  # noqa: F401
+    import repro.simmpi.runtime  # noqa: F401
+    from repro.collectives.selector import list_algorithms
+
+    list_algorithms()  # fills the rounds registry
 
 
 # -- workload frontends -------------------------------------------------------

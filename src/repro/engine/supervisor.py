@@ -745,6 +745,9 @@ class TaskSupervisor:
             if self._ctx is None:
                 import multiprocessing as mp
 
+                from repro.engine.evaluators import import_evaluation_stack
+
+                import_evaluation_stack()  # inherited by every fork
                 method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
                 self._ctx = mp.get_context(method)
             inherited = [w.sock for w in self._workers]

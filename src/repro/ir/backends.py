@@ -2,8 +2,8 @@
 
 An :class:`ExecutionBackend` consumes a :class:`~repro.ir.program.CommProgram`
 plus a *placement* (one ``member_cores`` array per concurrently-executing
-communicator instance) and produces an :class:`ExecutionResult`.  Three
-backends register at import time:
+communicator instance) and produces an :class:`ExecutionResult`.  The
+registry (:mod:`repro.ir.registry`) names three:
 
 ``round``
     The synchronized-round bottleneck fair-share model
@@ -29,8 +29,9 @@ backends register at import time:
     in the same memory; the model is advisory (ranking) fidelity.
 
 Backends are looked up by name through the registry
-(:func:`get_backend` for a shared per-process instance whose caches
-amortize across calls, :func:`create_backend` for a cold instance).
+(:func:`~repro.ir.registry.get_backend` for a shared per-process
+instance whose caches amortize across calls,
+:func:`~repro.ir.registry.create_backend` for a cold instance).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     Iterator,
     Protocol,
@@ -51,6 +51,7 @@ from typing import (
 import numpy as np
 
 from repro.ir.program import CommProgram, CommRound
+from repro.ir.registry import get_backend
 from repro.topology.machine import MachineTopology
 
 if TYPE_CHECKING:
@@ -308,44 +309,6 @@ def _placed_flows(
             units.append(np.tile(pattern[a:b] + (s * n - start), starts.shape[0]))
         yield np.concatenate(src), np.concatenate(dst), np.concatenate(units), stop - start
         start = stop
-
-
-# -- registry ----------------------------------------------------------------
-
-_FACTORIES: Dict[str, Callable[[], ExecutionBackend]] = {}
-_INSTANCES: Dict[str, ExecutionBackend] = {}
-
-
-def register_backend(name: str, factory: Callable[[], ExecutionBackend]) -> None:
-    """Register a backend constructor under ``name`` (last wins)."""
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def backend_names() -> tuple[str, ...]:
-    return tuple(sorted(_FACTORIES))
-
-
-def create_backend(name: str) -> ExecutionBackend:
-    """A fresh instance with cold caches (benchmarking, isolation)."""
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r} (available: {', '.join(backend_names())})"
-        ) from None
-    return factory()
-
-
-def get_backend(name: str) -> ExecutionBackend:
-    """The shared per-process instance (warm pattern caches)."""
-    if name not in _INSTANCES:
-        _INSTANCES[name] = create_backend(name)
-    return _INSTANCES[name]
-
-
-def describe_backends() -> list[tuple[str, BackendCapabilities]]:
-    return [(name, create_backend(name).capabilities) for name in backend_names()]
 
 
 # -- analytic kernels: shared batch driver ---------------------------------
@@ -966,7 +929,3 @@ class LogPBackend(_AnalyticBackend):
         totals: np.ndarray = np.add.accumulate(steps, axis=-1, out=steps)[..., -1]
         return totals
 
-
-register_backend("round", RoundBackend)
-register_backend("des", DESBackend)
-register_backend("logp", LogPBackend)

@@ -7,21 +7,18 @@ block/cyclic/plane policies (:mod:`repro.launcher.slurm`), explicit
 mappings (:mod:`repro.launcher.mapping`).
 """
 
-from repro.launcher.mapping import ProcessMapping
-from repro.launcher.slurm import (
-    SlurmJob,
-    distribution_to_order,
-    expressible_distributions,
-    order_to_distribution,
-)
-from repro.launcher.rankfile import emit_rankfile, parse_rankfile
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProcessMapping",
-    "SlurmJob",
-    "distribution_to_order",
-    "expressible_distributions",
-    "order_to_distribution",
-    "emit_rankfile",
-    "parse_rankfile",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.launcher.mapping": ("ProcessMapping",),
+        "repro.launcher.slurm": (
+            "SlurmJob",
+            "distribution_to_order",
+            "expressible_distributions",
+            "order_to_distribution",
+        ),
+        "repro.launcher.rankfile": ("emit_rankfile", "parse_rankfile"),
+    },
+)

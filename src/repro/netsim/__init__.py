@@ -21,13 +21,13 @@ source-side up-links and destination-side down-links of levels
 ``j .. depth-1``.
 """
 
-from repro.netsim.engine import EventQueue
-from repro.netsim.fabric import Fabric
-from repro.netsim.flows import Flow, FlowNetwork
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EventQueue",
-    "Fabric",
-    "Flow",
-    "FlowNetwork",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.netsim.engine": ("EventQueue",),
+        "repro.netsim.fabric": ("Fabric",),
+        "repro.netsim.flows": ("Flow", "FlowNetwork"),
+    },
+)

@@ -36,48 +36,15 @@ allgather has one distinct pattern.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
+from repro.netsim.cachestats import STRUCTURE_CACHE_STATS
 from repro.topology.machine import MachineTopology
 
 T = TypeVar("T")
-
-
-@dataclass
-class FabricCacheStats:
-    """Hit/miss/eviction counters of a family of fabric memos.
-
-    :data:`STRUCTURE_CACHE_STATS` counts the structure memos of both
-    analytic kernels (:func:`lru_structures`) and appears in the engine's
-    ``/stats``.  Advisory counters only, never control flow.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def to_jsonable(self) -> dict:
-        lookups = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hits / lookups if lookups else 0.0,
-        }
-
-
-#: Aggregate structure-memo counters (:func:`lru_structures`) across every
-#: fabric in the process.
-STRUCTURE_CACHE_STATS = FabricCacheStats()
 
 
 #: Payload-independent part of one round pattern's fair-share pricing:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.ir.backends import get_backend
+from repro.ir.registry import get_backend
 from repro.ir.program import CommProgram
 from repro.topology.machine import MachineTopology
 

@@ -10,46 +10,33 @@ answer, and concurrent and repeated queries share evaluation work
 through the engine's two-tier cache: each key is evaluated once.
 """
 
-from repro.service.app import (
-    AdvisorService,
-    MACHINES,
-    PlacementQuery,
-    QueryError,
-    build_service,
-    known_collectives,
-    topology_for,
-)
-from repro.service.http import (
-    MAX_BODY,
-    ServiceServer,
-    run_server,
-    start_service_server,
-)
-from repro.service.prewarm import (
-    DEFAULT_SIZES,
-    PrewarmSpec,
-    PrewarmState,
-    default_specs,
-    prewarm_once,
-    prewarm_worker,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdvisorService",
-    "DEFAULT_SIZES",
-    "MACHINES",
-    "MAX_BODY",
-    "PlacementQuery",
-    "PrewarmSpec",
-    "PrewarmState",
-    "QueryError",
-    "ServiceServer",
-    "build_service",
-    "default_specs",
-    "known_collectives",
-    "prewarm_once",
-    "prewarm_worker",
-    "run_server",
-    "start_service_server",
-    "topology_for",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.app": (
+            "AdvisorService",
+            "MACHINES",
+            "PlacementQuery",
+            "QueryError",
+            "build_service",
+            "known_collectives",
+            "topology_for",
+        ),
+        "repro.service.http": (
+            "MAX_BODY",
+            "ServiceServer",
+            "run_server",
+            "start_service_server",
+        ),
+        "repro.service.prewarm": (
+            "DEFAULT_SIZES",
+            "PrewarmSpec",
+            "PrewarmState",
+            "default_specs",
+            "prewarm_once",
+            "prewarm_worker",
+        ),
+    },
+)

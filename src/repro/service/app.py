@@ -43,6 +43,53 @@ class QueryError(ValueError):
     """A malformed or unanswerable placement query (HTTP 400)."""
 
 
+def _is_integer(value: Any) -> bool:
+    # JSON has one number type: 8.0 is the integer 8; 16.7, inf and
+    # true are not integers.
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_string(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _is_string_or_null(value: Any) -> bool:
+    return value is None or isinstance(value, str)
+
+
+#: The JSON type each body field must have: a check, and the refusal
+#: when it fails.  Nothing is converted: ``"8"`` is not a communicator
+#: size and ``7`` is not a backend name.  ``null`` stands for "the
+#: default" in the two fields that have one only as ``None``.
+_FIELD_TYPES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "hierarchy": (
+        lambda v: _is_string(v) and bool(v.strip()),
+        "hierarchy must be a non-empty string",
+    ),
+    "comm_size": (_is_integer, "comm_size must be an integer"),
+    "machine": (_is_string, "machine must be a string"),
+    "collective": (_is_string, "collective must be a string"),
+    "total_bytes": (
+        lambda v: _is_number(v) or isinstance(v, list) and all(map(_is_number, v)),
+        "total_bytes entries must be numbers",
+    ),
+    "scenario": (_is_string, "scenario must be 'all' or 'single'"),
+    "backend": (_is_string_or_null, "backend must be a string"),
+    "algorithm": (_is_string_or_null, "algorithm must be a string"),
+    "workload": (_is_string, "workload must be a string"),
+    "workload_params": (
+        lambda v: isinstance(v, dict),
+        "workload_params must be a JSON object of parameter name/value pairs",
+    ),
+}
+
+
 def known_collectives() -> tuple[str, ...]:
     from repro.collectives.selector import list_algorithms
 
@@ -70,20 +117,7 @@ class PlacementQuery:
     backend: str | None = None  # None: the service default
     echo: dict = field(default_factory=dict, compare=False)
 
-    FIELDS = frozenset(
-        {
-            "hierarchy",
-            "comm_size",
-            "machine",
-            "collective",
-            "total_bytes",
-            "scenario",
-            "backend",
-            "algorithm",
-            "workload",
-            "workload_params",
-        }
-    )
+    FIELDS = frozenset(_FIELD_TYPES)
 
     @classmethod
     def from_doc(cls, doc: Any) -> "PlacementQuery":
@@ -103,20 +137,20 @@ class PlacementQuery:
             missing.append("comm_size")
         if missing:
             raise QueryError(f"missing required field(s) {missing}")
+        for name, value in doc.items():
+            accepts, refusal = _FIELD_TYPES[name]
+            if not accepts(value):
+                raise QueryError(refusal)
         hierarchy = doc["hierarchy"]
-        if not isinstance(hierarchy, str) or not hierarchy.strip():
-            raise QueryError("hierarchy must be a non-empty string")
-        machine = str(doc.get("machine", "generic"))
+        machine = doc.get("machine", "generic")
         if machine not in MACHINES:
             raise QueryError(
                 f"unknown machine {machine!r} (available: {', '.join(MACHINES)})"
             )
-        scenario = str(doc.get("scenario", "all"))
+        scenario = doc.get("scenario", "all")
         if scenario not in ("all", "single"):
             raise QueryError("scenario must be 'all' or 'single'")
         backend = doc.get("backend")
-        if backend is not None:
-            backend = str(backend)
         shape = dict(
             hierarchy=hierarchy, machine=machine, scenario=scenario,
             backend=backend,
@@ -124,7 +158,6 @@ class PlacementQuery:
 
         workload = doc.get("workload")
         if workload is not None:
-            workload = str(workload)
             conflicting = sorted(
                 f
                 for f in ("collective", "algorithm", "total_bytes", "comm_size")
@@ -136,14 +169,8 @@ class PlacementQuery:
                     "lowered workload defines the communicator size and "
                     "traffic volume"
                 )
-            raw_params = doc.get("workload_params", {})
-            if not isinstance(raw_params, dict):
-                raise QueryError(
-                    "workload_params must be a JSON object of parameter "
-                    "name/value pairs"
-                )
             try:
-                cell = workload_cell(workload, raw_params)
+                cell = workload_cell(workload, doc.get("workload_params", {}))
             except ValueError as err:  # a WorkloadError or a lowering error
                 raise QueryError(str(err)) from None
             echo = {
@@ -155,40 +182,25 @@ class PlacementQuery:
         if "workload_params" in doc:
             raise QueryError("workload_params requires a workload")
 
-        raw_size = doc["comm_size"]
-        try:
-            # int() would truncate a fraction and read a boolean as 0 or 1.
-            if isinstance(raw_size, bool) or (
-                isinstance(raw_size, float) and not raw_size.is_integer()
-            ):
-                raise ValueError(raw_size)
-            comm_size = int(raw_size)
-        except (TypeError, ValueError):
-            raise QueryError("comm_size must be an integer") from None
+        comm_size = int(doc["comm_size"])
         if comm_size < 1:
             raise QueryError("comm_size must be >= 1")
-        collective = str(doc.get("collective", "alltoall"))
+        collective = doc.get("collective", "alltoall")
         if collective not in known_collectives():
             raise QueryError(
                 f"unknown collective {collective!r} "
                 f"(available: {', '.join(known_collectives())})"
             )
         raw_sizes = doc.get("total_bytes", [1e6, 64e6])
-        if isinstance(raw_sizes, (int, float)):
+        if not isinstance(raw_sizes, list):
             raw_sizes = [raw_sizes]
-        if not isinstance(raw_sizes, list) or not raw_sizes:
+        if not raw_sizes:
             raise QueryError("total_bytes must be a non-empty list of byte sizes")
-        try:
-            if any(isinstance(s, bool) for s in raw_sizes):  # float(True) is 1.0
-                raise ValueError(raw_sizes)
-            sizes = tuple(float(s) for s in raw_sizes)
-        except (TypeError, ValueError):
-            raise QueryError("total_bytes entries must be numbers") from None
+        sizes = tuple(float(s) for s in raw_sizes)
         if any(s <= 0 for s in sizes):
             raise QueryError("total_bytes entries must be positive")
         algorithm = doc.get("algorithm")
         if algorithm is not None:
-            algorithm = str(algorithm)
             from repro.collectives.selector import list_algorithms
 
             if (collective, algorithm) not in list_algorithms():

@@ -14,40 +14,24 @@ communicators with ranks, ``Comm_split(color, key)``,
 communicator.
 """
 
-from repro.simmpi.datatypes import BYTE, DOUBLE, FLOAT, INT, Datatype
-from repro.simmpi.communicator import Comm, Group
-from repro.simmpi.errors import CommRevokedError, RankFailedError, SimTimeout
-from repro.simmpi.ops import (
-    Compute,
-    Irecv,
-    Isend,
-    Recv,
-    Request,
-    Send,
-    Sendrecv,
-    Wait,
-)
-from repro.simmpi.runtime import DeadlockError, Simulator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BYTE",
-    "DOUBLE",
-    "FLOAT",
-    "INT",
-    "Datatype",
-    "Comm",
-    "Group",
-    "Compute",
-    "Irecv",
-    "Isend",
-    "Recv",
-    "Request",
-    "Send",
-    "Sendrecv",
-    "Wait",
-    "CommRevokedError",
-    "DeadlockError",
-    "RankFailedError",
-    "SimTimeout",
-    "Simulator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.simmpi.datatypes": ("BYTE", "DOUBLE", "FLOAT", "INT", "Datatype"),
+        "repro.simmpi.communicator": ("Comm", "Group"),
+        "repro.simmpi.ops": (
+            "Compute",
+            "Irecv",
+            "Isend",
+            "Recv",
+            "Request",
+            "Send",
+            "Sendrecv",
+            "Wait",
+        ),
+        "repro.simmpi.errors": ("CommRevokedError", "RankFailedError", "SimTimeout"),
+        "repro.simmpi.runtime": ("DeadlockError", "Simulator"),
+    },
+)

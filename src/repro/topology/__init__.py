@@ -10,27 +10,20 @@ models).  Presets calibrated to the paper's machine descriptions live in
 ("node:16 socket:2 numa:4 core:8") are parsed by :mod:`repro.topology.hwloc`.
 """
 
-from repro.topology.machine import LevelParams, MachineTopology
-from repro.topology.machines import (
-    generic_cluster,
-    hydra,
-    hydra_node,
-    lumi,
-    lumi_node,
-)
-from repro.topology.hwloc import parse_synthetic, format_synthetic
-from repro.topology.tree import TopologyTree, TopologyNode
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LevelParams",
-    "MachineTopology",
-    "generic_cluster",
-    "hydra",
-    "hydra_node",
-    "lumi",
-    "lumi_node",
-    "parse_synthetic",
-    "format_synthetic",
-    "TopologyTree",
-    "TopologyNode",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.topology.machine": ("LevelParams", "MachineTopology"),
+        "repro.topology.machines": (
+            "generic_cluster",
+            "hydra",
+            "hydra_node",
+            "lumi",
+            "lumi_node",
+        ),
+        "repro.topology.hwloc": ("parse_synthetic", "format_synthetic"),
+        "repro.topology.tree": ("TopologyTree", "TopologyNode"),
+    },
+)

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.hierarchy import Hierarchy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -106,26 +107,36 @@ class MachineTopology:
 
     @cached_property
     def link_bw(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([lv.link_bw for lv in self.levels], dtype=float)
 
     @cached_property
     def link_lat(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([lv.link_lat for lv in self.levels], dtype=float)
 
     @cached_property
     def mem_bw(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([lv.mem_bw for lv in self.levels], dtype=float)
 
     # -- queries -----------------------------------------------------------
 
     def coords_of(self, cores: np.ndarray | Sequence[int]) -> np.ndarray:
         """``(n, depth)`` coordinates of ``cores`` in the machine hierarchy."""
+        import numpy as np
+
         from repro.core.mixed_radix import decompose_many
 
         return decompose_many(self.hierarchy, np.asarray(cores, dtype=np.int64))
 
     def component_of(self, cores: np.ndarray, level: int) -> np.ndarray:
         """Index of the level-``level`` component containing each core."""
+        import numpy as np
+
         cores = np.asarray(cores, dtype=np.int64)
         return cores // self.strides[level]
 
@@ -135,6 +146,8 @@ class MachineTopology:
         Returns the outermost level index at which the two cores' coordinates
         differ; a value of ``depth`` marks a self-flow (no network traversal).
         """
+        import numpy as np
+
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         out = np.full(src.shape, self.depth, dtype=np.int64)
@@ -146,6 +159,8 @@ class MachineTopology:
 
     def hop_latency(self, lca: np.ndarray) -> np.ndarray:
         """One-way latency per flow given first-differing levels ``lca``."""
+        import numpy as np
+
         lat = np.append(self.link_lat, 0.0)  # depth -> self-flow, no latency
         return lat[np.minimum(lca, self.depth)]
 
@@ -182,6 +197,8 @@ class MachineTopology:
         the bandwidth model behind the CG experiment (Figure 9): packing
         cores into one L3/NUMA divides its capacity among them.
         """
+        import numpy as np
+
         cores = np.asarray(active_cores, dtype=np.int64)
         bw = np.full(cores.shape, np.inf)
         for level in range(self.depth):

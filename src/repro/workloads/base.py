@@ -29,11 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Mapping, Protocol, runtime_checkable
 
-import numpy as np
-
-from repro.ir.program import CommProgram
+if TYPE_CHECKING:
+    from repro.ir.program import CommProgram
 
 
 class WorkloadError(ValueError):
@@ -250,9 +249,9 @@ def check_grid(topology, hierarchy, cells, backend: str) -> None:
     hierarchy that does not match the machine, or a cell whose rank
     count is below 1 or does not divide the machine's processes (a
     :class:`WorkloadError`)."""
-    from repro.ir import get_backend
+    from repro.ir.registry import check_backend
 
-    get_backend(backend)  # unknown names raise, listing the registry
+    check_backend(backend)  # unknown names raise, listing the registry
     hierarchy.check_process_count(topology.n_cores)
     for cell in cells:
         if cell.comm_size < 1:
@@ -299,6 +298,8 @@ def lower_workload(
 
 @lru_cache(maxsize=1024)
 def _lower_cached(name: str, canonical: tuple[tuple[str, Any], ...]) -> CommProgram:
+    import numpy as np
+
     from repro.ir.validate import check_program
 
     program = get_workload(name).lower(**dict(canonical))

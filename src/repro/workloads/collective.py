@@ -11,9 +11,8 @@ enters the system through :func:`collective_cells`.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.ir.program import CommProgram, ProgramMeta
 from repro.workloads.base import (
     Cell,
     ParamSpec,
@@ -21,6 +20,9 @@ from repro.workloads.base import (
     canonical_params,
     register_workload,
 )
+
+if TYPE_CHECKING:
+    from repro.ir.program import CommProgram
 
 
 class CollectiveWorkload:
@@ -49,6 +51,7 @@ class CollectiveWorkload:
     ) -> CommProgram:
         from repro.collectives.selector import rounds_for, select_algorithm
         from repro.ir.lower import from_rounds
+        from repro.ir.program import ProgramMeta
 
         name = algorithm or select_algorithm(collective, p, total_bytes)
         rounds = rounds_for(collective, p, total_bytes, name)

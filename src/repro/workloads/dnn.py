@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-from repro.ir.program import CommProgram
+from typing import TYPE_CHECKING
+
 from repro.workloads.base import ParamSpec, WorkloadError, register_workload
+
+if TYPE_CHECKING:
+    from repro.ir.program import CommProgram
 
 
 class DnnWorkload:

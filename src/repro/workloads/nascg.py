@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-from repro.ir.program import CommProgram, ProgramMeta
+from typing import TYPE_CHECKING
+
 from repro.workloads.base import ParamSpec, WorkloadError, register_workload
+
+if TYPE_CHECKING:
+    from repro.ir.program import CommProgram
 
 
 class NasCGWorkload:
@@ -18,6 +22,7 @@ class NasCGWorkload:
         from repro.apps.nascg.matrix import CG_CLASSES
         from repro.apps.nascg.parallel import cg_comm_rounds
         from repro.ir.lower import from_rounds
+        from repro.ir.program import ProgramMeta
 
         try:
             cg_klass = CG_CLASSES[klass]

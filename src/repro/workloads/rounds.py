@@ -10,12 +10,12 @@ producers.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from repro.ir.program import CommProgram, CommRound, ProgramMeta
 from repro.workloads.base import ParamSpec, WorkloadError, register_workload
+
+if TYPE_CHECKING:
+    from repro.ir.program import CommProgram
 
 
 class RoundsWorkload:
@@ -40,7 +40,10 @@ class RoundsWorkload:
         n_ranks: int | None = None,
         label: str | None = None,
     ) -> CommProgram:
+        import numpy as np
+
         from repro.ir.lower import from_rounds
+        from repro.ir.program import CommRound, ProgramMeta
 
         lowered = []
         for i, entry in enumerate(rounds):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.ir.program import CommProgram, ProgramMeta
 from repro.workloads.base import ParamSpec, register_workload
+
+if TYPE_CHECKING:
+    from repro.ir.program import CommProgram
 
 
 class SplattWorkload:
@@ -24,7 +26,10 @@ class SplattWorkload:
         self, *, p: int, per_pair_bytes: float, mode: int = 0
     ) -> CommProgram:
         from repro.collectives.misc import alltoallv_pairwise_rounds
+        import numpy as np
+
         from repro.ir.lower import from_rounds
+        from repro.ir.program import ProgramMeta
 
         sizes = np.full((p, p), float(per_pair_bytes))
         np.fill_diagonal(sizes, 0.0)

@@ -10,10 +10,12 @@ the evaluator maps communicator ranks onto cores.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.ir.program import CommProgram, CommRound, ProgramMeta
 from repro.workloads.base import ParamSpec, WorkloadError, register_workload
+
+if TYPE_CHECKING:
+    from repro.ir.program import CommProgram
 
 
 class StencilWorkload:
@@ -40,7 +42,10 @@ class StencilWorkload:
         cell_bytes: float = 8.0,
         local_extent: int = 256,
     ) -> CommProgram:
+        import numpy as np
+
         from repro.ir.lower import from_rounds
+        from repro.ir.program import CommRound, ProgramMeta
 
         if not dims or any(d < 1 for d in dims):
             raise WorkloadError(f"stencil dims must be positive, got {dims}")

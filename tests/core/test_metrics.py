@@ -94,6 +94,25 @@ class TestRingCost:
         coords = np.array([[0, 0, 1], [0, 0, 1]])
         assert ring_cost_of_coords(coords) == 0
 
+    @pytest.mark.parametrize(
+        "radices",
+        [(3,), (2, 3), (3, 2, 2), (2, 3, 4), (3, 3, 2, 2), (2, 2, 3, 2, 2),
+         (4, 3, 2, 2, 3), (3, 2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2)],
+    )
+    def test_closed_form_matches_signature(self, radices):
+        # The O(depth) closed form against comm 0's decomposed coordinates,
+        # for every order and every communicator size dividing the machine.
+        h = Hierarchy(radices)
+        for comm_size in divisors(h.size):
+            for order in all_orders(h.depth):
+                assert ring_cost(h, order, comm_size) == signature(
+                    h, order, comm_size
+                ).ring_cost, (order, comm_size)
+
+    def test_closed_form_rejects_bad_order(self, fig1_hierarchy):
+        with pytest.raises(ValueError, match="not a permutation"):
+            ring_cost(fig1_hierarchy, (0, 0, 1), 4)
+
 
 class TestPairPercentages:
     def test_fig2_packed(self, fig1_hierarchy):

@@ -73,6 +73,18 @@ class TestQueryParsing:
             ({**GOOD, "comm_size": float("inf")}, "comm_size must be an integer"),
             ({**GOOD, "total_bytes": [True]}, "total_bytes entries must be numbers"),
             ({**GOOD, "total_bytes": False}, "total_bytes entries must be numbers"),
+            # JSON types are checked, never converted.
+            ({**GOOD, "comm_size": "8"}, "comm_size must be an integer"),
+            ({**GOOD, "total_bytes": ["1e6"]}, "total_bytes entries must be numbers"),
+            ({**GOOD, "total_bytes": "1e6"}, "total_bytes entries must be numbers"),
+            ({**GOOD, "backend": 7}, "backend must be a string"),
+            ({**GOOD, "algorithm": 3}, "algorithm must be a string"),
+            ({**GOOD, "machine": None}, "machine must be a string"),
+            ({**GOOD, "collective": ["alltoall"]}, "collective must be a string"),
+            ({**GOOD, "scenario": 1}, "scenario must be 'all' or 'single'"),
+            ({**GOOD, "hierarchy": 8}, "hierarchy must be a non-empty string"),
+            ({"hierarchy": "node:2 core:8", "workload": None}, "workload must be a string"),
+            ({"hierarchy": "node:2 core:8", "workload": 7}, "workload must be a string"),
         ],
     )
     def test_rejects_bad_docs(self, doc, match):
