@@ -185,7 +185,8 @@ class QueryPlan:
     ``cells`` is the query's traffic (workload cells sharing one
     communicator size); ``classes`` are the memo's
     :class:`PlacementClass` objects, shared by every plan over the class
-    set.  :attr:`requests` is the evaluable grid.
+    set.  :attr:`requests` is the evaluable grid, built afresh on each
+    read, so a memoized plan does not hold it.
     """
 
     topology: MachineTopology
@@ -208,7 +209,7 @@ class QueryPlan:
     def duration_key(self) -> str:
         return "duration_all" if self.scenario == "all" else "duration_single"
 
-    @cached_property
+    @property
     def requests(self) -> tuple:
         """The flattened representative-major ``(representative, cell)``
         grid whose results -- aligned with it --

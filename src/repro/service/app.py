@@ -7,7 +7,9 @@ as a long-running query service:
 - **planning** reuses :func:`repro.core.advisor.plan_query`, so a query
   lowers to exactly the placement-class request grid the offline
   :func:`~repro.core.advisor.advise` evaluates; plans are memoized per
-  query shape (the class enumeration is pure);
+  query shape (the class enumeration is pure), each with its answer
+  once one has been given: a repeated query is answered from the memo
+  without touching the engine;
 - **evaluation** runs every grid on one single-thread executor over one
   shared :class:`~repro.engine.SweepEngine`.  Grids are evaluated one
   after another, and the engine caches each result before the next grid
@@ -216,6 +218,17 @@ class PlacementQuery:
         return cls(cells=cells, echo={"algorithm": algorithm}, **shape)
 
 
+@dataclass
+class _PlanEntry:
+    """A plan-memo entry: the plan, and its rendered ``advice`` document
+    once a query over it has been answered with no failed point.  The
+    plan key holds everything the answer depends on and every result is
+    content-keyed and deterministic, so the answer never goes stale."""
+
+    plan: QueryPlan
+    advice: dict | None = None
+
+
 class AdvisorService:
     """Query planning, evaluation, and stats for the service.
 
@@ -228,8 +241,9 @@ class AdvisorService:
         Backend for queries that do not name one.  ``logp`` is the fast
         path the service exists to serve.
     plan_cache_size:
-        Memoized query plans kept (placement-class enumeration and the
-        request grid are pure functions of the query shape).
+        Memoized query plans kept, each with its answer once it has one
+        (placement classes and rankings are pure functions of the query
+        shape); evicting a plan drops its answer.
     evaluate:
         Override for the blocking grid evaluator (tests use this to
         gate evaluations); default ``engine.evaluate_many``.
@@ -250,9 +264,10 @@ class AdvisorService:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-eval"
         )
-        self._plans: OrderedDict[tuple, QueryPlan] = OrderedDict()
+        self._plans: OrderedDict[tuple, _PlanEntry] = OrderedDict()
         self._plan_cache_size = plan_cache_size
         self.plan_cache_hits = 0
+        self.answer_hits = 0
         self.started_monotonic = time.monotonic()
         self.advise_requests = 0
         self.errors = 0
@@ -279,13 +294,16 @@ class AdvisorService:
 
     def plan(self, query: PlacementQuery) -> QueryPlan:
         """The (memoized) evaluable plan for a query."""
+        return self._entry(query).plan
+
+    def _entry(self, query: PlacementQuery) -> _PlanEntry:
         backend = query.backend or self.default_backend
         key = (query.machine, query.hierarchy, query.cells, query.scenario, backend)
-        plan = self._plans.get(key)
-        if plan is not None:
+        entry = self._plans.get(key)
+        if entry is not None:
             self._plans.move_to_end(key)
             self.plan_cache_hits += 1
-            return plan
+            return entry
         try:
             hierarchy = parse_synthetic(query.hierarchy)
         except Exception as err:
@@ -301,30 +319,41 @@ class AdvisorService:
             )
         except ValueError as err:
             raise QueryError(str(err)) from None
-        self._plans[key] = plan
+        entry = self._plans[key] = _PlanEntry(plan)
         while len(self._plans) > self._plan_cache_size:
             self._plans.popitem(last=False)
-        return plan
+        return entry
 
     # -- serving -----------------------------------------------------------
 
     async def advise(self, doc: Any) -> dict:
-        """Answer one ``/advise`` body; returns the response document."""
+        """Answer one ``/advise`` body; returns the response document.
+
+        A query whose plan has been answered before gets the stored
+        ``advice`` document (shared between responses: read it, do not
+        modify it) and reports every grid point as a cache hit.
+        """
         t0 = time.perf_counter()
         self._active += 1
         self.last_activity = time.monotonic()
         try:
             query = PlacementQuery.from_doc(doc)
-            plan = self.plan(query)
-            results, evaluated, cache_hits = await self.evaluate_plan(plan)
-            advice = advice_from_results(plan, results)
+            entry = self._entry(query)
+            plan = entry.plan
+            advice = entry.advice
+            if advice is not None:
+                self.answer_hits += 1
+                evaluated, cache_hits = 0, len(plan)
+            else:
+                results, evaluated, cache_hits = await self.evaluate_plan(plan)
+                advice = entry.advice = advice_from_results(plan, results).to_jsonable()
             self.advise_requests += 1
             return {
-                "advice": advice.to_jsonable(),
+                "advice": advice,
                 "provenance": self._provenance(query, plan),
                 "stats": {
                     "wall_ms": (time.perf_counter() - t0) * 1e3,
-                    "grid_points": len(plan.requests),
+                    "grid_points": len(plan),
                     "evaluated": evaluated,
                     "cache_hits": cache_hits,
                 },
@@ -385,7 +414,7 @@ class AdvisorService:
             "version": __version__,
             "cache_schema": CACHE_SCHEMA,
             "n_classes": len(plan.classes),
-            "n_requests": len(plan.requests),
+            "n_requests": len(plan),
         }
 
     # -- introspection endpoints -------------------------------------------
@@ -406,6 +435,7 @@ class AdvisorService:
                 "default_backend": self.default_backend,
                 "plan_cache_entries": len(self._plans),
                 "plan_cache_hits": self.plan_cache_hits,
+                "answer_hits": self.answer_hits,
             },
             "engine": self.engine.stats.to_jsonable(),
             "cache": self.engine.cache.stats(),
