@@ -68,6 +68,15 @@ def list_algorithms(collective: str | None = None) -> list[tuple[str, str]]:
     )
 
 
+def is_registered(collective: str, algorithm: str | None = None) -> bool:
+    """Whether ``collective`` has a registered algorithm (``algorithm``,
+    when given); a lookup in the live registry, with no sort."""
+    registry = _registry()
+    if algorithm is not None:
+        return (collective, algorithm) in registry
+    return any(c == collective for c, _ in registry)
+
+
 def get_algorithm(collective: str, algorithm: str) -> RoundsFn:
     """Look up a rounds-face algorithm by name."""
     try:

@@ -7,9 +7,10 @@ as a long-running query service:
 - **planning** reuses :func:`repro.core.advisor.plan_query`, so a query
   lowers to exactly the placement-class request grid the offline
   :func:`~repro.core.advisor.advise` evaluates; plans are memoized per
-  query shape (the class enumeration is pure), each with its answer
-  once one has been given: a repeated query is answered from the memo
-  without touching the engine;
+  query shape (the class enumeration is pure), each with its encoded
+  answer once one has been given: a repeated query is answered from the
+  memo without touching the engine, and a byte-identical repeat of a
+  body without parsing it either;
 - **evaluation** runs every grid on one single-thread executor over one
   shared :class:`~repro.engine.SweepEngine`.  Grids are evaluated one
   after another, and the engine caches each result before the next grid
@@ -29,6 +30,8 @@ one caller at a time.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -98,6 +101,25 @@ def known_collectives() -> tuple[str, ...]:
     return tuple(sorted({c for c, _ in list_algorithms()}))
 
 
+def _decode(body: bytes) -> Any:
+    """A request body's JSON document (an empty body is ``{}``)."""
+    try:
+        return json.loads(body) if body else {}
+    except (ValueError, RecursionError) as err:  # RecursionError: deep nesting
+        raise QueryError(f"request body is not valid JSON: {err}") from None
+
+
+def _response(advice: bytes, provenance: bytes, stats: dict) -> bytes:
+    """The encoded ``/advise`` response: exactly ``json.dumps`` of
+    ``{"advice": ..., "provenance": ..., "stats": ...}``, from the first
+    two already encoded."""
+    return b"".join((
+        b'{"advice": ', advice,
+        b', "provenance": ', provenance,
+        b', "stats": ', json.dumps(stats).encode(), b"}",
+    ))
+
+
 @dataclass(frozen=True)
 class PlacementQuery:
     """One parsed ``/advise`` request body, translated into cells.
@@ -124,6 +146,7 @@ class PlacementQuery:
     @classmethod
     def from_doc(cls, doc: Any) -> "PlacementQuery":
         """Parse and validate a JSON body; raises :class:`QueryError`."""
+        from repro.collectives.selector import is_registered, list_algorithms
         from repro.workloads import collective_cells, workload_cell
 
         if not isinstance(doc, dict):
@@ -188,7 +211,7 @@ class PlacementQuery:
         if comm_size < 1:
             raise QueryError("comm_size must be >= 1")
         collective = doc.get("collective", "alltoall")
-        if collective not in known_collectives():
+        if not is_registered(collective):
             raise QueryError(
                 f"unknown collective {collective!r} "
                 f"(available: {', '.join(known_collectives())})"
@@ -203,9 +226,7 @@ class PlacementQuery:
             raise QueryError("total_bytes entries must be positive")
         algorithm = doc.get("algorithm")
         if algorithm is not None:
-            from repro.collectives.selector import list_algorithms
-
-            if (collective, algorithm) not in list_algorithms():
+            if not is_registered(collective, algorithm):
                 known = ", ".join(a for c, a in list_algorithms(collective))
                 raise QueryError(
                     f"unknown algorithm {algorithm!r} for {collective!r} "
@@ -220,13 +241,14 @@ class PlacementQuery:
 
 @dataclass
 class _PlanEntry:
-    """A plan-memo entry: the plan, and its rendered ``advice`` document
-    once a query over it has been answered with no failed point.  The
-    plan key holds everything the answer depends on and every result is
-    content-keyed and deterministic, so the answer never goes stale."""
+    """A plan-memo entry: the plan, and its ``advice`` document encoded
+    as JSON bytes once a query over it has been answered with no failed
+    point.  The plan key holds everything the answer depends on and
+    every result is content-keyed and deterministic, so the answer never
+    goes stale; bytes are immutable, so responses share it safely."""
 
     plan: QueryPlan
-    advice: dict | None = None
+    advice: bytes | None = None
 
 
 class AdvisorService:
@@ -243,7 +265,9 @@ class AdvisorService:
     plan_cache_size:
         Memoized query plans kept, each with its answer once it has one
         (placement classes and rankings are pure functions of the query
-        shape); evicting a plan drops its answer.
+        shape); evicting a plan drops its answer.  The body index, which
+        finds an answered plan from a request body's digest, keeps as
+        many bodies.
     evaluate:
         Override for the blocking grid evaluator (tests use this to
         gate evaluations); default ``engine.evaluate_many``.
@@ -265,6 +289,9 @@ class AdvisorService:
             max_workers=1, thread_name_prefix="repro-eval"
         )
         self._plans: OrderedDict[tuple, _PlanEntry] = OrderedDict()
+        #: SHA-256 of an answered body -> (its plan key, its encoded
+        #: provenance); keyed by digest, so a large body is never pinned.
+        self._bodies: OrderedDict[bytes, tuple[tuple, bytes]] = OrderedDict()
         self._plan_cache_size = plan_cache_size
         self.plan_cache_hits = 0
         self.answer_hits = 0
@@ -294,16 +321,22 @@ class AdvisorService:
 
     def plan(self, query: PlacementQuery) -> QueryPlan:
         """The (memoized) evaluable plan for a query."""
-        return self._entry(query).plan
+        return self._entry(query)[1].plan
 
-    def _entry(self, query: PlacementQuery) -> _PlanEntry:
-        backend = query.backend or self.default_backend
-        key = (query.machine, query.hierarchy, query.cells, query.scenario, backend)
+    def _memo_hit(self, key: tuple) -> _PlanEntry | None:
         entry = self._plans.get(key)
         if entry is not None:
             self._plans.move_to_end(key)
             self.plan_cache_hits += 1
-            return entry
+        return entry
+
+    def _entry(self, query: PlacementQuery) -> tuple[tuple, _PlanEntry]:
+        """The plan key and memo entry for a query (planned on a miss)."""
+        backend = query.backend or self.default_backend
+        key = (query.machine, query.hierarchy, query.cells, query.scenario, backend)
+        entry = self._memo_hit(key)
+        if entry is not None:
+            return key, entry
         try:
             hierarchy = parse_synthetic(query.hierarchy)
         except Exception as err:
@@ -322,42 +355,73 @@ class AdvisorService:
         entry = self._plans[key] = _PlanEntry(plan)
         while len(self._plans) > self._plan_cache_size:
             self._plans.popitem(last=False)
-        return entry
+        return key, entry
+
+    def _indexed(self, digest: bytes) -> tuple[_PlanEntry, bytes] | None:
+        """The answered plan entry and encoded provenance of a body seen
+        before, or None: an unseen body, or one whose plan was evicted
+        or has no answer, takes the parsing path."""
+        indexed = self._bodies.get(digest)
+        if indexed is None:
+            return None
+        key, provenance = indexed
+        entry = self._plans.get(key)
+        if entry is None or entry.advice is None:
+            return None
+        self._memo_hit(key)
+        self._bodies.move_to_end(digest)
+        return entry, provenance
 
     # -- serving -----------------------------------------------------------
 
-    async def advise(self, doc: Any) -> dict:
-        """Answer one ``/advise`` body; returns the response document.
+    async def advise(self, body: bytes) -> bytes:
+        """Answer one ``/advise`` request body; returns the encoded
+        response document (``advice``, ``provenance``, ``stats``).
 
-        A query whose plan has been answered before gets the stored
-        ``advice`` document (shared between responses: read it, do not
-        modify it) and reports every grid point as a cache hit.
+        A body byte-identical to one answered before is found by its
+        SHA-256 digest in the body index: the response splices the
+        plan's stored ``advice`` bytes and the body's stored
+        ``provenance`` bytes around the query's ``stats``, with no JSON
+        parsing, validation or encoding of the answer.  Any other body
+        is decoded and validated (:class:`QueryError` when it is not
+        JSON or not an answerable query); a plan answered before gets
+        its stored answer, and a new one is evaluated and its answer
+        stored.  A stored answer reports every grid point as a cache
+        hit.
         """
         t0 = time.perf_counter()
         self._active += 1
         self.last_activity = time.monotonic()
         try:
-            query = PlacementQuery.from_doc(doc)
-            entry = self._entry(query)
+            digest = hashlib.sha256(body).digest()
+            indexed = self._indexed(digest)
+            if indexed is not None:
+                entry, provenance = indexed
+            else:
+                query = PlacementQuery.from_doc(_decode(body))
+                key, entry = self._entry(query)
+                provenance = json.dumps(self._provenance(query, entry.plan)).encode()
             plan = entry.plan
-            advice = entry.advice
-            if advice is not None:
+            if entry.advice is not None:
                 self.answer_hits += 1
                 evaluated, cache_hits = 0, len(plan)
             else:
                 results, evaluated, cache_hits = await self.evaluate_plan(plan)
-                advice = entry.advice = advice_from_results(plan, results).to_jsonable()
+                entry.advice = json.dumps(
+                    advice_from_results(plan, results).to_jsonable()
+                ).encode()
+            if indexed is None:
+                self._bodies[digest] = (key, provenance)
+                self._bodies.move_to_end(digest)
+                while len(self._bodies) > self._plan_cache_size:
+                    self._bodies.popitem(last=False)
             self.advise_requests += 1
-            return {
-                "advice": advice,
-                "provenance": self._provenance(query, plan),
-                "stats": {
-                    "wall_ms": (time.perf_counter() - t0) * 1e3,
-                    "grid_points": len(plan),
-                    "evaluated": evaluated,
-                    "cache_hits": cache_hits,
-                },
-            }
+            return _response(entry.advice, provenance, {
+                "wall_ms": (time.perf_counter() - t0) * 1e3,
+                "grid_points": len(plan),
+                "evaluated": evaluated,
+                "cache_hits": cache_hits,
+            })
         finally:
             self._active -= 1
             self.last_activity = time.monotonic()

@@ -9,14 +9,22 @@ implements just enough of HTTP/1.1 over ``asyncio.start_server``:
 - ``GET  /stats``   — service / engine / cache / pre-warm counters
 
 Error mapping keeps client and server faults distinct: malformed JSON
-or an unanswerable query (:class:`~repro.service.app.QueryError`) is a
-400, an unknown route a 404, a wrong method a 405, an oversized body a
-413, and an evaluation failure
-(:class:`~repro.engine.batch.BatchEvaluationError`, which names the
-failed grid points) a 500 with the structured detail in the body.  Any
-other exception while answering a request is logged and answered with a
-500 naming it, and the connection is then closed; every error status is
-counted in ``/stats`` ``errors``.
+(deeply nested JSON included) or an unanswerable query
+(:class:`~repro.service.app.QueryError`) is a 400, an unknown route a
+404, a wrong method a 405, an oversized body a 413, and an evaluation
+failure (:class:`~repro.engine.batch.BatchEvaluationError`, which names
+the failed grid points) a 500 with the structured detail in the body.
+Any other exception while answering a request is logged and answered
+with a 500 naming it, and the connection is then closed; every error
+status is counted in ``/stats`` ``errors``.
+
+Bodies are framed by ``Content-Length`` alone, and it must be 1*DIGIT:
+anything else is a 400, and a ``Transfer-Encoding`` of any kind a 501.
+A request whose framing is refused (those two, an oversized body or
+header block, a malformed request line or header, a truncated request)
+closes the connection, since where its body ends is unknown.  An
+``/advise`` answer is written as the bytes
+:meth:`~repro.service.app.AdvisorService.advise` returns.
 
 Connections are keep-alive by default (HTTP/1.1 semantics); the bench
 harness leans on that to measure steady-state query latency rather than
@@ -49,6 +57,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
 }
 
 
@@ -61,8 +70,11 @@ class _HttpError(Exception):
         self.doc = {"error": message, **extra}
 
 
-def _encode(status: int, doc: dict, keep_alive: bool) -> bytes:
-    body = json.dumps(doc).encode()
+def _json(doc: dict) -> bytes:
+    return json.dumps(doc).encode()
+
+
+def _encode(status: int, body: bytes, keep_alive: bool) -> bytes:
     head = (
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
         f"Content-Type: application/json\r\n"
@@ -76,7 +88,10 @@ def _encode(status: int, doc: dict, keep_alive: bool) -> bytes:
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, dict[str, str], bytes] | None:
-    """Parse one request; None on clean EOF (client closed keep-alive)."""
+    """Parse one request; None on clean EOF (client closed keep-alive).
+
+    Raises :class:`_HttpError` when the request's framing is refused.
+    """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as err:
@@ -97,13 +112,22 @@ async def _read_request(
         name, sep, value = line.partition(":")
         if not sep:
             raise _HttpError(400, f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        value = value.strip(" \t")
+        if name == "content-length" and headers.get(name, value) != value:
+            raise _HttpError(400, "conflicting Content-Length headers")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        raise _HttpError(
+            501,
+            f"Transfer-Encoding {headers['transfer-encoding']!r} is not "
+            "supported: send the body with a Content-Length",
+        )
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise _HttpError(400, f"bad Content-Length {length_text!r}") from None
-    if length < 0 or length > MAX_BODY:
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise _HttpError(400, f"bad Content-Length {length_text!r}")
+    length = int(length_text)
+    if length > MAX_BODY:
         raise _HttpError(413, f"body of {length} bytes exceeds limit {MAX_BODY}")
     body = await reader.readexactly(length) if length else b""
     return method, target, headers, body
@@ -174,7 +198,9 @@ class ServiceServer:
     ) -> None:
         try:
             while True:
-                keep_alive = True
+                # Kept only once a request is read whole: after a refused
+                # framing, where the next request starts is unknown.
+                keep_alive = False
                 try:
                     parsed = await _read_request(reader)
                     if parsed is None:
@@ -183,16 +209,16 @@ class ServiceServer:
                     keep_alive = (
                         headers.get("connection", "keep-alive").lower() != "close"
                     )
-                    status, doc = await self._dispatch(method, target, body)
+                    status, payload = await self._dispatch(method, target, body)
                 except _HttpError as err:
                     self.service.errors += 1
-                    status, doc = err.status, err.doc
+                    status, payload = err.status, _json(err.doc)
                 except Exception as err:  # noqa: BLE001 - answer, then drop
                     log.exception("unhandled error answering a request")
                     self.service.errors += 1
-                    status, doc = 500, {"error": f"internal error: {err!r}"}
+                    status, payload = 500, _json({"error": f"internal error: {err!r}"})
                     keep_alive = False
-                writer.write(_encode(status, doc, keep_alive))
+                writer.write(_encode(status, payload, keep_alive))
                 await writer.drain()
                 if not keep_alive:
                     break
@@ -209,7 +235,7 @@ class ServiceServer:
 
     async def _dispatch(
         self, method: str, target: str, body: bytes
-    ) -> tuple[int, dict]:
+    ) -> tuple[int, bytes]:
         path = target.split("?", 1)[0]
         route = _ROUTES.get(path)
         if route is None:
@@ -221,31 +247,27 @@ class ServiceServer:
             raise _HttpError(405, f"{path} expects {expect_method}, got {method}")
         return await handler(self, body)
 
-    async def _advise(self, body: bytes) -> tuple[int, dict]:
+    async def _advise(self, body: bytes) -> tuple[int, bytes]:
         try:
-            doc = json.loads(body) if body else {}
-        except ValueError as err:
-            raise _HttpError(400, f"request body is not valid JSON: {err}") from None
-        try:
-            return 200, await self.service.advise(doc)
+            return 200, await self.service.advise(body)
         except QueryError as err:
             raise _HttpError(400, str(err)) from None
         except BatchEvaluationError as err:
             self.service.errors += 1
             log.error("advise grid failed: %s", err)
-            return 500, {
+            return 500, _json({
                 "error": str(err),
                 "failed_points": [p.describe() for p in err.points],
-            }
+            })
 
-    async def _healthz(self, body: bytes) -> tuple[int, dict]:
-        return 200, self.service.healthz_doc()
+    async def _healthz(self, body: bytes) -> tuple[int, bytes]:
+        return 200, _json(self.service.healthz_doc())
 
-    async def _stats(self, body: bytes) -> tuple[int, dict]:
-        return 200, self.service.stats_doc()
+    async def _stats(self, body: bytes) -> tuple[int, bytes]:
+        return 200, _json(self.service.stats_doc())
 
 
-_Handler = Callable[[ServiceServer, bytes], Awaitable[tuple[int, dict]]]
+_Handler = Callable[[ServiceServer, bytes], Awaitable[tuple[int, bytes]]]
 _ROUTES: dict[str, tuple[str, _Handler]] = {
     "/advise": ("POST", ServiceServer._advise),
     "/healthz": ("GET", ServiceServer._healthz),

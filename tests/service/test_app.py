@@ -20,6 +20,7 @@ from repro.service.app import (
 from repro.topology.hwloc import parse_synthetic
 from repro.topology.machines import hydra
 from repro.workloads import collective_cells, workload_cell
+from tests.service.helpers import advise_doc, ask
 
 GOOD = {"hierarchy": "node:2 socket:2 core:2", "comm_size": 8}
 
@@ -90,6 +91,24 @@ class TestQueryParsing:
     def test_rejects_bad_docs(self, doc, match):
         with pytest.raises(QueryError, match=match):
             PlacementQuery.from_doc(doc)
+
+    def test_collective_check_reads_the_live_registry(self, monkeypatch):
+        """A collective is checked against the registry as it is now,
+        with no sorted name list; the list is built for a refusal only."""
+        from repro.collectives import selector
+        from repro.service import app
+
+        listed = []
+        known = app.known_collectives
+        monkeypatch.setattr(app, "known_collectives", lambda: listed.append(1) or known())
+        PlacementQuery.from_doc({**GOOD, "collective": "allgather", "algorithm": "ring"})
+        assert listed == []
+        with pytest.raises(QueryError, match="unknown collective 'gossip'"):
+            PlacementQuery.from_doc({**GOOD, "collective": "gossip"})
+        assert listed == [1]
+        monkeypatch.setitem(selector._REGISTRY, ("gossip", "push"), lambda p, b: [])
+        q = PlacementQuery.from_doc({**GOOD, "collective": "gossip", "algorithm": "push"})
+        assert dict(q.cells[0].params)["collective"] == "gossip"
 
     def test_workload_query_parses(self):
         q = PlacementQuery.from_doc(
@@ -188,7 +207,7 @@ class TestAdvise:
                 "comm_size": 16,
                 "total_bytes": [1e5, 1e6],
             }
-            response = asyncio.run(svc.advise(doc))
+            response = ask(svc, doc)
             h = parse_synthetic(doc["hierarchy"])
             # The service scores in-process; offline runs on workers.
             offline = advise(
@@ -211,17 +230,10 @@ class TestAdvise:
         svc = AdvisorService()
         try:
             with pytest.raises(QueryError, match="does not match"):
-                asyncio.run(
-                    svc.advise(
-                        {"machine": "hydra", "hierarchy": "node:2 core:4",
-                         "comm_size": 8}
-                    )
-                )
+                ask(svc, {"machine": "hydra", "hierarchy": "node:2 core:4", "comm_size": 8})
             # Hierarchies the parser itself rejects surface as 400s too.
             with pytest.raises(QueryError, match="bad hierarchy"):
-                asyncio.run(
-                    svc.advise({"hierarchy": "node:zero", "comm_size": 8})
-                )
+                ask(svc, {"hierarchy": "node:zero", "comm_size": 8})
         finally:
             svc.close()
 
@@ -243,10 +255,10 @@ class TestAdvise:
     def test_repeat_query_hits_engine_cache(self):
         svc = AdvisorService()
         try:
-            first = asyncio.run(svc.advise(dict(GOOD)))
+            first = ask(svc, dict(GOOD))
             evaluated = svc.engine.stats.evaluated
             assert evaluated > 0
-            second = asyncio.run(svc.advise(dict(GOOD)))
+            second = ask(svc, dict(GOOD))
             assert svc.engine.stats.evaluated == evaluated  # all cached
             assert second["advice"] == first["advice"]
         finally:
@@ -263,7 +275,7 @@ class TestAdvise:
                 "workload": "dnn",
                 "workload_params": dict(params),
             }
-            response = asyncio.run(svc.advise(doc))
+            response = ask(svc, doc)
             h = parse_synthetic(doc["hierarchy"])
             offline = advise(
                 generic_cluster(h.radices, h.names),
@@ -281,8 +293,8 @@ class TestAdvise:
     def test_per_query_stats_are_engine_deltas(self):
         svc = AdvisorService()
         try:
-            cold = asyncio.run(svc.advise(dict(GOOD)))["stats"]
-            warm = asyncio.run(svc.advise(dict(GOOD)))["stats"]
+            cold = ask(svc, dict(GOOD))["stats"]
+            warm = ask(svc, dict(GOOD))["stats"]
             assert set(cold) == {"wall_ms", "grid_points", "evaluated", "cache_hits"}
             grid = cold["grid_points"]
             assert (cold["evaluated"], cold["cache_hits"]) == (grid, 0)
@@ -305,8 +317,8 @@ class TestAdvise:
         svc = AdvisorService(engine=engine, evaluate=gated)
 
         async def main():
-            first = asyncio.create_task(svc.advise(dict(GOOD)))
-            second = asyncio.create_task(svc.advise(dict(GOOD)))
+            first = asyncio.create_task(advise_doc(svc, dict(GOOD)))
+            second = asyncio.create_task(advise_doc(svc, dict(GOOD)))
             for _ in range(2000):
                 if svc.active_requests == 2:
                     break
@@ -334,7 +346,7 @@ class TestAdvise:
     def test_stats_doc_shape(self):
         svc = AdvisorService()
         try:
-            asyncio.run(svc.advise(dict(GOOD)))
+            ask(svc, dict(GOOD))
             doc = svc.stats_doc()
             assert set(doc) == {"service", "engine", "cache", "prewarm"}
             assert doc["service"]["advise_requests"] == 1

@@ -11,6 +11,8 @@ import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from repro.core.advisor import advise
 from repro.engine import SweepEngine
 from repro.service import (
@@ -22,6 +24,7 @@ from repro.service import (
 )
 from repro.topology.hwloc import parse_synthetic
 from repro.topology.machines import generic_cluster
+from tests.service.helpers import advise_doc, ask
 
 QUERY = {
     "hierarchy": "node:2 socket:2 core:2",
@@ -207,6 +210,92 @@ class TestRoutes:
         assert svc.errors == 1
 
 
+async def _read_response(reader: asyncio.StreamReader) -> tuple[int, bytes, dict]:
+    """One response off a keep-alive connection: status, head, body."""
+    head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 30)
+    status = int(head.split(b" ", 2)[1])
+    length = next(
+        int(line.split(b":", 1)[1])
+        for line in head.split(b"\r\n")
+        if line.lower().startswith(b"content-length:")
+    )
+    return status, head, json.loads(await reader.readexactly(length))
+
+
+def _advise_request(body: bytes, length: bytes | None = None, extra: bytes = b"") -> bytes:
+    length = str(len(body)).encode() if length is None else length
+    return (
+        b"POST /advise HTTP/1.1\r\nHost: x\r\nContent-Length: " + length
+        + b"\r\n" + extra + b"\r\n" + body
+    )
+
+
+class TestFraming:
+    """A request is framed by an exact ``Content-Length``; a refused
+    framing closes the connection, and the service goes on answering."""
+
+    def test_deeply_nested_json_is_a_400_and_keeps_the_connection(self):
+        svc = AdvisorService()
+
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(_advise_request(b"[" * 100_000))
+            refused = await _read_response(reader)
+            writer.write(_advise_request(json.dumps(QUERY).encode()))
+            answered = await _read_response(reader)
+            writer.close()
+            return refused, answered
+
+        (status, head, doc), (ok, _, answer) = _serve(svc, scenario)
+        assert status == 400
+        assert doc["error"].startswith("request body is not valid JSON")
+        assert b"Connection: keep-alive" in head
+        assert ok == 200 and answer["advice"]["recommendations"]
+        assert svc.errors == 1
+
+    CASES = {
+        "chunked": (
+            _advise_request(
+                b"5\r\nhello\r\n0\r\n\r\n", length=b"0",
+                extra=b"Transfer-Encoding: chunked\r\n",
+            ).replace(b"Content-Length: 0\r\n", b""),
+            501, "Transfer-Encoding 'chunked'",
+        ),
+        "negative": (_advise_request(b"", length=b"-5"), 400, "bad Content-Length '-5'"),
+        "plus": (_advise_request(b"{}", length=b"+2"), 400, "bad Content-Length '+2'"),
+        "underscore": (_advise_request(b"{}", length=b"0_2"), 400, "bad Content-Length"),
+        "vertical-tab": (_advise_request(b"{}", length=b"\x0b2"), 400, "bad Content-Length"),
+        "conflicting": (
+            _advise_request(b"{}", extra=b"Content-Length: 3\r\n"),
+            400, "conflicting Content-Length",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_framing_closes_the_connection(self, case):
+        request, expect_status, expect_error = self.CASES[case]
+        svc = AdvisorService()
+
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(request)
+            refused = await _read_response(reader)
+            rest = await asyncio.wait_for(reader.read(), 30)  # until close
+            writer.close()
+            answered = await asyncio.to_thread(_post, port, "/advise", QUERY)
+            stats = await asyncio.to_thread(_get, port, "/stats")
+            return refused, rest, answered, stats
+
+        (status, head, doc), rest, answered, (_, stats) = _serve(svc, scenario)
+        assert status == expect_status
+        assert expect_error in doc["error"]
+        assert b"Connection: close" in head
+        assert rest == b""  # nothing of the request was read as another one
+        assert answered[0] == 200
+        assert stats["service"]["errors"] == 1
+        assert stats["service"]["advise_requests"] == 1
+
+
 def _advice_bytes(doc: dict) -> bytes:
     return json.dumps(doc["advice"], sort_keys=True).encode()
 
@@ -388,7 +477,7 @@ class TestPrewarm:
             assert submitted > 0
             # The matching client query is now fully warm: every key is
             # a cache hit, and the engine evaluates nothing new.
-            response = await svc.advise(dict(QUERY))
+            response = await advise_doc(svc, dict(QUERY))
             assert response["stats"]["evaluated"] == 0
             assert response["stats"]["cache_hits"] == submitted
             assert svc.engine.stats.evaluated == submitted
@@ -472,7 +561,7 @@ class TestSharedCacheDir:
 
         svc = AdvisorService(engine=SweepEngine(cache_dir=tmp_path))
         try:
-            response = asyncio.run(svc.advise(dict(QUERY)))
+            response = ask(svc, dict(QUERY))
             # Every grid point was recalled from disk; nothing re-evaluated.
             assert svc.engine.stats.evaluated == 0
             assert svc.engine.cache.disk_hits == len(plan.requests)
