@@ -103,34 +103,35 @@ def _sweep_figure(
 ) -> list[MicrobenchSeries]:
     """Evaluate one figure's (order x size) grid.
 
-    The grid runs through the sweep layer's grid path as
-    ``collective`` workload cells -- memoized, equivalence-pruned, and
-    fanned out over ``engine``'s workers.  Without an engine a private
-    worker-less one evaluates every order in-process (no pruning), the
-    per-order computation of :func:`~repro.bench.microbench.size_sweep`
-    bit for bit.  ``backend`` names the execution backend for every
-    grid point (``round`` reproduces the paper figures bit-identically;
-    ``logp`` trades absolute fidelity for speed; ``des`` replays every
-    point on the flow-level simulator).
+    The grid is a sweep plan (:func:`~repro.core.advisor.plan_sweep`)
+    over ``collective`` workload cells -- memoized, equivalence-pruned,
+    and fanned out over ``engine``'s workers.  Without an engine a
+    private worker-less one evaluates every order in-process (no
+    pruning), the per-order computation of
+    :func:`~repro.bench.microbench.size_sweep` bit for bit.  ``backend``
+    names the execution backend for every grid point (``round``
+    reproduces the paper figures bit-identically; ``logp`` trades
+    absolute fidelity for speed; ``des`` replays every point on the
+    flow-level simulator).
     """
     from repro.bench.microbench import MicrobenchPoint
-    from repro.bench.sweeps import _sweep_cells
+    from repro.bench.sweeps import _rows
     from repro.collectives.selector import select_algorithm
+    from repro.core.advisor import plan_sweep
     from repro.core.metrics import signature
     from repro.engine import SweepEngine
     from repro.workloads import collective_cells
 
-    orders = [tuple(order) for order in orders]
-    cells = collective_cells([comm_size], [collective], sizes, algorithm)
-    rows = _sweep_cells(
-        topology, hierarchy, cells, orders, engine or SweepEngine(prune=False),
-        backend,
+    plan = plan_sweep(
+        topology, hierarchy,
+        collective_cells([comm_size], [collective], sizes, algorithm),
+        orders=orders, backend=backend,
     )
     points = {
         (order, cell.total_bytes): MicrobenchPoint(
             cell.total_bytes, out["duration_single"], out["duration_all"]
         )
-        for order, cell, out in rows
+        for order, cell, out in _rows(plan, engine or SweepEngine(prune=False))
     }
     algo_label = algorithm or "+".join(
         sorted({select_algorithm(collective, comm_size, s) for s in sizes})
@@ -145,7 +146,7 @@ def _sweep_figure(
             n_comms=hierarchy.size // comm_size,
             points=tuple(points[order, s] for s in sizes),
         )
-        for order in orders
+        for order in plan.orders
     ]
 
 

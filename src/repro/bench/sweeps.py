@@ -8,8 +8,10 @@ further analysis.
 
 Collective sweeps and workload sweeps are one path: each front-end
 translates its arguments into workload cells
-(:class:`repro.workloads.Cell`), and one grid function and one ladder
-search serve them all.  Every grid point runs through
+(:class:`repro.workloads.Cell`) and lowers them to a sweep
+:class:`~repro.core.advisor.QueryPlan` (:func:`~repro.core.advisor.plan_sweep`),
+whose grid and ladder (:func:`~repro.core.advisor.ladder_search`) are
+the advisor's own.  Every grid point runs through
 :class:`repro.engine.SweepEngine` as a content-addressed
 :class:`~repro.engine.EvalRequest`, so
 repeated points are recalled from the cache, order-equivalent points are
@@ -22,15 +24,15 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
+from repro.core.advisor import QueryPlan, ladder_search, plan_sweep
 from repro.core.hierarchy import Hierarchy
 from repro.core.metrics import ring_cost
-from repro.core.orders import Order, all_orders, format_order
-from repro.engine import EvalRequest, SweepEngine, is_failure
+from repro.core.orders import Order, format_order
+from repro.engine import SweepEngine, is_failure
 from repro.workloads import collective_cells, lower_workload, workload_cell
-from repro.workloads.base import check_grid
 from repro.topology.machine import MachineTopology
 
 
@@ -68,110 +70,46 @@ class WorkloadRecord:
     duration_all: float
 
 
-# -- the one grid path -------------------------------------------------------
-#
-# Every sweep front-end reduces to a tuple of workload cells
-# (repro.workloads.Cell).  The grid is comm-major: for each communicator
-# size (first-seen), every order crosses that size's cells in cell order.
+# -- rows of a sweep plan ----------------------------------------------------
 
 
-def _sweep_cells(
-    topology, hierarchy, cells, orders, engine, backend: str
-) -> list[tuple[Order, object, dict]]:
-    """Evaluate the grid; returns ``(order, cell, result)`` rows in grid
-    order, without the quarantined points (they stay on
+def _rows(plan: QueryPlan, engine) -> list[tuple[Order, object, dict]]:
+    """Evaluate the plan's grid; returns ``(order, cell, result)`` rows
+    in grid order, without the quarantined points (they stay on
     ``engine.failures`` and are never cached, so a re-run retries them)."""
-    check_grid(topology, hierarchy, cells, backend)
-    if orders is None:
-        orders = all_orders(hierarchy.depth)
-    orders = [tuple(order) for order in orders]
-    grid = [
-        (order, cell)
-        for comm_size in dict.fromkeys(c.comm_size for c in cells)
-        for order in orders
-        for cell in cells
-        if cell.comm_size == comm_size
-    ]
-    results = engine.evaluate_many(
-        [cell.request(backend, topology, hierarchy, order) for order, cell in grid]
-    )
+    results = engine.evaluate_many(list(plan.requests))
     return [
         (order, cell, point)
-        for (order, cell), point in zip(grid, results)
+        for (order, cell), point in zip(plan.grid, results)
         if not is_failure(point)
     ]
 
 
-def _ladder_cells(
-    topology,
-    hierarchy,
-    cells,
-    orders,
-    engine,
-    records_of,
-    backend: str = "round",
-    scenario: str = "all",
-    rungs: Sequence[str] | None = None,
-    eta: float = 4.0,
-    top_k: int = 10,
-    probe: int = 16,
-    tau_floor: float = 0.9,
-    seed: int = 0,
-    exhaustive_audit: bool = False,
+def _ladder(
+    topology, hierarchy, cells, orders, engine, records_of,
+    backend="round", scenario="all", top_k=10, exhaustive_audit=False, **knobs,
 ):
-    """The multi-fidelity search over a cell grid.
-
-    Returns the ``top_k`` finalists' records (``records_of`` formats the
-    rows, which the final rung left in the cache) and the ladder's
-    audit trail."""
-    from repro.engine.fidelity import FidelityLadder, LadderConfig, default_rungs
-
-    check_grid(topology, hierarchy, cells, backend)
-    if scenario not in ("all", "single"):
-        raise ValueError("scenario must be 'all' or 'single'")
-    if orders is None:
-        orders = all_orders(hierarchy.depth)
-    config = LadderConfig(
-        rungs=tuple(rungs) if rungs is not None else default_rungs(backend),
-        eta=eta,
-        top_k=top_k,
-        probe=probe,
-        tau_floor=tau_floor,
-        seed=seed,
-        duration_key="duration_all" if scenario == "all" else "duration_single",
-    )
-    if config.rungs[-1] != backend:
-        raise ValueError(
-            f"the final rung {config.rungs[-1]!r} must match backend "
-            f"{backend!r}: the finalists' records are materialized at the "
-            "sweep backend's fidelity"
-        )
-    result = FidelityLadder(engine, config).search_cells(
-        [tuple(order) for order in orders],
-        topology,
-        hierarchy,
-        cells,
-        exhaustive_audit=exhaustive_audit,
-    )
-    # Re-run the finalists through the plain grid (pure cache hits: the
-    # final rung already evaluated these keys) to materialize records.
-    rows = _sweep_cells(
-        topology, hierarchy, cells, list(result.ranking), engine, backend
-    )
-    records = records_of(topology, hierarchy, rows)
+    """The ladder search over a sweep plan: the ``top_k`` finalists'
+    records and the ladder's audit trail.  The finalists' rows are read
+    through the plan's grid (pure cache hits: the final rung evaluated
+    these keys)."""
+    plan = plan_sweep(topology, hierarchy, cells, scenario, orders, backend)
+    result = ladder_search(plan, engine, dict(knobs, top_k=top_k), exhaustive_audit)
+    finalists = replace(plan, orders=result.ranking)
+    records = records_of(plan, _rows(finalists, engine))
     return top_k_records(records, top_k, scenario), result
 
 
-def _collective_records(topology, hierarchy, rows) -> list[SweepRecord]:
+def _collective_records(plan: QueryPlan, rows) -> list[SweepRecord]:
     from repro.collectives.selector import select_algorithm
 
     return [
         SweepRecord(
-            machine=topology.name,
+            machine=plan.topology.name,
             order=format_order(order),
-            ring_cost=ring_cost(hierarchy, order, cell.comm_size),
+            ring_cost=ring_cost(plan.hierarchy, order, cell.comm_size),
             comm_size=cell.comm_size,
-            n_comms=hierarchy.size // cell.comm_size,
+            n_comms=plan.hierarchy.size // cell.comm_size,
             collective=cell.name,
             algorithm=dict(cell.params)["algorithm"]
             or select_algorithm(cell.name, cell.comm_size, cell.total_bytes),
@@ -185,7 +123,7 @@ def _collective_records(topology, hierarchy, rows) -> list[SweepRecord]:
     ]
 
 
-def _workload_records(topology, hierarchy, rows) -> list[WorkloadRecord]:
+def _workload_records(plan: QueryPlan, rows) -> list[WorkloadRecord]:
     labels = {
         cell: lower_workload(cell.workload, cell.params).meta.label
         or cell.workload
@@ -193,13 +131,13 @@ def _workload_records(topology, hierarchy, rows) -> list[WorkloadRecord]:
     }
     return [
         WorkloadRecord(
-            machine=topology.name,
+            machine=plan.topology.name,
             order=format_order(order),
-            ring_cost=ring_cost(hierarchy, order, cell.comm_size),
+            ring_cost=ring_cost(plan.hierarchy, order, cell.comm_size),
             workload=cell.workload,
             label=labels[cell],
             comm_size=cell.comm_size,
-            n_comms=hierarchy.size // cell.comm_size,
+            n_comms=plan.hierarchy.size // cell.comm_size,
             total_bytes=cell.total_bytes,
             duration_single=point["duration_single"],
             duration_all=point["duration_all"],
@@ -230,7 +168,8 @@ def sweep(
     The grid is materialized as engine requests and evaluated in one
     batch, so memoization, equivalence pruning, and the worker pool all
     apply; record order is comm-size-major, then order, collective and
-    size.
+    size.  ``orders`` defaults to every order; an empty or repeated
+    order list raises :class:`ValueError` before anything is evaluated.
 
     ``backend`` selects the execution backend per point: ``round`` (the
     default), ``logp`` (fast advisory rankings) or ``des`` (exact flow
@@ -243,8 +182,8 @@ def sweep(
     """
     engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir, prune=prune)
     cells = collective_cells(comm_sizes, collectives, sizes, algorithm)
-    rows = _sweep_cells(topology, hierarchy, cells, orders, engine, backend)
-    return _collective_records(topology, hierarchy, rows)
+    plan = plan_sweep(topology, hierarchy, cells, orders=orders, backend=backend)
+    return _collective_records(plan, _rows(plan, engine))
 
 
 def workload_sweep(
@@ -271,8 +210,8 @@ def workload_sweep(
     """
     cells = (workload_cell(workload, params),)
     engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir, prune=prune)
-    rows = _sweep_cells(topology, hierarchy, cells, orders, engine, backend)
-    return _workload_records(topology, hierarchy, rows)
+    plan = plan_sweep(topology, hierarchy, cells, orders=orders, backend=backend)
+    return _workload_records(plan, _rows(plan, engine))
 
 
 def top_k_records(
@@ -318,7 +257,7 @@ def ladder_sweep(
 
     Instead of evaluating every order at full fidelity like
     :func:`sweep`, runs the error-calibrated successive-halving ladder
-    (:meth:`~repro.engine.fidelity.FidelityLadder.search_cells`): orders
+    (:func:`~repro.core.advisor.ladder_search`, the advisor's): orders
     are scored on the free analytic metric first, survivors promoted
     through progressively costlier models until ``backend`` ranks the
     finalists.  A candidate's score at any rung is its summed scenario
@@ -343,7 +282,7 @@ def ladder_sweep(
     """
     engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir)
     cells = collective_cells(comm_sizes, collectives, sizes, algorithm)
-    return _ladder_cells(
+    return _ladder(
         topology, hierarchy, cells, orders, engine, _collective_records, **options
     )
 
@@ -371,7 +310,7 @@ def workload_ladder_sweep(
     """
     engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir)
     cells = (workload_cell(workload, params),)
-    return _ladder_cells(
+    return _ladder(
         topology, hierarchy, cells, orders, engine, _workload_records, **options
     )
 

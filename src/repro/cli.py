@@ -205,8 +205,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workload_sweep,
     )
     from repro.engine import SweepEngine
-    from repro.engine.fidelity import LadderConfigError
-    from repro.workloads import WorkloadError
 
     h = parse_synthetic(args.hierarchy)
     topology = _machine_topology(args.machine, h)
@@ -231,9 +229,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         grid = dict(workload=workload, params=params)
         sweep_fn, ladder_fn = workload_sweep, workload_ladder_sweep
-    orders = (
-        [parse_order(o) for o in args.orders.split(",")] if args.orders else None
-    )
+    try:
+        orders = [parse_order(o) for o in args.orders.split(",")] if args.orders else None
+    except ValueError as err:
+        raise SystemExit(f"bad --orders: {err}") from None
     if args.resume and not args.cache_dir:
         raise SystemExit("--resume requires --cache-dir (the record log lives there)")
     if args.top_k is not None and args.top_k < 1:
@@ -288,7 +287,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             if args.top_k is not None:
                 records = top_k_records(records, top_k, args.scenario)
-    except (WorkloadError, LadderConfigError) as err:  # raised pre-evaluation
+    except ValueError as err:  # a refused grid or ladder, raised pre-evaluation
         raise SystemExit(str(err)) from None
     finally:
         if engine.dispatcher is not None:

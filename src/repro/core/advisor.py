@@ -30,6 +30,9 @@ placement classes, whose flattened ``(representative, cell)``
 :class:`Advice`.  Any evaluator that returns the grid's results aligned
 with ``plan.requests`` therefore produces rankings bitwise-identical to
 :func:`advise` by construction.
+
+Sweeps are plans whose candidates are orders (:func:`plan_sweep`), so
+the plan's grid and :func:`ladder_search` serve every front-end.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from repro.core.equivalence import placement_key
 from repro.core.hierarchy import Hierarchy
 from repro.core.metrics import OrderSignature, signature
 from repro.core.orders import Order, all_orders, format_order
-from repro.launcher.slurm import order_to_distribution
 from repro.topology.machine import MachineTopology
 
 
@@ -72,6 +74,8 @@ class PlacementClass:
 
     @cached_property
     def slurm_distribution(self) -> str | None:
+        from repro.launcher.slurm import order_to_distribution
+
         return order_to_distribution(self.hierarchy, self.order)
 
     @cached_property
@@ -180,13 +184,16 @@ class Advice:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """A placement query lowered to its placement classes.
+    """A placement question lowered to its candidates and their grid.
 
-    ``cells`` is the query's traffic (workload cells sharing one
-    communicator size); ``classes`` are the memo's
-    :class:`PlacementClass` objects, shared by every plan over the class
-    set.  :attr:`requests` is the evaluable grid, built afresh on each
-    read, so a memoized plan does not hold it.
+    ``orders`` holds one order per candidate.  An advice plan
+    (:func:`plan_query`) ranks placement ``classes``, the memo's
+    :class:`PlacementClass` objects shared by every plan over the class
+    set, and evaluates each at its representative; a sweep plan
+    (:func:`plan_sweep`) ranks the orders themselves and has no classes.
+    ``cells`` is the query's traffic.  :attr:`requests` is the
+    evaluable grid, built afresh on each read, so a memoized plan does
+    not hold it.
     """
 
     topology: MachineTopology
@@ -194,7 +201,8 @@ class QueryPlan:
     cells: tuple
     scenario: str
     backend: str
-    classes: tuple[PlacementClass, ...]
+    orders: tuple[Order, ...]
+    classes: tuple[PlacementClass, ...] = ()
 
     @property
     def comm_size(self) -> int:
@@ -210,20 +218,55 @@ class QueryPlan:
         return "duration_all" if self.scenario == "all" else "duration_single"
 
     @property
+    def grid(self) -> list[tuple[Order, object]]:
+        """The ``(order, cell)`` points: comm-major (sizes first-seen),
+        then candidate, then cell; with one size, point ``i`` scores
+        candidate ``i // len(cells)`` on cell ``cells[i % len(cells)]``."""
+        by_size: dict[int, list] = {}
+        for cell in self.cells:
+            by_size.setdefault(cell.comm_size, []).append(cell)
+        return [
+            (order, cell)
+            for group in by_size.values()
+            for order in self.orders
+            for cell in group
+        ]
+
+    @property
     def requests(self) -> tuple:
-        """The flattened representative-major ``(representative, cell)``
-        grid whose results -- aligned with it --
-        :func:`advice_from_results` assembles into an :class:`Advice`.
-        Request ``i`` scores class ``i // len(cells)`` on cell
-        ``cells[i % len(cells)]``."""
+        """The grid's requests, whose results -- aligned with it --
+        :func:`advice_from_results` assembles into an :class:`Advice`."""
         return tuple(
-            cell.request(self.backend, self.topology, self.hierarchy, c.order)
-            for c in self.classes
-            for cell in self.cells
+            cell.request(self.backend, self.topology, self.hierarchy, order)
+            for order, cell in self.grid
         )
 
     def __len__(self) -> int:
-        return len(self.classes) * len(self.cells)
+        return len(self.orders) * len(self.cells)
+
+
+def _checked(topology, hierarchy, cells, scenario, orders, backend):
+    """The checks every plan makes; returns ``(cells, orders)`` as
+    tuples (``orders`` stays None: every order)."""
+    from repro.workloads.base import check_grid
+
+    if scenario not in ("all", "single"):
+        raise ValueError("scenario must be 'all' or 'single'")
+    cells = tuple(cells)
+    if not cells:
+        raise ValueError("a query needs at least one cell (payload size)")
+    check_grid(topology, hierarchy, cells, backend)
+    if orders is None:
+        return cells, None
+    orders = tuple(tuple(order) for order in orders)
+    if not orders:
+        raise ValueError("a query needs at least one order")
+    seen: set[Order] = set()
+    for order in orders:
+        if order in seen:
+            raise ValueError(f"duplicate order {format_order(order)} in orders")
+        seen.add(order)
+    return cells, orders
 
 
 def plan_query(
@@ -234,7 +277,8 @@ def plan_query(
     orders: Sequence[Order] | None = None,
     backend: str = "round",
 ) -> QueryPlan:
-    """Validate a placement query and lower it to a :class:`QueryPlan`.
+    """Validate a placement query and lower it to a :class:`QueryPlan`
+    over the placement classes of ``orders`` (default: every order).
 
     ``cells`` are the query's workload cells
     (:func:`repro.workloads.collective_cells` for a collective at
@@ -244,32 +288,35 @@ def plan_query(
     keys the sweep layer issues, so advisor and sweeps share every cache
     record.
     """
-    from repro.workloads.base import check_grid
-
-    if scenario not in ("all", "single"):
-        raise ValueError("scenario must be 'all' or 'single'")
-    cells = tuple(cells)
-    if not cells:
-        raise ValueError("a query needs at least one cell (payload size)")
-    comm_size = cells[0].comm_size
-    if any(c.comm_size != comm_size for c in cells):
+    cells, orders = _checked(topology, hierarchy, cells, scenario, orders, backend)
+    if len({c.comm_size for c in cells}) > 1:
         raise ValueError(
             "a query's cells must share one communicator size, got "
             f"{sorted({c.comm_size for c in cells})}"
         )
-    check_grid(topology, hierarchy, cells, backend)
-    return QueryPlan(
-        topology=topology,
-        hierarchy=hierarchy,
-        cells=cells,
-        scenario=scenario,
-        backend=backend,
-        classes=_order_classes(
-            hierarchy,
-            comm_size,
-            None if orders is None else tuple(tuple(o) for o in orders),
-        ),
-    )
+    classes = _order_classes(hierarchy, cells[0].comm_size, orders)
+    orders = tuple(c.order for c in classes)
+    return QueryPlan(topology, hierarchy, cells, scenario, backend, orders, classes)
+
+
+def plan_sweep(
+    topology: MachineTopology,
+    hierarchy: Hierarchy,
+    cells: Sequence,
+    scenario: str = "all",
+    orders: Sequence[Order] | None = None,
+    backend: str = "round",
+) -> QueryPlan:
+    """Validate a sweep and lower it to a :class:`QueryPlan` whose
+    candidates are ``orders`` themselves (default: every order, in
+    :func:`all_orders` order), over cells of any communicator sizes.
+    Orders are not grouped into classes: the engine prunes equivalent
+    points itself, and every order keeps its own row.
+    """
+    cells, orders = _checked(topology, hierarchy, cells, scenario, orders, backend)
+    if orders is None:
+        orders = tuple(all_orders(hierarchy.depth))
+    return QueryPlan(topology, hierarchy, cells, scenario, backend, orders)
 
 
 @lru_cache(maxsize=256)
@@ -317,7 +364,7 @@ def advice_from_results(plan: QueryPlan, results: Sequence[dict]) -> Advice:
     failed = [
         failed_point(
             results[i],
-            order=plan.classes[i // n_cells].order,
+            order=plan.orders[i // n_cells],
             total_bytes=plan.cells[i % n_cells].total_bytes,
         )
         for i in range(len(results))
@@ -335,10 +382,15 @@ def advice_from_results(plan: QueryPlan, results: Sequence[dict]) -> Advice:
     return _assemble(plan, totals)
 
 
-def _assemble(plan: QueryPlan, totals: Sequence[float]) -> Advice:
-    """Ranked advice from one summed duration per placement class."""
+def _assemble(plan: QueryPlan, totals: Sequence[float | None]) -> Advice:
+    """Ranked advice from one summed duration per placement class (None
+    for a class the ladder eliminated: it has no duration to report)."""
     recs = sorted(
-        (Recommendation(c, total) for c, total in zip(plan.classes, totals)),
+        (
+            Recommendation(c, total)
+            for c, total in zip(plan.classes, totals)
+            if total is not None
+        ),
         key=lambda r: r.predicted_seconds,
     )
     return Advice(
@@ -349,70 +401,93 @@ def _assemble(plan: QueryPlan, totals: Sequence[float]) -> Advice:
     )
 
 
+def ladder_search(plan: QueryPlan, engine=None, config=None, exhaustive_audit=False):
+    """Rank a plan's candidates through the fidelity ladder
+    (:meth:`~repro.engine.fidelity.FidelityLadder.search`); returns its
+    :class:`~repro.engine.fidelity.LadderResult`.
+
+    Candidates are scored on the free analytic metric first and
+    survivors promoted through costlier models until the plan's backend,
+    the final rung, ranks the finalists.  An engine rung sums the plan's
+    scenario duration over one request per cell, so the final rung
+    issues the plan grid's keys; the ``metric`` rung sums
+    :func:`~repro.engine.fidelity.analytic_order_score` over the
+    distinct ``(comm_size, total_bytes)`` pairs, first-seen.  ``config``
+    is a :class:`~repro.engine.fidelity.LadderConfig` or a mapping of its
+    fields (rungs left out or None: the stock ladder toward the backend).
+    A class is keyed by its index, so tied classes keep the order plain
+    advice lists them in, and an order by itself; the probe choice
+    hashes that key.
+    """
+    # The metric rung binds its own `signature`: the module-level name is
+    # the one a class renders its legend through.
+    from repro.core.metrics import signature
+    from repro.engine import SweepEngine
+    from repro.engine.fidelity import (
+        FidelityLadder,
+        LadderConfig,
+        analytic_order_score,
+        default_rungs,
+    )
+
+    if not isinstance(config, LadderConfig):
+        knobs = dict(config or {})
+        knobs["rungs"] = knobs.get("rungs") or default_rungs(plan.backend)
+        config = LadderConfig(**knobs)
+    if config.rungs[-1] != plan.backend:
+        raise ValueError(
+            f"the final rung {config.rungs[-1]!r} must match the plan's "
+            f"backend {plan.backend!r}: it scores the finalists"
+        )
+    keys = range(len(plan.orders)) if plan.classes else plan.orders
+    order_of = dict(zip(keys, plan.orders))
+    topology, hierarchy, cells = plan.topology, plan.hierarchy, plan.cells
+    pairs = list(dict.fromkeys((c.comm_size, c.total_bytes) for c in cells))
+    comm_sizes = list(dict.fromkeys(comm_size for comm_size, _ in pairs))
+
+    def requests_for(model: str, key) -> list:
+        order = order_of[key]
+        return [cell.request(model, topology, hierarchy, order) for cell in cells]
+
+    def metric_score(key) -> float:
+        order = order_of[key]
+        sigs = {c: signature(hierarchy, order, c) for c in comm_sizes}
+        return sum(
+            analytic_order_score(
+                topology, hierarchy, order, comm_size, total, sig=sigs[comm_size]
+            )
+            for comm_size, total in pairs
+        )
+
+    return FidelityLadder(engine or SweepEngine(), config, plan.duration_key).search(
+        keys, requests_for, metric_score, exhaustive_audit
+    )
+
+
 def ladder_advise(
     plan: QueryPlan,
     engine=None,
     config=None,
     exhaustive_audit: bool = False,
 ):
-    """Rank a plan's placement classes through the fidelity ladder.
+    """Rank a plan's placement classes through the fidelity ladder
+    (:func:`ladder_search`).
 
-    Instead of scoring every class representative at the plan's backend
-    like :func:`advice_from_results`, runs the error-calibrated
-    successive-halving search
-    (:meth:`~repro.engine.fidelity.FidelityLadder.search_cells`, the
-    search ladder sweeps use): classes are scored on the free analytic
-    metric first and survivors promoted through progressively costlier
-    models until the plan's backend ranks the finalists.  Returns
-    ``(advice, result)`` — the :class:`Advice` over the *finalist*
-    classes only (eliminated classes carry no duration to report) and
-    the :class:`~repro.engine.fidelity.LadderResult` audit trail.
-    Finalist durations are bitwise-identical to a full :func:`advise`
-    at the same backend: the final rung issues the same request keys
-    as ``plan.requests``.
-
-    ``config`` defaults to the stock ladder toward ``plan.backend`` with
-    the plan's scenario duration key; a custom config must agree with
-    the plan on both.
+    Returns ``(advice, result)`` — the :class:`Advice` over the
+    *finalist* classes only (eliminated classes carry no duration to
+    report) and the :class:`~repro.engine.fidelity.LadderResult` audit
+    trail.  Finalist durations are bitwise-identical to a full
+    :func:`advise` at the same backend: the final rung issues the same
+    request keys as ``plan.requests``.
     """
-    import dataclasses
-
-    from repro.engine import SweepEngine
-    from repro.engine.fidelity import FidelityLadder, LadderConfig, default_rungs
-
-    engine = engine or SweepEngine()
-    if config is None:
-        config = LadderConfig(
-            rungs=default_rungs(plan.backend),
-            duration_key=plan.duration_key,
-        )
-    if config.rungs[-1] != plan.backend:
-        raise ValueError(
-            f"ladder final rung {config.rungs[-1]!r} must match the plan's "
-            f"backend {plan.backend!r}"
-        )
-    if config.duration_key != plan.duration_key:
-        raise ValueError(
-            f"ladder duration_key {config.duration_key!r} must match the "
-            f"plan's scenario key {plan.duration_key!r}"
-        )
-    result = FidelityLadder(engine, config).search_cells(
-        range(len(plan.classes)),
-        plan.topology,
-        plan.hierarchy,
-        plan.cells,
-        order_of=lambda ci: plan.classes[ci].order,
-        exhaustive_audit=exhaustive_audit,
-    )
+    result = ladder_search(plan, engine, config, exhaustive_audit)
     if not result.ranking:
         raise ValueError(
             "ladder search produced no finalists (every class evaluation "
             "failed)"
         )
-    finalists = dataclasses.replace(
-        plan, classes=tuple(plan.classes[ci] for ci in result.ranking)
-    )
-    return _assemble(finalists, [result.scores[ci] for ci in result.ranking]), result
+    totals = [result.scores.get(ci) for ci in range(len(plan.classes))]
+    return _assemble(plan, totals), result
 
 
 def advise(
@@ -485,10 +560,7 @@ def advise(
         backend=backend,
     )
     if ladder:
-        from repro.engine.fidelity import LadderConfig
-
-        config = ladder if isinstance(ladder, LadderConfig) else None
-        advice, _ = ladder_advise(plan, engine=engine, config=config)
+        advice, _ = ladder_advise(plan, engine, None if ladder is True else ladder)
         return advice
     from repro.engine import SweepEngine
 

@@ -87,8 +87,7 @@ class LadderConfig:
     finalists the caller wants ranked.  ``probe`` is the calibration
     subset size per rung; ``tau_floor`` the Kendall tau below which a
     rung's promotion fraction is widened.  ``seed`` makes the probe
-    choice deterministic.  ``duration_key`` names the result field that
-    is summed into a candidate's score.
+    choice deterministic.
     """
 
     rungs: tuple[str, ...] = (RUNG_METRIC, "logp", "round")
@@ -97,7 +96,6 @@ class LadderConfig:
     probe: int = 16
     tau_floor: float = 0.9
     seed: int = 0
-    duration_key: str = "duration_all"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rungs", tuple(self.rungs))
@@ -138,7 +136,6 @@ class LadderConfig:
             "probe": self.probe,
             "tau_floor": self.tau_floor,
             "seed": self.seed,
-            "duration_key": self.duration_key,
         }
 
 
@@ -249,12 +246,17 @@ class FidelityLadder:
     ladder share warmth with plain sweeps).  Engine rungs go through
     :meth:`evaluate_many <repro.engine.core.SweepEngine.evaluate_many>`,
     so they run as the engine's chunks: one in-process chunk without
-    workers, chunks on the workers with them.
+    workers, chunks on the workers with them.  ``duration_key`` names the
+    result field summed into a candidate's score (the scenario's
+    duration).
     """
 
-    def __init__(self, engine, config: LadderConfig | None = None):
+    def __init__(
+        self, engine, config: LadderConfig | None = None, duration_key: str = "duration_all"
+    ):
         self.engine = engine
         self.config = config or LadderConfig()
+        self.duration_key = duration_key
 
     # -- public ------------------------------------------------------------
 
@@ -270,7 +272,7 @@ class FidelityLadder:
         ``candidates`` is the full search space (duplicates collapse);
         ``requests_for(model, candidate)`` materializes the engine grid
         that scores one candidate at one fidelity -- a candidate's score
-        is the sum of ``config.duration_key`` over its grid.  The same
+        is the sum of ``duration_key`` over its grid.  The same
         builder used with the final rung's model by a plain sweep yields
         identical content keys, so ladder and sweep share every cache
         record.  ``metric_score`` is required when the ladder opens with
@@ -371,51 +373,6 @@ class FidelityLadder:
             )
         return result
 
-    def search_cells(
-        self,
-        candidates: Sequence[Any],
-        topology,
-        hierarchy,
-        cells: Sequence,
-        order_of: Callable[[Any], tuple[int, ...]] = tuple,
-        exhaustive_audit: bool = False,
-    ) -> LadderResult:
-        """The order search every front-end runs: :meth:`search` over a
-        grid of :class:`~repro.workloads.Cell` s.
-
-        A candidate's grid at one fidelity is one request per cell for
-        ``order_of(candidate)``, in cell order, so its summed score and
-        its content keys match a plain sweep over the same cells.  The
-        ``metric`` rung sums :func:`analytic_order_score` over the
-        distinct ``(comm_size, total_bytes)`` pairs of the cells, in
-        first-seen order, with one signature per communicator size.
-        """
-        from repro.core.metrics import signature
-
-        pairs = list(dict.fromkeys((c.comm_size, c.total_bytes) for c in cells))
-        comm_sizes = list(dict.fromkeys(comm_size for comm_size, _ in pairs))
-
-        def requests_for(model: str, candidate: Any) -> list[EvalRequest]:
-            order = order_of(candidate)
-            return [cell.request(model, topology, hierarchy, order) for cell in cells]
-
-        def metric_score(candidate: Any) -> float:
-            order = order_of(candidate)
-            sigs = {c: signature(hierarchy, order, c) for c in comm_sizes}
-            return sum(
-                analytic_order_score(
-                    topology, hierarchy, order, comm_size, total, sig=sigs[comm_size]
-                )
-                for comm_size, total in pairs
-            )
-
-        return self.search(
-            candidates,
-            requests_for,
-            metric_score=metric_score,
-            exhaustive_audit=exhaustive_audit,
-        )
-
     # -- internals ---------------------------------------------------------
 
     def _score(
@@ -440,7 +397,7 @@ class FidelityLadder:
             spans.append((c, len(reqs)))
             flat.extend(reqs)
         results = self.engine.evaluate_many(flat)
-        key = self.config.duration_key
+        key = self.duration_key
         scores: dict[Any, float] = {}
         pos = 0
         for c, n in spans:

@@ -5,7 +5,14 @@ import io
 
 import pytest
 
-from repro.bench.sweeps import sweep, to_csv
+from repro.bench.sweeps import (
+    ladder_sweep,
+    sweep,
+    to_csv,
+    workload_ladder_sweep,
+    workload_sweep,
+)
+from repro.core.advisor import advise
 from repro.core.hierarchy import Hierarchy
 from repro.topology.machines import hydra
 
@@ -27,6 +34,15 @@ class TestSweep:
     def test_grid_size(self, records):
         assert len(records) == 2 * 2 * 2 * 2  # comm x coll x size x order
 
+    def test_grid_is_comm_major_then_order_then_cell(self, records):
+        assert [(r.comm_size, r.order, r.collective, r.total_bytes) for r in records] == [
+            (comm_size, order, collective, size)
+            for comm_size in (16, 32)
+            for order in ("0-1-2-3", "3-2-1-0")
+            for collective in ("alltoall", "allgather")
+            for size in (1e6, 16e6)
+        ]
+
     def test_record_fields(self, records):
         rec = records[0]
         assert rec.machine == TOPO.name
@@ -45,6 +61,47 @@ class TestSweep:
     def test_world_size_checked(self):
         with pytest.raises(ValueError):
             sweep(TOPO, Hierarchy((2, 2)), comm_sizes=[2])
+
+
+class TestOrderLists:
+    """Every front-end refuses an empty or repeated order list when it
+    plans, before anything is evaluated: a repeated order would print
+    its row twice and count its time twice in a top-k, and an empty one
+    would answer with nothing at all."""
+
+    REPEATED = (3, 2, 1, 0)
+    FRONT_ENDS = {
+        "sweep": lambda orders: sweep(TOPO, H, [16], orders=orders),
+        "ladder_sweep": lambda orders: ladder_sweep(TOPO, H, [16], orders=orders),
+        "workload_sweep": lambda orders: workload_sweep(
+            TOPO, H, "stencil", {"dims": [4, 4]}, orders=orders
+        ),
+        "workload_ladder_sweep": lambda orders: workload_ladder_sweep(
+            TOPO, H, "stencil", {"dims": [4, 4]}, orders=orders
+        ),
+        "advise": lambda orders: advise(TOPO, H, 16, orders=orders),
+        "advise_ladder": lambda orders: advise(TOPO, H, 16, orders=orders, ladder=True),
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_evaluation(self, monkeypatch):
+        from repro.engine import SweepEngine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated a refused order list")
+
+        monkeypatch.setattr(SweepEngine, "evaluate_many", refuse)
+
+    @pytest.mark.parametrize("front_end", FRONT_ENDS)
+    def test_repeated_order_is_named(self, front_end):
+        orders = [(0, 1, 2, 3), self.REPEATED, (1, 0, 2, 3), self.REPEATED]
+        with pytest.raises(ValueError, match=r"^duplicate order 3-2-1-0 in orders$"):
+            self.FRONT_ENDS[front_end](orders)
+
+    @pytest.mark.parametrize("front_end", FRONT_ENDS)
+    def test_empty_order_list_is_refused(self, front_end):
+        with pytest.raises(ValueError, match="at least one order"):
+            self.FRONT_ENDS[front_end]([])
 
 
 class TestCSV:

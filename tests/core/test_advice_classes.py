@@ -83,7 +83,7 @@ def test_listed_orders_take_their_class_time(query):
     # A ladder that eliminates nothing answers like plain advice, ties
     # included.
     key = "duration_all" if scenario == "all" else "duration_single"
-    ladder = LadderConfig(rungs=(backend,), eta=1, top_k=10**6, duration_key=key)
+    ladder = LadderConfig(rungs=(backend,), eta=1, top_k=10**6)
     laddered = advise(topo, h, comm_size, collective, ladder=ladder, **ask)
     assert json.dumps(laddered.to_jsonable()) == json.dumps(advice.to_jsonable())
 

@@ -8,6 +8,8 @@ import pytest
 from repro.core import advisor
 from repro.core.advisor import advise, ladder_advise, plan_query
 from repro.core.hierarchy import Hierarchy
+from repro.engine.fidelity import LadderConfig
+from repro.launcher import slurm
 from repro.topology.machines import generic_cluster, hydra
 from repro.workloads import collective_cells
 
@@ -133,6 +135,19 @@ class TestAdvise:
         assert via_cells.to_jsonable() == via_args.to_jsonable()
 
 
+class TestLadderScenario:
+    def test_single_scenario_ladder_sums_the_plans_duration(self):
+        # The ladder sums the plan's scenario duration; its config names
+        # no duration field to disagree with the plan.
+        ladder = LadderConfig(rungs=("metric", "logp"))
+        ask = dict(scenario="single", backend="logp")
+        laddered = advise(TOPO, H, comm_size=4, ladder=ladder, **ask)
+        plain = {r.order: r.predicted_seconds for r in advise(TOPO, H, 4, **ask).recommendations}
+        assert laddered.recommendations
+        for rec in laddered.recommendations:
+            assert rec.predicted_seconds == plain[rec.order]
+
+
 class TestDeepMachine:
     """Depth 8, 40,320 orders in 806 classes: a class renders only when
     an answer shows it, and once."""
@@ -141,9 +156,13 @@ class TestDeepMachine:
 
     def test_only_shown_classes_render(self, monkeypatch):
         calls = dict.fromkeys(("signature", "order_to_distribution", "format_order"), 0)
+        # The advisor imports the Slurm translation (and numpy with it)
+        # on first use, from its own module.
+        owners = {name: advisor for name in calls}
+        owners["order_to_distribution"] = slurm
 
         def counted(name):
-            fn = getattr(advisor, name)
+            fn = getattr(owners[name], name)
 
             def wrapper(*args):
                 calls[name] += 1
@@ -152,7 +171,7 @@ class TestDeepMachine:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(advisor, name, counted(name))
+            monkeypatch.setattr(owners[name], name, counted(name))
         advisor._order_classes.cache_clear()
         h = Hierarchy(self.RADICES)
         plan = plan_query(

@@ -13,7 +13,14 @@ import math
 
 import pytest
 
-from repro.bench.sweeps import ladder_sweep, sweep, to_csv, top_k_records
+from repro.bench.sweeps import (
+    ladder_sweep,
+    sweep,
+    to_csv,
+    top_k_records,
+    workload_ladder_sweep,
+    workload_sweep,
+)
 from repro.core.hierarchy import Hierarchy
 from repro.core.orders import all_orders
 from repro.engine import EvalRequest, SweepEngine
@@ -58,6 +65,12 @@ class TestLadderConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(LadderConfigError):
             LadderConfig(**kwargs)
+
+    def test_duration_is_not_a_knob(self):
+        # The summed duration is the plan's scenario, passed to the search.
+        with pytest.raises(TypeError):
+            LadderConfig(duration_key="duration_single")
+        assert "duration_key" not in LadderConfig().to_jsonable()
 
     def test_default_rungs_ladder_toward_each_backend(self):
         assert default_rungs("logp") == ("metric", "logp")
@@ -261,12 +274,21 @@ from hypothesis import strategies as st  # noqa: E402
 ladder_configs = st.fixed_dictionaries(
     {
         "radices": st.sampled_from([(2, 2, 4), (4, 2, 2), (2, 4, 2)]),
-        "comm_size": st.sampled_from([2, 4, 8]),
-        "collective": st.sampled_from(["alltoall", "allgather", "allreduce"]),
+        "comm_sizes": st.lists(
+            st.sampled_from([2, 4, 8]), min_size=1, max_size=3, unique=True
+        ),
+        "collectives": st.lists(
+            st.sampled_from(["alltoall", "allgather", "allreduce"]),
+            min_size=1, max_size=2, unique=True,
+        ),
         "total_bytes": st.sampled_from([16e3, 1e6]),
         "backend": st.sampled_from(["logp", "round"]),
         "probe": st.sampled_from([2, 4, 16]),
         "rungs": st.sampled_from([None, ("metric", "logp", "round")]),
+        "orders": st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(all_orders(3)), min_size=1, max_size=6, unique=True),
+        ),
     }
 )
 
@@ -274,25 +296,39 @@ ladder_configs = st.fixed_dictionaries(
 @settings(max_examples=12, deadline=None)
 @given(ladder_configs)
 def test_property_eta1_ladder_is_bitwise_a_full_sweep(cfg):
-    """For any sampled configuration, the eta=1 ladder (elimination
-    disabled) emits records bitwise identical to an exhaustive sweep."""
+    """For any sampled configuration -- one to three communicator sizes,
+    one or two collectives, every order or a subset -- the eta=1 ladder
+    (elimination disabled) emits records bitwise identical to an
+    exhaustive sweep."""
     if cfg["rungs"] is not None and cfg["rungs"][-1] != cfg["backend"]:
         cfg = {**cfg, "rungs": None}
     topo = generic_cluster(cfg["radices"], names=NAMES)
     h = Hierarchy(cfg["radices"], names=NAMES)
-    n_orders = len(list(all_orders(h.depth)))
+    n_orders = len(cfg["orders"] or all_orders(h.depth))
+    grid = dict(
+        comm_sizes=cfg["comm_sizes"], collectives=cfg["collectives"],
+        sizes=(cfg["total_bytes"],), orders=cfg["orders"], backend=cfg["backend"],
+    )
     records, result = ladder_sweep(
-        topo, h, [cfg["comm_size"]], collectives=(cfg["collective"],),
-        sizes=(cfg["total_bytes"],), engine=SweepEngine(),
-        backend=cfg["backend"], rungs=cfg["rungs"], eta=1.0,
+        topo, h, **grid, engine=SweepEngine(), rungs=cfg["rungs"], eta=1.0,
         top_k=n_orders, probe=cfg["probe"],
     )
     # The ladder ran in-process; the reference runs on workers.
-    full = sweep(
-        topo, h, [cfg["comm_size"]], collectives=(cfg["collective"],),
-        sizes=(cfg["total_bytes"],), engine=SweepEngine(jobs=2),
-        backend=cfg["backend"],
+    full = sweep(topo, h, **grid, engine=SweepEngine(jobs=2))
+    assert to_csv(records) == to_csv(top_k_records(full, n_orders))
+    assert all(r.n_promoted == r.n_candidates for r in result.rungs[:-1])
+
+
+def test_eta1_workload_ladder_is_bitwise_a_full_workload_sweep():
+    topo, h = _machine()
+    stencil = dict(dims=[2, 4], periodic=[True, False])
+    n_orders = len(all_orders(h.depth))
+    records, result = workload_ladder_sweep(
+        topo, h, "stencil", stencil, engine=SweepEngine(), backend="round",
+        eta=1.0, top_k=n_orders, probe=4,
     )
+    full = workload_sweep(topo, h, "stencil", stencil, engine=SweepEngine(jobs=2))
+    assert len(records) == n_orders
     assert to_csv(records) == to_csv(top_k_records(full, n_orders))
     assert all(r.n_promoted == r.n_candidates for r in result.rungs[:-1])
 

@@ -176,6 +176,10 @@ class TestSweep:
             ("--ladder", "--top-k", "0"),
             ("--ladder", "--eta", "0.5"),
             ("--ladder", "--probe", "0"),
+            ("--orders", "0-1,1-0,0-1"),
+            ("--ladder", "--orders", "1-0,1-0"),
+            ("--orders", "0-0"),  # not a permutation
+            ("--orders", "0-1-2"),  # a 3-level order on a 2-level machine
         ],
     )
     def test_refuses_bad_values_before_evaluating(self, flags, monkeypatch, capsys):
@@ -437,6 +441,15 @@ class TestWorkloads:
                 [
                     "sweep", "-H", "[[2,2,4]]", "--comm-sizes", "4",
                     "--sizes", "1e6,1e6", "--orders", "0-1-2",
+                ]
+            )
+
+    def test_sweep_refuses_duplicate_orders(self):
+        with pytest.raises(SystemExit, match=r"^duplicate order 0-1-2 in orders$"):
+            main(
+                [
+                    "sweep", "-H", "[[2,2,4]]", "--comm-sizes", "4",
+                    "--orders", "0-1-2,0-1-2",
                 ]
             )
 

@@ -132,6 +132,7 @@ NUMPY_FREE = (
     "repro.cli",
     "repro.bench.sweeps",
     "repro.collectives.selector",
+    "repro.core.advisor",
     "repro.core.equivalence",
     "repro.core.hierarchy",
     "repro.core.metrics",
